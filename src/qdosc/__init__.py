@@ -37,7 +37,6 @@ from .errors import (
 from .fock import (
     FockOperator,
     FockState,
-    band_growth_diagnostic,
     build_hamiltonian,
     build_ladder,
     build_lambda,
@@ -45,25 +44,19 @@ from .fock import (
     coherent_state,
     commutator,
     expectation,
-    expectation_tail_error,
     heisenberg_evolve,
-    hermitian_pair,
     multicommutator_matrix,
 )
 from .isomap import IsoMap, ResidualReport, isomorphism_residuals, map_to_q
 from .params import Anharmonic, LambdaIndex, ModelParams, QOsc, energy, level_value
 from .qcore import (
-    StirlingTable,
     WeightDistribution,
     binomial_weights,
     log_q_factorial,
-    poisson_weights,
     q_exponential,
     q_factorial,
     q_number,
-    q_poisson_weights,
     q_stirling2,
-    q_stirling_table,
     stirling2,
 )
 from .verify import CheckResult, run_suite

@@ -365,7 +365,7 @@ def main(argv=None) -> int:
     try:
         cfg = resolve_config(args.command, args)
         return COMMANDS[args.command](cfg)
-    except (QdoscError, OSError, json.JSONDecodeError) as exc:
+    except (QdoscError, OSError, ValueError) as exc:
         record = {"error": type(exc).__name__, "message": str(exc)}
         print(json.dumps(record), file=sys.stderr)
         return 2

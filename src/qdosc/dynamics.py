@@ -12,11 +12,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, PhaseUnwrapError
+from .errors import DomainError, PhaseUnwrapError
 from .fock import build_lambda
 from .params import Anharmonic, LambdaIndex, ModelParams, QOsc, validate_index
 from .qcore import (
-    _MAX_TERMS,
+    _check_radius,
+    _ratio_weights,
     q_exponential,
     q_number,
     q_stirling2,
@@ -44,47 +45,6 @@ class TimeSeries:
         self.values.setflags(write=False)
 
 
-def _weighted_series(level, alpha_sq: float, m: int, tol: float):
-    """Terms w_k = alpha_sq^k / fact(k) with moment factors level(k)^m,
-    truncated when the certified tail of the level^m-weighted mass drops
-    below tol relative to the running sum.
-
-    level(k) must be nondecreasing with nonincreasing successive ratios,
-    which holds for both k and [k]_q.  Returns (weights normalized by the
-    partial sum, levels, moments, relative tail, raw partial sum).
-    """
-    w = [1.0]
-    lev = [level(0)]
-    total = 1.0
-    tail = 0.0
-    while alpha_sq > 0.0:
-        k = len(w)
-        lv = level(k)
-        nxt = w[-1] * alpha_sq / lv
-        w.append(nxt)
-        lev.append(lv)
-        total += nxt
-        lv_next = level(k + 1)
-        growth = (lv_next / lv) ** m if m > 0 else 1.0
-        rho = (alpha_sq / lv_next) * growth
-        if rho < 1.0:
-            u = nxt * (max(lv, 1.0) ** m if m > 0 else 1.0)
-            tail = u * rho / (1.0 - rho)
-            if tail < tol * total:
-                break
-        if k > _MAX_TERMS:
-            raise ConvergenceError("weighted series failed to truncate")
-    w_arr = np.array(w) / total
-    # park the last-ulp normalization defect on the largest weight
-    w_arr[int(np.argmax(w_arr))] += 1.0 - math.fsum(w_arr)
-    lev_arr = np.array(lev)
-    if m > 0:
-        mom = np.where(lev_arr == 0.0, 0.0, lev_arr**m)
-    else:
-        mom = np.ones_like(lev_arr)
-    return w_arr, lev_arr, mom, tail / total, total
-
-
 def evolve_q_expectation(
     params: QOsc,
     alpha: complex,
@@ -104,19 +64,16 @@ def evolve_q_expectation(
         raise DomainError("tol must be positive")
     q = params.q
     a2 = abs(alpha) ** 2
-    if q < 1.0 and a2 >= 1.0 / (1.0 - q):
-        raise ConvergenceError(
-            f"|alpha|^2={a2} outside radius {1.0 / (1.0 - q)} for q={q}"
-        )
+    _check_radius(a2, q)
     taus = np.asarray(tau_grid, dtype=float)
     if n == 0 and m == 0:
         return TimeSeries(
             taus, np.ones_like(taus, dtype=complex), params, LambdaIndex(0, 0), alpha, 0.0
         )
-    w, lev, mom, tail, _ = _weighted_series(lambda k: q_number(k, q), a2, m, tol)
+    w, lev, tail, _ = _ratio_weights(lambda k: q_number(k, q), a2, m, tol)
     nq = q_number(n, q)
     phases = np.exp(1j * nq * (q - 1.0) * np.outer(taus, lev))
-    sums = phases @ (mom * w)
+    sums = phases @ (lev**m * w)
     values = np.conj(alpha) ** n * np.exp(1j * nq * taus) * sums
     return TimeSeries(taus, values, params, LambdaIndex(n, m), alpha, tail)
 
@@ -148,11 +105,11 @@ def evolve_anharmonic_expectation(
         return TimeSeries(
             ts, np.ones_like(ts, dtype=complex), params, LambdaIndex(0, 0), alpha, 0.0
         )
-    w, lev, mom, tail, _ = _weighted_series(float, a2, m, tol)
+    w, lev, tail, _ = _ratio_weights(float, a2, m, tol)
     c1 = n * params.omega1 + n * n * params.omega2
     c2 = 2.0 * n * params.omega2
     phases = np.exp(1j * c2 * np.outer(ts, lev))
-    sums = phases @ (mom * w)
+    sums = phases @ (lev**m * w)
     values = np.conj(alpha) ** n * np.exp(1j * c1 * ts) * sums
     return TimeSeries(ts, values, params, LambdaIndex(n, m), alpha, tail)
 
@@ -193,12 +150,9 @@ def relation_identity_residual(x: float, q: float, m: int) -> float:
     """
     if m < 0:
         raise DomainError(f"m must be nonnegative, got {m}")
-    if q < 1.0 and abs(x) >= 1.0 / (1.0 - q):
-        raise ConvergenceError(
-            f"|x|={abs(x)} outside radius {1.0 / (1.0 - q)} for q={q}"
-        )
-    w, lev, mom, _, total = _weighted_series(lambda k: q_number(k, q), x, m, 1e-16)
-    lhs = float(np.dot(mom, w)) * total
+    _check_radius(x, q)
+    w, lev, _, total = _ratio_weights(lambda k: q_number(k, q), x, m, 1e-16)
+    lhs = float(np.dot(lev**m, w)) * total
     rhs = math.fsum(q_stirling2(r, m, q) * x**r for r in range(m + 1)) * q_exponential(
         x, q
     )

@@ -4,6 +4,10 @@ Everything here is the literal, brute-force side of the library: dense
 operators, explicit commutators and phase evolution. It serves as the
 oracle against which the closed-form algebra and dynamics are verified.
 
+Every operator built here is a single band, computed from one level
+vector and stored densely. Entries beyond double precision raise
+DomainError rather than turning into inf.
+
 Truncation bookkeeping: both Hamiltonians are diagonal, so cutting the
 ladder at dimension D only contaminates the top `margin` Fock levels of an
 operator (the raising degree accumulated while building it). Identities
@@ -18,9 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, DimensionError, DomainError, TruncationError
+from .errors import DimensionError, DomainError, TruncationError
 from .params import LambdaIndex, ModelParams, QOsc, energy, level_value
-from .qcore import _ratio_weights
+from .qcore import _check_radius, _ratio_weights
 
 
 @dataclass(frozen=True)
@@ -64,32 +68,31 @@ class FockState:
             raise DimensionError("amplitude length does not match dim")
         self.amplitudes.setflags(write=False)
 
-    def norm_sq(self) -> float:
-        return float(np.vdot(self.amplitudes, self.amplitudes).real)
-
 
 def _check_dim(D: int) -> None:
     if D < 2:
         raise DimensionError(f"dimension must be >= 2, got {D}")
 
 
+def _band_operator(D: int, band: np.ndarray, k: int, margin: int) -> FockOperator:
+    """D x D operator holding `band` on diagonal k (k > 0 above the main
+    diagonal, k < 0 below it)."""
+    if not np.isfinite(band).all():
+        raise DomainError(f"operator entries overflow double precision at D={D}")
+    return FockOperator(D, np.diag(band.astype(complex), k), margin)
+
+
 def build_ladder(params: ModelParams, D: int) -> tuple[FockOperator, FockOperator]:
     """Annihilation/creation pair: a|n> = sqrt([n]) |n-1> (row = n-1, col = n)."""
     _check_dim(D)
-    a = np.zeros((D, D), dtype=complex)
-    for n in range(1, D):
-        a[n - 1, n] = math.sqrt(level_value(params, n))
-    return (
-        FockOperator(D, a, margin=1),
-        FockOperator(D, a.conj().T.copy(), margin=1),
-    )
+    a = _band_operator(D, np.sqrt(level_value(params, np.arange(1, D))), 1, margin=1)
+    return a, a.dagger()
 
 
 def build_hamiltonian(params: ModelParams, D: int) -> FockOperator:
     """Diagonal Hamiltonian; truncation-exact (margin 0)."""
     _check_dim(D)
-    diag = np.array([energy(params, n) for n in range(D)], dtype=complex)
-    return FockOperator(D, np.diag(diag), margin=0)
+    return _band_operator(D, energy(params, np.arange(D)), 0, margin=0)
 
 
 def build_lambda(params: ModelParams, idx: LambdaIndex, D: int) -> FockOperator:
@@ -105,25 +108,13 @@ def build_lambda(params: ModelParams, idx: LambdaIndex, D: int) -> FockOperator:
         raise DomainError(f"index components must be nonnegative, got {idx}")
     if n >= D:
         raise DimensionError(f"raising degree n={n} must be < D={D}")
-    mat = np.zeros((D, D), dtype=complex)
-    for j in range(D - n):
-        band = 1.0
+    lv = level_value(params, np.arange(D))
+    band = np.ones(D - n)
+    with np.errstate(over="ignore"):
         for i in range(1, n + 1):
-            band *= math.sqrt(level_value(params, j + i))
-        lv = level_value(params, j)
-        mat[j + n, j] = band * (lv**m if not (lv == 0.0 and m == 0) else 1.0)
-    return FockOperator(D, mat, margin=n)
-
-
-def hermitian_pair(op: FockOperator) -> tuple[FockOperator, FockOperator]:
-    """Hermitian combinations (L + L†, i(L - L†)); the inverse map is
-    (plus - i*minus)/2."""
-    plus = op.matrix + op.matrix.conj().T
-    minus = 1j * (op.matrix - op.matrix.conj().T)
-    return (
-        FockOperator(op.dim, plus, op.margin),
-        FockOperator(op.dim, minus, op.margin),
-    )
+            band *= np.sqrt(lv[i : D - n + i])
+        band *= lv[: D - n] ** m
+    return _band_operator(D, band, -n, margin=n)
 
 
 def commutator(A: FockOperator, B: FockOperator) -> FockOperator:
@@ -161,10 +152,9 @@ def heisenberg_evolve(O: FockOperator, H: FockOperator, t: float) -> FockOperato
 def coherent_dim(params: ModelParams, alpha: complex, tol: float = 1e-14) -> int:
     """Smallest dimension at which a coherent state of amplitude alpha has
     occupation tail mass below tol."""
-    a2 = abs(alpha) ** 2
-    if a2 == 0.0:
-        return 2
-    w, _ = _ratio_weights(lambda k: a2 / level_value(params, k), tol)
+    w, _, _, _ = _ratio_weights(
+        lambda k: level_value(params, k), abs(alpha) ** 2, 0, tol
+    )
     return len(w) + 1
 
 
@@ -181,23 +171,17 @@ def coherent_state(
     The eigenvalue relation a|alpha> = alpha|alpha> is verified on the
     first D-1 components before returning.
     """
-    if isinstance(params, QOsc) and params.q < 1.0:
-        radius = 1.0 / (1.0 - params.q)
-        if abs(alpha) ** 2 >= radius:
-            raise ConvergenceError(
-                f"|alpha|^2={abs(alpha)**2} outside radius {radius} for q={params.q}"
-            )
+    a2 = abs(alpha) ** 2
+    if isinstance(params, QOsc):
+        _check_radius(a2, params.q)
     if D is None:
         D = coherent_dim(params, alpha, tol)
     _check_dim(D)
-    a2 = abs(alpha) ** 2
-    probs = np.zeros(D)
-    probs[0] = 1.0
-    for k in range(1, D):
-        probs[k] = probs[k - 1] * a2 / level_value(params, k)
+    lv = level_value(params, np.arange(D + 1))
+    probs = np.cumprod(np.concatenate(([1.0], a2 / lv[1:D])))
     total = probs.sum()
     # geometric bound on the occupation mass beyond the cutoff
-    r = a2 / level_value(params, D)
+    r = a2 / lv[D]
     tail = probs[-1] * r / (1.0 - r) if r < 1.0 else math.inf
     if not tail < tol * total:
         raise TruncationError(
@@ -215,27 +199,7 @@ def coherent_state(
 
 
 def expectation(state: FockState, O: FockOperator) -> complex:
-    """<psi|O|psi>.  See expectation_tail_error for the truncation bound."""
+    """<psi|O|psi> in the truncated space."""
     if state.dim != O.dim:
         raise DimensionError(f"dimension mismatch: {state.dim} vs {O.dim}")
     return complex(np.vdot(state.amplitudes, O.matrix @ state.amplitudes))
-
-
-def expectation_tail_error(state: FockState, O: FockOperator) -> float:
-    """Crude bound on the expectation error contributed by the state tail."""
-    op_scale = float(np.abs(O.matrix).max(initial=0.0))
-    return 2.0 * math.sqrt(state.tail_bound) * op_scale
-
-
-def band_growth_diagnostic(
-    params: ModelParams, idx: LambdaIndex, dims: list[int]
-) -> list[float]:
-    """Largest band-entry magnitude of the (n, m) operator at each truncation
-    dimension.  Growth with D reflects unboundedness on the full space
-    (expected for q > 1 and for the anharmonic model); a plateau reflects
-    boundedness (q < 1).  Diagnostic only."""
-    out = []
-    for D in dims:
-        lam = build_lambda(params, idx, D)
-        out.append(float(np.abs(lam.matrix).max(initial=0.0)))
-    return out

@@ -48,9 +48,13 @@ class ResidualReport:
     iso: IsoMap
 
     def max_residual(self) -> float:
-        return max(
-            self.p_residual, self.z_residual, self.table_residual, self.coeff_fn_residual
-        )
+        residuals = [
+            self.p_residual,
+            self.z_residual,
+            self.table_residual,
+            self.coeff_fn_residual,
+        ]
+        return float(np.max(residuals))  # np.max keeps a NaN, max() may not
 
 
 def map_to_q(omega1: float, omega2: float, n: int) -> IsoMap:
@@ -109,7 +113,7 @@ def isomorphism_residuals(
         scale = abs(z_a) ** j if j > 0 else 1.0
         for (kq, cq), (ka, ca) in zip(tq, ta):
             assert kq == ka
-            table_res = max(table_res, abs(cq - ca) / scale)
+            table_res = np.maximum(table_res, abs(cq - ca) / scale)
 
     if t_grid is None:
         t_grid = np.linspace(0.0, 1.0, 17)
@@ -122,12 +126,12 @@ def isomorphism_residuals(
         fq = np.exp(1j * c1_q * t_grid) * (1j * c2_q * t_grid) ** r / math.factorial(r)
         fa = np.exp(1j * c1_a * t_grid) * (1j * c2_a * t_grid) ** r / math.factorial(r)
         denom = np.maximum(1.0, np.abs(fa))
-        fn_res = max(fn_res, float(np.max(np.abs(fq - fa) / denom)))
+        fn_res = np.maximum(fn_res, np.max(np.abs(fq - fa) / denom))
 
     return ResidualReport(
         p_residual=p_res,
         z_residual=z_res,
-        table_residual=table_res,
-        coeff_fn_residual=fn_res,
+        table_residual=float(table_res),
+        coeff_fn_residual=float(fn_res),
         iso=iso,
     )

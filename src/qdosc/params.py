@@ -5,6 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple, Union
 
+import numpy as np
+
 from .errors import DomainError
 from .qcore import q_number
 
@@ -47,15 +49,17 @@ class LambdaIndex(NamedTuple):
     m: int
 
 
-def level_value(params: ModelParams, k: int) -> float:
-    """Eigenvalue of the (deformed) number operator a† a at level k."""
+def level_value(params: ModelParams, k):
+    """Eigenvalue of the (deformed) number operator a† a at level k; an
+    integer ndarray k gives the levels elementwise."""
     if isinstance(params, QOsc):
         return q_number(k, params.q)
-    return float(k)
+    return k.astype(float) if isinstance(k, np.ndarray) else float(k)
 
 
-def energy(params: ModelParams, k: int) -> float:
-    """Hamiltonian eigenvalue at Fock level k."""
+def energy(params: ModelParams, k):
+    """Hamiltonian eigenvalue at Fock level k; an integer ndarray k gives
+    the spectrum elementwise."""
     if isinstance(params, QOsc):
         return params.omega * q_number(k, params.q)
     return params.omega1 * k + params.omega2 * k * k

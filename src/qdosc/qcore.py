@@ -1,6 +1,6 @@
 """q-arithmetic and combinatorics: q-numbers, q-factorials, the q-exponential,
-(q-)Stirling numbers of the second kind and the weight distributions used by
-the dynamics (binomial, Poisson, q-Poisson).
+(q-)Stirling numbers of the second kind, binomial weights and the
+term-ratio recursion behind the (q-)Poisson weights used by the dynamics.
 
 All factorial-like magnitudes are kept in log space and probability weights
 are built by term-ratio recursions, so nothing here overflows for moderate
@@ -20,10 +20,6 @@ from .errors import ConvergenceError, DomainError
 # switch-over width for the q -> 1 limit of (q^n - 1)/(q - 1)
 _Q_ONE_WINDOW = 1e-8
 
-# default tail tolerance for truncated series; two digits of headroom over
-# the tightest downstream check
-DEFAULT_TOL = 1e-12
-
 _MAX_TERMS = 100_000
 
 
@@ -32,24 +28,52 @@ def _require_positive_q(q: float) -> None:
         raise DomainError(f"q must be positive, got q={q}")
 
 
-def q_number(n: int, q: float) -> float:
-    """Basic q-number (q^n - 1)/(q - 1), with a stable q -> 1 branch.
+def _check_radius(x: float, q: float) -> None:
+    """Require q > 0 and |x| inside the radius of convergence of
+    sum_k x^k/[k]_q!, which is 1/(1-q) for q < 1 and unbounded otherwise."""
+    _require_positive_q(q)
+    if q < 1.0 and abs(x) >= 1.0 / (1.0 - q):
+        raise ConvergenceError(
+            f"|x|={abs(x)} outside radius {1.0 / (1.0 - q)} for q={q}"
+        )
 
-    Any real q is accepted; q <= 0 falls back to the raw ratio, whose
-    denominator is then bounded away from zero.
-    """
-    if n < 0:
-        raise DomainError(f"n must be nonnegative, got n={n}")
-    if n == 0:
-        return 0.0
-    if n == 1:
-        return 1.0
+
+def _q_ratio(n, q: float, expm1):
+    """(q^n - 1)/(q - 1) for an int or int-array n, expm1 matching n's kind."""
     if abs(q - 1.0) < _Q_ONE_WINDOW:
         # first-order expansion about q = 1; the neglected term is O(n^3 eps^2)
         return n * (1.0 + 0.5 * (n - 1) * (q - 1.0))
     if q > 0:
-        return math.expm1(n * math.log(q)) / math.expm1(math.log(q))
-    return (q**n - 1.0) / (q - 1.0)
+        return expm1(n * math.log(q)) / math.expm1(math.log(q))
+    return (1.0 - q**n) / (1.0 - q)
+
+
+def q_number(n, q: float):
+    """Basic q-number (q^n - 1)/(q - 1), with a stable q -> 1 branch.
+
+    n is a nonnegative int, or an integer ndarray mapped elementwise (one
+    call gives the level vector of a whole truncated Fock space). Any real
+    q is accepted; q <= 0 falls back to the raw ratio, whose denominator is
+    then bounded away from zero. A value beyond double precision raises
+    DomainError.
+    """
+    if isinstance(n, np.ndarray):
+        if n.size and n.min() < 0:
+            raise DomainError(f"n must be nonnegative, got n={n.min()}")
+        with np.errstate(over="ignore"):
+            val = _q_ratio(n, q, np.expm1)
+        finite = bool(np.isfinite(val).all())
+    else:
+        if n < 0:
+            raise DomainError(f"n must be nonnegative, got n={n}")
+        try:
+            val = _q_ratio(n, q, math.expm1)
+        except OverflowError:
+            val = math.inf
+        finite = math.isfinite(val)
+    if not finite:
+        raise DomainError(f"[n]_q overflows double precision at q={q}")
+    return val
 
 
 def log_q_factorial(n: int, q: float) -> float:
@@ -72,11 +96,7 @@ def q_exponential(x: float, q: float, tol: float = 1e-14) -> float:
 
     For q < 1 the series has radius of convergence 1/(1-q).
     """
-    _require_positive_q(q)
-    if q < 1.0 and abs(x) >= 1.0 / (1.0 - q):
-        raise ConvergenceError(
-            f"|x|={abs(x)} outside radius {1.0 / (1.0 - q)} for q={q}"
-        )
+    _check_radius(x, q)
     total = 1.0
     term = 1.0
     k = 0
@@ -147,34 +167,10 @@ def q_stirling2(s: int, m: int, q: float) -> float:
 
 
 @dataclass(frozen=True)
-class StirlingTable:
-    """Table of S_q^{s,m} for 0 <= s <= max_s, 0 <= m <= max_m at fixed q."""
-
-    entries: np.ndarray
-    q: float
-
-    def __call__(self, s: int, m: int) -> float:
-        if s > m:
-            return 0.0
-        return float(self.entries[s, m])
-
-
-def q_stirling_table(max_s: int, max_m: int, q: float) -> StirlingTable:
-    entries = np.zeros((max_s + 1, max_m + 1))
-    for s in range(max_s + 1):
-        for m in range(s, max_m + 1):  # S_q^{s,m} = 0 for s > m
-            entries[s, m] = q_stirling2(s, m, q)
-    entries.setflags(write=False)
-    return StirlingTable(entries=entries, q=q)
-
-
-@dataclass(frozen=True)
 class WeightDistribution:
-    """Normalized nonnegative weight sequence with a certified tail bound."""
+    """Normalized nonnegative weight sequence."""
 
     weights: np.ndarray
-    tail_bound: float
-    kind: str  # "binomial" | "poisson" | "q-poisson"
 
     def __post_init__(self):
         self.weights.setflags(write=False)
@@ -204,62 +200,39 @@ def binomial_weights(j: int, p: float) -> WeightDistribution:
     k = np.arange(j + 1)
     comb = np.array([math.comb(j, int(kk)) for kk in k], dtype=float)
     w = comb * p ** (j - k) * (1.0 - p) ** k
-    return WeightDistribution(weights=w, tail_bound=0.0, kind="binomial")
+    return WeightDistribution(weights=w)
 
 
-def _ratio_weights(ratio_at, tol: float) -> tuple[np.ndarray, float]:
-    """Unnormalized weights w_0 = 1, w_k = w_{k-1} * ratio_at(k), truncated
-    when the geometric tail bound drops below tol relative to the running
-    sum.  ratio_at(k) must be nonincreasing in k."""
+def _ratio_weights(level, x: float, m: int, tol: float):
+    """Terms w_0 = 1, w_k = w_{k-1} x / level(k) of the exponential series
+    (level(k) = k) or its deformed form (level(k) = [k]_q), truncated when
+    the certified tail of the level^m-weighted sum drops below tol relative
+    to the running sum of the w_k.
+
+    level(k) must be nondecreasing with nonincreasing successive ratios,
+    which holds for both k and [k]_q. Returns (weights normalized by their
+    partial sum, levels level(0..K-1), relative tail, raw partial sum).
+    """
     w = [1.0]
+    lev = [level(0)]
     total = 1.0
     tail = 0.0
-    while True:
+    while x > 0.0:
         k = len(w)
-        nxt = w[-1] * ratio_at(k)
-        if nxt == 0.0:
-            break
+        lv = level(k)
+        nxt = w[-1] * x / lv
         w.append(nxt)
+        lev.append(lv)
         total += nxt
-        r_next = ratio_at(k + 1)
-        if r_next < 1.0:
-            tail = nxt * r_next / (1.0 - r_next)
+        lv_next = level(k + 1)
+        rho = (x / lv_next) * (lv_next / lv) ** m
+        if rho < 1.0:
+            tail = nxt * max(lv, 1.0) ** m * rho / (1.0 - rho)
             if tail < tol * total:
                 break
         if k > _MAX_TERMS:
             raise ConvergenceError("weight recursion failed to terminate")
-    arr = np.array(w) / (total + tail)
-    return arr, tail / (total + tail)
-
-
-def q_poisson_weights(
-    alpha_sq: float, q: float, tol: float = DEFAULT_TOL
-) -> WeightDistribution:
-    """q-deformed Poisson weights |alpha|^(2k)/([k]_q! exp_q(|alpha|^2)),
-    built by the overflow-free ratio recursion and normalized by the
-    truncated sum."""
-    _require_positive_q(q)
-    if alpha_sq < 0:
-        raise DomainError(f"alpha_sq must be nonnegative, got {alpha_sq}")
-    if tol <= 0:
-        raise DomainError("tol must be positive")
-    if q < 1.0 and alpha_sq >= 1.0 / (1.0 - q):
-        raise ConvergenceError(
-            f"alpha_sq={alpha_sq} outside radius {1.0 / (1.0 - q)} for q={q}"
-        )
-    if alpha_sq == 0.0:
-        return WeightDistribution(np.array([1.0]), 0.0, "q-poisson")
-    w, tail = _ratio_weights(lambda k: alpha_sq / q_number(k, q), tol)
-    return WeightDistribution(weights=w, tail_bound=tail, kind="q-poisson")
-
-
-def poisson_weights(alpha_sq: float, tol: float = DEFAULT_TOL) -> WeightDistribution:
-    """Truncated classical Poisson pmf of mean alpha_sq."""
-    if alpha_sq < 0:
-        raise DomainError(f"alpha_sq must be nonnegative, got {alpha_sq}")
-    if tol <= 0:
-        raise DomainError("tol must be positive")
-    if alpha_sq == 0.0:
-        return WeightDistribution(np.array([1.0]), 0.0, "poisson")
-    w, tail = _ratio_weights(lambda k: alpha_sq / k, tol)
-    return WeightDistribution(weights=w, tail_bound=tail, kind="poisson")
+    w_arr = np.array(w) / total
+    # park the last-ulp normalization defect on the largest weight
+    w_arr[int(np.argmax(w_arr))] += 1.0 - math.fsum(w_arr)
+    return w_arr, np.array(lev), tail / total, total

@@ -122,6 +122,13 @@ class TestVerify:
         res = run_cli("verify", "--suite", "bogus")
         assert res.returncode == 2
 
+    def test_overflowing_dimension_exits_2(self):
+        # at q = 2 and D = 128 the band entries leave double precision
+        res = run_cli("verify", "--suite", "multicommutator", "--dim", 128)
+        assert res.returncode == 2
+        record = json.loads(res.stderr.strip())
+        assert record["error"] == "DomainError"
+
 
 class TestMap:
     def test_record_values(self, tmp_path):
@@ -197,6 +204,18 @@ class TestUsage:
     def test_missing_command(self):
         res = subprocess.run(PKG, capture_output=True, text=True)
         assert res.returncode == 2
+
+    def test_negative_steps_exit_2(self, tmp_path):
+        res = run_cli("evolve", "--steps", -5, "--out", tmp_path / "t.csv")
+        assert res.returncode == 2
+        assert "error" in json.loads(res.stderr.strip())
+
+    def test_non_numeric_config_value_exits_2(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n": "abc"}))
+        res = run_cli("evolve", "--config", cfg, "--out", tmp_path / "t.csv")
+        assert res.returncode == 2
+        assert "error" in json.loads(res.stderr.strip())
 
     def test_broken_config_file(self, tmp_path):
         bad = tmp_path / "bad.json"

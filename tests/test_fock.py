@@ -18,10 +18,9 @@ from qdosc import (
     commutator,
     expectation,
     heisenberg_evolve,
-    hermitian_pair,
+    log_q_factorial,
     multicommutator_matrix,
     q_number,
-    q_poisson_weights,
 )
 
 Q2 = QOsc(q=2.0)
@@ -106,22 +105,14 @@ class TestLambda:
     def test_margin_is_raising_degree(self):
         assert build_lambda(Q2, LambdaIndex(3, 2), 8).margin == 3
 
-
-class TestHermitianPair:
-    def test_identity(self):
-        ident = build_lambda(Q2, LambdaIndex(0, 0), 4)
-        plus, minus = hermitian_pair(ident)
-        np.testing.assert_allclose(plus.matrix, 2.0 * np.eye(4))
-        np.testing.assert_allclose(minus.matrix, np.zeros((4, 4)))
-
-    def test_hermiticity_and_roundtrip(self):
-        lam = build_lambda(Q2, LambdaIndex(2, 1), 7)
-        plus, minus = hermitian_pair(lam)
-        np.testing.assert_allclose(plus.matrix, plus.matrix.conj().T, atol=1e-14)
-        np.testing.assert_allclose(minus.matrix, minus.matrix.conj().T, atol=1e-14)
-        np.testing.assert_allclose(
-            (plus.matrix - 1j * minus.matrix) / 2.0, lam.matrix, atol=1e-14
-        )
+    def test_overflow_is_a_domain_error(self):
+        # [511]_2^4 is far beyond double precision
+        with pytest.raises(DomainError):
+            build_lambda(Q2, LambdaIndex(0, 4), 512)
+        # at q = 3 the level [k] itself overflows for k >= 647
+        for build in (build_ladder, build_hamiltonian):
+            with pytest.raises(DomainError):
+                build(QOsc(q=3.0), 700)
 
 
 class TestCommutators:
@@ -263,10 +254,14 @@ class TestExpectation:
         alpha = 0.8
         st = coherent_state(params, alpha, D=40)
         delta = build_lambda(params, LambdaIndex(0, 1), 40)
-        w = q_poisson_weights(abs(alpha) ** 2, params.q, tol=1e-15)
-        want = sum(
-            q_number(k, params.q) * w.weights[k] for k in range(len(w))
-        )
+        # q-Poisson weights exp(k ln|alpha|^2 - ln [k]_q!), normalized
+        a2 = abs(alpha) ** 2
+        w = [
+            math.exp(k * math.log(a2) - log_q_factorial(k, params.q))
+            for k in range(60)
+        ]
+        want = math.fsum(q_number(k, params.q) * wk for k, wk in enumerate(w))
+        want /= math.fsum(w)
         assert expectation(st, delta) == pytest.approx(want, rel=1e-10)
 
     def test_dimension_mismatch(self):

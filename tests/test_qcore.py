@@ -10,14 +10,12 @@ from qdosc import (
     DomainError,
     binomial_weights,
     log_q_factorial,
-    poisson_weights,
     q_exponential,
     q_number,
-    q_poisson_weights,
     q_stirling2,
-    q_stirling_table,
     stirling2,
 )
+from qdosc.qcore import _check_radius, _ratio_weights
 
 
 def q_number_oracle(n, q):
@@ -58,6 +56,37 @@ class TestQNumber:
     def test_negative_n_rejected(self):
         with pytest.raises(DomainError):
             q_number(-1, 2.0)
+        with pytest.raises(DomainError):
+            q_number(np.array([0, 1, -1]), 2.0)
+
+    @pytest.mark.parametrize("q", [0.5, 1.0, 1.0 + 1e-9, 1.2, 2.0, -1.7])
+    def test_array_form_matches_scalar(self, q):
+        k = np.arange(200)
+        got = q_number(k, q)
+        want = np.array([q_number(int(kk), q) for kk in k])
+        np.testing.assert_allclose(got, want, rtol=4e-16, atol=0)
+        assert got[0] == 0.0 and got[1] == 1.0
+
+    def test_overflow_is_a_domain_error(self):
+        assert math.isfinite(q_number(646, 3.0))
+        with pytest.raises(DomainError):
+            q_number(647, 3.0)
+        with pytest.raises(DomainError):
+            q_number(np.arange(700), 3.0)
+
+    @pytest.mark.parametrize(
+        "eps", [1e-6, 2e-8, 1.0000001e-8, 0.99999e-8, 1e-10, 1e-12]
+    )
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_array_form_near_one_against_mpmath(self, eps, sign):
+        mpmath = pytest.importorskip("mpmath")
+        q = 1.0 + sign * eps
+        k = np.arange(129)
+        got = q_number(k, q)
+        with mpmath.workdps(50):
+            mq = mpmath.mpf(q)  # the double actually passed, not 1 +- eps
+            want = [float((mq**n - 1) / (mq - 1)) for n in range(129)]
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
 
 class TestLogQFactorial:
@@ -146,12 +175,6 @@ class TestStirling:
                 for s in range(m + 1, 7):
                     assert abs(q_stirling2(s, m, q)) < 1e-12
 
-    def test_table(self):
-        tab = q_stirling_table(5, 5, 1.4)
-        assert tab(0, 0) == 1.0
-        assert tab(4, 2) == 0.0
-        assert tab(2, 3) == pytest.approx(q_stirling2(2, 3, 1.4), rel=1e-13)
-
     def test_rejects_nonpositive_q(self):
         with pytest.raises(DomainError):
             q_stirling2(2, 3, 0.0)
@@ -184,44 +207,60 @@ class TestBinomialWeights:
             binomial_weights(3, 1.5)
 
 
+def poisson_weights(a2, tol=1e-12):
+    return _ratio_weights(float, a2, 0, tol)
+
+
+def q_poisson_weights(a2, q, tol=1e-12):
+    return _ratio_weights(lambda k: q_number(k, q), a2, 0, tol)
+
+
 class TestPoissonFamilies:
+    """The (q-)Poisson weights |alpha|^(2k)/[k]_q! of the shared term-ratio
+    recursion, normalized by their partial sum."""
+
     def test_vacuum(self):
-        np.testing.assert_allclose(q_poisson_weights(0.0, 1.3).weights, [1.0])
-        np.testing.assert_allclose(poisson_weights(0.0).weights, [1.0])
+        np.testing.assert_allclose(q_poisson_weights(0.0, 1.3)[0], [1.0])
+        np.testing.assert_allclose(poisson_weights(0.0)[0], [1.0])
 
     def test_classical_pmf(self):
-        w = poisson_weights(1.0)
-        assert w.weights[0] == pytest.approx(math.exp(-1.0), rel=1e-12)
+        w = poisson_weights(1.0)[0]
+        assert w[0] == pytest.approx(math.exp(-1.0), rel=1e-12)
         for k in range(len(w)):
-            assert w.weights[k] == pytest.approx(
+            assert w[k] == pytest.approx(
                 math.exp(-1.0) / math.factorial(k), rel=1e-10, abs=1e-15
             )
 
     def test_q_one_limit_matches_classical(self):
-        wq = q_poisson_weights(0.64, 1.0)
-        wc = poisson_weights(0.64)
+        wq = q_poisson_weights(0.64, 1.0)[0]
+        wc = poisson_weights(0.64)[0]
         k = min(len(wq), len(wc))
-        np.testing.assert_allclose(wq.weights[:k], wc.weights[:k], atol=1e-13)
+        np.testing.assert_allclose(wq[:k], wc[:k], atol=1e-13)
 
     def test_term_by_term_log_domain_oracle(self):
         a2, q = 0.64, 1.2
-        w = q_poisson_weights(a2, q)
+        w = q_poisson_weights(a2, q, tol=1e-16)[0]
         norm = q_exponential(a2, q)
         for k in range(len(w)):
             expected = math.exp(k * math.log(a2) - log_q_factorial(k, q)) / norm
-            assert w.weights[k] == pytest.approx(expected, rel=1e-12, abs=1e-16)
+            assert w[k] == pytest.approx(expected, rel=1e-12, abs=1e-16)
 
     def test_normalization_and_tail(self):
         for a2, q in [(0.64, 1.2), (1.9, 0.5), (4.0, 2.0)]:
-            w = q_poisson_weights(a2, q)
-            assert np.all(w.weights >= 0.0)
-            assert 1.0 - w.tail_bound - 1e-15 <= w.weights.sum() <= 1.0 + 1e-14
-            assert w.tail_bound < 1e-11
+            w, levels, tail, _ = q_poisson_weights(a2, q)
+            assert np.all(w >= 0.0)
+            assert abs(w.sum() - 1.0) <= 1e-14
+            assert tail < 1e-11
+            assert list(levels) == [q_number(k, q) for k in range(len(w))]
 
     def test_radius_violation(self):
+        _check_radius(1.9, 0.5)
         with pytest.raises(ConvergenceError):
-            q_poisson_weights(2.0, 0.5)
+            _check_radius(2.0, 0.5)
+        with pytest.raises(ConvergenceError):
+            _check_radius(-2.0, 0.5)
 
     def test_rejects_nonpositive_q(self):
-        with pytest.raises(DomainError):
-            q_poisson_weights(0.5, -1.0)
+        for q in (0.0, -1.0):
+            with pytest.raises(DomainError):
+                _check_radius(0.5, q)

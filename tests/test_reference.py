@@ -1,0 +1,199 @@
+"""The earlier per-element implementations, kept as independent references.
+
+The Fock builders used to fill their band one matrix element at a time from
+a scalar q-number, and the weight recursion existed twice: a plain term-ratio
+version for the coherent-state dimension and a moment-aware version for the
+expectation series. The vectorised builders and the single recursion that
+replaced them must reproduce these loops.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from qdosc import (
+    Anharmonic,
+    DimensionError,
+    DomainError,
+    LambdaIndex,
+    QOsc,
+    build_hamiltonian,
+    build_ladder,
+    build_lambda,
+    coherent_dim,
+    q_number,
+)
+from qdosc.qcore import _ratio_weights
+
+MODELS = [QOsc(q=0.5), QOsc(q=1.0), QOsc(q=1.2), QOsc(q=2.0), Anharmonic(10.0, 1.0)]
+
+
+def ref_q_number(n, q):
+    if n == 0:
+        return 0.0
+    if n == 1:
+        return 1.0
+    if abs(q - 1.0) < 1e-8:
+        return n * (1.0 + 0.5 * (n - 1) * (q - 1.0))
+    if q > 0:
+        return math.expm1(n * math.log(q)) / math.expm1(math.log(q))
+    return (q**n - 1.0) / (q - 1.0)
+
+
+def ref_level(params, k):
+    if isinstance(params, QOsc):
+        return ref_q_number(k, params.q)
+    return float(k)
+
+
+def ref_energy(params, k):
+    if isinstance(params, QOsc):
+        return params.omega * ref_q_number(k, params.q)
+    return params.omega1 * k + params.omega2 * k * k
+
+
+def ref_ladder(params, D):
+    a = np.zeros((D, D), dtype=complex)
+    for n in range(1, D):
+        a[n - 1, n] = math.sqrt(ref_level(params, n))
+    return a
+
+
+def ref_hamiltonian(params, D):
+    return np.diag(np.array([ref_energy(params, n) for n in range(D)], dtype=complex))
+
+
+def ref_lambda(params, n, m, D):
+    mat = np.zeros((D, D), dtype=complex)
+    for j in range(D - n):
+        band = 1.0
+        for i in range(1, n + 1):
+            band *= math.sqrt(ref_level(params, j + i))
+        lv = ref_level(params, j)
+        mat[j + n, j] = band * (lv**m if not (lv == 0.0 and m == 0) else 1.0)
+    return mat
+
+
+def ref_weighted_series(level, alpha_sq, m, tol):
+    w = [1.0]
+    lev = [level(0)]
+    total = 1.0
+    tail = 0.0
+    while alpha_sq > 0.0:
+        k = len(w)
+        lv = level(k)
+        nxt = w[-1] * alpha_sq / lv
+        w.append(nxt)
+        lev.append(lv)
+        total += nxt
+        lv_next = level(k + 1)
+        growth = (lv_next / lv) ** m if m > 0 else 1.0
+        rho = (alpha_sq / lv_next) * growth
+        if rho < 1.0:
+            u = nxt * (max(lv, 1.0) ** m if m > 0 else 1.0)
+            tail = u * rho / (1.0 - rho)
+            if tail < tol * total:
+                break
+    w_arr = np.array(w) / total
+    w_arr[int(np.argmax(w_arr))] += 1.0 - math.fsum(w_arr)
+    return w_arr, np.array(lev), tail / total, total
+
+
+def ref_ratio_weights(ratio_at, tol):
+    w = [1.0]
+    total = 1.0
+    tail = 0.0
+    while True:
+        k = len(w)
+        nxt = w[-1] * ratio_at(k)
+        if nxt == 0.0:
+            break
+        w.append(nxt)
+        total += nxt
+        r_next = ratio_at(k + 1)
+        if r_next < 1.0:
+            tail = nxt * r_next / (1.0 - r_next)
+            if tail < tol * total:
+                break
+    return np.array(w) / (total + tail), tail / (total + tail)
+
+
+def _model_id(params):
+    return f"q={params.q}" if isinstance(params, QOsc) else "anharmonic"
+
+
+@pytest.mark.parametrize("D", [2, 64, 512])
+@pytest.mark.parametrize("params", MODELS, ids=_model_id)
+class TestBuildersMatchLoops:
+    def test_ladder_and_hamiltonian(self, params, D):
+        a, adag = build_ladder(params, D)
+        ref = ref_ladder(params, D)
+        np.testing.assert_allclose(a.matrix, ref, rtol=1e-14, atol=0)
+        np.testing.assert_allclose(adag.matrix, ref.conj().T, rtol=1e-14, atol=0)
+        np.testing.assert_allclose(
+            build_hamiltonian(params, D).matrix,
+            ref_hamiltonian(params, D),
+            rtol=1e-14,
+            atol=0,
+        )
+
+    def test_lambda(self, params, D):
+        for n in range(5):
+            for m in range(5):
+                if n >= D:
+                    with pytest.raises(DimensionError):
+                        build_lambda(params, LambdaIndex(n, m), D)
+                    continue
+                try:
+                    ref = ref_lambda(params, n, m, D)
+                except OverflowError:
+                    ref = None
+                if ref is None or not np.isfinite(ref).all():
+                    # the loop overflowed; the vector form must say so
+                    with pytest.raises(DomainError):
+                        build_lambda(params, LambdaIndex(n, m), D)
+                    continue
+                lam = build_lambda(params, LambdaIndex(n, m), D)
+                np.testing.assert_allclose(lam.matrix, ref, rtol=1e-14, atol=0)
+
+
+LEVELS = {
+    "anharmonic": float,
+    "q=1.1": lambda k: q_number(k, 1.1),
+    "q=1.2": lambda k: q_number(k, 1.2),
+}
+
+
+@pytest.mark.parametrize("tol", [1e-12, 1e-16])
+@pytest.mark.parametrize("alpha_sq", [0.64, 1.0, 9.0])
+@pytest.mark.parametrize("level", list(LEVELS.values()), ids=list(LEVELS))
+class TestRecursionMatchesLoops:
+    @pytest.mark.parametrize("m", range(4))
+    def test_moment_series(self, level, alpha_sq, m, tol):
+        w, lev, tail, total = _ratio_weights(level, alpha_sq, m, tol)
+        w_ref, lev_ref, tail_ref, total_ref = ref_weighted_series(
+            level, alpha_sq, m, tol
+        )
+        assert len(w) == len(w_ref)
+        assert np.all(np.abs(w - w_ref) <= 4 * np.spacing(w_ref))
+        np.testing.assert_array_equal(lev, lev_ref)
+        assert tail == tail_ref and total == total_ref
+
+    def test_plain_ratio_weights_length(self, level, alpha_sq, tol):
+        w, _, _, _ = _ratio_weights(level, alpha_sq, 0, tol)
+        w_ref, _ = ref_ratio_weights(lambda k: alpha_sq / level(k), tol)
+        assert len(w) == len(w_ref)
+        # the old form also normalized by the tail bound, which is below tol,
+        # and did not park the last-ulp normalization defect
+        np.testing.assert_allclose(w, w_ref, rtol=2 * tol, atol=1e-15)
+
+
+@pytest.mark.parametrize("params", MODELS, ids=_model_id)
+@pytest.mark.parametrize("alpha", [0.0, 0.3, 0.8])
+def test_coherent_dim_matches_loop(params, alpha):
+    w_ref, _ = ref_ratio_weights(
+        lambda k: abs(alpha) ** 2 / ref_level(params, k), 1e-14
+    )
+    want = 2 if alpha == 0 else len(w_ref) + 1
+    assert coherent_dim(params, alpha) == want

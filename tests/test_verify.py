@@ -1,0 +1,44 @@
+import math
+
+import pytest
+
+import qdosc.verify as verify
+from qdosc.verify import CheckResult, run_suite
+
+
+class TestCheckResult:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_residual_fails(self, bad):
+        assert not CheckResult("c", {}, bad, 1e-10).passed
+
+    def test_small_residual_passes(self):
+        assert CheckResult("c", {}, 1e-12, 1e-10).passed
+
+
+class TestNanPropagation:
+    def test_nan_after_finite_residual_fails_the_suite(self, monkeypatch):
+        calls = []
+
+        def fake(ref, test, max_col):
+            calls.append(None)
+            return 1e-15 if len(calls) == 1 else math.nan
+
+        monkeypatch.setattr(verify, "interior_rel_error", fake)
+        results = verify.suite_closure(D=6, nm_max=1)
+        assert len(calls) > 1
+        assert all(math.isnan(r.max_residual) for r in results)
+        assert not any(r.passed for r in results)
+
+
+class TestRunSuite:
+    def test_dimension_reaches_suites_that_take_it(self):
+        results = run_suite("normal-order", D=12)
+        assert results and all(r.params["dim"] == 12 for r in results)
+
+    def test_dimension_ignored_by_suites_without_one(self):
+        results = run_suite("relation", D=12)
+        assert results and all(r.passed for r in results)
+
+    def test_unknown_suite(self):
+        with pytest.raises(KeyError):
+            run_suite("bogus")
