@@ -16,10 +16,7 @@ j_col = 1
 taus = np.linspace(0.0, 10.0, 2001)
 
 indices = [(n, m) for n in (1, 2, 3) for m in (0, 1, 2)]
-curves = [
-    band_phase_trace(params, LambdaIndex(n, m), j_col, taus, D=16)
-    for n, m in indices
-]
+curves = [band_phase_trace(params, LambdaIndex(n, m), j_col, taus) for n, m in indices]
 normalized = collapse_transform(curves)
 
 master = taus * params.q**j_col

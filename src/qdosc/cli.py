@@ -27,7 +27,7 @@ from .dynamics import (
 from .errors import QdoscError
 from .isomap import isomorphism_residuals, map_to_q
 from .params import Anharmonic, LambdaIndex, QOsc
-from .verify import run_suite
+from .verify import SUITES, run_suite
 
 
 class ConfigError(QdoscError, ValueError):
@@ -47,7 +47,6 @@ DEFAULTS = {
         "m": 0,
         "tau_max": 10.0,
         "steps": 401,
-        "dim": 64,
         "tol": 1e-12,
         "method": "series",
         "out": "trace.csv",
@@ -63,11 +62,9 @@ DEFAULTS = {
         "m_list": "0",
         "tau_max": 10.0,
         "steps": 2001,
-        "dim": 64,
         "out": "collapse.csv",
     },
     "sweep": {
-        "suite": "isomorphism",
         "omega_ratios": "1,5,10,100",
         "n_values": "1,2,3,4",
         "j_max": 6,
@@ -75,21 +72,23 @@ DEFAULTS = {
     },
 }
 
+CHOICES = {
+    "model": ["qosc", "anharmonic"],
+    "method": ["closed", "series"],
+    "format": ["csv", "json"],
+    "suite": [*SUITES, "all"],
+}
+
 
 def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _int_list(value) -> list[int]:
+def _list(value, cast) -> list:
+    """A list or tuple from a config file, or a comma-separated flag value."""
     if isinstance(value, (list, tuple)):
-        return [int(v) for v in value]
-    return [int(v) for v in str(value).split(",") if v != ""]
-
-
-def _float_list(value) -> list[float]:
-    if isinstance(value, (list, tuple)):
-        return [float(v) for v in value]
-    return [float(v) for v in str(value).split(",") if v != ""]
+        return [cast(v) for v in value]
+    return [cast(v) for v in str(value).split(",") if v != ""]
 
 
 def _load_config_file(path: str) -> dict:
@@ -131,6 +130,7 @@ def _build_model(cfg: dict):
 
 
 def cmd_evolve(cfg: dict) -> int:
+    """Generate an expectation-value trace."""
     model = _build_model(cfg)
     alpha = complex(float(cfg["alpha_re"]), float(cfg["alpha_im"]))
     idx = LambdaIndex(int(cfg["n"]), int(cfg["m"]))
@@ -172,6 +172,7 @@ def cmd_evolve(cfg: dict) -> int:
 
 
 def cmd_verify(cfg: dict) -> int:
+    """Run a verification suite."""
     try:
         results = run_suite(cfg["suite"], D=int(cfg["dim"]))
     except KeyError as exc:
@@ -194,6 +195,7 @@ def cmd_verify(cfg: dict) -> int:
 
 
 def cmd_map(cfg: dict) -> int:
+    """Evaluate the anharmonicity -> q mapping."""
     iso = map_to_q(float(cfg["omega1"]), float(cfg["omega2"]), int(cfg["n"]))
     rep = isomorphism_residuals(
         float(cfg["omega1"]), float(cfg["omega2"]), int(cfg["n"]), int(cfg["j_max"])
@@ -220,16 +222,14 @@ def cmd_map(cfg: dict) -> int:
 
 
 def cmd_collapse(cfg: dict) -> int:
+    """Emit normalized phase-collapse curves."""
     params = QOsc(q=float(cfg["q"]), omega=float(cfg["omega"]))
     j_col = int(cfg["j_col"])
     taus = np.linspace(0.0, float(cfg["tau_max"]), int(cfg["steps"]))
     pairs = [
-        (n, m) for n in _int_list(cfg["n_list"]) for m in _int_list(cfg["m_list"])
+        (n, m) for n in _list(cfg["n_list"], int) for m in _list(cfg["m_list"], int)
     ]
-    curves = [
-        band_phase_trace(params, LambdaIndex(n, m), j_col, taus, int(cfg["dim"]))
-        for n, m in pairs
-    ]
+    curves = [band_phase_trace(params, LambdaIndex(n, m), j_col, taus) for n, m in pairs]
     normalized = collapse_transform(curves)
     header = ["tau"] + [f"n{n}_m{m}" for n, m in pairs]
     rows = [",".join(header)]
@@ -247,10 +247,9 @@ def cmd_collapse(cfg: dict) -> int:
 
 
 def cmd_sweep(cfg: dict) -> int:
-    if cfg["suite"] != "isomorphism":
-        raise ConfigError(f"unknown sweep suite {cfg['suite']!r}")
-    ratios = _float_list(cfg["omega_ratios"])
-    ns = _int_list(cfg["n_values"])
+    """Sweep isomorphism residuals over a parameter grid."""
+    ratios = _list(cfg["omega_ratios"], float)
+    ns = _list(cfg["n_values"], int)
     j_max = int(cfg["j_max"])
     rows = ["omega1,omega2,n,metric,value"]
     worst = 0.0
@@ -285,77 +284,27 @@ COMMANDS = {
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """One subcommand per COMMANDS entry; its flags are --config and one
+    --key-with-dashes per DEFAULTS key, typed like the default.
+
+    Every flag defaults to None, so resolve_config can tell a flag that was
+    given from one that was not."""
     parser = argparse.ArgumentParser(
         prog="qdosc",
         description="Dynamics and verification for q-deformed and anharmonic oscillators",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
+    for command, fn in COMMANDS.items():
+        p = sub.add_parser(command, help=fn.__doc__, description=fn.__doc__)
         p.add_argument("--config", help="JSON config file (flags override it)")
-        p.add_argument("--out", help="output file path")
-
-    p = sub.add_parser("evolve", help="generate an expectation-value trace")
-    add_common(p)
-    p.add_argument("--model", choices=["qosc", "anharmonic"])
-    p.add_argument("--q", type=float)
-    p.add_argument("--omega", type=float)
-    p.add_argument("--omega1", type=float)
-    p.add_argument("--omega2", type=float)
-    p.add_argument("--alpha-re", type=float, dest="alpha_re")
-    p.add_argument("--alpha-im", type=float, dest="alpha_im")
-    p.add_argument("--n", type=int)
-    p.add_argument("--m", type=int)
-    p.add_argument("--tau-max", type=float, dest="tau_max")
-    p.add_argument("--steps", type=int)
-    p.add_argument("--dim", type=int)
-    p.add_argument("--tol", type=float)
-    p.add_argument("--method", choices=["closed", "series"])
-    p.add_argument("--format", choices=["csv", "json"])
-
-    p = sub.add_parser("verify", help="run a verification suite")
-    add_common(p)
-    p.add_argument(
-        "--suite",
-        choices=[
-            "closure",
-            "multicommutator",
-            "power-law",
-            "scaling",
-            "normal-order",
-            "relation",
-            "isomorphism",
-            "dynamics-oracle",
-            "all",
-        ],
-    )
-    p.add_argument("--dim", type=int)
-
-    p = sub.add_parser("map", help="evaluate the anharmonicity -> q mapping")
-    add_common(p)
-    p.add_argument("--omega1", type=float)
-    p.add_argument("--omega2", type=float)
-    p.add_argument("--n", type=int)
-    p.add_argument("--j-max", type=int, dest="j_max")
-
-    p = sub.add_parser("collapse", help="emit normalized phase-collapse curves")
-    add_common(p)
-    p.add_argument("--q", type=float)
-    p.add_argument("--omega", type=float)
-    p.add_argument("--j-col", type=int, dest="j_col")
-    p.add_argument("--n-list", dest="n_list")
-    p.add_argument("--m-list", dest="m_list")
-    p.add_argument("--tau-max", type=float, dest="tau_max")
-    p.add_argument("--steps", type=int)
-    p.add_argument("--dim", type=int)
-
-    p = sub.add_parser("sweep", help="sweep residuals over a parameter grid")
-    add_common(p)
-    p.add_argument("--suite", choices=["isomorphism"])
-    p.add_argument("--omega-ratios", dest="omega_ratios")
-    p.add_argument("--n-values", dest="n_values")
-    p.add_argument("--j-max", type=int, dest="j_max")
-
+        for key, default in DEFAULTS[command].items():
+            p.add_argument(
+                "--" + key.replace("_", "-"),
+                dest=key,
+                type=str if default is None else type(default),
+                choices=CHOICES.get(key),
+                help=f"default: {default}",
+            )
     return parser
 
 

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, PhaseUnwrapError
-from .fock import build_lambda
 from .params import Anharmonic, LambdaIndex, ModelParams, QOsc, validate_index
 from .qcore import (
     _check_radius,
@@ -172,19 +171,22 @@ class PhaseCurve:
 
 
 def band_phase_trace(
-    params: QOsc, idx: LambdaIndex, j_col: int, taus: np.ndarray, D: int
+    params: QOsc, idx: LambdaIndex, j_col: int, taus: np.ndarray
 ) -> PhaseCurve:
-    """Ratio of the evolved to the initial band entry at column j_col.
+    """Ratio of the evolved to the initial band entry (j_col + n, j_col).
 
-    The evolution multiplies the entry by a pure phase at rate
-    [j+n]_q - [j]_q (in tau), so the ratio is computed directly; the band
-    entry is only built to reject vanishing elements.
+    The evolution multiplies the entry prod_{i=1..n} sqrt([j+i]_q) [j]_q^m
+    by a pure phase at rate [j+n]_q - [j]_q (in tau), so the ratio is
+    computed directly. For q > 0 the entry vanishes exactly when j_col = 0
+    and m >= 1, where the phase is undefined; n = 0 has no phase to
+    normalize, so both raise DomainError.
     """
     n, m = validate_index(idx)
-    taus = np.asarray(taus, dtype=float)
-    lam = build_lambda(params, idx, D)
-    if lam.matrix[j_col + n, j_col] == 0:
+    if n < 1 or j_col < 0:
+        raise DomainError(f"need n >= 1 and j_col >= 0, got n={n}, j_col={j_col}")
+    if j_col == 0 and m >= 1:
         raise DomainError(f"band entry vanishes at (n={n}, m={m}, j={j_col})")
+    taus = np.asarray(taus, dtype=float)
     rate = q_number(j_col + n, params.q) - q_number(j_col, params.q)
     values = np.exp(1j * rate * taus)
     return PhaseCurve(taus, values, n, m, params.q, j_col)

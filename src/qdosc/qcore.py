@@ -86,9 +86,12 @@ def log_q_factorial(n: int, q: float) -> float:
 
 
 def q_factorial(n: int, q: float) -> float:
-    """[n]_q! as a float; raises OverflowError territory only through exp,
-    prefer log_q_factorial for large n."""
-    return math.exp(log_q_factorial(n, q))
+    """[n]_q! as a float; raises DomainError where it leaves double
+    precision, where log_q_factorial still serves."""
+    try:
+        return math.exp(log_q_factorial(n, q))
+    except OverflowError:
+        raise DomainError(f"[{n}]_q! overflows double precision at q={q}") from None
 
 
 def q_exponential(x: float, q: float, tol: float = 1e-14) -> float:
@@ -133,37 +136,37 @@ def q_stirling2(s: int, m: int, q: float) -> float:
                     [k]_q^m / ([k]_q! [s-k]_q!),
 
     with the convention [0]_q^0 = 1.  The alternating sum is accumulated
-    with fsum; term magnitudes are formed by direct products when they fit
-    in double precision and in log space otherwise.
+    with fsum; term magnitudes are formed by direct products when every
+    factor fits in double precision and in log space otherwise.  A term or
+    sum beyond double precision raises DomainError.
     """
     _require_positive_q(q)
     if s < 0 or m < 0:
         raise DomainError("indices must be nonnegative")
     lnq = math.log(q)
     terms = []
-    for k in range(s + 1):
-        r = s - k
-        if k == 0 and m > 0:
-            continue  # [0]_q^m = 0
-        sign = -1.0 if r % 2 else 1.0
-        tri = (r * r - r) // 2
-        if k == 0:
-            ln_mag = tri * lnq - log_q_factorial(s, q)
-        else:
-            ln_mag = (
-                tri * lnq
-                + m * math.log(q_number(k, q))
-                - log_q_factorial(k, q)
-                - log_q_factorial(r, q)
-            )
-        if abs(ln_mag) < 690.0:
-            # direct products keep an extra couple of digits vs exp(ln_mag)
-            num = q**tri * (q_number(k, q) ** m if k > 0 else 1.0)
-            den = q_factorial(k, q) * q_factorial(r, q)
-            terms.append(sign * num / den)
-        else:
-            terms.append(sign * math.exp(ln_mag))
-    return math.fsum(terms)
+    try:
+        for k in range(s + 1):
+            r = s - k
+            if k == 0 and m > 0:
+                continue  # [0]_q^m = 0
+            sign = -1.0 if r % 2 else 1.0
+            tri = (r * r - r) // 2
+            ln_pow = tri * lnq
+            ln_level = m * math.log(q_number(k, q)) if k > 0 else 0.0
+            ln_den = log_q_factorial(k, q) + log_q_factorial(r, q)
+            ln_mag = ln_pow + ln_level - ln_den
+            factors = (ln_pow, ln_level, ln_pow + ln_level, ln_den, ln_mag)
+            if max(map(abs, factors)) < 690.0:
+                # direct products keep an extra couple of digits vs exp(ln_mag)
+                num = q**tri * (q_number(k, q) ** m if k > 0 else 1.0)
+                den = q_factorial(k, q) * q_factorial(r, q)
+                terms.append(sign * num / den)
+            else:
+                terms.append(sign * math.exp(ln_mag))
+        return math.fsum(terms)
+    except OverflowError:
+        raise DomainError(f"S_q^({s},{m}) overflows double precision at q={q}") from None
 
 
 @dataclass(frozen=True)

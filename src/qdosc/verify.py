@@ -144,12 +144,13 @@ def suite_multicommutator(
             for m in range(nm_max + 1):
                 iterated = build_lambda(params, LambdaIndex(n, m), D)
                 for j in range(j_max + 1):
+                    if j > 0:
+                        iterated = commutator(H, iterated)
                     expanded = expansion_matrix(params, n, m, j, D)
                     worst = np.maximum(
                         worst,
                         interior_rel_error(iterated.matrix, expanded.matrix, D - 1 - n),
                     )
-                    iterated = commutator(H, iterated)
         results.append(
             CheckResult(
                 check_id="multicommutator",
@@ -175,13 +176,14 @@ def suite_power_law(
             for m in range(nm_max + 1):
                 iterated = build_lambda(params, LambdaIndex(n, m), D)
                 for j in range(j_max + 1):
+                    if j > 0:
+                        iterated = commutator(H, iterated)
                     closed = power_law_multicommutator(params, n, m, j, D)
                     max_col = min(D - 1 - n, D - 2)
                     worst = np.maximum(
                         worst,
                         interior_rel_error(iterated.matrix, closed.matrix, max_col),
                     )
-                    iterated = commutator(H, iterated)
         results.append(
             CheckResult(
                 check_id="power_law",
@@ -214,9 +216,7 @@ def suite_scaling(D: int = DEFAULT_DIM) -> list[CheckResult]:
                             scaling_phase_check(params, n, m, float(tau), j_col, D),
                         )
                     curves.append(
-                        band_phase_trace(
-                            params, LambdaIndex(n, m), j_col, taus_collapse, D
-                        )
+                        band_phase_trace(params, LambdaIndex(n, m), j_col, taus_collapse)
                     )
             normalized = collapse_transform(curves)
             target = taus_collapse * q**j_col

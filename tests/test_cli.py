@@ -5,6 +5,8 @@ import sys
 
 import pytest
 
+from qdosc.cli import DEFAULTS, build_parser
+
 PKG = [sys.executable, "-m", "qdosc.cli"]
 
 
@@ -96,6 +98,20 @@ class TestEvolve:
         assert len(payload) == 4
         assert set(payload[0]) == {"tau", "re", "im", "abs", "arg"}
 
+    def test_sidecar_with_removed_key_reruns(self, tmp_path):
+        # sidecars written before --dim was dropped carry "dim"; it is ignored
+        out1 = tmp_path / "a.csv"
+        res = run_cli("evolve", "--n", 2, "--m", 1, "--steps", 20, "--out", out1)
+        assert res.returncode == 0
+        meta = json.loads((tmp_path / "a.csv.meta.json").read_text())
+        meta["config"]["dim"] = 64
+        old = tmp_path / "old.meta.json"
+        old.write_text(json.dumps(meta))
+        out2 = tmp_path / "b.csv"
+        res = run_cli("evolve", "--config", old, "--out", out2)
+        assert res.returncode == 0
+        assert out1.read_bytes() == out2.read_bytes()
+
 
 class TestVerify:
     def test_isomorphism_suite_passes(self, tmp_path):
@@ -128,6 +144,15 @@ class TestVerify:
         assert res.returncode == 2
         record = json.loads(res.stderr.strip())
         assert record["error"] == "DomainError"
+
+    def test_dim_96_without_runtime_warning(self):
+        res = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "qdosc.cli",
+             "verify", "--suite", "all", "--dim", "96"],
+            capture_output=True, text=True,
+        )  # fmt: skip
+        assert res.returncode == 0, res.stderr
+        assert "RuntimeWarning" not in res.stderr
 
 
 class TestMap:
@@ -176,6 +201,23 @@ class TestCollapse:
         record = json.loads(res.stderr.strip())
         assert record["error"] == "PhaseUnwrapError"
 
+    def test_column_beyond_any_dimension(self, tmp_path):
+        out = tmp_path / "collapse.csv"
+        q, j_col = 1.01, 100
+        res = run_cli("collapse", "--q", q, "--j-col", j_col, "--out", out)
+        assert res.returncode == 0, res.stderr
+        rows = read_csv(out)
+        for row in rows[1:-1]:
+            tau = float(row[0])
+            for col in row[1:]:
+                assert float(col) == pytest.approx(tau * q**j_col, abs=1e-9)
+
+    def test_n_zero_exits_2(self, tmp_path):
+        res = run_cli("collapse", "--n-list", 0, "--out", tmp_path / "c.csv")
+        assert res.returncode == 2
+        record = json.loads(res.stderr.strip())
+        assert record["error"] == "DomainError"
+
 
 class TestSweep:
     def test_deterministic_and_small_residuals(self, tmp_path):
@@ -200,6 +242,20 @@ class TestUsage:
     def test_unknown_flag(self):
         res = run_cli("evolve", "--no-such-flag")
         assert res.returncode == 2
+
+    def test_flags_are_config_plus_defaults(self):
+        parser = build_parser()
+        (sub,) = [a for a in parser._actions if a.dest == "command"]
+        for command, defaults in DEFAULTS.items():
+            flags = {
+                opt
+                for action in sub.choices[command]._actions
+                for opt in action.option_strings
+                if opt not in ("-h", "--help")
+            }
+            expected = {"--" + key.replace("_", "-") for key in defaults}
+            assert flags == expected | {"--config"}
+        assert set(sub.choices) == set(DEFAULTS)
 
     def test_missing_command(self):
         res = subprocess.run(PKG, capture_output=True, text=True)

@@ -6,6 +6,7 @@ import pytest
 from qdosc import (
     Anharmonic,
     ConvergenceError,
+    DomainError,
     LambdaIndex,
     PhaseUnwrapError,
     QOsc,
@@ -17,6 +18,7 @@ from qdosc import (
     q_stirling2,
     relation_identity_residual,
 )
+from qdosc.fock import build_hamiltonian, build_lambda, heisenberg_evolve
 from qdosc.verify import oracle_expectation_series
 
 ANH = Anharmonic(omega1=10.0, omega2=1.0)
@@ -144,7 +146,7 @@ class TestCollapse:
     def test_single_unit_curve(self):
         params = QOsc(q=1.5)
         taus = np.linspace(0.0, 5.0, 200)
-        tr = band_phase_trace(params, LambdaIndex(1, 0), 0, taus, 16)
+        tr = band_phase_trace(params, LambdaIndex(1, 0), 0, taus)
         (norm,) = collapse_transform([tr])
         np.testing.assert_allclose(norm, taus, atol=1e-12)
 
@@ -152,7 +154,7 @@ class TestCollapse:
         params = QOsc(q=1.5)
         taus = np.linspace(0.0, 10.0, 2001)
         curves = [
-            band_phase_trace(params, LambdaIndex(n, 0), 0, taus, 16) for n in (1, 2, 3)
+            band_phase_trace(params, LambdaIndex(n, 0), 0, taus) for n in (1, 2, 3)
         ]
         normed = collapse_transform(curves)
         for c in normed:
@@ -162,7 +164,7 @@ class TestCollapse:
         params = QOsc(q=1.2)
         taus = np.linspace(0.0, 10.0, 2001)
         curves = [
-            band_phase_trace(params, LambdaIndex(n, m), 1, taus, 16)
+            band_phase_trace(params, LambdaIndex(n, m), 1, taus)
             for n in (1, 2, 3)
             for m in (0, 1, 2)
         ]
@@ -173,6 +175,35 @@ class TestCollapse:
     def test_coarse_grid_refused(self):
         params = QOsc(q=2.0)
         taus = np.linspace(0.0, 10.0, 12)
-        tr = band_phase_trace(params, LambdaIndex(3, 0), 3, taus, 16)
+        tr = band_phase_trace(params, LambdaIndex(3, 0), 3, taus)
         with pytest.raises(PhaseUnwrapError):
             collapse_transform([tr])
+
+    @pytest.mark.parametrize("q", [0.5, 1.0, 1.2, 2.0])
+    def test_matches_dense_band_entry(self, q):
+        # the operator-free trace against the evolved entry of the dense
+        # Lambda; a zero dense entry must be refused
+        params = QOsc(q=q)
+        D = 16
+        H = build_hamiltonian(params, D)
+        taus = np.array([0.0, 0.3, 1.7])
+        for n in (1, 2, 3):
+            for m in (0, 1, 2):
+                lam = build_lambda(params, LambdaIndex(n, m), D)
+                for j in range(5):
+                    entry = lam.matrix[j + n, j]
+                    if entry == 0:
+                        with pytest.raises(DomainError):
+                            band_phase_trace(params, LambdaIndex(n, m), j, taus)
+                        continue
+                    tr = band_phase_trace(params, LambdaIndex(n, m), j, taus)
+                    dense = [
+                        heisenberg_evolve(lam, H, t).matrix[j + n, j] / entry
+                        for t in taus
+                    ]
+                    np.testing.assert_allclose(tr.values, dense, rtol=1e-12)
+
+    @pytest.mark.parametrize("n, j_col", [(0, 1), (1, -1)])
+    def test_outside_domain_rejected(self, n, j_col):
+        with pytest.raises(DomainError):
+            band_phase_trace(QOsc(q=1.2), LambdaIndex(n, 0), j_col, TAUS)

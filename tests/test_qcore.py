@@ -8,9 +8,11 @@ from hypothesis import strategies as st
 from qdosc import (
     ConvergenceError,
     DomainError,
+    QdoscError,
     binomial_weights,
     log_q_factorial,
     q_exponential,
+    q_factorial,
     q_number,
     q_stirling2,
     stirling2,
@@ -108,6 +110,11 @@ class TestLogQFactorial:
         with pytest.raises(DomainError):
             log_q_factorial(3, -1.0)
 
+    def test_q_factorial_overflow_is_domain_error(self):
+        assert q_factorial(170, 1.0) == pytest.approx(math.factorial(170), rel=1e-12)
+        with pytest.raises(DomainError):
+            q_factorial(171, 1.0)
+
 
 class TestQExponential:
     def test_at_zero(self):
@@ -178,6 +185,18 @@ class TestStirling:
     def test_rejects_nonpositive_q(self):
         with pytest.raises(DomainError):
             q_stirling2(2, 3, 0.0)
+
+    @pytest.mark.parametrize("q", [0.3, 0.5, 0.9, 1.0, 1.1, 1.5, 2.0, 3.0])
+    def test_finite_or_typed_error(self, q):
+        # factors such as q^tri or [k]_q! can leave double precision while
+        # the term itself does not
+        for s in range(0, 61, 3):
+            for m in range(0, 61, 3):
+                try:
+                    val = q_stirling2(s, m, q)
+                except QdoscError:
+                    continue
+                assert math.isfinite(val), (s, m, q)
 
 
 class TestBinomialWeights:
