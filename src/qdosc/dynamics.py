@@ -23,6 +23,10 @@ from .qcore import (
     stirling2,
 )
 
+# phases per row block of _phase_sum: a few 0.5 MB real work arrays,
+# whatever the grid length
+_PHASE_BLOCK = 1 << 16
+
 
 @dataclass(frozen=True)
 class TimeSeries:
@@ -42,6 +46,28 @@ class TimeSeries:
             raise DomainError("times must be strictly increasing")
         self.times.setflags(write=False)
         self.values.setflags(write=False)
+
+
+def _horner(z: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """sum_k c_k z^k by Horner's rule, in place in one complex vector."""
+    acc = np.full(z.shape, c[-1], dtype=complex)
+    for ck in c[-2::-1]:
+        acc *= z
+        acc += ck
+    return acc
+
+
+def _phase_sum(rate: float, t: np.ndarray, r: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """sum_k c_k e^{i rate t r_k} for real r and c, as cos and sin over row
+    blocks of about _PHASE_BLOCK phases, so memory stays O(len(t))."""
+    out = np.empty(t.shape, dtype=complex)
+    rows = max(1, _PHASE_BLOCK // len(r))
+    for start in range(0, len(t), rows):
+        x = np.outer(t[start : start + rows], r)
+        x *= rate
+        out.real[start : start + rows] = np.cos(x) @ c
+        out.imag[start : start + rows] = np.sin(x, out=x) @ c
+    return out
 
 
 def evolve_q_expectation(
@@ -71,8 +97,7 @@ def evolve_q_expectation(
         )
     w, lev, tail, _ = _ratio_weights(lambda k: q_number(k, q), a2, m, tol)
     nq = q_number(n, q)
-    phases = np.exp(1j * nq * (q - 1.0) * np.outer(taus, lev))
-    sums = phases @ (lev**m * w)
+    sums = _phase_sum(nq * (q - 1.0), taus, lev, lev**m * w)
     values = np.conj(alpha) ** n * np.exp(1j * nq * taus) * sums
     return TimeSeries(taus, values, params, LambdaIndex(n, m), alpha, tail)
 
@@ -107,8 +132,7 @@ def evolve_anharmonic_expectation(
     w, lev, tail, _ = _ratio_weights(float, a2, m, tol)
     c1 = n * params.omega1 + n * n * params.omega2
     c2 = 2.0 * n * params.omega2
-    phases = np.exp(1j * c2 * np.outer(ts, lev))
-    sums = phases @ (lev**m * w)
+    sums = _horner(np.exp(1j * c2 * ts), lev**m * w)
     values = np.conj(alpha) ** n * np.exp(1j * c1 * ts) * sums
     return TimeSeries(ts, values, params, LambdaIndex(n, m), alpha, tail)
 
@@ -151,6 +175,8 @@ def relation_identity_residual(x: float, q: float, m: int) -> float:
         raise DomainError(f"m must be nonnegative, got {m}")
     _check_radius(x, q)
     w, lev, _, total = _ratio_weights(lambda k: q_number(k, q), x, m, 1e-16)
+    if not math.isfinite(total):
+        raise DomainError(f"exp_q({x}) overflows double precision at q={q}")
     lhs = float(np.dot(lev**m, w)) * total
     rhs = math.fsum(q_stirling2(r, m, q) * x**r for r in range(m + 1)) * q_exponential(
         x, q

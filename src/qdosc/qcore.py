@@ -22,6 +22,9 @@ _Q_ONE_WINDOW = 1e-8
 
 _MAX_TERMS = 100_000
 
+# term size at which _ratio_weights renormalizes its running terms
+_RESCALE_AT = 1e280
+
 
 def _require_positive_q(q: float) -> None:
     if not q > 0:
@@ -144,6 +147,10 @@ def q_stirling2(s: int, m: int, q: float) -> float:
     if s < 0 or m < 0:
         raise DomainError("indices must be nonnegative")
     lnq = math.log(q)
+    levels = [q_number(k, q) for k in range(s + 1)]
+    logs = [math.log(lv) for lv in levels[2:]]
+    # ln([k]_q!) summed exactly as log_q_factorial does
+    ln_fact = [math.fsum(logs[: max(k - 1, 0)]) for k in range(s + 1)]
     terms = []
     try:
         for k in range(s + 1):
@@ -153,14 +160,14 @@ def q_stirling2(s: int, m: int, q: float) -> float:
             sign = -1.0 if r % 2 else 1.0
             tri = (r * r - r) // 2
             ln_pow = tri * lnq
-            ln_level = m * math.log(q_number(k, q)) if k > 0 else 0.0
-            ln_den = log_q_factorial(k, q) + log_q_factorial(r, q)
+            ln_level = m * math.log(levels[k]) if k > 0 else 0.0
+            ln_den = ln_fact[k] + ln_fact[r]
             ln_mag = ln_pow + ln_level - ln_den
             factors = (ln_pow, ln_level, ln_pow + ln_level, ln_den, ln_mag)
             if max(map(abs, factors)) < 690.0:
                 # direct products keep an extra couple of digits vs exp(ln_mag)
-                num = q**tri * (q_number(k, q) ** m if k > 0 else 1.0)
-                den = q_factorial(k, q) * q_factorial(r, q)
+                num = q**tri * (levels[k] ** m if k > 0 else 1.0)
+                den = math.exp(ln_fact[k]) * math.exp(ln_fact[r])
                 terms.append(sign * num / den)
             else:
                 terms.append(sign * math.exp(ln_mag))
@@ -215,15 +222,25 @@ def _ratio_weights(level, x: float, m: int, tol: float):
     level(k) must be nondecreasing with nonincreasing successive ratios,
     which holds for both k and [k]_q. Returns (weights normalized by their
     partial sum, levels level(0..K-1), relative tail, raw partial sum).
+    A term beyond _RESCALE_AT divides the kept terms and the sum by itself,
+    so large x still gives finite weights; the raw partial sum, restored
+    from the product of those divisors, is inf where it leaves double
+    precision.
     """
     w = [1.0]
     lev = [level(0)]
     total = 1.0
+    scale = 1.0
     tail = 0.0
     while x > 0.0:
         k = len(w)
         lv = level(k)
         nxt = w[-1] * x / lv
+        if nxt > _RESCALE_AT:
+            w = [v / nxt for v in w]
+            total /= nxt
+            scale *= nxt
+            nxt = 1.0
         w.append(nxt)
         lev.append(lv)
         total += nxt
@@ -238,4 +255,4 @@ def _ratio_weights(level, x: float, m: int, tol: float):
     w_arr = np.array(w) / total
     # park the last-ulp normalization defect on the largest weight
     w_arr[int(np.argmax(w_arr))] += 1.0 - math.fsum(w_arr)
-    return w_arr, np.array(lev), tail / total, total
+    return w_arr, np.array(lev), tail / total, total * scale

@@ -112,6 +112,19 @@ class TestEvolve:
         assert res.returncode == 0
         assert out1.read_bytes() == out2.read_bytes()
 
+    def test_large_amplitude_series(self, tmp_path):
+        out = tmp_path / "trace.csv"
+        res = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "qdosc.cli",
+             "evolve", "--model", "anharmonic", "--alpha-re", "30",
+             "--method", "series", "--out", str(out)],
+            capture_output=True, text=True,
+        )  # fmt: skip
+        assert res.returncode == 0, res.stderr
+        rows = read_csv(out)[1:]
+        assert len(rows) == DEFAULTS["evolve"]["steps"]
+        assert float(rows[0][3]) == pytest.approx(30.0, rel=1e-12)
+
 
 class TestVerify:
     def test_isomorphism_suite_passes(self, tmp_path):

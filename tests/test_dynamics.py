@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -123,6 +124,50 @@ class TestAnharmonicClosed:
             closed = evolve_anharmonic_closed(ANH, alpha, LambdaIndex(n, m), TAUS)
             series = evolve_anharmonic_expectation(ANH, alpha, LambdaIndex(n, m), TAUS)
             np.testing.assert_allclose(closed.values, series.values, atol=1e-10)
+
+
+@pytest.mark.parametrize(
+    "evolve, params",
+    [(evolve_anharmonic_expectation, ANH), (evolve_q_expectation, QOsc(q=1.1))],
+    ids=["anharmonic", "q"],
+)
+def test_series_memory_is_linear_in_grid(evolve, params):
+    # a T x K phase matrix would hold about K = 43 complex vectors here
+    T = 200_000
+    grid = np.linspace(0.0, 4.0 * math.pi, T)
+    evolve(params, 3.0, LambdaIndex(2, 2), grid[:10])
+    tracemalloc.start()
+    try:
+        evolve(params, 3.0, LambdaIndex(2, 2), grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 16 * T
+
+
+class TestLargeAmplitude:
+    """|alpha| = 30: the Poisson weights peak near 900^900/900!, beyond
+    double precision, so the recursion renormalizes its terms."""
+
+    T_GRID = np.linspace(0.0, 10.0, 20001)
+
+    @pytest.mark.parametrize("m", [0, 2])
+    def test_series_matches_closed_form(self, m):
+        idx = LambdaIndex(1, m)
+        series = evolve_anharmonic_expectation(ANH, 30.0, idx, self.T_GRID).values
+        closed = evolve_anharmonic_closed(ANH, 30.0, idx, self.T_GRID).values
+        assert np.isfinite(series).all()
+        err = np.abs(series - closed).max() / np.abs(closed).max()
+        assert err <= 1e-10
+
+    def test_relation_residual_refuses_overflowing_sum(self):
+        # exp(800) is beyond double precision; the weights are not
+        with pytest.raises(DomainError):
+            relation_identity_residual(800.0, 1.0, 1)
+
+    def test_relation_residual_past_rescale(self):
+        # the largest term of exp(650) passes 1e280, the sum stays finite
+        assert relation_identity_residual(650.0, 1.0, 2) < 1e-10
 
 
 class TestRelationIdentity:

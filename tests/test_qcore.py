@@ -272,6 +272,23 @@ class TestPoissonFamilies:
             assert tail < 1e-11
             assert list(levels) == [q_number(k, q) for k in range(len(w))]
 
+    @pytest.mark.parametrize("a2", [650.0, 900.0])
+    def test_large_amplitude_renormalizes(self, a2):
+        # the largest term a2^k/k! passes 1e280 (and at 900 double precision)
+        w, levels, tail, total = poisson_weights(a2)
+        assert np.isfinite(w).all() and np.all(w >= 0.0)
+        assert abs(w.sum() - 1.0) <= 1e-14
+        assert tail < 1e-12
+        ks = np.arange(len(w))
+        log_pmf = ks * math.log(a2) - a2 - np.array([math.lgamma(k + 1) for k in ks])
+        big = log_pmf > -600.0
+        # the log-domain oracle cancels terms near 6e3, so it carries ~1e-12
+        np.testing.assert_allclose(w[big], np.exp(log_pmf[big]), rtol=1e-10)
+        if a2 < 700.0:
+            assert total == pytest.approx(math.exp(a2), rel=1e-12)
+        else:
+            assert total == math.inf
+
     def test_radius_violation(self):
         _check_radius(1.9, 0.5)
         with pytest.raises(ConvergenceError):

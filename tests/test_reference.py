@@ -3,8 +3,11 @@
 The Fock builders used to fill their band one matrix element at a time from
 a scalar q-number, and the weight recursion existed twice: a plain term-ratio
 version for the coherent-state dimension and a moment-aware version for the
-expectation series. The vectorised builders and the single recursion that
-replaced them must reproduce these loops.
+expectation series. The coherent-state phase sums were one dense T x K
+product exp(i t r_k) @ c, and q_stirling2 recomputed both q-factorials for
+every term. The vectorised builders, the single recursion, the streaming
+phase-sum evaluators and the tabulated q_stirling2 that replaced them must
+reproduce these forms.
 """
 
 import math
@@ -14,6 +17,7 @@ import pytest
 
 from qdosc import (
     Anharmonic,
+    ConvergenceError,
     DimensionError,
     DomainError,
     LambdaIndex,
@@ -22,8 +26,14 @@ from qdosc import (
     build_ladder,
     build_lambda,
     coherent_dim,
+    evolve_anharmonic_expectation,
+    evolve_q_expectation,
+    log_q_factorial,
+    q_factorial,
     q_number,
+    q_stirling2,
 )
+from qdosc.dynamics import _PHASE_BLOCK
 from qdosc.qcore import _ratio_weights
 
 MODELS = [QOsc(q=0.5), QOsc(q=1.0), QOsc(q=1.2), QOsc(q=2.0), Anharmonic(10.0, 1.0)]
@@ -197,3 +207,115 @@ def test_coherent_dim_matches_loop(params, alpha):
     )
     want = 2 if alpha == 0 else len(w_ref) + 1
     assert coherent_dim(params, alpha) == want
+
+
+def ref_expectation(params, alpha, n, m, t, tol=1e-12):
+    """The phase sum as one dense T x K matrix exp(i rate t r_k) times c."""
+    a2 = abs(alpha) ** 2
+    if isinstance(params, QOsc):
+        q = params.q
+        w, lev, _, _ = _ratio_weights(lambda k: q_number(k, q), a2, m, tol)
+        nq = q_number(n, q)
+        rate, global_rate = nq * (q - 1.0), nq
+    else:
+        w, lev, _, _ = _ratio_weights(float, a2, m, tol)
+        rate = 2.0 * n * params.omega2
+        global_rate = n * params.omega1 + n * n * params.omega2
+    phases = np.exp(1j * rate * np.outer(t, lev))
+    return np.conj(alpha) ** n * np.exp(1j * global_rate * t) * (phases @ (lev**m * w))
+
+
+def _nonuniform(span):
+    rng = np.random.default_rng(7)
+    return np.sort(np.unique(rng.uniform(0.0, span, 3001)))
+
+
+# The dense form rounds each phase rate * (t k) once; Horner's powers of
+# e^{i rate t} round differently, and the two drift apart as
+# eps * rate * t * k. Over two revival periods (t <= 2 pi at omega2 = 1)
+# that stays below 5e-14; the q form rounds its phases as the dense form does.
+SPAN = 2.0 * math.pi
+GRIDS = {
+    "T=0": np.array([]),
+    "T=1": np.array([0.7]),
+    "T=2^16+7": np.linspace(0.0, SPAN, _PHASE_BLOCK + 7),
+    "nonuniform": _nonuniform(SPAN),
+}
+SERIES_MODELS = [
+    QOsc(q=0.5),
+    QOsc(q=1.1),
+    QOsc(q=1.0 + 1e-9),
+    QOsc(q=2.0),
+    Anharmonic(10.0, 0.0),
+    Anharmonic(10.0, 1.0),
+]
+
+
+def _series_id(params):
+    if isinstance(params, QOsc):
+        return f"q={params.q!r}"
+    return f"omega2={params.omega2}"
+
+
+@pytest.mark.parametrize("grid", list(GRIDS.values()), ids=list(GRIDS))
+@pytest.mark.parametrize("amp", [0.8, 3.0])
+@pytest.mark.parametrize("params", SERIES_MODELS, ids=_series_id)
+def test_phase_sums_match_dense_product(params, amp, grid):
+    alpha = amp * complex(math.cos(0.7), math.sin(0.7))
+    is_q = isinstance(params, QOsc)
+    evolve = evolve_q_expectation if is_q else evolve_anharmonic_expectation
+    outside_radius = is_q and params.q < 1 and amp**2 >= 1 / (1 - params.q)
+    for n in range(4):
+        for m in range(4):
+            if outside_radius:
+                with pytest.raises(ConvergenceError):
+                    evolve(params, alpha, LambdaIndex(n, m), grid)
+                continue
+            got = evolve(params, alpha, LambdaIndex(n, m), grid).values
+            assert got.shape == grid.shape
+            if not grid.size or (n, m) == (0, 0):
+                continue
+            want = ref_expectation(params, alpha, n, m, grid)
+            # the weights are positive, so |value(0)| bounds the whole trace
+            scale = abs(ref_expectation(params, alpha, n, m, np.zeros(1))[0])
+            err = np.abs(got - want).max() / scale
+            assert err <= 1e-13, (n, m, err)
+
+
+def ref_q_stirling2(s, m, q):
+    lnq = math.log(q)
+    terms = []
+    try:
+        for k in range(s + 1):
+            r = s - k
+            if k == 0 and m > 0:
+                continue
+            sign = -1.0 if r % 2 else 1.0
+            tri = (r * r - r) // 2
+            ln_pow = tri * lnq
+            ln_level = m * math.log(q_number(k, q)) if k > 0 else 0.0
+            ln_den = log_q_factorial(k, q) + log_q_factorial(r, q)
+            ln_mag = ln_pow + ln_level - ln_den
+            factors = (ln_pow, ln_level, ln_pow + ln_level, ln_den, ln_mag)
+            if max(map(abs, factors)) < 690.0:
+                num = q**tri * (q_number(k, q) ** m if k > 0 else 1.0)
+                den = q_factorial(k, q) * q_factorial(r, q)
+                terms.append(sign * num / den)
+            else:
+                terms.append(sign * math.exp(ln_mag))
+        return math.fsum(terms)
+    except OverflowError:
+        raise DomainError("overflow") from None
+
+
+@pytest.mark.parametrize("q", [0.3, 0.9, 1.0, 1.0 + 1e-9, 1.2, 2.0, 3.0])
+def test_q_stirling2_matches_per_term_factorials(q):
+    for s in range(0, 43, 3):
+        for m in range(0, 43, 6):
+            try:
+                want = ref_q_stirling2(s, m, q)
+            except DomainError:
+                with pytest.raises(DomainError):
+                    q_stirling2(s, m, q)
+                continue
+            assert q_stirling2(s, m, q) == want, (s, m)
