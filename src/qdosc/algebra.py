@@ -1,6 +1,9 @@
 """Closed-form algebraic structure of both oscillators: closure coefficients,
 the binomial and power-law multicommutator expansions, the element-wise
 dynamical-scaling check and the normal-ordering coefficient generator.
+
+Each closed form is the one band of Lambda^{n,m} times a factor per Fock
+column; the dense engine in fock is the oracle they are verified against.
 """
 
 from __future__ import annotations
@@ -12,15 +15,17 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError
-from .fock import (
-    FockOperator,
-    build_hamiltonian,
-    build_ladder,
-    build_lambda,
-    commutator,
-    heisenberg_evolve,
+from .dynamics import band_phase_trace
+from .fock import FockOperator, _band_operator, _lambda_band, build_ladder
+from .params import (
+    Anharmonic,
+    LambdaIndex,
+    ModelParams,
+    QOsc,
+    energy,
+    level_value,
+    validate_index,
 )
-from .params import Anharmonic, LambdaIndex, ModelParams, QOsc, energy
 from .qcore import binomial_weights, q_number, q_stirling2
 
 
@@ -77,8 +82,9 @@ def multicommutator_expansion(
     otherwise -- use the power-law form for general q).  Anharmonic model:
     p = p_n; omega2 = 0 degenerates to the single k = 0 term.
     """
-    if n < 0 or m < 0 or j < 0:
-        raise DomainError("indices must be nonnegative")
+    validate_index((n, m))
+    if j < 0:
+        raise DomainError(f"j must be nonnegative, got {j}")
     if isinstance(params, QOsc):
         if params.q <= 1.0:
             raise DomainError(
@@ -100,12 +106,14 @@ def multicommutator_expansion(
 def expansion_matrix(
     params: ModelParams, n: int, m: int, j: int, D: int
 ) -> FockOperator:
-    """Materialize the binomial expansion as a matrix: sum_k coeff_k L^{n,m+k}."""
+    """Materialize the binomial expansion sum_k coeff_k L^{n,m+k} as one
+    band: the L^{n,m} band times sum_k coeff_k [c]^k in Fock column c."""
     terms = multicommutator_expansion(params, n, m, j)
-    mat = np.zeros((D, D), dtype=complex)
-    for k, coeff in terms:
-        mat += coeff * build_lambda(params, LambdaIndex(n, m + k), D).matrix
-    return FockOperator(D, mat, margin=n)
+    band = _lambda_band(params, LambdaIndex(n, m), D)
+    lv = level_value(params, np.arange(D - n))
+    with np.errstate(over="ignore", invalid="ignore"):
+        band = band * sum(coeff * lv**k for k, coeff in terms)
+    return _band_operator(D, band, -n, margin=n)
 
 
 def power_law_multicommutator(
@@ -114,24 +122,23 @@ def power_law_multicommutator(
     """General-q closed form: L^{n,m} (E(n) [a, a†])^j.
 
     Valid for any q > 0; must match the iterated commutator on interior
-    columns.  [a, a†] is corrupted in its last diagonal entry by the
-    truncation, hence margin n + 1 for j >= 1.
+    columns.  [a, a†] is diagonal with entries [c+1] - [c], so the form is
+    the L^{n,m} band times (E(n) ([c+1] - [c]))^j in Fock column c.
     """
     if not isinstance(params, QOsc):
         raise DomainError("power-law form is specific to the q model")
-    if n < 0 or m < 0 or j < 0:
-        raise DomainError("indices must be nonnegative")
-    lam = build_lambda(params, LambdaIndex(n, m), D)
-    if j == 0:
-        return lam
-    a, adag = build_ladder(params, D)
-    core = energy(params, n) * commutator(a, adag).matrix
-    mat = lam.matrix @ np.linalg.matrix_power(core, j)
-    return FockOperator(D, mat, margin=n + 1)
+    idx = validate_index((n, m))
+    if j < 0:
+        raise DomainError(f"j must be nonnegative, got {j}")
+    band = _lambda_band(params, idx, D)
+    lv = level_value(params, np.arange(D - n + 1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        band = band * (energy(params, n) * (lv[1:] - lv[:-1])) ** j
+    return _band_operator(D, band, -n, margin=n)
 
 
 def scaling_phase_check(
-    params: QOsc, n: int, m: int, tau: float, j_col: int, D: int
+    params: QOsc, n: int, m: int, tau: float, j_col: int
 ) -> float:
     """Element-wise reading of the dynamical scaling law.
 
@@ -142,19 +149,7 @@ def scaling_phase_check(
     """
     if not isinstance(params, QOsc):
         raise DomainError("scaling check is specific to the q model")
-    if n < 1:
-        raise DomainError("scaling requires n >= 1 (the 1/[n]_q normalization)")
-    if j_col + n > D - 1:
-        raise DomainError(f"column {j_col} outside band for n={n}, D={D}")
-    lam = build_lambda(params, LambdaIndex(n, m), D)
-    base = lam.matrix[j_col + n, j_col]
-    if base == 0:
-        raise DomainError(
-            f"band entry vanishes at (n={n}, m={m}, j={j_col}); phase undefined"
-        )
-    H = build_hamiltonian(params, D)
-    evolved = heisenberg_evolve(lam, H, tau / params.omega)
-    ratio = evolved.matrix[j_col + n, j_col] / base
+    ratio = band_phase_trace(params, LambdaIndex(n, m), j_col, [tau]).values[0]
     nq = q_number(n, params.q)
     predicted = nq * tau * params.q**j_col
     delta = cmath.phase(ratio * cmath.exp(-1j * predicted))
@@ -164,8 +159,7 @@ def scaling_phase_check(
 def normal_order_expansion(n: int, M: int, q: float) -> list[tuple[int, float]]:
     """Coefficients (s, S_q^{s,M}) writing (a†)^n (a†a)^M as
     sum_s S_q^{s,M} (a†)^{n+s} a^s."""
-    if n < 0 or M < 0:
-        raise DomainError("indices must be nonnegative")
+    validate_index((n, M))
     return [(s, q_stirling2(s, M, q)) for s in range(M + 1)]
 
 

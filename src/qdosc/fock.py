@@ -6,7 +6,9 @@ oracle against which the closed-form algebra and dynamics are verified.
 
 Every operator built here is a single band, computed from one level
 vector and stored densely. Entries beyond double precision raise
-DomainError rather than turning into inf.
+DomainError rather than turning into inf. The closed forms in algebra
+scale the band of Lambda^{n,m} (_lambda_band) per column and package it
+with _band_operator, so they share that check.
 
 Truncation bookkeeping: both Hamiltonians are diagonal, so cutting the
 ladder at dimension D only contaminates the top `margin` Fock levels of an
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, DomainError, TruncationError
-from .params import LambdaIndex, ModelParams, QOsc, energy, level_value
+from .params import LambdaIndex, ModelParams, QOsc, energy, level_value, validate_index
 from .qcore import _check_radius, _ratio_weights
 
 
@@ -95,17 +97,18 @@ def build_hamiltonian(params: ModelParams, D: int) -> FockOperator:
     return _band_operator(D, energy(params, np.arange(D)), 0, margin=0)
 
 
-def build_lambda(params: ModelParams, idx: LambdaIndex, D: int) -> FockOperator:
-    """Band operator (a†)^n (a† a)^m with the single nonzero band
+def _lambda_band(params: ModelParams, idx: LambdaIndex, D: int) -> np.ndarray:
+    """The one nonzero band of Lambda^{n,m} at dimension D, indexed by Fock
+    column j = 0..D-1-n:
 
         entry(j + n, j) = (prod_{i=1}^{n} sqrt([j+i])) * [j]^m.
 
     The convention 0^0 = 1 keeps idx = (n, 0) equal to the bare (a†)^n.
+    Entries beyond double precision come back as inf, for the caller's
+    _band_operator to refuse.
     """
     _check_dim(D)
-    n, m = idx = LambdaIndex(*idx)
-    if n < 0 or m < 0:
-        raise DomainError(f"index components must be nonnegative, got {idx}")
+    n, m = validate_index(idx)
     if n >= D:
         raise DimensionError(f"raising degree n={n} must be < D={D}")
     lv = level_value(params, np.arange(D))
@@ -114,7 +117,13 @@ def build_lambda(params: ModelParams, idx: LambdaIndex, D: int) -> FockOperator:
         for i in range(1, n + 1):
             band *= np.sqrt(lv[i : D - n + i])
         band *= lv[: D - n] ** m
-    return _band_operator(D, band, -n, margin=n)
+    return band
+
+
+def build_lambda(params: ModelParams, idx: LambdaIndex, D: int) -> FockOperator:
+    """Band operator (a†)^n (a† a)^m, holding _lambda_band on sub-diagonal n."""
+    n = LambdaIndex(*idx).n
+    return _band_operator(D, _lambda_band(params, idx, D), -n, margin=n)
 
 
 def commutator(A: FockOperator, B: FockOperator) -> FockOperator:
@@ -178,7 +187,13 @@ def coherent_state(
         D = coherent_dim(params, alpha, tol)
     _check_dim(D)
     lv = level_value(params, np.arange(D + 1))
-    probs = np.cumprod(np.concatenate(([1.0], a2 / lv[1:D])))
+    # weights relative to the mode (the last k with a2 >= [k]) as products of
+    # ratios <= 1 outward from it: no overflow, although w_0 / w_mode ~ e^{-a2}
+    ratio = a2 / lv[1:D]
+    mode = int(np.count_nonzero(ratio >= 1.0))
+    probs = np.ones(D)
+    probs[mode + 1 :] = np.cumprod(ratio[mode:])
+    probs[:mode] = np.cumprod(lv[mode:0:-1] / a2)[::-1]
     total = probs.sum()
     # geometric bound on the occupation mass beyond the cutoff
     r = a2 / lv[D]
@@ -191,8 +206,8 @@ def coherent_state(
     phase = cmath.phase(alpha) if alpha != 0 else 0.0
     amps = np.sqrt(probs) * np.exp(1j * phase * np.arange(D))
     state = FockState(D, amps, tail_bound=tail / (total + tail))
-    a, _ = build_ladder(params, D)
-    resid = np.abs((a.matrix @ amps - alpha * amps)[: D - 1]).max()
+    # a|alpha> = alpha|alpha> on the ladder band: sqrt([k+1]) c_{k+1} = alpha c_k
+    resid = np.abs(np.sqrt(lv[1:D]) * amps[1:] - alpha * amps[:-1]).max()
     if resid > 1e-10 * max(1.0, abs(alpha)):
         raise TruncationError(f"eigenvalue relation violated: residual {resid:.3e}")
     return state

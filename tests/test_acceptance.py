@@ -55,7 +55,7 @@ def test_power_law_form():
 
 
 def test_phase_scaling_collapse():
-    results = suite_scaling(D=64)
+    results = suite_scaling()
     _report("phase scaling collapse", results)
 
 

@@ -97,16 +97,16 @@ class TestPowerLaw:
 
 class TestScaling:
     def test_zero_time(self):
-        assert scaling_phase_check(QOsc(q=1.3), 1, 0, 0.0, 2, 16) == 0.0
+        assert scaling_phase_check(QOsc(q=1.3), 1, 0, 0.0, 2) == 0.0
 
     def test_spot_value(self):
-        res = scaling_phase_check(QOsc(q=1.2), 1, 0, 0.7, 2, 32)
+        res = scaling_phase_check(QOsc(q=1.2), 1, 0, 0.7, 2)
         assert res < 1e-12
 
     def test_collapse_across_indices(self):
         params = QOsc(q=1.5)
         vals = [
-            scaling_phase_check(params, n, m, 0.9, 2, 32)
+            scaling_phase_check(params, n, m, 0.9, 2)
             for n in (1, 2, 3)
             for m in (0, 1, 2)
         ]
@@ -115,11 +115,11 @@ class TestScaling:
 
     def test_vanishing_band_entry_rejected(self):
         with pytest.raises(DomainError):
-            scaling_phase_check(QOsc(q=1.3), 1, 1, 0.5, 0, 16)
+            scaling_phase_check(QOsc(q=1.3), 1, 1, 0.5, 0)
 
     def test_n_zero_rejected(self):
         with pytest.raises(DomainError):
-            scaling_phase_check(QOsc(q=1.3), 0, 1, 0.5, 1, 16)
+            scaling_phase_check(QOsc(q=1.3), 0, 1, 0.5, 1)
 
 
 class TestNormalOrder:

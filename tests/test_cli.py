@@ -158,6 +158,18 @@ class TestVerify:
         record = json.loads(res.stderr.strip())
         assert record["error"] == "DomainError"
 
+    @pytest.mark.parametrize("suite", ["multicommutator", "power-law"])
+    def test_overflow_is_refused_before_the_oracle_overflows(self, suite):
+        # the closed form is built before the dense commutator of the same
+        # depth, so its DomainError comes before any overflowing product
+        res = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "qdosc.cli",
+             "verify", "--suite", suite, "--dim", "128"],
+            capture_output=True, text=True,
+        )  # fmt: skip
+        assert res.returncode == 2, res.stderr
+        assert json.loads(res.stderr.strip())["error"] == "DomainError"
+
     def test_dim_96_without_runtime_warning(self):
         res = subprocess.run(
             [sys.executable, "-W", "error::RuntimeWarning", "-m", "qdosc.cli",

@@ -22,6 +22,7 @@ from qdosc import (
     multicommutator_matrix,
     q_number,
 )
+from qdosc.qcore import _ratio_weights
 
 Q2 = QOsc(q=2.0)
 ANH = Anharmonic(omega1=10.0, omega2=1.0)
@@ -234,6 +235,21 @@ class TestCoherentState:
     def test_radius_rejected(self):
         with pytest.raises(ConvergenceError):
             coherent_state(QOsc(q=0.5), 1.5)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("alpha", [27.0, 30.0])
+    def test_large_amplitude(self, alpha):
+        # the weights at k = 0 and at the mode k ~ |alpha|^2 differ by about
+        # e^{|alpha|^2}, beyond double precision
+        tol = 1e-14
+        st = coherent_state(ANH, alpha, tol=tol)
+        w, _, _, _ = _ratio_weights(float, alpha**2, 0, tol)
+        assert st.dim == len(w) + 1
+        probs = np.abs(st.amplitudes) ** 2
+        np.testing.assert_allclose(
+            probs[: len(w)], w, rtol=1e-12, atol=np.finfo(float).tiny
+        )
+        assert np.vdot(st.amplitudes, st.amplitudes).real == pytest.approx(1.0)
 
 
 class TestExpectation:

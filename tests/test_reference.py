@@ -5,9 +5,13 @@ a scalar q-number, and the weight recursion existed twice: a plain term-ratio
 version for the coherent-state dimension and a moment-aware version for the
 expectation series. The coherent-state phase sums were one dense T x K
 product exp(i t r_k) @ c, and q_stirling2 recomputed both q-factorials for
-every term. The vectorised builders, the single recursion, the streaming
-phase-sum evaluators and the tabulated q_stirling2 that replaced them must
-reproduce these forms.
+every term. The closed forms of the algebra were dense matrix expressions:
+a sum of j + 1 dense Lambdas, a matrix power of the dense [a, a†], and a
+dense Heisenberg evolution per scaling point; the coherent state was a
+cumulative product of its weights from k = 0, checked against the dense
+ladder. The vectorised builders, the single recursion, the streaming
+phase-sum evaluators, the tabulated q_stirling2, the band forms and the
+mode-centred coherent state that replaced them must reproduce these forms.
 """
 
 import math
@@ -26,15 +30,24 @@ from qdosc import (
     build_ladder,
     build_lambda,
     coherent_dim,
+    coherent_state,
+    commutator,
+    energy,
     evolve_anharmonic_expectation,
     evolve_q_expectation,
+    expansion_matrix,
+    heisenberg_evolve,
     log_q_factorial,
+    multicommutator_expansion,
+    power_law_multicommutator,
     q_factorial,
     q_number,
     q_stirling2,
+    scaling_phase_check,
 )
-from qdosc.dynamics import _PHASE_BLOCK
+from qdosc.dynamics import _PHASE_BLOCK, band_phase_trace
 from qdosc.qcore import _ratio_weights
+from qdosc.verify import interior_rel_error
 
 MODELS = [QOsc(q=0.5), QOsc(q=1.0), QOsc(q=1.2), QOsc(q=2.0), Anharmonic(10.0, 1.0)]
 
@@ -319,3 +332,101 @@ def test_q_stirling2_matches_per_term_factorials(q):
                     q_stirling2(s, m, q)
                 continue
             assert q_stirling2(s, m, q) == want, (s, m)
+
+
+def ref_expansion_matrix(params, n, m, j, D):
+    """The binomial expansion as a sum of j + 1 dense Lambda^{n, m+k}."""
+    return sum(
+        coeff * build_lambda(params, LambdaIndex(n, m + k), D).matrix
+        for k, coeff in multicommutator_expansion(params, n, m, j)
+    )
+
+
+def ref_power_law(params, n, m, j, D):
+    """Lambda^{n,m} (E(n) [a, a†])^j with the dense ladder; the truncated
+    [a, a†] is wrong in its last diagonal entry."""
+    a, adag = build_ladder(params, D)
+    core = energy(params, n) * commutator(a, adag).matrix
+    lam = build_lambda(params, LambdaIndex(n, m), D).matrix
+    return lam @ np.linalg.matrix_power(core, j)
+
+
+def ref_scaling_ratio(params, n, m, tau, j_col, D):
+    """Evolved over initial band entry (j_col + n, j_col) of the dense
+    Heisenberg evolution."""
+    lam = build_lambda(params, LambdaIndex(n, m), D)
+    H = build_hamiltonian(params, D)
+    evolved = heisenberg_evolve(lam, H, tau / params.omega)
+    return evolved.matrix[j_col + n, j_col] / lam.matrix[j_col + n, j_col]
+
+
+# the grids of verify.suite_multicommutator, suite_power_law and suite_scaling
+D_DENSE = 64
+NM = [(n, m) for n in range(4) for m in range(4)]
+
+
+@pytest.mark.parametrize(
+    "params", [QOsc(q=1.2), QOsc(q=2.0), Anharmonic(10.0, 1.0)], ids=_model_id
+)
+def test_expansion_band_matches_dense_sum(params):
+    for n, m in NM:
+        for j in range(7):
+            want = ref_expansion_matrix(params, n, m, j, D_DENSE)
+            got = expansion_matrix(params, n, m, j, D_DENSE).matrix
+            err = interior_rel_error(want, got, D_DENSE - 1)
+            assert err <= 1e-13, (n, m, j, err)
+
+
+@pytest.mark.parametrize("q", [0.5, 1.2, 2.0])
+def test_power_law_band_matches_dense_power(q):
+    params = QOsc(q=q)
+    for n, m in NM:
+        for j in range(7):
+            want = ref_power_law(params, n, m, j, D_DENSE)
+            got = power_law_multicommutator(params, n, m, j, D_DENSE).matrix
+            err = interior_rel_error(want, got, D_DENSE - 2 - n)
+            assert err <= 1e-13, (n, m, j, err)
+
+
+@pytest.mark.parametrize("q", [1.2, 2.0])
+def test_scaling_phase_matches_dense_evolution(q):
+    params = QOsc(q=q)
+    for j_col in (0, 1, 3):
+        for n in (1, 2, 3):
+            for m in (0, 1, 2):
+                if m >= 1 and j_col == 0:
+                    continue
+                for tau in np.linspace(0.0, 10.0, 21):
+                    tau = float(tau)
+                    want = ref_scaling_ratio(params, n, m, tau, j_col, D_DENSE)
+                    got = band_phase_trace(params, LambdaIndex(n, m), j_col, [tau])
+                    assert abs(got.values[0] - want) <= 1e-13, (j_col, n, m, tau)
+                    nq = q_number(n, q)
+                    drift = want * np.exp(-1j * nq * tau * q**j_col)
+                    want_check = abs(np.angle(drift)) / nq
+                    got_check = scaling_phase_check(params, n, m, tau, j_col)
+                    assert abs(got_check - want_check) <= 1e-13
+
+
+def ref_coherent_amplitudes(params, alpha, D):
+    """Coherent-state amplitudes from the cumulative product of the weights
+    from k = 0, normalized with the geometric tail bound."""
+    a2 = abs(alpha) ** 2
+    lv = np.array([ref_level(params, k) for k in range(D + 1)])
+    probs = np.cumprod(np.concatenate(([1.0], a2 / lv[1:D])))
+    r = a2 / lv[D]
+    probs /= probs.sum() + probs[-1] * r / (1.0 - r)
+    phase = math.atan2(alpha.imag, alpha.real) if alpha != 0 else 0.0
+    return np.sqrt(probs) * np.exp(1j * phase * np.arange(D))
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.3 + 0.4j, 0.8, -1.5j, 3.0])
+@pytest.mark.parametrize("params", MODELS, ids=_model_id)
+def test_coherent_state_matches_cumulative_product(params, alpha):
+    if isinstance(params, QOsc) and params.q < 1 and abs(alpha) ** 2 >= 2.0:
+        with pytest.raises(ConvergenceError):
+            coherent_state(params, alpha)
+        return
+    st = coherent_state(params, alpha)
+    want = ref_coherent_amplitudes(params, complex(alpha), st.dim)
+    np.testing.assert_allclose(st.amplitudes, want, rtol=1e-12, atol=0)
