@@ -8,7 +8,6 @@ column; the dense engine in fock is the oracle they are verified against.
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -138,22 +137,24 @@ def power_law_multicommutator(
 
 
 def scaling_phase_check(
-    params: QOsc, n: int, m: int, tau: float, j_col: int
+    params: QOsc, n: int, m: int, tau: float | np.ndarray, j_col: int
 ) -> float:
     """Element-wise reading of the dynamical scaling law.
 
     The band entry (j+n, j) of the evolved operator gains phase
     [n]_q * tau * q^j; after dividing by [n]_q the result is independent of
-    (n, m).  Returns the circular distance (in the normalized phase) between
-    the measured and predicted values.
+    (n, m).  Returns the worst circular distance (in the normalized phase)
+    between the measured and predicted values over tau, a scalar or an
+    array.
     """
     if not isinstance(params, QOsc):
         raise DomainError("scaling check is specific to the q model")
-    ratio = band_phase_trace(params, LambdaIndex(n, m), j_col, [tau]).values[0]
+    taus = np.atleast_1d(np.asarray(tau, dtype=float))
+    ratio = band_phase_trace(params, LambdaIndex(n, m), j_col, taus).values
     nq = q_number(n, params.q)
-    predicted = nq * tau * params.q**j_col
-    delta = cmath.phase(ratio * cmath.exp(-1j * predicted))
-    return abs(delta) / nq
+    predicted = nq * taus * params.q**j_col
+    delta = np.angle(ratio * np.exp(-1j * predicted))
+    return float(np.abs(delta).max(initial=0.0)) / nq
 
 
 def normal_order_expansion(n: int, M: int, q: float) -> list[tuple[int, float]]:

@@ -113,6 +113,13 @@ class TestScaling:
         assert max(vals) < 1e-9
         assert max(vals) - min(vals) < 1e-12
 
+    def test_tau_array_gives_worst_point(self):
+        params = QOsc(q=2.0)
+        taus = np.linspace(0.0, 10.0, 21)
+        worst = max(scaling_phase_check(params, 2, 1, float(t), 3) for t in taus)
+        assert scaling_phase_check(params, 2, 1, taus, 3) == worst
+        assert scaling_phase_check(params, 2, 1, np.array([]), 3) == 0.0
+
     def test_vanishing_band_entry_rejected(self):
         with pytest.raises(DomainError):
             scaling_phase_check(QOsc(q=1.3), 1, 1, 0.5, 0)

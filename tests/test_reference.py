@@ -9,9 +9,11 @@ every term. The closed forms of the algebra were dense matrix expressions:
 a sum of j + 1 dense Lambdas, a matrix power of the dense [a, a†], and a
 dense Heisenberg evolution per scaling point; the coherent state was a
 cumulative product of its weights from k = 0, checked against the dense
-ladder. The vectorised builders, the single recursion, the streaming
-phase-sum evaluators, the tabulated q_stirling2, the band forms and the
-mode-centred coherent state that replaced them must reproduce these forms.
+ladder. The dynamics oracle evolved the operator in the Heisenberg picture
+once per time point. The vectorised builders, the single recursion, the
+streaming phase-sum evaluators, the tabulated q_stirling2, the band forms,
+the mode-centred coherent state and the batched Schrodinger-picture oracle
+that replaced them must reproduce these forms.
 """
 
 import math
@@ -36,6 +38,7 @@ from qdosc import (
     evolve_anharmonic_expectation,
     evolve_q_expectation,
     expansion_matrix,
+    expectation,
     heisenberg_evolve,
     log_q_factorial,
     multicommutator_expansion,
@@ -47,7 +50,7 @@ from qdosc import (
 )
 from qdosc.dynamics import _PHASE_BLOCK, band_phase_trace
 from qdosc.qcore import _ratio_weights
-from qdosc.verify import interior_rel_error
+from qdosc.verify import interior_rel_error, oracle_expectation_series
 
 MODELS = [QOsc(q=0.5), QOsc(q=1.0), QOsc(q=1.2), QOsc(q=2.0), Anharmonic(10.0, 1.0)]
 
@@ -430,3 +433,43 @@ def test_coherent_state_matches_cumulative_product(params, alpha):
     st = coherent_state(params, alpha)
     want = ref_coherent_amplitudes(params, complex(alpha), st.dim)
     np.testing.assert_allclose(st.amplitudes, want, rtol=1e-12, atol=0)
+
+
+def ref_oracle_series(params, alpha, n, m, times, D):
+    """The dynamics oracle as one Heisenberg-evolved operator per time point."""
+    state = coherent_state(params, alpha, D)
+    H = build_hamiltonian(params, D)
+    lam = build_lambda(params, LambdaIndex(n, m), D)
+    scale = params.omega if isinstance(params, QOsc) else 1.0
+    return np.array(
+        [expectation(state, heisenberg_evolve(lam, H, t / scale)) for t in times],
+        dtype=complex,
+    )
+
+
+ORACLE_GRIDS = {
+    "T=0": np.array([]),
+    "T=1": np.array([0.7]),
+    "T=101": np.linspace(0.0, 10.0, 101),
+    "nonuniform": np.sort(np.random.default_rng(11).uniform(0.0, 10.0, 13)),
+}
+
+
+@pytest.mark.parametrize("grid", list(ORACLE_GRIDS.values()), ids=list(ORACLE_GRIDS))
+@pytest.mark.parametrize("D", [64, 512])
+@pytest.mark.parametrize(
+    "params", [QOsc(q=0.5), QOsc(q=1.2), Anharmonic(10.0, 1.0)], ids=_model_id
+)
+def test_batched_oracle_matches_heisenberg_loop(params, D, grid):
+    alpha = 0.8 * complex(math.cos(0.7), math.sin(0.7))
+    # the reference costs about 5 ms per time point at D = 512, so there the
+    # 101-point grid runs on three (n, m) pairs and the other grids on all
+    pairs = NM if D == 64 or grid.size < 101 else [(1, 0), (2, 1), (3, 3)]
+    for n, m in pairs:
+        got = oracle_expectation_series(params, alpha, LambdaIndex(n, m), grid, D)
+        assert got.shape == grid.shape and got.dtype == complex
+        if not grid.size:
+            continue
+        want = ref_oracle_series(params, alpha, n, m, grid, D)
+        err = np.abs(got - want).max() / np.abs(want).max()
+        assert err <= 1e-14, (n, m, err)

@@ -1,9 +1,12 @@
 import math
+import tracemalloc
 
+import numpy as np
 import pytest
 
 import qdosc.verify as verify
-from qdosc.verify import CheckResult, run_suite
+from qdosc import DomainError, FockOperator, LambdaIndex, QOsc
+from qdosc.verify import CheckResult, oracle_expectation_series, run_suite
 
 
 class TestCheckResult:
@@ -42,3 +45,30 @@ class TestRunSuite:
     def test_unknown_suite(self):
         with pytest.raises(KeyError):
             run_suite("bogus")
+
+
+class TestDynamicsOracle:
+    def test_memory_is_a_few_state_grids(self):
+        # Psi and L @ Psi are D x T each; building Psi from out-of-place
+        # temporaries would add up to three more
+        D, T = 512, 2001
+        times = np.linspace(0.0, 10.0, T)
+        args = (QOsc(q=1.2), 0.8, LambdaIndex(2, 1))
+        oracle_expectation_series(*args, times[:3], D)
+        tracemalloc.start()
+        try:
+            oracle_expectation_series(*args, times, D)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 16 * D * T
+
+    def test_non_diagonal_hamiltonian_rejected(self, monkeypatch):
+        def skewed(params, D):
+            mat = np.diag(np.arange(D, dtype=complex))
+            mat[0, 1] = 1.0
+            return FockOperator(D, mat)
+
+        monkeypatch.setattr(verify, "build_hamiltonian", skewed)
+        with pytest.raises(DomainError):
+            oracle_expectation_series(QOsc(q=1.2), 0.8, LambdaIndex(1, 0), [0.5], 32)
