@@ -4,6 +4,11 @@ Everything here is the literal, brute-force side of the library: dense
 operators, explicit commutators and phase evolution. It serves as the
 oracle against which the closed-form algebra and dynamics are verified.
 
+A commutator whose first operand is exactly diagonal, as both Hamiltonians
+are, is formed element-wise in O(D^2) and is exact: for a real diagonal it
+has the bits of the two O(D^3) matmuls, which every other operand still
+takes. A commutator beyond double precision raises DomainError.
+
 Every operator built here is a single band, computed from one level
 vector and stored densely. Entries beyond double precision raise
 DomainError rather than turning into inf. The closed forms in algebra
@@ -126,12 +131,40 @@ def build_lambda(params: ModelParams, idx: LambdaIndex, D: int) -> FockOperator:
     return _band_operator(D, _lambda_band(params, idx, D), -n, margin=n)
 
 
+def _is_exactly_diagonal(M: np.ndarray) -> bool:
+    """True when every off-diagonal entry of the square matrix M is exactly 0.
+
+    In row-major order the D(D-1) off-diagonal entries are the runs of D
+    between consecutive diagonal entries, so M.flat[1:] viewed as
+    (D-1) x (D+1) holds one run per row and a diagonal entry in its last
+    column. O(D^2), and a view of a contiguous M.
+    """
+    D = M.shape[0]
+    return not M.ravel()[1:].reshape(D - 1, D + 1)[:, :D].any()
+
+
 def commutator(A: FockOperator, B: FockOperator) -> FockOperator:
+    """[A, B] = AB - BA, with margin A.margin + B.margin.
+
+    When A is exactly diagonal, each entry of A @ B is the one rounded
+    product d_r B_rc plus exact zeros, so the element-wise
+    d_r B_rc - B_rc d_c gives, for real d, the same bits in O(D^2). The test
+    is exact, not is_diagonal's tolerance: a tiny off-diagonal entry still
+    contributes to the dense products. Any other A takes those two matmuls.
+    A result beyond double precision raises DomainError instead of holding
+    inf or NaN.
+    """
     if A.dim != B.dim:
         raise DimensionError(f"dimension mismatch: {A.dim} vs {B.dim}")
-    return FockOperator(
-        A.dim, A.matrix @ B.matrix - B.matrix @ A.matrix, A.margin + B.margin
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        if _is_exactly_diagonal(A.matrix):
+            d = np.diag(A.matrix)
+            out = d[:, None] * B.matrix - B.matrix * d[None, :]
+        else:
+            out = A.matrix @ B.matrix - B.matrix @ A.matrix
+    if not np.isfinite(out).all():
+        raise DomainError(f"commutator entries overflow double precision at D={A.dim}")
+    return FockOperator(A.dim, out, A.margin + B.margin)
 
 
 def multicommutator_matrix(H: FockOperator, O: FockOperator, j: int) -> FockOperator:

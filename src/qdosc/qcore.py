@@ -9,6 +9,7 @@ deformations even at large order.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -142,7 +143,17 @@ def q_stirling2(s: int, m: int, q: float) -> float:
     with fsum; term magnitudes are formed by direct products when every
     factor fits in double precision and in log space otherwise.  A term or
     sum beyond double precision raises DomainError.
+
+    The coefficient depends on (s, m, q) alone, so each one is computed once
+    and remembered.
     """
+    # a plain function over the cache, so that benchmarks/tracer.py, which
+    # wraps functions only, still sees and times every call
+    return _q_stirling2(s, m, q)
+
+
+@functools.lru_cache(maxsize=4096, typed=True)
+def _q_stirling2(s: int, m: int, q: float) -> float:
     _require_positive_q(q)
     if s < 0 or m < 0:
         raise DomainError("indices must be nonnegative")

@@ -10,12 +10,16 @@ a sum of j + 1 dense Lambdas, a matrix power of the dense [a, a†], and a
 dense Heisenberg evolution per scaling point; the coherent state was a
 cumulative product of its weights from k = 0, checked against the dense
 ladder. The dynamics oracle evolved the operator in the Heisenberg picture
-once per time point. The vectorised builders, the single recursion, the
-streaming phase-sum evaluators, the tabulated q_stirling2, the band forms,
-the mode-centred coherent state and the batched Schrodinger-picture oracle
-that replaced them must reproduce these forms.
+once per time point. Every commutator was two dense matmuls, and the
+evolve command formatted its file one row and one scalar at a time. The
+vectorised builders, the single recursion, the streaming phase-sum
+evaluators, the tabulated q_stirling2, the band forms, the mode-centred
+coherent state, the batched Schrodinger-picture oracle, the element-wise
+commutator with a diagonal operand and the column-wise trace writer that
+replaced them must reproduce these forms.
 """
 
+import json
 import math
 
 import numpy as np
@@ -26,6 +30,7 @@ from qdosc import (
     ConvergenceError,
     DimensionError,
     DomainError,
+    FockOperator,
     LambdaIndex,
     QOsc,
     build_hamiltonian,
@@ -35,6 +40,7 @@ from qdosc import (
     coherent_state,
     commutator,
     energy,
+    evolve_anharmonic_closed,
     evolve_anharmonic_expectation,
     evolve_q_expectation,
     expansion_matrix,
@@ -42,12 +48,14 @@ from qdosc import (
     heisenberg_evolve,
     log_q_factorial,
     multicommutator_expansion,
+    multicommutator_matrix,
     power_law_multicommutator,
     q_factorial,
     q_number,
     q_stirling2,
     scaling_phase_check,
 )
+from qdosc import cli
 from qdosc.dynamics import _PHASE_BLOCK, band_phase_trace
 from qdosc.qcore import _ratio_weights
 from qdosc.verify import interior_rel_error, oracle_expectation_series
@@ -473,3 +481,142 @@ def test_batched_oracle_matches_heisenberg_loop(params, D, grid):
         want = ref_oracle_series(params, alpha, n, m, grid, D)
         err = np.abs(got - want).max() / np.abs(want).max()
         assert err <= 1e-14, (n, m, err)
+
+
+def ref_commutator(A, B):
+    with np.errstate(over="ignore", invalid="ignore"):
+        return A @ B - B @ A
+
+
+# every (n, m) <= 3 at D = 64; at D = 512 one pair, since each reference
+# commutator there is two 46-ms matmuls
+COMMUTATOR_PAIRS = {2: [(0, 0), (1, 0), (1, 3)], 64: NM, 512: [(2, 1)]}
+
+
+@pytest.mark.parametrize("D", [2, 64, 512])
+@pytest.mark.parametrize("params", MODELS, ids=_model_id)
+def test_diagonal_commutator_matches_dense_products(params, D):
+    H = build_hamiltonian(params, D)
+    for n, m in COMMUTATOR_PAIRS[D]:
+        try:
+            lam = build_lambda(params, LambdaIndex(n, m), D)
+        except DomainError:
+            continue  # q = 2 at D = 512: the operator itself overflows
+        for X in (lam, lam.dagger()):
+            for j in range(1, 7):
+                want = ref_commutator(H.matrix, X.matrix)
+                if not np.isfinite(want).all():
+                    with pytest.raises(DomainError):
+                        commutator(H, X)
+                    break
+                X = commutator(H, X)
+                assert np.array_equal(X.matrix, want), (n, m, j)
+                assert X.margin == lam.margin  # H has margin 0
+
+
+def test_nearly_diagonal_operand_takes_the_dense_products():
+    params = QOsc(q=1.2)
+    D = 64
+    H = build_hamiltonian(params, D).matrix.copy()
+    H[3, 17] = 1e-300
+    A = FockOperator(D, H)
+    lam = build_lambda(params, LambdaIndex(2, 1), D)
+    assert np.array_equal(commutator(A, lam).matrix, ref_commutator(H, lam.matrix))
+    # the element-wise form drops the 1e-300 entry's products
+    d = np.diag(H)
+    elementwise = d[:, None] * lam.matrix - lam.matrix * d[None, :]
+    assert not np.array_equal(commutator(A, lam).matrix, elementwise)
+
+
+@pytest.mark.parametrize("params", MODELS, ids=_model_id)
+def test_ladder_commutator_unchanged(params):
+    a, adag = build_ladder(params, 64)
+    got = commutator(a, adag)
+    assert np.array_equal(got.matrix, ref_commutator(a.matrix, adag.matrix))
+    assert got.margin == 2
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_overflowing_commutator_raises_domain_error():
+    params = QOsc(q=2.0)
+    H = build_hamiltonian(params, 96)
+    lam = build_lambda(params, LambdaIndex(1, 1), 96)
+    with pytest.raises(DomainError):
+        multicommutator_matrix(H, lam, 10)
+    # the dense-product path refuses an overflowing product the same way
+    big = FockOperator(4, np.full((4, 4), 1e200, dtype=complex))
+    with pytest.raises(DomainError):
+        commutator(big, FockOperator(4, np.triu(big.matrix)))
+
+
+def ref_trace_rows(time_col, times, values):
+    """The evolve command's per-row formatter: one scalar at a time."""
+    fmt = lambda x: repr(float(x))  # noqa: E731
+    rows = [f"{time_col},re,im,abs,arg"]
+    for t, v in zip(times, values):
+        cells = [t, v.real, v.imag, abs(v), np.angle(v)]
+        rows.append(",".join(fmt(x) for x in cells))
+    return "\n".join(rows) + "\n"
+
+
+def ref_trace_json(time_col, times, values):
+    payload = [
+        {
+            time_col: float(t),
+            "re": v.real,
+            "im": v.imag,
+            "abs": abs(v),
+            "arg": float(np.angle(v)),
+        }
+        for t, v in zip(times, values)
+    ]
+    return json.dumps(payload, indent=2) + "\n"
+
+
+REF_TRACE = {"csv": ref_trace_rows, "json": ref_trace_json}
+
+
+def _hard_trace():
+    """Values where np.abs differs from the scalar abs in many entries, plus
+    signed zeros in both parts, over more rows than one CSV block."""
+    rng = np.random.default_rng(5)
+    size = cli._CSV_BLOCK + 1000
+    values = rng.normal(size=size) + 1j * rng.normal(size=size)
+    values[:4] = [complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0), 0j]
+    times = np.concatenate(([-0.0], np.cumsum(rng.uniform(0.1, 1.0, size - 1))))
+    return times, values
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_trace_writer_matches_per_row_formatter(tmp_path, fmt):
+    times, values = _hard_trace()
+    assert (np.abs(values) != np.array([abs(v) for v in values])).any()
+    out = tmp_path / f"trace.{fmt}"
+    cli._write_trace(str(out), fmt, "t", times, values)
+    assert out.read_text() == REF_TRACE[fmt]("t", times, values)
+
+
+# (flags, the dynamics function the command calls, time column)
+EVOLVE_RUNS = {
+    "qosc-series": (["--model", "qosc", "--q", "1.3"], evolve_q_expectation, "tau"),
+    "anharmonic-closed": (["--model", "anharmonic"], evolve_anharmonic_closed, "t"),
+    "anharmonic-series": (["--model", "anharmonic"], evolve_anharmonic_expectation, "t"),
+}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("run", list(EVOLVE_RUNS), ids=list(EVOLVE_RUNS))
+def test_evolve_file_matches_per_row_formatter(tmp_path, run, fmt):
+    flags, evolve, time_col = EVOLVE_RUNS[run]
+    out = tmp_path / f"trace.{fmt}"
+    method = run.split("-")[1]
+    args = ["evolve", *flags, "--method", method, "--alpha-re", "1.1",
+            "--alpha-im", "-0.6", "--n", "2", "--m", "1", "--steps", "3001",
+            "--format", fmt, "--out", str(out)]  # fmt: skip
+    assert cli.main(args) == 0
+    cfg = cli.DEFAULTS["evolve"]
+    anharmonic = Anharmonic(cfg["omega1"], cfg["omega2"])
+    params = QOsc(q=1.3) if run.startswith("qosc") else anharmonic
+    grid = np.linspace(0.0, cfg["tau_max"], 3001)
+    ts = evolve(params, complex(1.1, -0.6), LambdaIndex(2, 1), grid)
+    assert out.read_text() == REF_TRACE[fmt](time_col, ts.times, ts.values)
