@@ -14,14 +14,7 @@ import numpy as np
 
 from .errors import DomainError, PhaseUnwrapError
 from .params import Anharmonic, LambdaIndex, ModelParams, QOsc, validate_index
-from .qcore import (
-    _check_radius,
-    _ratio_weights,
-    q_exponential,
-    q_number,
-    q_stirling2,
-    stirling2,
-)
+from .qcore import _weight_window, q_exponential, q_number, q_stirling2, stirling2
 
 # phases per row block of _phase_sum: a few 0.5 MB real work arrays,
 # whatever the grid length
@@ -88,14 +81,13 @@ def evolve_q_expectation(
     if tol <= 0:
         raise DomainError("tol must be positive")
     q = params.q
-    a2 = abs(alpha) ** 2
-    _check_radius(a2, q)
     taus = np.asarray(tau_grid, dtype=float)
+    # the window refuses an amplitude outside the radius, also for n = m = 0
+    _, lev, w, tail, _ = _weight_window(abs(alpha) ** 2, q, m, tol)
     if n == 0 and m == 0:
         return TimeSeries(
             taus, np.ones_like(taus, dtype=complex), params, LambdaIndex(0, 0), alpha, 0.0
         )
-    w, lev, tail, _ = _ratio_weights(lambda k: q_number(k, q), a2, m, tol)
     nq = q_number(n, q)
     sums = _phase_sum(nq * (q - 1.0), taus, lev, lev**m * w)
     values = np.conj(alpha) ** n * np.exp(1j * nq * taus) * sums
@@ -129,10 +121,12 @@ def evolve_anharmonic_expectation(
         return TimeSeries(
             ts, np.ones_like(ts, dtype=complex), params, LambdaIndex(0, 0), alpha, 0.0
         )
-    w, lev, tail, _ = _ratio_weights(float, a2, m, tol)
+    k0, lev, w, tail, _ = _weight_window(a2, 1.0, m, tol)
     c1 = n * params.omega1 + n * n * params.omega2
     c2 = 2.0 * n * params.omega2
-    sums = _horner(np.exp(1j * c2 * ts), lev**m * w)
+    # the z of evolve_anharmonic_closed, so both round their phases alike
+    z = np.exp(1j * c2 * ts)
+    sums = z**k0 * _horner(z, lev**m * w)
     values = np.conj(alpha) ** n * np.exp(1j * c1 * ts) * sums
     return TimeSeries(ts, values, params, LambdaIndex(n, m), alpha, tail)
 
@@ -173,11 +167,11 @@ def relation_identity_residual(x: float, q: float, m: int) -> float:
     """
     if m < 0:
         raise DomainError(f"m must be nonnegative, got {m}")
-    _check_radius(x, q)
-    w, lev, _, total = _ratio_weights(lambda k: q_number(k, q), x, m, 1e-16)
-    if not math.isfinite(total):
-        raise DomainError(f"exp_q({x}) overflows double precision at q={q}")
-    lhs = float(np.dot(lev**m, w)) * total
+    _, lev, w, _, log_total = _weight_window(x, q, m, 1e-16)
+    with np.errstate(over="ignore"):
+        lhs = float(np.dot(lev**m, w) * np.exp(log_total))
+    if not math.isfinite(lhs):
+        raise DomainError(f"the moment sum at x={x} overflows double precision at q={q}")
     rhs = math.fsum(q_stirling2(r, m, q) * x**r for r in range(m + 1)) * q_exponential(
         x, q
     )

@@ -24,14 +24,13 @@ are asserted on interior columns only.
 from __future__ import annotations
 
 import cmath
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionError, DomainError, TruncationError
 from .params import LambdaIndex, ModelParams, QOsc, energy, level_value, validate_index
-from .qcore import _check_radius, _ratio_weights
+from .qcore import _weight_window
 
 
 @dataclass(frozen=True)
@@ -191,13 +190,16 @@ def heisenberg_evolve(O: FockOperator, H: FockOperator, t: float) -> FockOperato
     return FockOperator(O.dim, O.matrix * np.outer(phases, phases.conj()), O.margin)
 
 
+def _level_q(params: ModelParams) -> float:
+    """The q whose q-numbers are the model's levels (1: the integers)."""
+    return params.q if isinstance(params, QOsc) else 1.0
+
+
 def coherent_dim(params: ModelParams, alpha: complex, tol: float = 1e-14) -> int:
     """Smallest dimension at which a coherent state of amplitude alpha has
     occupation tail mass below tol."""
-    w, _, _, _ = _ratio_weights(
-        lambda k: level_value(params, k), abs(alpha) ** 2, 0, tol
-    )
-    return len(w) + 1
+    k0, _, w, _, _ = _weight_window(abs(alpha) ** 2, _level_q(params), 0, tol)
+    return k0 + len(w) + 1
 
 
 def coherent_state(
@@ -213,34 +215,17 @@ def coherent_state(
     The eigenvalue relation a|alpha> = alpha|alpha> is verified on the
     first D-1 components before returning.
     """
-    a2 = abs(alpha) ** 2
-    if isinstance(params, QOsc):
-        _check_radius(a2, params.q)
     if D is None:
         D = coherent_dim(params, alpha, tol)
     _check_dim(D)
-    lv = level_value(params, np.arange(D + 1))
-    # weights relative to the mode (the last k with a2 >= [k]) as products of
-    # ratios <= 1 outward from it: no overflow, although w_0 / w_mode ~ e^{-a2}
-    ratio = a2 / lv[1:D]
-    mode = int(np.count_nonzero(ratio >= 1.0))
-    probs = np.ones(D)
-    probs[mode + 1 :] = np.cumprod(ratio[mode:])
-    probs[:mode] = np.cumprod(lv[mode:0:-1] / a2)[::-1]
-    total = probs.sum()
-    # geometric bound on the occupation mass beyond the cutoff
-    r = a2 / lv[D]
-    tail = probs[-1] * r / (1.0 - r) if r < 1.0 else math.inf
-    if not tail < tol * total:
-        raise TruncationError(
-            f"tail bound {tail / total:.3e} exceeds tol {tol} at dim {D}"
-        )
-    probs /= total + tail
+    _, lv, probs, tail, _ = _weight_window(abs(alpha) ** 2, _level_q(params), 0, tol, D)
+    if not tail < tol:
+        raise TruncationError(f"tail bound {tail:.3e} exceeds tol {tol} at dim {D}")
     phase = cmath.phase(alpha) if alpha != 0 else 0.0
     amps = np.sqrt(probs) * np.exp(1j * phase * np.arange(D))
-    state = FockState(D, amps, tail_bound=tail / (total + tail))
+    state = FockState(D, amps, tail_bound=tail)
     # a|alpha> = alpha|alpha> on the ladder band: sqrt([k+1]) c_{k+1} = alpha c_k
-    resid = np.abs(np.sqrt(lv[1:D]) * amps[1:] - alpha * amps[:-1]).max()
+    resid = np.abs(np.sqrt(lv[1:]) * amps[1:] - alpha * amps[:-1]).max()
     if resid > 1e-10 * max(1.0, abs(alpha)):
         raise TruncationError(f"eigenvalue relation violated: residual {resid:.3e}")
     return state

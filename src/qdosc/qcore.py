@@ -1,10 +1,10 @@
 """q-arithmetic and combinatorics: q-numbers, q-factorials, the q-exponential,
 (q-)Stirling numbers of the second kind, binomial weights and the
-term-ratio recursion behind the (q-)Poisson weights used by the dynamics.
+mode-centred window of (q-)Poisson weights used by every coherent state.
 
 All factorial-like magnitudes are kept in log space and probability weights
-are built by term-ratio recursions, so nothing here overflows for moderate
-deformations even at large order.
+are products of term ratios below 1 outward from their mode, so nothing here
+overflows for moderate deformations even at large order.
 """
 
 from __future__ import annotations
@@ -21,10 +21,8 @@ from .errors import ConvergenceError, DomainError
 # switch-over width for the q -> 1 limit of (q^n - 1)/(q - 1)
 _Q_ONE_WINDOW = 1e-8
 
-_MAX_TERMS = 100_000
-
-# term size at which _ratio_weights renormalizes its running terms
-_RESCALE_AT = 1e280
+# longest level vector of _weight_window: 16 MB, |alpha| up to ~1400 at q = 1
+_MAX_LEVELS = 1 << 21
 
 
 def _require_positive_q(q: float) -> None:
@@ -99,23 +97,15 @@ def q_factorial(n: int, q: float) -> float:
 
 
 def q_exponential(x: float, q: float, tol: float = 1e-14) -> float:
-    """q-deformed exponential sum_k x^k/[k]_q! via term-ratio recursion.
-
-    For q < 1 the series has radius of convergence 1/(1-q).
-    """
-    _check_radius(x, q)
-    total = 1.0
-    term = 1.0
-    k = 0
-    while True:
-        k += 1
-        term *= x / q_number(k, q)
-        total += term
-        ratio = abs(x) / q_number(k + 1, q)
-        if ratio < 1.0 and abs(term) * ratio / (1.0 - ratio) < tol * abs(total):
-            return total
-        if k > _MAX_TERMS:
-            raise ConvergenceError("q_exponential failed to converge")
+    """q-deformed exponential sum_k x^k/[k]_q! for x >= 0, over the window
+    of _weight_window. For q < 1 the series has radius of convergence
+    1/(1-q). Negative x, where the alternating sum cancels, and a sum beyond
+    double precision raise DomainError."""
+    log_total = _weight_window(x, q, 0, tol)[4]
+    try:
+        return math.exp(log_total)
+    except OverflowError:
+        raise DomainError(f"exp_q({x}) overflows double precision at q={q}") from None
 
 
 def stirling2(r: int, m: int) -> float:
@@ -224,46 +214,76 @@ def binomial_weights(j: int, p: float) -> WeightDistribution:
     return WeightDistribution(weights=w)
 
 
-def _ratio_weights(level, x: float, m: int, tol: float):
-    """Terms w_0 = 1, w_k = w_{k-1} x / level(k) of the exponential series
-    (level(k) = k) or its deformed form (level(k) = [k]_q), truncated when
-    the certified tail of the level^m-weighted sum drops below tol relative
-    to the running sum of the w_k.
+def _weight_window(x: float, q: float, m: int = 0, tol: float = 1e-14, dim=None):
+    """Window [k0, k1] of the (q-)Poisson weights w_k ~ x^k/[k]_q!, x >= 0,
+    on the levels q_number(k, q) (q = 1: the integer levels of level_value).
 
-    level(k) must be nondecreasing with nonincreasing successive ratios,
-    which holds for both k and [k]_q. Returns (weights normalized by their
-    partial sum, levels level(0..K-1), relative tail, raw partial sum).
-    A term beyond _RESCALE_AT divides the kept terms and the sum by itself,
-    so large x still gives finite weights; the raw partial sum, restored
-    from the product of those divisors, is inf where it leaves double
-    precision.
+    The weights are products of term ratios <= 1 outward from the mode, the
+    last k with [k] <= x, so they stay finite at any amplitude. Each side
+    stops on a geometric bound of the [k]^m-weighted terms beyond it,
+    relative to the kept sum: above the mode on the ratio
+    (x/[k+1]) ([k+1]/[k])^m < 1, which does not grow with k; below it on
+    [k]/x < 1. The lower bound stays below 2^-54 tol, half an ulp of the
+    upper side's budget, so k1 is where the walk from k = 0 stopped.
+    dim fixes the window to [0, dim) and bounds the mass above it (m = 0).
+
+    Returns (k0, levels and weights on the window, the weights normalized,
+    the relative tail bound of both sides, ln of the raw window sum).
+    Raises DomainError for x < 0 and ConvergenceError outside the radius
+    or when the window does not close within _MAX_LEVELS levels.
     """
-    w = [1.0]
-    lev = [level(0)]
-    total = 1.0
-    scale = 1.0
-    tail = 0.0
-    while x > 0.0:
-        k = len(w)
-        lv = level(k)
-        nxt = w[-1] * x / lv
-        if nxt > _RESCALE_AT:
-            w = [v / nxt for v in w]
-            total /= nxt
-            scale *= nxt
-            nxt = 1.0
-        w.append(nxt)
-        lev.append(lv)
-        total += nxt
-        lv_next = level(k + 1)
-        rho = (x / lv_next) * (lv_next / lv) ** m
-        if rho < 1.0:
-            tail = nxt * max(lv, 1.0) ** m * rho / (1.0 - rho)
-            if tail < tol * total:
-                break
-        if k > _MAX_TERMS:
-            raise ConvergenceError("weight recursion failed to terminate")
-    w_arr = np.array(w) / total
-    # park the last-ulp normalization defect on the largest weight
-    w_arr[int(np.argmax(w_arr))] += 1.0 - math.fsum(w_arr)
-    return w_arr, np.array(lev), tail / total, total * scale
+    if not x >= 0.0:
+        raise DomainError(f"x must be nonnegative, got x={x}")
+    _check_radius(x, q)
+    if dim is None and x == 0.0:
+        return 0, np.zeros(1), np.ones(1), 0.0, 0.0
+    # the mode solves [k]_q = x; the spread is about sqrt(x) terms at q = 1,
+    # and for q > 1 the weights fall like q^(-j^2/2) j terms past the mode
+    mode = x if q == 1.0 else math.log1p(x * (q - 1.0)) / math.log(q)
+    size = mode + 10.0 * math.sqrt(mode) + 48.0 if dim is None else dim + 1
+    if q > 1.0 and dim is None:
+        size = min(size, mode + math.sqrt(200.0 / math.log(q)) + 4.0)
+    low_tol = 2.0**-54 * tol
+    while size <= _MAX_LEVELS:
+        size = int(size)
+        lv = q_number(np.arange(size), q)
+        ratio = x / lv[1:]  # ratio[k-1] = w_k / w_{k-1}, falling with k
+        mode = int(np.count_nonzero(ratio >= 1.0))
+        n = size - 1  # weights on [0, n); lv[n] bounds the mass above n - 1
+        if mode == n and dim is None:
+            size *= 2
+            continue
+        p = np.ones(n)
+        p[mode + 1 :] = np.cumprod(ratio[mode:-1])
+        p[:mode] = np.cumprod(lv[mode:0:-1] / x)[::-1]
+        # each bound b r/(1 - r) < c is tested as b r < c (1 - r), which
+        # needs no division and fails for r >= 1
+        k0, low = 0, 0.0
+        # the bound at k = 1, p_1/(x - 1) > p_0, must be below low_tol * mode
+        if dim is None and p[0] < low_tol * mode:
+            lo = lv[1 : mode + 1]
+            kept = np.cumsum(p[mode:0:-1])[::-1]
+            below = p[1 : mode + 1] * lo**m * lo
+            k0 = int(np.argmin(below < low_tol * kept * (x - lo)))
+            if k0:
+                low = float(below[k0 - 1] / (x - lo[k0 - 1]))
+        start = n - 1 if dim is not None else max(mode, 1)
+        rho = ratio[start:] * (lv[start + 1 :] / lv[start:-1]) ** m
+        above = p[start:] * lv[start:-1] ** m * rho
+        total = np.cumsum(p[k0:])[start - k0 :]
+        closes = above < (tol * total - low) * (1.0 - rho)
+        i = int(np.argmax(closes))
+        if dim is not None or closes[i]:
+            break
+        size *= 2
+    else:
+        raise ConvergenceError(f"weight window does not close within {_MAX_LEVELS} levels")
+    k1 = start + i
+    # a correctly rounded sum leaves only the divisions' last-ulp defect to
+    # park on the largest weight
+    s = math.fsum(p[k0 : k1 + 1])
+    w = p[k0 : k1 + 1] / s
+    w[int(np.argmax(w))] += 1.0 - math.fsum(w)
+    up = above[i] / (1.0 - rho[i]) if rho[i] < 1.0 else math.inf
+    log_total = math.fsum(np.log(ratio[:mode]).tolist()) + math.log(s)
+    return k0, lv[k0 : k1 + 1], w, (low + up) / s, log_total

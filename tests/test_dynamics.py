@@ -146,19 +146,23 @@ def test_series_memory_is_linear_in_grid(evolve, params):
 
 
 class TestLargeAmplitude:
-    """|alpha| = 30: the Poisson weights peak near 900^900/900!, beyond
-    double precision, so the recursion renormalizes its terms."""
+    """|alpha| = 30, 300 and 1000: the Poisson weights peak near
+    |alpha|^(2k)/k! at k = |alpha|^2, far beyond double precision, so they
+    are taken relative to the mode over a window about 18 |alpha| wide.
+    Kerr collapse and revival at large amplitude: Yurke & Stoler, PRL 57,
+    13 (1986)."""
 
     T_GRID = np.linspace(0.0, 10.0, 20001)
 
     @pytest.mark.parametrize("m", [0, 2])
     def test_series_matches_closed_form(self, m):
         idx = LambdaIndex(1, m)
-        series = evolve_anharmonic_expectation(ANH, 30.0, idx, self.T_GRID).values
-        closed = evolve_anharmonic_closed(ANH, 30.0, idx, self.T_GRID).values
-        assert np.isfinite(series).all()
-        err = np.abs(series - closed).max() / np.abs(closed).max()
-        assert err <= 1e-10
+        for amp in (30.0, 300.0, 1000.0):
+            series = evolve_anharmonic_expectation(ANH, amp, idx, self.T_GRID).values
+            closed = evolve_anharmonic_closed(ANH, amp, idx, self.T_GRID).values
+            assert np.isfinite(series).all()
+            err = np.abs(series - closed).max() / np.abs(closed).max()
+            assert err <= 1e-10, (amp, err)
 
     def test_relation_residual_refuses_overflowing_sum(self):
         # exp(800) is beyond double precision; the weights are not
@@ -166,7 +170,7 @@ class TestLargeAmplitude:
             relation_identity_residual(800.0, 1.0, 1)
 
     def test_relation_residual_past_rescale(self):
-        # the largest term of exp(650) passes 1e280, the sum stays finite
+        # the largest term of exp(650) is near 1e280, the sum stays finite
         assert relation_identity_residual(650.0, 1.0, 2) < 1e-10
 
 

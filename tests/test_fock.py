@@ -14,6 +14,7 @@ from qdosc import (
     build_hamiltonian,
     build_ladder,
     build_lambda,
+    coherent_dim,
     coherent_state,
     commutator,
     expectation,
@@ -22,7 +23,7 @@ from qdosc import (
     multicommutator_matrix,
     q_number,
 )
-from qdosc.qcore import _ratio_weights
+from qdosc.qcore import _weight_window
 
 Q2 = QOsc(q=2.0)
 ANH = Anharmonic(omega1=10.0, omega2=1.0)
@@ -236,6 +237,12 @@ class TestCoherentState:
         with pytest.raises(ConvergenceError):
             coherent_state(QOsc(q=0.5), 1.5)
 
+    def test_dim_refuses_radius_at_once(self):
+        # |alpha|^2 = 2.25 is outside the radius 2; a walk over the terms
+        # would run to its term cap before giving up
+        with pytest.raises(ConvergenceError, match=r"\|x\|=2\.25 outside radius 2\.0"):
+            coherent_dim(QOsc(q=0.5), 1.5)
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("alpha", [27.0, 30.0])
     def test_large_amplitude(self, alpha):
@@ -243,12 +250,12 @@ class TestCoherentState:
         # e^{|alpha|^2}, beyond double precision
         tol = 1e-14
         st = coherent_state(ANH, alpha, tol=tol)
-        w, _, _, _ = _ratio_weights(float, alpha**2, 0, tol)
-        assert st.dim == len(w) + 1
+        k0, _, w, _, _ = _weight_window(alpha**2, 1.0, 0, tol)
+        assert st.dim == k0 + len(w) + 1
         probs = np.abs(st.amplitudes) ** 2
-        np.testing.assert_allclose(
-            probs[: len(w)], w, rtol=1e-12, atol=np.finfo(float).tiny
-        )
+        np.testing.assert_allclose(probs[k0 : k0 + len(w)], w, rtol=1e-12, atol=0)
+        # the state keeps the products below the series window as they are
+        assert k0 > 0 and probs[k0 - 1] > 0.0
         assert np.vdot(st.amplitudes, st.amplitudes).real == pytest.approx(1.0)
 
 

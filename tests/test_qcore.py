@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,7 +18,7 @@ from qdosc import (
     q_stirling2,
     stirling2,
 )
-from qdosc.qcore import _check_radius, _ratio_weights
+from qdosc.qcore import _check_radius, _weight_window
 
 
 def q_number_oracle(n, q):
@@ -140,6 +141,116 @@ class TestQExponential:
         with pytest.raises(DomainError):
             q_exponential(1.0, -0.5)
 
+    @pytest.mark.parametrize("q", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("x", [-1e-300, -1.0, -20.0, -40.0])
+    def test_negative_argument_is_domain_error(self, q, x):
+        # the alternating sum cancels: a term-by-term sum gives 6.1e-9 for
+        # exp(-20) = 2.1e-9 and 0.31 for exp(-40) = 4.2e-18
+        with pytest.raises(DomainError):
+            q_exponential(x, q)
+
+    def test_overflow_is_domain_error(self):
+        assert q_exponential(700.0, 1.0) == pytest.approx(math.exp(700.0), rel=1e-13)
+        with pytest.raises(DomainError):
+            q_exponential(720.0, 1.0)
+
+    @pytest.mark.parametrize(
+        "q,x",
+        [(0.5, 1.0), (0.5, 1.9), (1.0, 1.0), (1.0, 30.0), (1.0, 650.0),
+         (1.2, 2.0), (1.2, 900.0), (2.0, 3.0), (2.0, 1e4)],
+    )  # fmt: skip
+    def test_mpmath_oracle(self, q, x):
+        assert q_exponential(x, q) == pytest.approx(mp_q_exponential(x, q), rel=1e-13)
+
+
+def mp_level(k, q):
+    return mp.mpf(k) if q == 1.0 else (mp.mpf(q) ** k - 1) / (mp.mpf(q) - 1)
+
+
+def mp_q_exponential(x, q):
+    """sum_k x^k/[k]_q! at 40 digits, until the terms pass below 1e-45 of
+    the sum after the mode."""
+    with mp.workdps(40):
+        term, total, k = mp.mpf(1), mp.mpf(1), 0
+        while True:
+            k += 1
+            term *= mp.mpf(x) / mp_level(k, q)
+            total += term
+            if mp_level(k, q) > x and term < total * mp.mpf("1e-45"):
+                return float(total)
+
+
+def mp_window_weights(x, q, k0, size):
+    """x^k/[k]_q! for k in [k0, k0 + size) at 40 digits, normalized by their
+    sum over that window."""
+    with mp.workdps(40):
+        x = mp.mpf(x)
+        log_w = mp.fsum(mp.log(x / mp_level(k, q)) for k in range(1, k0 + 1))
+        logs = [log_w]
+        for k in range(k0 + 1, k0 + size):
+            logs.append(logs[-1] + mp.log(x / mp_level(k, q)))
+        top = max(logs)
+        w = [mp.exp(v - top) for v in logs]
+        total = mp.fsum(w)
+        return np.array([float(v / total) for v in w])
+
+
+WINDOW_MODELS = {"anharmonic": 1.0, "q=0.5": 0.5, "q=1.2": 1.2, "q=2": 2.0}
+
+
+@pytest.mark.parametrize("amp", [1.0, 3.0, 30.0, 100.0])
+@pytest.mark.parametrize("q", list(WINDOW_MODELS.values()), ids=list(WINDOW_MODELS))
+class TestWindowOracle:
+    """The kept window against 40-digit weights: the outward products sit
+    within 3.5e-15 of them, where the walk from k = 0 drifted to 8e-14 at
+    |alpha| = 30."""
+
+    @pytest.mark.parametrize("tol", [1e-12, 1e-16])
+    def test_weights(self, q, amp, tol):
+        a2 = amp * amp
+        if q < 1.0 and a2 >= 1.0 / (1.0 - q):
+            with pytest.raises(ConvergenceError, match="outside radius"):
+                _weight_window(a2, q, 0, tol)
+            return
+        k0, levels, w, tail, _ = _weight_window(a2, q, 0, tol)
+        want = mp_window_weights(a2, q, k0, len(w))
+        np.testing.assert_allclose(w, want, rtol=1e-14, atol=0)
+
+    def test_length_follows_the_spread(self, q, amp):
+        # the walk from k = 0 kept 1120 terms at |alpha| = 30 and 10713 at 100
+        a2 = amp * amp
+        if q < 1.0 and a2 >= 1.0 / (1.0 - q):
+            return
+        for m in (0, 2):
+            _, levels, w, _, _ = _weight_window(a2, q, m, 1e-12)
+            assert levels[0] <= a2 <= levels[-1]
+            assert len(w) <= 25.0 * amp + 50.0
+
+
+def test_window_at_amplitude_300_keeps_under_6000_terms():
+    # evolve's default m = 0 and tol = 1e-12; the walk from k = 0 kept 92120
+    assert len(_weight_window(300.0**2, 1.0, 0, 1e-12)[2]) < 6000
+
+
+@given(
+    q=st.one_of(st.just(1.0), st.floats(0.3, 3.0)),
+    a2=st.one_of(st.floats(0.0, 50.0), st.floats(0.0, 1e5)),
+    m=st.integers(0, 6),
+    tol=st.floats(1e-16, 1e-6),
+)
+@settings(max_examples=150, deadline=None)
+def test_window_is_finite_normalized_and_certified(q, a2, m, tol):
+    # q = 1 is the anharmonic model's integer spectrum, any other q a q-model
+    try:
+        k0, levels, w, tail, log_total = _weight_window(a2, q, m, tol)
+    except QdoscError:
+        return
+    assert np.isfinite(w).all() and np.all(w >= 0.0)
+    assert abs(math.fsum(w) - 1.0) <= 1e-14
+    assert 0.0 <= tail < tol
+    assert math.isfinite(log_total)
+    np.testing.assert_array_equal(levels, q_number(np.arange(k0, k0 + len(w)), q))
+
 
 def stirling_recurrence_table(rmax, mmax):
     # S(r, m) = r S(r, m-1) + S(r-1, m-1), S(0,0) = 1
@@ -227,23 +338,23 @@ class TestBinomialWeights:
 
 
 def poisson_weights(a2, tol=1e-12):
-    return _ratio_weights(float, a2, 0, tol)
+    return _weight_window(a2, 1.0, 0, tol)
 
 
 def q_poisson_weights(a2, q, tol=1e-12):
-    return _ratio_weights(lambda k: q_number(k, q), a2, 0, tol)
+    return _weight_window(a2, q, 0, tol)
 
 
 class TestPoissonFamilies:
-    """The (q-)Poisson weights |alpha|^(2k)/[k]_q! of the shared term-ratio
-    recursion, normalized by their partial sum."""
+    """The (q-)Poisson weights |alpha|^(2k)/[k]_q! of the shared weight
+    window, normalized by their sum over the window."""
 
     def test_vacuum(self):
-        np.testing.assert_allclose(q_poisson_weights(0.0, 1.3)[0], [1.0])
-        np.testing.assert_allclose(poisson_weights(0.0)[0], [1.0])
+        np.testing.assert_allclose(q_poisson_weights(0.0, 1.3)[2], [1.0])
+        np.testing.assert_allclose(poisson_weights(0.0)[2], [1.0])
 
     def test_classical_pmf(self):
-        w = poisson_weights(1.0)[0]
+        w = poisson_weights(1.0)[2]
         assert w[0] == pytest.approx(math.exp(-1.0), rel=1e-12)
         for k in range(len(w)):
             assert w[k] == pytest.approx(
@@ -251,14 +362,14 @@ class TestPoissonFamilies:
             )
 
     def test_q_one_limit_matches_classical(self):
-        wq = q_poisson_weights(0.64, 1.0)[0]
-        wc = poisson_weights(0.64)[0]
+        wq = q_poisson_weights(0.64, 1.0)[2]
+        wc = poisson_weights(0.64)[2]
         k = min(len(wq), len(wc))
         np.testing.assert_allclose(wq[:k], wc[:k], atol=1e-13)
 
     def test_term_by_term_log_domain_oracle(self):
         a2, q = 0.64, 1.2
-        w = q_poisson_weights(a2, q, tol=1e-16)[0]
+        w = q_poisson_weights(a2, q, tol=1e-16)[2]
         norm = q_exponential(a2, q)
         for k in range(len(w)):
             expected = math.exp(k * math.log(a2) - log_q_factorial(k, q)) / norm
@@ -266,28 +377,30 @@ class TestPoissonFamilies:
 
     def test_normalization_and_tail(self):
         for a2, q in [(0.64, 1.2), (1.9, 0.5), (4.0, 2.0)]:
-            w, levels, tail, _ = q_poisson_weights(a2, q)
+            k0, levels, w, tail, _ = q_poisson_weights(a2, q)
+            assert k0 == 0
             assert np.all(w >= 0.0)
             assert abs(w.sum() - 1.0) <= 1e-14
             assert tail < 1e-11
-            assert list(levels) == [q_number(k, q) for k in range(len(w))]
+            np.testing.assert_array_equal(levels, q_number(np.arange(len(w)), q))
 
     @pytest.mark.parametrize("a2", [650.0, 900.0])
     def test_large_amplitude_renormalizes(self, a2):
-        # the largest term a2^k/k! passes 1e280 (and at 900 double precision)
-        w, levels, tail, total = poisson_weights(a2)
+        # the largest term a2^k/k! is near 1e280 at 650 and beyond double
+        # precision at 900; the weights relative to the mode never are
+        k0, levels, w, tail, log_total = poisson_weights(a2)
+        assert k0 > 0
         assert np.isfinite(w).all() and np.all(w >= 0.0)
         assert abs(w.sum() - 1.0) <= 1e-14
         assert tail < 1e-12
-        ks = np.arange(len(w))
+        ks = np.arange(k0, k0 + len(w))
+        np.testing.assert_array_equal(levels, ks.astype(float))
         log_pmf = ks * math.log(a2) - a2 - np.array([math.lgamma(k + 1) for k in ks])
         big = log_pmf > -600.0
         # the log-domain oracle cancels terms near 6e3, so it carries ~1e-12
         np.testing.assert_allclose(w[big], np.exp(log_pmf[big]), rtol=1e-10)
-        if a2 < 700.0:
-            assert total == pytest.approx(math.exp(a2), rel=1e-12)
-        else:
-            assert total == math.inf
+        # the window drops a mass below tol = 1e-12 relative to its sum
+        assert a2 - 1e-12 <= log_total <= a2 + 1e-13
 
     def test_radius_violation(self):
         _check_radius(1.9, 0.5)

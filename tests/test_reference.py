@@ -3,7 +3,9 @@
 The Fock builders used to fill their band one matrix element at a time from
 a scalar q-number, and the weight recursion existed twice: a plain term-ratio
 version for the coherent-state dimension and a moment-aware version for the
-expectation series. The coherent-state phase sums were one dense T x K
+expectation series. Those two became one walk from k = 0 that renormalized
+its terms past 1e280, and the q-exponential summed its own series in a
+loop. The coherent-state phase sums were one dense T x K
 product exp(i t r_k) @ c, and q_stirling2 recomputed both q-factorials for
 every term. The closed forms of the algebra were dense matrix expressions:
 a sum of j + 1 dense Lambdas, a matrix power of the dense [a, a†], and a
@@ -12,7 +14,7 @@ cumulative product of its weights from k = 0, checked against the dense
 ladder. The dynamics oracle evolved the operator in the Heisenberg picture
 once per time point. Every commutator was two dense matmuls, and the
 evolve command formatted its file one row and one scalar at a time. The
-vectorised builders, the single recursion, the streaming phase-sum
+vectorised builders, the mode-centred weight window, the streaming phase-sum
 evaluators, the tabulated q_stirling2, the band forms, the mode-centred
 coherent state, the batched Schrodinger-picture oracle, the element-wise
 commutator with a diagonal operand and the column-wise trace writer that
@@ -50,6 +52,7 @@ from qdosc import (
     multicommutator_expansion,
     multicommutator_matrix,
     power_law_multicommutator,
+    q_exponential,
     q_factorial,
     q_number,
     q_stirling2,
@@ -57,7 +60,7 @@ from qdosc import (
 )
 from qdosc import cli
 from qdosc.dynamics import _PHASE_BLOCK, band_phase_trace
-from qdosc.qcore import _ratio_weights
+from qdosc.qcore import _check_radius, _weight_window
 from qdosc.verify import interior_rel_error, oracle_expectation_series
 
 MODELS = [QOsc(q=0.5), QOsc(q=1.0), QOsc(q=1.2), QOsc(q=2.0), Anharmonic(10.0, 1.0)]
@@ -109,29 +112,81 @@ def ref_lambda(params, n, m, D):
     return mat
 
 
-def ref_weighted_series(level, alpha_sq, m, tol):
+_MAX_TERMS = 100_000
+
+# term size at which ref_walk_weights renormalizes its running terms
+_RESCALE_AT = 1e280
+
+
+def ref_walk_weights(level, x: float, m: int, tol: float):
+    """Terms w_0 = 1, w_k = w_{k-1} x / level(k) of the exponential series
+    (level(k) = k) or its deformed form (level(k) = [k]_q), truncated when
+    the certified tail of the level^m-weighted sum drops below tol relative
+    to the running sum of the w_k.
+
+    level(k) must be nondecreasing with nonincreasing successive ratios,
+    which holds for both k and [k]_q. Returns (weights normalized by their
+    partial sum, levels level(0..K-1), relative tail, raw partial sum).
+    A term beyond _RESCALE_AT divides the kept terms and the sum by itself,
+    so large x still gives finite weights; the raw partial sum, restored
+    from the product of those divisors, is inf where it leaves double
+    precision.
+    """
     w = [1.0]
     lev = [level(0)]
     total = 1.0
+    scale = 1.0
     tail = 0.0
-    while alpha_sq > 0.0:
+    while x > 0.0:
         k = len(w)
         lv = level(k)
-        nxt = w[-1] * alpha_sq / lv
+        nxt = w[-1] * x / lv
+        if nxt > _RESCALE_AT:
+            w = [v / nxt for v in w]
+            total /= nxt
+            scale *= nxt
+            nxt = 1.0
         w.append(nxt)
         lev.append(lv)
         total += nxt
         lv_next = level(k + 1)
-        growth = (lv_next / lv) ** m if m > 0 else 1.0
-        rho = (alpha_sq / lv_next) * growth
+        rho = (x / lv_next) * (lv_next / lv) ** m
         if rho < 1.0:
-            u = nxt * (max(lv, 1.0) ** m if m > 0 else 1.0)
-            tail = u * rho / (1.0 - rho)
+            tail = nxt * max(lv, 1.0) ** m * rho / (1.0 - rho)
             if tail < tol * total:
                 break
+        if k > _MAX_TERMS:
+            raise ConvergenceError("weight recursion failed to terminate")
     w_arr = np.array(w) / total
+    # park the last-ulp normalization defect on the largest weight
     w_arr[int(np.argmax(w_arr))] += 1.0 - math.fsum(w_arr)
-    return w_arr, np.array(lev), tail / total, total
+    return w_arr, np.array(lev), tail / total, total * scale
+
+
+def ref_q_exponential(x: float, q: float, tol: float = 1e-14) -> float:
+    """q-deformed exponential sum_k x^k/[k]_q! via term-ratio recursion.
+
+    For q < 1 the series has radius of convergence 1/(1-q).
+    """
+    _check_radius(x, q)
+    total = 1.0
+    term = 1.0
+    k = 0
+    while True:
+        k += 1
+        term *= x / q_number(k, q)
+        total += term
+        ratio = abs(x) / q_number(k + 1, q)
+        if ratio < 1.0 and abs(term) * ratio / (1.0 - ratio) < tol * abs(total):
+            return total
+        if k > _MAX_TERMS:
+            raise ConvergenceError("q_exponential failed to converge")
+
+
+def scalar_level(q):
+    """The walk's scalar level function for the q that _weight_window takes:
+    the integers for q = 1, the anharmonic levels, else [k]_q."""
+    return float if q == 1.0 else lambda k: q_number(k, q)
 
 
 def ref_ratio_weights(ratio_at, tol):
@@ -192,45 +247,69 @@ class TestBuildersMatchLoops:
                 np.testing.assert_allclose(lam.matrix, ref, rtol=1e-14, atol=0)
 
 
-LEVELS = {
-    "anharmonic": float,
-    "q=1.1": lambda k: q_number(k, 1.1),
-    "q=1.2": lambda k: q_number(k, 1.2),
-}
+LEVELS = {"anharmonic": 1.0, "q=1.1": 1.1, "q=1.2": 1.2}
 
 
+# Walk and window round differently: the walk's w_k carries about k roundings
+# from k = 0, the window's about |k - mode| from the mode, and the window sums
+# its weights with fsum. Over these cases the weights sit up to 7 ulp
+# (1.6e-15) apart, and against 40-digit mpmath weights the window sits within
+# 4.1e-15 and the walk within 3.7e-15; tails and sums differ by up to 8.2e-16.
 @pytest.mark.parametrize("tol", [1e-12, 1e-16])
 @pytest.mark.parametrize("alpha_sq", [0.64, 1.0, 9.0])
-@pytest.mark.parametrize("level", list(LEVELS.values()), ids=list(LEVELS))
+@pytest.mark.parametrize("q", list(LEVELS.values()), ids=list(LEVELS))
 class TestRecursionMatchesLoops:
     @pytest.mark.parametrize("m", range(4))
-    def test_moment_series(self, level, alpha_sq, m, tol):
-        w, lev, tail, total = _ratio_weights(level, alpha_sq, m, tol)
-        w_ref, lev_ref, tail_ref, total_ref = ref_weighted_series(
-            level, alpha_sq, m, tol
+    def test_moment_series(self, q, alpha_sq, m, tol):
+        k0, lev, w, tail, log_total = _weight_window(alpha_sq, q, m, tol)
+        w_ref, lev_ref, tail_ref, total_ref = ref_walk_weights(
+            scalar_level(q), alpha_sq, m, tol
         )
-        assert len(w) == len(w_ref)
-        assert np.all(np.abs(w - w_ref) <= 4 * np.spacing(w_ref))
-        np.testing.assert_array_equal(lev, lev_ref)
-        assert tail == tail_ref and total == total_ref
+        # the whole walk is the window here, and it stops where the walk does
+        assert k0 == 0 and len(w) == len(w_ref)
+        np.testing.assert_array_equal(lev, q_number(np.arange(len(w)), q))
+        # scalar and array q_number may differ in the last ulp
+        assert np.all(np.abs(lev - lev_ref) <= np.spacing(lev_ref))
+        np.testing.assert_allclose(w, w_ref, rtol=1e-14, atol=0)
+        assert tail == pytest.approx(tail_ref, rel=1e-14)
+        assert math.exp(log_total) == pytest.approx(total_ref, rel=1e-14)
 
-    def test_plain_ratio_weights_length(self, level, alpha_sq, tol):
-        w, _, _, _ = _ratio_weights(level, alpha_sq, 0, tol)
+    def test_plain_ratio_weights_length(self, q, alpha_sq, tol):
+        k0, _, w, _, _ = _weight_window(alpha_sq, q, 0, tol)
+        level = scalar_level(q)
         w_ref, _ = ref_ratio_weights(lambda k: alpha_sq / level(k), tol)
-        assert len(w) == len(w_ref)
+        assert k0 == 0 and len(w) == len(w_ref)
         # the old form also normalized by the tail bound, which is below tol,
         # and did not park the last-ulp normalization defect
         np.testing.assert_allclose(w, w_ref, rtol=2 * tol, atol=1e-15)
 
 
 @pytest.mark.parametrize("params", MODELS, ids=_model_id)
-@pytest.mark.parametrize("alpha", [0.0, 0.3, 0.8])
+@pytest.mark.parametrize("alpha", [0.0, 0.3, 0.8, 3.0, 30.0])
 def test_coherent_dim_matches_loop(params, alpha):
-    w_ref, _ = ref_ratio_weights(
-        lambda k: abs(alpha) ** 2 / ref_level(params, k), 1e-14
-    )
-    want = 2 if alpha == 0 else len(w_ref) + 1
-    assert coherent_dim(params, alpha) == want
+    a2 = abs(alpha) ** 2
+    if isinstance(params, QOsc) and params.q < 1 and a2 >= 1 / (1 - params.q):
+        with pytest.raises(ConvergenceError):
+            coherent_dim(params, alpha)
+        return
+    # the walk from k = 0 also where the window starts above it (alpha = 30)
+    w_ref, _, _, _ = ref_walk_weights(lambda k: ref_level(params, k), a2, 0, 1e-14)
+    assert coherent_dim(params, alpha) == len(w_ref) + 1
+
+
+@pytest.mark.parametrize("q", [3.0, 1e6, 1e12])
+def test_coherent_dim_matches_loop_at_large_q(q):
+    # past the mode the weights fall like q^(-j^2/2): a handful of levels,
+    # of which a long level vector would overflow for q = 1e6
+    for alpha in (1.0, 30.0):
+        w_ref, _, _, _ = ref_walk_weights(lambda k: q_number(k, q), alpha**2, 0, 1e-14)
+        assert coherent_dim(QOsc(q=q), alpha) == len(w_ref) + 1
+
+
+@pytest.mark.parametrize("q,x", [(0.5, 1.0), (0.5, 1.9), (1.0, 0.64), (1.0, 9.0),
+                                 (1.2, 2.0), (2.0, 3.0)])  # fmt: skip
+def test_q_exponential_matches_loop(q, x):
+    assert q_exponential(x, q) == pytest.approx(ref_q_exponential(x, q), rel=1e-13)
 
 
 def ref_expectation(params, alpha, n, m, t, tol=1e-12):
@@ -238,11 +317,11 @@ def ref_expectation(params, alpha, n, m, t, tol=1e-12):
     a2 = abs(alpha) ** 2
     if isinstance(params, QOsc):
         q = params.q
-        w, lev, _, _ = _ratio_weights(lambda k: q_number(k, q), a2, m, tol)
+        w, lev, _, _ = ref_walk_weights(scalar_level(q), a2, m, tol)
         nq = q_number(n, q)
         rate, global_rate = nq * (q - 1.0), nq
     else:
-        w, lev, _, _ = _ratio_weights(float, a2, m, tol)
+        w, lev, _, _ = ref_walk_weights(float, a2, m, tol)
         rate = 2.0 * n * params.omega2
         global_rate = n * params.omega1 + n * n * params.omega2
     phases = np.exp(1j * rate * np.outer(t, lev))
