@@ -24,13 +24,14 @@ are asserted on interior columns only.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionError, DomainError, TruncationError
-from .params import LambdaIndex, ModelParams, QOsc, energy, level_value, validate_index
-from .qcore import _weight_window
+from .params import LambdaIndex, ModelParams, _level_q, energy, level_value, validate_index
+from .qcore import _mode_weights, _weight_window
 
 
 @dataclass(frozen=True)
@@ -190,11 +191,6 @@ def heisenberg_evolve(O: FockOperator, H: FockOperator, t: float) -> FockOperato
     return FockOperator(O.dim, O.matrix * np.outer(phases, phases.conj()), O.margin)
 
 
-def _level_q(params: ModelParams) -> float:
-    """The q whose q-numbers are the model's levels (1: the integers)."""
-    return params.q if isinstance(params, QOsc) else 1.0
-
-
 def coherent_dim(params: ModelParams, alpha: complex, tol: float = 1e-14) -> int:
     """Smallest dimension at which a coherent state of amplitude alpha has
     occupation tail mass below tol."""
@@ -218,14 +214,20 @@ def coherent_state(
     if D is None:
         D = coherent_dim(params, alpha, tol)
     _check_dim(D)
-    _, lv, probs, tail, _ = _weight_window(abs(alpha) ** 2, _level_q(params), 0, tol, D)
-    if not tail < tol:
-        raise TruncationError(f"tail bound {tail:.3e} exceeds tol {tol} at dim {D}")
+    lv = level_value(params, np.arange(D + 1))
+    ratio, _, probs = _mode_weights(abs(alpha) ** 2, lv)
+    total = probs.sum()
+    # geometric bound on the occupation mass beyond the cutoff
+    r = ratio[-1]
+    tail = probs[-1] * r / (1.0 - r) if r < 1.0 else math.inf
+    if not tail < tol * total:
+        raise TruncationError(f"tail bound {tail / total:.3e} exceeds tol {tol} at dim {D}")
+    probs /= total + tail
     phase = cmath.phase(alpha) if alpha != 0 else 0.0
     amps = np.sqrt(probs) * np.exp(1j * phase * np.arange(D))
-    state = FockState(D, amps, tail_bound=tail)
+    state = FockState(D, amps, tail_bound=tail / (total + tail))
     # a|alpha> = alpha|alpha> on the ladder band: sqrt([k+1]) c_{k+1} = alpha c_k
-    resid = np.abs(np.sqrt(lv[1:]) * amps[1:] - alpha * amps[:-1]).max()
+    resid = np.abs(np.sqrt(lv[1:D]) * amps[1:] - alpha * amps[:-1]).max()
     if resid > 1e-10 * max(1.0, abs(alpha)):
         raise TruncationError(f"eigenvalue relation violated: residual {resid:.3e}")
     return state

@@ -5,8 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple, Union
 
-import numpy as np
-
 from .errors import DomainError
 from .qcore import q_number
 
@@ -49,12 +47,17 @@ class LambdaIndex(NamedTuple):
     m: int
 
 
+def _level_q(params: ModelParams) -> float:
+    """The q of the model's levels [k]_q; the anharmonic integers are q = 1."""
+    return params.q if isinstance(params, QOsc) else 1.0
+
+
 def level_value(params: ModelParams, k):
-    """Eigenvalue of the (deformed) number operator a† a at level k; an
-    integer ndarray k gives the levels elementwise."""
-    if isinstance(params, QOsc):
-        return q_number(k, params.q)
-    return k.astype(float) if isinstance(k, np.ndarray) else float(k)
+    """Eigenvalue [k]_q, q = _level_q(params), of the (deformed) number operator
+    a† a at level k; an integer ndarray k gives the levels elementwise."""
+    q = _level_q(params)
+    # [k]_1 = k, the value q_number gives, without its array checks
+    return k * 1.0 if q == 1.0 else q_number(k, q)
 
 
 def energy(params: ModelParams, k):

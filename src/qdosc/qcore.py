@@ -214,18 +214,27 @@ def binomial_weights(j: int, p: float) -> WeightDistribution:
     return WeightDistribution(weights=w)
 
 
-def _weight_window(x: float, q: float, m: int = 0, tol: float = 1e-14, dim=None):
-    """Window [k0, k1] of the (q-)Poisson weights w_k ~ x^k/[k]_q!, x >= 0,
-    on the levels q_number(k, q) (q = 1: the integer levels of level_value).
+def _mode_weights(x: float, lv: np.ndarray):
+    """p_k ~ x^k / (lv[1] ... lv[k]) on [0, len(lv) - 1), for x >= 0 and levels
+    rising from lv[0] = 0, as products of ratios <= 1 outward from the mode,
+    the last k with lv[k] <= x (at most len(lv) - 2), where p = 1. Returns
+    (ratio, mode, p), ratio[k - 1] = x / lv[k] = p_k / p_{k-1}."""
+    ratio = x / lv[1:]
+    mode = min(int(np.count_nonzero(ratio >= 1.0)), len(ratio) - 1)
+    p = np.ones(len(ratio))
+    p[mode + 1 :] = np.cumprod(ratio[mode:-1])
+    p[:mode] = np.cumprod(lv[mode:0:-1] / x)[::-1]
+    return ratio, mode, p
 
-    The weights are products of term ratios <= 1 outward from the mode, the
-    last k with [k] <= x, so they stay finite at any amplitude. Each side
-    stops on a geometric bound of the [k]^m-weighted terms beyond it,
-    relative to the kept sum: above the mode on the ratio
-    (x/[k+1]) ([k+1]/[k])^m < 1, which does not grow with k; below it on
-    [k]/x < 1. The lower bound stays below 2^-54 tol, half an ulp of the
-    upper side's budget, so k1 is where the walk from k = 0 stopped.
-    dim fixes the window to [0, dim) and bounds the mass above it (m = 0).
+
+def _weight_window(x: float, q: float, m: int = 0, tol: float = 1e-14):
+    """Window [k0, k1] of the (q-)Poisson weights w_k ~ x^k/[k]_q!, x >= 0, on
+    the levels q_number(k, q), from _mode_weights. Each side stops on a
+    geometric bound of the [k]^m-weighted terms beyond it, relative to the
+    kept sum: above the mode on the ratio (x/[k+1]) ([k+1]/[k])^m < 1, which
+    does not grow with k; below it on [k]/x < 1. The lower bound stays below
+    2^-54 tol, half an ulp of the upper side's budget, so k1 is where a walk
+    from k = 0 on the same stopping ratio would stop.
 
     Returns (k0, levels and weights on the window, the weights normalized,
     the relative tail bound of both sides, ln of the raw window sum).
@@ -235,45 +244,37 @@ def _weight_window(x: float, q: float, m: int = 0, tol: float = 1e-14, dim=None)
     if not x >= 0.0:
         raise DomainError(f"x must be nonnegative, got x={x}")
     _check_radius(x, q)
-    if dim is None and x == 0.0:
+    if x == 0.0:
         return 0, np.zeros(1), np.ones(1), 0.0, 0.0
     # the mode solves [k]_q = x; the spread is about sqrt(x) terms at q = 1,
     # and for q > 1 the weights fall like q^(-j^2/2) j terms past the mode
     mode = x if q == 1.0 else math.log1p(x * (q - 1.0)) / math.log(q)
-    size = mode + 10.0 * math.sqrt(mode) + 48.0 if dim is None else dim + 1
-    if q > 1.0 and dim is None:
+    size = mode + 10.0 * math.sqrt(mode) + 48.0
+    if q > 1.0:
         size = min(size, mode + math.sqrt(200.0 / math.log(q)) + 4.0)
     low_tol = 2.0**-54 * tol
     while size <= _MAX_LEVELS:
         size = int(size)
         lv = q_number(np.arange(size), q)
-        ratio = x / lv[1:]  # ratio[k-1] = w_k / w_{k-1}, falling with k
-        mode = int(np.count_nonzero(ratio >= 1.0))
-        n = size - 1  # weights on [0, n); lv[n] bounds the mass above n - 1
-        if mode == n and dim is None:
-            size *= 2
-            continue
-        p = np.ones(n)
-        p[mode + 1 :] = np.cumprod(ratio[mode:-1])
-        p[:mode] = np.cumprod(lv[mode:0:-1] / x)[::-1]
-        # each bound b r/(1 - r) < c is tested as b r < c (1 - r), which
-        # needs no division and fails for r >= 1
+        ratio, mode, p = _mode_weights(x, lv)
+        # each bound b r/(1 - r) < c is tested as b r < c (1 - r): no division,
+        # and false for r >= 1, so a vector that ends by the mode doubles
         k0, low = 0, 0.0
         # the bound at k = 1, p_1/(x - 1) > p_0, must be below low_tol * mode
-        if dim is None and p[0] < low_tol * mode:
+        if p[0] < low_tol * mode:
             lo = lv[1 : mode + 1]
             kept = np.cumsum(p[mode:0:-1])[::-1]
             below = p[1 : mode + 1] * lo**m * lo
             k0 = int(np.argmin(below < low_tol * kept * (x - lo)))
             if k0:
                 low = float(below[k0 - 1] / (x - lo[k0 - 1]))
-        start = n - 1 if dim is not None else max(mode, 1)
+        start = max(mode, 1)
         rho = ratio[start:] * (lv[start + 1 :] / lv[start:-1]) ** m
         above = p[start:] * lv[start:-1] ** m * rho
         total = np.cumsum(p[k0:])[start - k0 :]
         closes = above < (tol * total - low) * (1.0 - rho)
         i = int(np.argmax(closes))
-        if dim is not None or closes[i]:
+        if closes[i]:
             break
         size *= 2
     else:
@@ -284,6 +285,6 @@ def _weight_window(x: float, q: float, m: int = 0, tol: float = 1e-14, dim=None)
     s = math.fsum(p[k0 : k1 + 1])
     w = p[k0 : k1 + 1] / s
     w[int(np.argmax(w))] += 1.0 - math.fsum(w)
-    up = above[i] / (1.0 - rho[i]) if rho[i] < 1.0 else math.inf
+    up = above[i] / (1.0 - rho[i])
     log_total = math.fsum(np.log(ratio[:mode]).tolist()) + math.log(s)
     return k0, lv[k0 : k1 + 1], w, (low + up) / s, log_total

@@ -11,6 +11,7 @@ from qdosc import (
     FockOperator,
     LambdaIndex,
     QOsc,
+    TruncationError,
     build_hamiltonian,
     build_ladder,
     build_lambda,
@@ -236,6 +237,12 @@ class TestCoherentState:
     def test_radius_rejected(self):
         with pytest.raises(ConvergenceError):
             coherent_state(QOsc(q=0.5), 1.5)
+
+    def test_radius_rejected_at_fixed_dim(self):
+        # outside the radius every term ratio exceeds 1, so no cutoff bounds
+        # the mass above it
+        with pytest.raises(TruncationError, match="tail bound inf"):
+            coherent_state(QOsc(q=0.5), 1.5, D=40)
 
     def test_dim_refuses_radius_at_once(self):
         # |alpha|^2 = 2.25 is outside the radius 2; a walk over the terms

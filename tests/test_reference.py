@@ -522,6 +522,21 @@ def test_coherent_state_matches_cumulative_product(params, alpha):
     np.testing.assert_allclose(st.amplitudes, want, rtol=1e-12, atol=0)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("alpha", [27.0, 30.0])
+def test_large_coherent_state_matches_walk_at_every_level(alpha):
+    # every level below the cutoff against the walk from k = 0, including
+    # the hundreds of normal doubles below the series window (k >= 50 at
+    # alpha = 30); both underflow to 0 or subnormals below that
+    tol = 1e-14
+    st = coherent_state(Anharmonic(10.0, 1.0), alpha, tol=tol)
+    w_ref, _, _, _ = ref_walk_weights(float, alpha**2, 0, tol)
+    assert st.dim == len(w_ref) + 1
+    probs = np.abs(st.amplitudes[:-1]) ** 2
+    assert np.count_nonzero(probs[: len(probs) // 2] >= np.finfo(float).tiny) > 400
+    np.testing.assert_allclose(probs, w_ref, rtol=1e-12, atol=np.finfo(float).tiny)
+
+
 def ref_oracle_series(params, alpha, n, m, times, D):
     """The dynamics oracle as one Heisenberg-evolved operator per time point."""
     state = coherent_state(params, alpha, D)
