@@ -50,8 +50,6 @@ from .fock import (
 from .isomap import IsoMap, ResidualReport, isomorphism_residuals, map_to_q
 from .params import Anharmonic, LambdaIndex, ModelParams, QOsc, energy, level_value
 from .qcore import (
-    WeightDistribution,
-    binomial_weights,
     log_q_factorial,
     q_exponential,
     q_factorial,

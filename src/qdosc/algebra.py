@@ -8,6 +8,7 @@ column; the dense engine in fock is the oracle they are verified against.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -21,11 +22,13 @@ from .params import (
     LambdaIndex,
     ModelParams,
     QOsc,
+    _closure_rates,
+    _level_q,
     energy,
     level_value,
     validate_index,
 )
-from .qcore import binomial_weights, q_number, q_stirling2
+from .qcore import q_number, q_stirling2
 
 
 @dataclass(frozen=True)
@@ -44,23 +47,13 @@ class ExpansionTerm(NamedTuple):
 def closure_coeffs(params: ModelParams, n: int) -> ClosureCoeffs:
     """Structure coefficients of the partial Lie algebra; both vanish at n = 0
     (powers of the number operator are constants of motion)."""
-    if n < 0:
-        raise DomainError(f"n must be nonnegative, got {n}")
-    if isinstance(params, QOsc):
-        e_n = params.omega * q_number(n, params.q)
-        return ClosureCoeffs(c_same=e_n, c_up=e_n * (params.q - 1.0))
-    return ClosureCoeffs(
-        c_same=n * params.omega1 + n * n * params.omega2,
-        c_up=2.0 * n * params.omega2,
-    )
+    return ClosureCoeffs(*_closure_rates(params, n))
 
 
 def expansion_scale(params: ModelParams, n: int) -> float:
-    """The per-commutation scale Z: E(n) q for the q model,
+    """The per-commutation scale Z = c_same + c_up: E(n) q for the q model,
     n (omega1 + (n+2) omega2) for the anharmonic one."""
-    if isinstance(params, QOsc):
-        return energy(params, n) * params.q
-    return n * (params.omega1 + (n + 2) * params.omega2)
+    return sum(_closure_rates(params, n))
 
 
 def anharmonic_p(params: Anharmonic, n: int) -> float:
@@ -74,32 +67,26 @@ def anharmonic_p(params: Anharmonic, n: int) -> float:
 def multicommutator_expansion(
     params: ModelParams, n: int, m: int, j: int
 ) -> list[ExpansionTerm]:
-    """The j-fold commutator with H as a binomial-weighted combination of
-    higher-m band operators: term k has coefficient Z^j B(j, k, p).
+    """The j-fold commutator with H as a combination of higher-m band
+    operators: term k has coefficient C(j, k) c_same^(j-k) c_up^k, which is
+    Z^j times the binomial weight B(j, k, p), p = c_same/Z.
 
-    q model: p = 1/q, requires q > 1 (the binomial weights go negative
+    q model: p = 1/q, requires q > 1 (the weights alternate in sign
     otherwise -- use the power-law form for general q).  Anharmonic model:
-    p = p_n; omega2 = 0 degenerates to the single k = 0 term.
+    p = p_n.  c_up = 0 (n = 0, or omega2 = 0) keeps the single k = 0 term.
     """
     validate_index((n, m))
     if j < 0:
         raise DomainError(f"j must be nonnegative, got {j}")
-    if isinstance(params, QOsc):
-        if params.q <= 1.0:
-            raise DomainError(
-                "binomial expansion requires q > 1; use power_law_multicommutator"
-            )
-        p = 1.0 / params.q
-    else:
-        if params.omega2 == 0.0:
-            z = expansion_scale(params, n)
-            return [ExpansionTerm(0, complex(z**j))]
-        p = anharmonic_p(params, n)
-    z = expansion_scale(params, n)
-    if j == 0:
-        return [ExpansionTerm(0, 1.0 + 0.0j)]
-    b = binomial_weights(j, p).weights
-    return [ExpansionTerm(k, complex(z**j * b[k])) for k in range(j + 1)]
+    if isinstance(params, QOsc) and params.q <= 1.0:
+        raise DomainError(
+            "binomial expansion requires q > 1; use power_law_multicommutator"
+        )
+    c_same, c_up = _closure_rates(params, n)
+    return [
+        ExpansionTerm(k, complex(math.comb(j, k) * c_same ** (j - k) * c_up**k))
+        for k in range(j + 1 if c_up else 1)
+    ]
 
 
 def expansion_matrix(
@@ -168,10 +155,9 @@ def normal_order_matrix(params: ModelParams, idx: LambdaIndex, D: int) -> FockOp
     """Materialize the normal-ordered expansion as a matrix (oracle side of
     the normal-ordering identity)."""
     n, M = LambdaIndex(*idx)
-    q = params.q if isinstance(params, QOsc) else 1.0
     a, adag = build_ladder(params, D)
     mat = np.zeros((D, D), dtype=complex)
-    for s, coeff in normal_order_expansion(n, M, q):
+    for s, coeff in normal_order_expansion(n, M, _level_q(params)):
         term = np.linalg.matrix_power(adag.matrix, n + s) @ np.linalg.matrix_power(
             a.matrix, s
         )

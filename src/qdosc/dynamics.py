@@ -8,12 +8,13 @@ the anharmonic model in raw t.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import DomainError, PhaseUnwrapError
 from .params import Anharmonic, LambdaIndex, ModelParams, QOsc, validate_index
+from .params import _closure_rates, _level_q
 from .qcore import _weight_window, q_exponential, q_number, q_stirling2, stirling2
 
 # phases per row block of _phase_sum: a few 0.5 MB real work arrays,
@@ -63,6 +64,39 @@ def _phase_sum(rate: float, t: np.ndarray, r: np.ndarray, c: np.ndarray) -> np.n
     return out
 
 
+def _series(
+    params: ModelParams, alpha: complex, idx: LambdaIndex, grid, tol: float
+) -> TimeSeries:
+    """The (q-)Poisson-weighted phase sum of both models, from their closure
+    coefficients (c_same, c_up):
+
+        <L^{n,m}> = (alpha*)^n e^{i c_same t} sum_k [k]^m P(alpha, k) e^{i c_up [k] t},
+
+    in raw t for the anharmonic model and in tau = omega t for the q model.
+    """
+    n, m = validate_index(idx)
+    times = np.asarray(grid, dtype=float)
+    q = _level_q(params)
+    # the window refuses a tol <= 0 and an amplitude outside the radius, also
+    # for n = m = 0
+    k0, lev, w, tail, _ = _weight_window(abs(alpha) ** 2, q, m, tol)
+    if n == 0 and m == 0:
+        ones = np.ones_like(times, dtype=complex)
+        return TimeSeries(times, ones, params, LambdaIndex(0, 0), alpha, 0.0)
+    # tau = omega t: the q model's tau rates are its rates at omega = 1,
+    # which round as [n] and [n](q - 1) do
+    tau_model = replace(params, omega=1.0) if isinstance(params, QOsc) else params
+    c_same, c_up = _closure_rates(tau_model, n)
+    if q == 1.0:
+        # the z of evolve_anharmonic_closed, so both round their phases alike
+        z = np.exp(1j * c_up * times)
+        sums = z**k0 * _horner(z, lev**m * w)
+    else:
+        sums = _phase_sum(c_up, times, lev, lev**m * w)
+    values = np.conj(alpha) ** n * np.exp(1j * c_same * times) * sums
+    return TimeSeries(times, values, params, LambdaIndex(n, m), alpha, tail)
+
+
 def evolve_q_expectation(
     params: QOsc,
     alpha: complex,
@@ -77,21 +111,7 @@ def evolve_q_expectation(
     """
     if not isinstance(params, QOsc):
         raise DomainError("evolve_q_expectation requires q-model parameters")
-    n, m = validate_index(idx)
-    if tol <= 0:
-        raise DomainError("tol must be positive")
-    q = params.q
-    taus = np.asarray(tau_grid, dtype=float)
-    # the window refuses an amplitude outside the radius, also for n = m = 0
-    _, lev, w, tail, _ = _weight_window(abs(alpha) ** 2, q, m, tol)
-    if n == 0 and m == 0:
-        return TimeSeries(
-            taus, np.ones_like(taus, dtype=complex), params, LambdaIndex(0, 0), alpha, 0.0
-        )
-    nq = q_number(n, q)
-    sums = _phase_sum(nq * (q - 1.0), taus, lev, lev**m * w)
-    values = np.conj(alpha) ** n * np.exp(1j * nq * taus) * sums
-    return TimeSeries(taus, values, params, LambdaIndex(n, m), alpha, tail)
+    return _series(params, alpha, idx, tau_grid, tol)
 
 
 def evolve_anharmonic_expectation(
@@ -112,23 +132,7 @@ def evolve_anharmonic_expectation(
         raise DomainError(
             "evolve_anharmonic_expectation requires anharmonic parameters"
         )
-    n, m = validate_index(idx)
-    if tol <= 0:
-        raise DomainError("tol must be positive")
-    ts = np.asarray(t_grid, dtype=float)
-    a2 = abs(alpha) ** 2
-    if n == 0 and m == 0:
-        return TimeSeries(
-            ts, np.ones_like(ts, dtype=complex), params, LambdaIndex(0, 0), alpha, 0.0
-        )
-    k0, lev, w, tail, _ = _weight_window(a2, 1.0, m, tol)
-    c1 = n * params.omega1 + n * n * params.omega2
-    c2 = 2.0 * n * params.omega2
-    # the z of evolve_anharmonic_closed, so both round their phases alike
-    z = np.exp(1j * c2 * ts)
-    sums = z**k0 * _horner(z, lev**m * w)
-    values = np.conj(alpha) ** n * np.exp(1j * c1 * ts) * sums
-    return TimeSeries(ts, values, params, LambdaIndex(n, m), alpha, tail)
+    return _series(params, alpha, idx, t_grid, tol)
 
 
 def evolve_anharmonic_closed(
@@ -148,14 +152,13 @@ def evolve_anharmonic_closed(
     n, m = validate_index(idx)
     ts = np.asarray(t_grid, dtype=float)
     a2 = abs(alpha) ** 2
-    c1 = n * params.omega1 + n * n * params.omega2
-    c2 = 2.0 * n * params.omega2
-    rot = np.exp(1j * c2 * ts)
+    c_same, c_up = _closure_rates(params, n)
+    rot = np.exp(1j * c_up * ts)
     poly = np.zeros_like(ts, dtype=complex)
     for r in range(m + 1):
         poly += stirling2(r, m) * a2**r * rot**r
     values = (
-        np.conj(alpha) ** n * np.exp(1j * c1 * ts) * np.exp(a2 * (rot - 1.0)) * poly
+        np.conj(alpha) ** n * np.exp(1j * c_same * ts) * np.exp(a2 * (rot - 1.0)) * poly
     )
     return TimeSeries(ts, values, params, LambdaIndex(n, m), alpha, 0.0)
 

@@ -56,11 +56,6 @@ class FockOperator:
     def dagger(self) -> "FockOperator":
         return FockOperator(self.dim, self.matrix.conj().T.copy(), self.margin)
 
-    def is_diagonal(self, tol: float = 1e-12) -> bool:
-        off = self.matrix - np.diag(np.diag(self.matrix))
-        scale = max(1.0, float(np.abs(np.diag(self.matrix)).max(initial=0.0)))
-        return bool(np.abs(off).max(initial=0.0) <= tol * scale)
-
 
 @dataclass(frozen=True)
 class FockState:
@@ -149,7 +144,7 @@ def commutator(A: FockOperator, B: FockOperator) -> FockOperator:
     When A is exactly diagonal, each entry of A @ B is the one rounded
     product d_r B_rc plus exact zeros, so the element-wise
     d_r B_rc - B_rc d_c gives, for real d, the same bits in O(D^2). The test
-    is exact, not is_diagonal's tolerance: a tiny off-diagonal entry still
+    is exact, with no tolerance: a tiny off-diagonal entry still
     contributes to the dense products. Any other A takes those two matmuls.
     A result beyond double precision raises DomainError instead of holding
     inf or NaN.
@@ -181,11 +176,12 @@ def heisenberg_evolve(O: FockOperator, H: FockOperator, t: float) -> FockOperato
     """Heisenberg evolution e^{+iHt} O e^{-iHt} for diagonal H.
 
     Exact in the truncated space: entry (r, c) picks up e^{i(E_r - E_c) t}.
-    t is raw time; for the q model pass t = tau / omega_q.
+    t is raw time; for the q model pass t = tau / omega_q. H must be exactly
+    diagonal: the phases would drop any off-diagonal entry, however small.
     """
     if O.dim != H.dim:
         raise DimensionError(f"dimension mismatch: {O.dim} vs {H.dim}")
-    if not H.is_diagonal():
+    if not _is_exactly_diagonal(H.matrix):
         raise DomainError("heisenberg_evolve requires a diagonal Hamiltonian")
     phases = np.exp(1j * np.diag(H.matrix).real * t)
     return FockOperator(O.dim, O.matrix * np.outer(phases, phases.conj()), O.margin)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .algebra import anharmonic_p, expansion_scale, multicommutator_expansion
 from .errors import DomainError
-from .params import Anharmonic, QOsc
+from .params import Anharmonic, QOsc, _closure_rates
 from .qcore import q_number
 
 
@@ -71,15 +71,15 @@ def map_to_q(omega1: float, omega2: float, n: int) -> IsoMap:
     w = omega1 / omega2
     q = (w + n + 2.0) / (w + n)
     nq = q_number(n, q)
-    omega_q = (n * omega1 + n * n * omega2) / nq
     source = Anharmonic(omega1=omega1, omega2=omega2)
+    target = _closure_rates(source, n)[0]
+    omega_q = target / nq
     p_n = anharmonic_p(source, n)
     iso = IsoMap(n=n, q=q, omega_q=omega_q, p_n=p_n, source=source)
     if not q > 1.0:
         raise DomainError(f"mapped q={q} not > 1")
     if abs(1.0 / q - p_n) > 1e-12:
         raise DomainError("mapped q does not invert to p_n")
-    target = n * omega1 + n * n * omega2
     if abs(omega_q * nq - target) > 1e-12 * target:
         raise DomainError("mapped omega_q does not reproduce the closure coefficient")
     return iso
@@ -117,10 +117,8 @@ def isomorphism_residuals(
 
     if t_grid is None:
         t_grid = np.linspace(0.0, 1.0, 17)
-    c1_q = q_number(n, iso.q) * iso.omega_q
-    c2_q = q_number(n, iso.q) * (iso.q - 1.0) * iso.omega_q
-    c1_a = n * omega1 + n * n * omega2
-    c2_a = 2.0 * n * omega2
+    c1_q, c2_q = _closure_rates(qp, n)
+    c1_a, c2_a = _closure_rates(ap, n)
     fn_res = 0.0
     for r in range(j_max + 1):
         fq = np.exp(1j * c1_q * t_grid) * (1j * c2_q * t_grid) ** r / math.factorial(r)

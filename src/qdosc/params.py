@@ -60,6 +60,18 @@ def level_value(params: ModelParams, k):
     return k * 1.0 if q == 1.0 else q_number(k, q)
 
 
+def _closure_rates(params: ModelParams, n: int) -> tuple[float, float]:
+    """(c_same, c_up) of [H, L^{n,m}] = c_same L^{n,m} + c_up L^{n,m+1} in raw
+    time: E(n) and E(n)(q - 1) for the q model, n w1 + n^2 w2 and 2 n w2 for
+    the anharmonic one. Every other model-specific rate derives from these."""
+    if n < 0:
+        raise DomainError(f"n must be nonnegative, got {n}")
+    if isinstance(params, QOsc):
+        e_n = params.omega * q_number(n, params.q)
+        return e_n, e_n * (params.q - 1.0)
+    return n * params.omega1 + n * n * params.omega2, 2.0 * n * params.omega2
+
+
 def energy(params: ModelParams, k):
     """Hamiltonian eigenvalue at Fock level k; an integer ndarray k gives
     the spectrum elementwise."""

@@ -1,6 +1,6 @@
 """q-arithmetic and combinatorics: q-numbers, q-factorials, the q-exponential,
-(q-)Stirling numbers of the second kind, binomial weights and the
-mode-centred window of (q-)Poisson weights used by every coherent state.
+(q-)Stirling numbers of the second kind and the mode-centred window of
+(q-)Poisson weights used by every coherent state.
 
 All factorial-like magnitudes are kept in log space and probability weights
 are products of term ratios below 1 outward from their mode, so nothing here
@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -99,8 +98,8 @@ def q_factorial(n: int, q: float) -> float:
 def q_exponential(x: float, q: float, tol: float = 1e-14) -> float:
     """q-deformed exponential sum_k x^k/[k]_q! for x >= 0, over the window
     of _weight_window. For q < 1 the series has radius of convergence
-    1/(1-q). Negative x, where the alternating sum cancels, and a sum beyond
-    double precision raise DomainError."""
+    1/(1-q). Negative x, where the alternating sum cancels, a tol that is not
+    positive and a sum beyond double precision raise DomainError."""
     log_total = _weight_window(x, q, 0, tol)[4]
     try:
         return math.exp(log_total)
@@ -177,43 +176,6 @@ def _q_stirling2(s: int, m: int, q: float) -> float:
         raise DomainError(f"S_q^({s},{m}) overflows double precision at q={q}") from None
 
 
-@dataclass(frozen=True)
-class WeightDistribution:
-    """Normalized nonnegative weight sequence."""
-
-    weights: np.ndarray
-
-    def __post_init__(self):
-        self.weights.setflags(write=False)
-
-    def __len__(self) -> int:
-        return len(self.weights)
-
-    def mean(self) -> float:
-        return float(np.dot(np.arange(len(self.weights)), self.weights))
-
-    def variance(self) -> float:
-        k = np.arange(len(self.weights))
-        mu = self.mean()
-        return float(np.dot((k - mu) ** 2, self.weights))
-
-
-def binomial_weights(j: int, p: float) -> WeightDistribution:
-    """Binomial weights B(j, k, p) = C(j,k) p^(j-k) (1-p)^k for k = 0..j.
-
-    Note the convention: p sits on the (j-k) power, so the mean of the
-    k-index is j(1-p).
-    """
-    if j < 0:
-        raise DomainError(f"j must be nonnegative, got {j}")
-    if not 0.0 <= p <= 1.0:
-        raise DomainError(f"p must lie in [0, 1], got {p}")
-    k = np.arange(j + 1)
-    comb = np.array([math.comb(j, int(kk)) for kk in k], dtype=float)
-    w = comb * p ** (j - k) * (1.0 - p) ** k
-    return WeightDistribution(weights=w)
-
-
 def _mode_weights(x: float, lv: np.ndarray):
     """p_k ~ x^k / (lv[1] ... lv[k]) on [0, len(lv) - 1), for x >= 0 and levels
     rising from lv[0] = 0, as products of ratios <= 1 outward from the mode,
@@ -238,9 +200,12 @@ def _weight_window(x: float, q: float, m: int = 0, tol: float = 1e-14):
 
     Returns (k0, levels and weights on the window, the weights normalized,
     the relative tail bound of both sides, ln of the raw window sum).
-    Raises DomainError for x < 0 and ConvergenceError outside the radius
-    or when the window does not close within _MAX_LEVELS levels.
+    Raises DomainError for x < 0 or a tol that is not positive, and
+    ConvergenceError outside the radius or when the window does not close
+    within _MAX_LEVELS levels.
     """
+    if not tol > 0.0:
+        raise DomainError(f"tol must be positive, got tol={tol}")
     if not x >= 0.0:
         raise DomainError(f"x must be nonnegative, got x={x}")
     _check_radius(x, q)

@@ -10,6 +10,7 @@ from qdosc import (
     build_lambda,
     closure_coeffs,
     expansion_matrix,
+    expansion_scale,
     multicommutator_expansion,
     multicommutator_matrix,
     normal_order_expansion,
@@ -37,6 +38,12 @@ class TestClosureCoeffs:
         for params in (QOsc(q=1.7), ANH):
             cc = closure_coeffs(params, 0)
             assert cc.c_same == 0.0 and cc.c_up == 0.0
+
+    def test_negative_n_rejected(self):
+        for params in (QOsc(q=1.7), ANH):
+            for fn in (closure_coeffs, expansion_scale):
+                with pytest.raises(DomainError):
+                    fn(params, -1)
 
 
 class TestExpansion:

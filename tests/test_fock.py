@@ -202,6 +202,16 @@ class TestHeisenberg:
         with pytest.raises(DomainError):
             heisenberg_evolve(lam, lam, 1.0)
 
+    def test_nearly_diagonal_rejected(self):
+        # a 1e-13 entry is below any relative tolerance on the diagonal,
+        # but the phases e^{i(E_r - E_c) t} would silently drop it
+        D = 6
+        mat = build_hamiltonian(Q2, D).matrix.copy()
+        mat[0, 3] = 1e-13
+        lam = build_lambda(Q2, LambdaIndex(1, 0), D)
+        with pytest.raises(DomainError):
+            heisenberg_evolve(lam, FockOperator(D, mat), 1.0)
+
 
 class TestCoherentState:
     def test_vacuum(self):

@@ -7,10 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qdosc import (
+    Anharmonic,
     ConvergenceError,
     DomainError,
+    LambdaIndex,
     QdoscError,
-    binomial_weights,
+    QOsc,
+    coherent_dim,
+    evolve_anharmonic_expectation,
+    evolve_q_expectation,
     log_q_factorial,
     q_exponential,
     q_factorial,
@@ -310,33 +315,6 @@ class TestStirling:
                 assert math.isfinite(val), (s, m, q)
 
 
-class TestBinomialWeights:
-    def test_empty(self):
-        w = binomial_weights(0, 0.3)
-        np.testing.assert_allclose(w.weights, [1.0])
-
-    def test_enumeration(self):
-        w = binomial_weights(2, 0.5)
-        np.testing.assert_allclose(w.weights, [0.25, 0.5, 0.25])
-
-    def test_convention_puts_p_on_first_power(self):
-        # weight of k = 0 must be p^j, not (1-p)^j
-        w = binomial_weights(3, 0.9)
-        assert w.weights[0] == pytest.approx(0.9**3, rel=1e-14)
-
-    @given(st.integers(0, 60), st.floats(0.0, 1.0))
-    @settings(max_examples=100)
-    def test_normalized_and_mean(self, j, p):
-        w = binomial_weights(j, p)
-        assert abs(w.weights.sum() - 1.0) < 1e-14
-        assert np.all(w.weights >= 0.0)
-        assert w.mean() == pytest.approx(j * (1.0 - p), abs=1e-10)
-
-    def test_rejects_bad_p(self):
-        with pytest.raises(DomainError):
-            binomial_weights(3, 1.5)
-
-
 def poisson_weights(a2, tol=1e-12):
     return _weight_window(a2, 1.0, 0, tol)
 
@@ -413,3 +391,20 @@ class TestPoissonFamilies:
         for q in (0.0, -1.0):
             with pytest.raises(DomainError):
                 _check_radius(0.5, q)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan])
+def test_nonpositive_tol_is_refused_before_any_level(tol):
+    # such a tol never closes the window: without the check the level vector
+    # doubles up to _MAX_LEVELS before a ConvergenceError
+    with pytest.raises(DomainError, match="tol"):
+        coherent_dim(Anharmonic(10.0, 1.0), 1.0, tol=tol)
+    with pytest.raises(DomainError, match="tol"):
+        q_exponential(1.0, 1.0, tol=tol)
+    for n, m in [(0, 0), (1, 2)]:
+        with pytest.raises(DomainError, match="tol"):
+            evolve_q_expectation(QOsc(q=1.2), 0.8, LambdaIndex(n, m), [0.5], tol)
+        with pytest.raises(DomainError, match="tol"):
+            evolve_anharmonic_expectation(
+                Anharmonic(10.0, 1.0), 0.8, LambdaIndex(n, m), [0.5], tol
+            )

@@ -13,12 +13,15 @@ dense Heisenberg evolution per scaling point; the coherent state was a
 cumulative product of its weights from k = 0, checked against the dense
 ladder. The dynamics oracle evolved the operator in the Heisenberg picture
 once per time point. Every commutator was two dense matmuls, and the
-evolve command formatted its file one row and one scalar at a time. The
-vectorised builders, the mode-centred weight window, the streaming phase-sum
-evaluators, the tabulated q_stirling2, the band forms, the mode-centred
-coherent state, the batched Schrodinger-picture oracle, the element-wise
-commutator with a diagonal operand and the column-wise trace writer that
-replaced them must reproduce these forms.
+evolve command formatted its file one row and one scalar at a time. Each
+series wrote its model's rates itself, and the binomial expansion scaled
+binomial weights by Z^j. The vectorised builders, the mode-centred weight
+window, the streaming phase-sum evaluators, the tabulated q_stirling2, the
+band forms, the mode-centred coherent state, the batched
+Schrodinger-picture oracle, the element-wise commutator with a diagonal
+operand, the column-wise trace writer and the series and expansion built
+from the closure coefficients that replaced them must reproduce these
+forms.
 """
 
 import json
@@ -59,7 +62,9 @@ from qdosc import (
     scaling_phase_check,
 )
 from qdosc import cli
-from qdosc.dynamics import _PHASE_BLOCK, band_phase_trace
+from qdosc.algebra import anharmonic_p, expansion_scale
+from qdosc.dynamics import _PHASE_BLOCK, TimeSeries, _horner, _phase_sum, band_phase_trace
+from qdosc.params import validate_index
 from qdosc.qcore import _check_radius, _weight_window
 from qdosc.verify import interior_rel_error, oracle_expectation_series
 
@@ -346,6 +351,7 @@ GRIDS = {
 }
 SERIES_MODELS = [
     QOsc(q=0.5),
+    QOsc(q=1.0),
     QOsc(q=1.1),
     QOsc(q=1.0 + 1e-9),
     QOsc(q=2.0),
@@ -383,6 +389,156 @@ def test_phase_sums_match_dense_product(params, amp, grid):
             scale = abs(ref_expectation(params, alpha, n, m, np.zeros(1))[0])
             err = np.abs(got - want).max() / scale
             assert err <= 1e-13, (n, m, err)
+
+
+def ref_evolve_q_expectation(params, alpha, idx, tau_grid, tol=1e-12):
+    """The q-model series with its own rates [n] and [n](q - 1)."""
+    if not isinstance(params, QOsc):
+        raise DomainError("evolve_q_expectation requires q-model parameters")
+    n, m = validate_index(idx)
+    if tol <= 0:
+        raise DomainError("tol must be positive")
+    q = params.q
+    taus = np.asarray(tau_grid, dtype=float)
+    # the window refuses an amplitude outside the radius, also for n = m = 0
+    _, lev, w, tail, _ = _weight_window(abs(alpha) ** 2, q, m, tol)
+    if n == 0 and m == 0:
+        return TimeSeries(
+            taus, np.ones_like(taus, dtype=complex), params, LambdaIndex(0, 0), alpha, 0.0
+        )
+    nq = q_number(n, q)
+    sums = _phase_sum(nq * (q - 1.0), taus, lev, lev**m * w)
+    values = np.conj(alpha) ** n * np.exp(1j * nq * taus) * sums
+    return TimeSeries(taus, values, params, LambdaIndex(n, m), alpha, tail)
+
+
+def ref_evolve_anharmonic_expectation(params, alpha, idx, t_grid, tol=1e-12):
+    """The anharmonic series with its own rates n w1 + n^2 w2 and 2 n w2."""
+    if not isinstance(params, Anharmonic):
+        raise DomainError(
+            "evolve_anharmonic_expectation requires anharmonic parameters"
+        )
+    n, m = validate_index(idx)
+    if tol <= 0:
+        raise DomainError("tol must be positive")
+    ts = np.asarray(t_grid, dtype=float)
+    a2 = abs(alpha) ** 2
+    if n == 0 and m == 0:
+        return TimeSeries(
+            ts, np.ones_like(ts, dtype=complex), params, LambdaIndex(0, 0), alpha, 0.0
+        )
+    k0, lev, w, tail, _ = _weight_window(a2, 1.0, m, tol)
+    c1 = n * params.omega1 + n * n * params.omega2
+    c2 = 2.0 * n * params.omega2
+    # the z of evolve_anharmonic_closed, so both round their phases alike
+    z = np.exp(1j * c2 * ts)
+    sums = z**k0 * _horner(z, lev**m * w)
+    values = np.conj(alpha) ** n * np.exp(1j * c1 * ts) * sums
+    return TimeSeries(ts, values, params, LambdaIndex(n, m), alpha, tail)
+
+
+def ref_binomial_weights(j, p):
+    """Binomial weights B(j, k, p) = C(j,k) p^(j-k) (1-p)^k for k = 0..j."""
+    if j < 0:
+        raise DomainError(f"j must be nonnegative, got {j}")
+    if not 0.0 <= p <= 1.0:
+        raise DomainError(f"p must lie in [0, 1], got {p}")
+    k = np.arange(j + 1)
+    comb = np.array([math.comb(j, int(kk)) for kk in k], dtype=float)
+    return comb * p ** (j - k) * (1.0 - p) ** k
+
+
+def ref_expansion_scale(params, n):
+    """Z as its own per-model formula: E(n) q, or n (omega1 + (n+2) omega2)."""
+    if isinstance(params, QOsc):
+        return energy(params, n) * params.q
+    return n * (params.omega1 + (n + 2) * params.omega2)
+
+
+def ref_multicommutator_expansion(params, n, m, j):
+    """Z^j times the binomial weights B(j, k, p), p = 1/q or p_n."""
+    validate_index((n, m))
+    if j < 0:
+        raise DomainError(f"j must be nonnegative, got {j}")
+    if isinstance(params, QOsc):
+        if params.q <= 1.0:
+            raise DomainError(
+                "binomial expansion requires q > 1; use power_law_multicommutator"
+            )
+        p = 1.0 / params.q
+    else:
+        if params.omega2 == 0.0:
+            z = ref_expansion_scale(params, n)
+            return [(0, complex(z**j))]
+        p = anharmonic_p(params, n)
+    z = ref_expansion_scale(params, n)
+    if j == 0:
+        return [(0, 1.0 + 0.0j)]
+    b = ref_binomial_weights(j, p)
+    return [(k, complex(z**j * b[k])) for k in range(j + 1)]
+
+
+CLOSURE_GRIDS = {
+    "T=401": np.linspace(0.0, 10.0, 401),
+    "nonuniform": np.sort(np.random.default_rng(3).uniform(0.0, 10.0, 257)),
+}
+
+
+# the q model's tau rates are its closure coefficients at omega = 1, which
+# round as [n] and [n](q - 1) do; q = 1 has integer levels and takes Horner's
+# rule, so it is left to test_phase_sums_match_dense_product
+@pytest.mark.parametrize("grid", list(CLOSURE_GRIDS.values()), ids=list(CLOSURE_GRIDS))
+@pytest.mark.parametrize("amp", [0.8, 3.0, 30.0])
+@pytest.mark.parametrize("omega", [1.0, 2.5])
+def test_series_from_closure_coeffs_is_bit_identical(omega, amp, grid):
+    alpha = amp * complex(math.cos(0.7), math.sin(0.7))
+    runs = [
+        (QOsc(q=q, omega=omega), evolve_q_expectation, ref_evolve_q_expectation)
+        for q in (0.5, 1.0 + 1e-9, 1.2, 2.0)
+    ] + [
+        (Anharmonic(w1, omega), evolve_anharmonic_expectation,
+         ref_evolve_anharmonic_expectation)
+        for w1 in (omega, 10.0)
+    ]  # fmt: skip
+    for params, evolve, ref in runs:
+        for n in range(4):
+            for m in range(4):
+                idx = LambdaIndex(n, m)
+                try:
+                    want = ref(params, alpha, idx, grid)
+                except ConvergenceError:
+                    with pytest.raises(ConvergenceError):
+                        evolve(params, alpha, idx, grid)
+                    continue
+                got = evolve(params, alpha, idx, grid)
+                assert np.array_equal(got.values, want.values), (params, n, m)
+                assert got.truncation_tail == want.truncation_tail
+
+
+EXPANSION_MODELS = [
+    QOsc(q=1.2),
+    QOsc(q=2.0, omega=2.5),
+    QOsc(q=1.0 + 1e-6),
+    Anharmonic(10.0, 1.0),
+    Anharmonic(3.3, 0.7),
+    Anharmonic(3.0, 0.0),
+]
+
+
+@pytest.mark.parametrize("params", EXPANSION_MODELS, ids=_series_id)
+def test_expansion_from_closure_coeffs_matches_binomial_weights(params):
+    # C(j,k) c_same^(j-k) c_up^k against Z^j B(j, k, c_same/Z): the two round
+    # differently, by a few ulp of Z^j
+    for n in range(6):
+        z = ref_expansion_scale(params, n)
+        assert expansion_scale(params, n) == pytest.approx(z, rel=1e-15, abs=0)
+        for j in range(7):
+            got = dict(multicommutator_expansion(params, n, 0, j))
+            want = dict(ref_multicommutator_expansion(params, n, 0, j))
+            # at n = 0 both coefficients vanish, and c_up = 0 keeps one term
+            assert set(got) <= set(want)
+            for k, coeff in want.items():
+                assert abs(got.get(k, 0.0) - coeff) <= 1e-14 * abs(z) ** j, (n, j, k)
 
 
 def ref_q_stirling2(s, m, q):

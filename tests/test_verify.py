@@ -72,3 +72,15 @@ class TestDynamicsOracle:
         monkeypatch.setattr(verify, "build_hamiltonian", skewed)
         with pytest.raises(DomainError):
             oracle_expectation_series(QOsc(q=1.2), 0.8, LambdaIndex(1, 0), [0.5], 32)
+
+    def test_nearly_diagonal_hamiltonian_rejected(self, monkeypatch):
+        # below any relative tolerance on the diagonal, but Psi = e^{-iEt} psi
+        # would silently drop it
+        def skewed(params, D):
+            mat = np.diag(np.arange(D, dtype=complex))
+            mat[0, 3] = 1e-13
+            return FockOperator(D, mat)
+
+        monkeypatch.setattr(verify, "build_hamiltonian", skewed)
+        with pytest.raises(DomainError):
+            oracle_expectation_series(QOsc(q=1.2), 0.8, LambdaIndex(1, 0), [0.5], 32)
