@@ -3,7 +3,10 @@ the binomial and power-law multicommutator expansions, the element-wise
 dynamical-scaling check and the normal-ordering coefficient generator.
 
 Each closed form is the one band of Lambda^{n,m} times a factor per Fock
-column; the dense engine in fock is the oracle they are verified against.
+column, and is built as that band (_expansion_band, _power_law_band) from a
+level vector the caller builds once per model. expansion_matrix and
+power_law_multicommutator package the band as a dense operator; the dense
+engine in fock is the oracle the bands are verified against.
 """
 
 from __future__ import annotations
@@ -16,7 +19,13 @@ import numpy as np
 
 from .errors import DomainError
 from .dynamics import band_phase_trace
-from .fock import FockOperator, _band_operator, _lambda_band, build_ladder
+from .fock import (
+    FockOperator,
+    _band_operator,
+    _finite_band,
+    _lambda_band,
+    build_ladder,
+)
 from .params import (
     Anharmonic,
     LambdaIndex,
@@ -74,6 +83,7 @@ def multicommutator_expansion(
     q model: p = 1/q, requires q > 1 (the weights alternate in sign
     otherwise -- use the power-law form for general q).  Anharmonic model:
     p = p_n.  c_up = 0 (n = 0, or omega2 = 0) keeps the single k = 0 term.
+    A coefficient beyond double precision raises DomainError.
     """
     validate_index((n, m))
     if j < 0:
@@ -83,43 +93,73 @@ def multicommutator_expansion(
             "binomial expansion requires q > 1; use power_law_multicommutator"
         )
     c_same, c_up = _closure_rates(params, n)
-    return [
-        ExpansionTerm(k, complex(math.comb(j, k) * c_same ** (j - k) * c_up**k))
-        for k in range(j + 1 if c_up else 1)
-    ]
+    try:
+        coeffs = [
+            math.comb(j, k) * c_same ** (j - k) * c_up**k
+            for k in range(j + 1 if c_up else 1)
+        ]
+        if all(map(math.isfinite, coeffs)):
+            return [ExpansionTerm(k, complex(c)) for k, c in enumerate(coeffs)]
+    except OverflowError:  # a power, or C(j, k) as a float
+        pass
+    raise DomainError(
+        f"the {j}-fold expansion coefficients overflow double precision at n={n}"
+    )
+
+
+def _expansion_band(
+    params: ModelParams, lam: np.ndarray, lv: np.ndarray, n: int, m: int, j: int
+) -> np.ndarray:
+    """The binomial expansion sum_k coeff_k L^{n,m+k} as its one band on
+    sub-diagonal n: lam, the L^{n,m} band, times sum_k coeff_k [c]^k in Fock
+    column c, read from the level vector lv."""
+    terms = multicommutator_expansion(params, n, m, j)
+    lv = lv[: len(lam)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        band = lam * sum(coeff * lv**k for k, coeff in terms)
+    return _finite_band(band, len(lam) + n)
 
 
 def expansion_matrix(
     params: ModelParams, n: int, m: int, j: int, D: int
 ) -> FockOperator:
-    """Materialize the binomial expansion sum_k coeff_k L^{n,m+k} as one
-    band: the L^{n,m} band times sum_k coeff_k [c]^k in Fock column c."""
-    terms = multicommutator_expansion(params, n, m, j)
-    band = _lambda_band(params, LambdaIndex(n, m), D)
-    lv = level_value(params, np.arange(D - n))
-    with np.errstate(over="ignore", invalid="ignore"):
-        band = band * sum(coeff * lv**k for k, coeff in terms)
+    """Materialize the binomial expansion sum_k coeff_k L^{n,m+k}, the band
+    of _expansion_band, as a dense operator."""
+    lv = level_value(params, np.arange(D))
+    band = _expansion_band(params, _lambda_band(lv, (n, m), D), lv, n, m, j)
     return _band_operator(D, band, -n, margin=n)
+
+
+def _power_law_band(
+    params: QOsc, lam: np.ndarray, lv: np.ndarray, n: int, m: int, j: int
+) -> np.ndarray:
+    """The general-q closed form L^{n,m} (E(n) [a, a†])^j as its one band on
+    sub-diagonal n. [a, a†] is diagonal with entries [c+1] - [c], so the
+    band is lam, the L^{n,m} band, times (E(n) ([c+1] - [c]))^j in Fock
+    column c, read from the level vector lv (one level beyond the band)."""
+    if not isinstance(params, QOsc):
+        raise DomainError("power-law form is specific to the q model")
+    validate_index((n, m))
+    if j < 0:
+        raise DomainError(f"j must be nonnegative, got {j}")
+    lv = lv[: len(lam) + 1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        band = lam * (energy(params, n) * (lv[1:] - lv[:-1])) ** j
+    return _finite_band(band, len(lam) + n)
 
 
 def power_law_multicommutator(
     params: QOsc, n: int, m: int, j: int, D: int
 ) -> FockOperator:
-    """General-q closed form: L^{n,m} (E(n) [a, a†])^j.
+    """General-q closed form L^{n,m} (E(n)[a, a†])^j, the band of
+    _power_law_band, as a dense operator.
 
     Valid for any q > 0; must match the iterated commutator on interior
-    columns.  [a, a†] is diagonal with entries [c+1] - [c], so the form is
-    the L^{n,m} band times (E(n) ([c+1] - [c]))^j in Fock column c.
+    columns.
     """
-    if not isinstance(params, QOsc):
-        raise DomainError("power-law form is specific to the q model")
-    idx = validate_index((n, m))
-    if j < 0:
-        raise DomainError(f"j must be nonnegative, got {j}")
-    band = _lambda_band(params, idx, D)
-    lv = level_value(params, np.arange(D - n + 1))
-    with np.errstate(over="ignore", invalid="ignore"):
-        band = band * (energy(params, n) * (lv[1:] - lv[:-1])) ** j
+    # the band reads the levels below D and, at n = 0, [D]
+    lv = level_value(params, np.arange(max(D, D - n + 1)))
+    band = _power_law_band(params, _lambda_band(lv, (n, m), D), lv, n, m, j)
     return _band_operator(D, band, -n, margin=n)
 
 

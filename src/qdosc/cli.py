@@ -80,7 +80,7 @@ CHOICES = {
 }
 
 
-# rows per block of the evolve CSV writer
+# rows per block of the CSV writer
 _CSV_BLOCK = 8192
 
 
@@ -125,6 +125,18 @@ def _write_sidecar(out: str, command: str, cfg: dict, diagnostics: dict) -> None
     Path(out + ".meta.json").write_text(json.dumps(payload, indent=2) + "\n")
 
 
+def _write_csv(fh, header: list[str], columns: list[np.ndarray]) -> None:
+    """Write a header row and float columns as CSV rows of shortest
+    round-trip decimals, _CSV_BLOCK rows at a time: each column is turned
+    into strings once, and the rows are joined from them."""
+    fh.write(",".join(header) + "\n")
+    for start in range(0, len(columns[0]), _CSV_BLOCK):
+        block = slice(start, start + _CSV_BLOCK)
+        cells = (map(float.__repr__, c[block].tolist()) for c in columns)
+        # list() ends the zip, and frees the block's floats, before the join
+        fh.write("\n".join(list(map(",".join, zip(*cells)))) + "\n")
+
+
 def _build_model(cfg: dict):
     if cfg["model"] == "qosc":
         return QOsc(q=float(cfg["q"]), omega=float(cfg["omega"]))
@@ -149,10 +161,7 @@ def _write_trace(
         Path(out).write_text(json.dumps(payload, indent=2) + "\n")
     elif fmt == "csv":
         with open(out, "w") as fh:
-            fh.write(",".join(columns) + "\n")
-            for start in range(0, len(times), _CSV_BLOCK):
-                block = (c[start : start + _CSV_BLOCK].tolist() for c in columns.values())
-                fh.write("".join(",".join(map(repr, row)) + "\n" for row in zip(*block)))
+            _write_csv(fh, list(columns), list(columns.values()))
     else:
         raise ConfigError(f"unknown format {fmt!r}")
 
@@ -243,16 +252,13 @@ def cmd_collapse(cfg: dict) -> int:
     curves = [band_phase_trace(params, LambdaIndex(n, m), j_col, taus) for n, m in pairs]
     normalized = collapse_transform(curves)
     header = ["tau"] + [f"n{n}_m{m}" for n, m in pairs]
-    rows = [",".join(header)]
-    for i, tau in enumerate(taus):
-        rows.append(",".join([_fmt(tau)] + [_fmt(c[i]) for c in normalized]))
     stacked = np.vstack(normalized)
     max_dev = float(np.max(np.abs(stacked[:, None, :] - stacked[None, :, :])))
-    rows.append(
-        ",".join(["max_pairwise_deviation", _fmt(max_dev)] + [""] * (len(pairs) - 1))
-    )
+    footer = ["max_pairwise_deviation", _fmt(max_dev)] + [""] * (len(pairs) - 1)
     out = cfg["out"]
-    Path(out).write_text("\n".join(rows) + "\n")
+    with open(out, "w") as fh:
+        _write_csv(fh, header, [taus, *normalized])
+        fh.write(",".join(footer) + "\n")
     _write_sidecar(out, "collapse", cfg, {"max_pairwise_deviation": max_dev})
     return 0
 

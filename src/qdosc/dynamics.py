@@ -51,6 +51,19 @@ def _horner(z: np.ndarray, c: np.ndarray) -> np.ndarray:
     return acc
 
 
+def _cis(a, b) -> np.ndarray:
+    """e^{ix} for the real product x = a * b, broadcast, as cos(x) + i sin(x)
+    written into one complex array with no other temporary: the bits of
+    np.exp(1j * x) in about half its time. 1j * x has imaginary part x + 0,
+    so x = -0.0 gives +0.0 there, and so does this."""
+    out = np.empty(np.broadcast_shapes(np.shape(a), np.shape(b)), dtype=complex)
+    x = np.multiply(a, b, out=out.imag)
+    np.cos(x, out=out.real)
+    np.sin(x, out=x)
+    x += 0.0
+    return out
+
+
 def _phase_sum(rate: float, t: np.ndarray, r: np.ndarray, c: np.ndarray) -> np.ndarray:
     """sum_k c_k e^{i rate t r_k} for real r and c, as cos and sin over row
     blocks of about _PHASE_BLOCK phases, so memory stays O(len(t))."""
@@ -89,11 +102,11 @@ def _series(
     c_same, c_up = _closure_rates(tau_model, n)
     if q == 1.0:
         # the z of evolve_anharmonic_closed, so both round their phases alike
-        z = np.exp(1j * c_up * times)
+        z = _cis(c_up, times)
         sums = z**k0 * _horner(z, lev**m * w)
     else:
         sums = _phase_sum(c_up, times, lev, lev**m * w)
-    values = np.conj(alpha) ** n * np.exp(1j * c_same * times) * sums
+    values = np.conj(alpha) ** n * _cis(c_same, times) * sums
     return TimeSeries(times, values, params, LambdaIndex(n, m), alpha, tail)
 
 
@@ -153,13 +166,17 @@ def evolve_anharmonic_closed(
     ts = np.asarray(t_grid, dtype=float)
     a2 = abs(alpha) ** 2
     c_same, c_up = _closure_rates(params, n)
-    rot = np.exp(1j * c_up * ts)
+    rot = _cis(c_up, ts)
     poly = np.zeros_like(ts, dtype=complex)
     for r in range(m + 1):
         poly += stirling2(r, m) * a2**r * rot**r
-    values = (
-        np.conj(alpha) ** n * np.exp(1j * c_same * ts) * np.exp(a2 * (rot - 1.0)) * poly
-    )
+    # (alpha*)^n e^{i c_same t} exp[a2 (rot - 1)] poly, in place and in that
+    # order; rot is not needed past poly
+    decay = np.subtract(rot, 1.0, out=rot)
+    np.multiply(a2, decay, out=decay)
+    values = np.multiply(np.conj(alpha) ** n, _cis(c_same, ts))
+    values *= np.exp(decay, out=decay)
+    values *= poly
     return TimeSeries(ts, values, params, LambdaIndex(n, m), alpha, 0.0)
 
 
@@ -211,7 +228,7 @@ def band_phase_trace(
         raise DomainError(f"band entry vanishes at (n={n}, m={m}, j={j_col})")
     taus = np.asarray(taus, dtype=float)
     rate = q_number(j_col + n, params.q) - q_number(j_col, params.q)
-    values = np.exp(1j * rate * taus)
+    values = _cis(rate, taus)
     return PhaseCurve(taus, values, n, m, params.q, j_col)
 
 

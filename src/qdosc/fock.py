@@ -12,8 +12,10 @@ takes. A commutator beyond double precision raises DomainError.
 Every operator built here is a single band, computed from one level
 vector and stored densely. Entries beyond double precision raise
 DomainError rather than turning into inf. The closed forms in algebra
-scale the band of Lambda^{n,m} (_lambda_band) per column and package it
-with _band_operator, so they share that check.
+are handed over as bands, not matrices: the band of Lambda^{n,m}
+(_lambda_band, read from a level vector the caller builds once per model)
+scaled per column. Only their public wrappers package a band densely with
+_band_operator.
 
 Truncation bookkeeping: both Hamiltonians are diagonal, so cutting the
 ladder at dimension D only contaminates the top `margin` Fock levels of an
@@ -76,12 +78,17 @@ def _check_dim(D: int) -> None:
         raise DimensionError(f"dimension must be >= 2, got {D}")
 
 
+def _finite_band(band: np.ndarray, D: int) -> np.ndarray:
+    """band itself, or DomainError when an entry is beyond double precision."""
+    if not np.isfinite(band).all():
+        raise DomainError(f"operator entries overflow double precision at D={D}")
+    return band
+
+
 def _band_operator(D: int, band: np.ndarray, k: int, margin: int) -> FockOperator:
     """D x D operator holding `band` on diagonal k (k > 0 above the main
     diagonal, k < 0 below it)."""
-    if not np.isfinite(band).all():
-        raise DomainError(f"operator entries overflow double precision at D={D}")
-    return FockOperator(D, np.diag(band.astype(complex), k), margin)
+    return FockOperator(D, np.diag(_finite_band(band, D).astype(complex), k), margin)
 
 
 def build_ladder(params: ModelParams, D: int) -> tuple[FockOperator, FockOperator]:
@@ -97,33 +104,34 @@ def build_hamiltonian(params: ModelParams, D: int) -> FockOperator:
     return _band_operator(D, energy(params, np.arange(D)), 0, margin=0)
 
 
-def _lambda_band(params: ModelParams, idx: LambdaIndex, D: int) -> np.ndarray:
+def _lambda_band(lv: np.ndarray, idx: LambdaIndex, D: int) -> np.ndarray:
     """The one nonzero band of Lambda^{n,m} at dimension D, indexed by Fock
     column j = 0..D-1-n:
 
-        entry(j + n, j) = (prod_{i=1}^{n} sqrt([j+i])) * [j]^m.
+        entry(j + n, j) = (prod_{i=1}^{n} sqrt([j+i])) * [j]^m,
 
-    The convention 0^0 = 1 keeps idx = (n, 0) equal to the bare (a†)^n.
-    Entries beyond double precision come back as inf, for the caller's
-    _band_operator to refuse.
+    read from the model's level vector lv[k] = [k], which must cover k < D;
+    entries beyond D are not read. The convention 0^0 = 1 keeps idx = (n, 0)
+    equal to the bare (a†)^n. Entries beyond double precision raise
+    DomainError.
     """
     _check_dim(D)
     n, m = validate_index(idx)
     if n >= D:
         raise DimensionError(f"raising degree n={n} must be < D={D}")
-    lv = level_value(params, np.arange(D))
     band = np.ones(D - n)
     with np.errstate(over="ignore"):
         for i in range(1, n + 1):
             band *= np.sqrt(lv[i : D - n + i])
         band *= lv[: D - n] ** m
-    return band
+    return _finite_band(band, D)
 
 
 def build_lambda(params: ModelParams, idx: LambdaIndex, D: int) -> FockOperator:
     """Band operator (a†)^n (a† a)^m, holding _lambda_band on sub-diagonal n."""
     n = LambdaIndex(*idx).n
-    return _band_operator(D, _lambda_band(params, idx, D), -n, margin=n)
+    band = _lambda_band(level_value(params, np.arange(D)), idx, D)
+    return _band_operator(D, band, -n, margin=n)
 
 
 def _is_exactly_diagonal(M: np.ndarray) -> bool:

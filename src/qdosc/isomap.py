@@ -85,6 +85,36 @@ def map_to_q(omega1: float, omega2: float, n: int) -> IsoMap:
     return iso
 
 
+def _table_residual(qp: QOsc, ap: Anharmonic, n: int, j_max: int, z: float) -> float:
+    """Worst difference of the two expansion coefficient tables, j <= j_max,
+    scaled by Z^j."""
+    table_res = 0.0
+    for j in range(j_max + 1):
+        tq = multicommutator_expansion(qp, n, 0, j)
+        ta = multicommutator_expansion(ap, n, 0, j)
+        scale = z**j if j > 0 else 1.0
+        for (kq, cq), (ka, ca) in zip(tq, ta):
+            assert kq == ka
+            table_res = np.maximum(table_res, abs(cq - ca) / scale)
+    return float(table_res)
+
+
+def _coeff_fn_residual(
+    qp: QOsc, ap: Anharmonic, n: int, j_max: int, t_grid: np.ndarray
+) -> float:
+    """Worst difference of the evolution coefficient functions
+    e^{i c1 t} (i c2 t)^r / r!, r <= j_max, relative with a floor of 1."""
+    c1_q, c2_q = _closure_rates(qp, n)
+    c1_a, c2_a = _closure_rates(ap, n)
+    fn_res = 0.0
+    for r in range(j_max + 1):
+        fq = np.exp(1j * c1_q * t_grid) * (1j * c2_q * t_grid) ** r / math.factorial(r)
+        fa = np.exp(1j * c1_a * t_grid) * (1j * c2_a * t_grid) ** r / math.factorial(r)
+        denom = np.maximum(1.0, np.abs(fa))
+        fn_res = np.maximum(fn_res, np.max(np.abs(fq - fa) / denom))
+    return float(fn_res)
+
+
 def isomorphism_residuals(
     omega1: float,
     omega2: float,
@@ -106,30 +136,24 @@ def isomorphism_residuals(
     z_a = expansion_scale(ap, n)
     z_res = abs(z_q - z_a)
 
-    table_res = 0.0
-    for j in range(j_max + 1):
-        tq = multicommutator_expansion(qp, n, 0, j)
-        ta = multicommutator_expansion(ap, n, 0, j)
-        scale = abs(z_a) ** j if j > 0 else 1.0
-        for (kq, cq), (ka, ca) in zip(tq, ta):
-            assert kq == ka
-            table_res = np.maximum(table_res, abs(cq - ca) / scale)
-
     if t_grid is None:
         t_grid = np.linspace(0.0, 1.0, 17)
-    c1_q, c2_q = _closure_rates(qp, n)
-    c1_a, c2_a = _closure_rates(ap, n)
-    fn_res = 0.0
-    for r in range(j_max + 1):
-        fq = np.exp(1j * c1_q * t_grid) * (1j * c2_q * t_grid) ** r / math.factorial(r)
-        fa = np.exp(1j * c1_a * t_grid) * (1j * c2_a * t_grid) ** r / math.factorial(r)
-        denom = np.maximum(1.0, np.abs(fa))
-        fn_res = np.maximum(fn_res, np.max(np.abs(fq - fa) / denom))
+    # Z^j and the terms of e^{i c1 t} (i c2 t)^r / r! leave double precision
+    # at large depth, and r! does beyond r = 170
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            table_res = _table_residual(qp, ap, n, j_max, abs(z_a))
+            fn_res = _coeff_fn_residual(qp, ap, n, j_max, t_grid)
+    except (OverflowError, ZeroDivisionError, FloatingPointError) as exc:
+        raise DomainError(
+            f"isomorphism residuals at depth j_max={j_max} leave double "
+            f"precision at n={n}"
+        ) from exc
 
     return ResidualReport(
         p_residual=p_res,
         z_residual=z_res,
-        table_residual=float(table_res),
-        coeff_fn_residual=float(fn_res),
+        table_residual=table_res,
+        coeff_fn_residual=fn_res,
         iso=iso,
     )

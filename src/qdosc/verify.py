@@ -2,8 +2,15 @@
 truncated Fock-space matrix oracle, packaged as machine-readable records.
 
 Band entries grow like q^(n j) with the column index, so identity residuals
-are measured element-wise relative to the reference entry (entries that are
-exactly zero in the reference are measured against the column scale).
+are measured element-wise relative to the reference entry, with a floor of 1
+on the denominator (interior_rel_error).
+
+The oracle side of every identity is dense: the dense Lambda, the dense
+commutator with H, the iterated commutators and the normal-ordered matrix
+products. The closed-form side is handed over as its one band, built from a
+level vector made once per model, and band_rel_error compares the two with
+the bits interior_rel_error gives on the band's dense form, counting every
+off-band entry of the oracle.
 
 Worst residuals are accumulated with np.maximum, which keeps a NaN
 (Python's max(0.0, nan) is 0.0), and a check with a non-finite worst
@@ -18,13 +25,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import (
+    _expansion_band,
+    _power_law_band,
     closure_coeffs,
-    expansion_matrix,
     normal_order_matrix,
-    power_law_multicommutator,
     scaling_phase_check,
 )
 from .dynamics import (
+    _cis,
     band_phase_trace,
     collapse_transform,
     evolve_anharmonic_closed,
@@ -35,13 +43,14 @@ from .dynamics import (
 from .errors import ConvergenceError, DomainError
 from .fock import (
     _is_exactly_diagonal,
+    _lambda_band,
     build_hamiltonian,
     build_lambda,
     coherent_state,
     commutator,
 )
 from .isomap import isomorphism_residuals
-from .params import Anharmonic, LambdaIndex, ModelParams, QOsc
+from .params import Anharmonic, LambdaIndex, ModelParams, QOsc, level_value
 from .qcore import _check_radius
 
 DEFAULT_DIM = 64
@@ -89,6 +98,35 @@ def interior_rel_error(ref: np.ndarray, test: np.ndarray, max_col: int) -> float
     return float((diff / denom).max(initial=0.0))
 
 
+def band_rel_error(ref: np.ndarray, test: np.ndarray, max_col: int, k: int) -> float:
+    """interior_rel_error(ref, test, max_col) with one side, ref or test,
+    given as the 1-D band it holds on diagonal k (k < 0 below the main
+    diagonal) and the other as a dense matrix.
+
+    Bit for bit the value of interior_rel_error on the band's dense form:
+    on the band the same element-wise ratios; off it the band side is 0, so
+    every off-band entry d of the dense side in the checked columns counts
+    as |d| (band as reference) or |d| / max(|d|, 1) (dense as reference).
+    The maximum of the ratios does not depend on their order, and a NaN,
+    or an off-band inf with the dense side as reference, gives NaN there
+    as here.
+    """
+    band_is_ref = ref.ndim == 1
+    band, dense = (ref, test) if band_is_ref else (test, ref)
+    cols = dense[:, : max_col + 1]
+    on = np.diagonal(cols, k)
+    b = band[: on.size]
+    r, t = (b, on) if band_is_ref else (on, b)
+    worst = (np.abs(t - r) / np.maximum(np.abs(r), 1.0)).max(initial=0.0)
+    off = np.abs(cols)
+    np.fill_diagonal(off[-k:] if k < 0 else off[:, k:], 0.0)
+    top = off.max(initial=0.0)
+    if not band_is_ref:
+        # |d| / max(|d|, 1) is min(|d|, 1) exactly, so nondecreasing in |d|
+        top = top / np.maximum(top, 1.0)
+    return float(np.maximum(worst, top))
+
+
 def _model_tag(params: ModelParams) -> dict:
     if isinstance(params, QOsc):
         return {"model": "qosc", "q": params.q, "omega": params.omega}
@@ -101,24 +139,24 @@ def _closure_models(q_grid=Q_GRID):
 
 def suite_closure(D: int = DEFAULT_DIM, nm_max: int = 4) -> list[CheckResult]:
     """[H, L^{n,m}] = c_same L^{n,m} + c_up L^{n,m+1}, plus the daggered
-    version with sign-flipped coefficients."""
+    version with sign-flipped coefficients. The right-hand side is one band
+    on sub-diagonal n, the daggered one its negative on the transpose."""
     results = []
     for params in _closure_models():
         H = build_hamiltonian(params, D)
+        lv = level_value(params, np.arange(D))
         worst = 0.0
         for n in range(nm_max + 1):
             cc = closure_coeffs(params, n)
             for m in range(nm_max + 1):
                 lam = build_lambda(params, LambdaIndex(n, m), D)
-                lam_up = build_lambda(params, LambdaIndex(n, m + 1), D)
+                band = _lambda_band(lv, LambdaIndex(n, m), D)
+                band_up = _lambda_band(lv, LambdaIndex(n, m + 1), D)
+                rhs = cc.c_same * band + cc.c_up * band_up
                 lhs = commutator(H, lam).matrix
-                rhs = cc.c_same * lam.matrix + cc.c_up * lam_up.matrix
-                worst = np.maximum(worst, interior_rel_error(rhs, lhs, D - 1 - n))
+                worst = np.maximum(worst, band_rel_error(rhs, lhs, D - 1 - n, -n))
                 lhs_d = commutator(H, lam.dagger()).matrix
-                rhs_d = -cc.c_same * lam.matrix.conj().T - cc.c_up * lam_up.matrix.conj().T
-                worst = np.maximum(
-                    worst, interior_rel_error(rhs_d.T, lhs_d.T, D - 1 - n)
-                )
+                worst = np.maximum(worst, band_rel_error(-rhs, lhs_d.T, D - 1 - n, -n))
         results.append(
             CheckResult(
                 check_id="closure",
@@ -131,22 +169,25 @@ def suite_closure(D: int = DEFAULT_DIM, nm_max: int = 4) -> list[CheckResult]:
 
 
 def _iterated_vs_closed(
-    params: ModelParams, closed_form, D: int, j_max: int, nm_max: int
+    params: ModelParams, closed_band, lv: np.ndarray, D: int, j_max: int, nm_max: int
 ) -> float:
-    """Worst residual of closed_form(params, n, m, j, D) against the dense iterated
-    commutator [H, ...[H, L^{n,m}]...] on the exact columns 0..D-1-n. The closed
-    form is built first, so its DomainError precedes any overflow in the oracle."""
+    """Worst residual of the band closed_band(params, lam, lv, n, m, j), lam
+    the L^{n,m} band, against the dense iterated commutator
+    [H, ...[H, L^{n,m}]...] on the exact columns 0..D-1-n. Each band is
+    built before the commutator of the same depth, so its DomainError
+    precedes any overflow in the oracle."""
     H = build_hamiltonian(params, D)
     worst = 0.0
     for n in range(nm_max + 1):
         for m in range(nm_max + 1):
             iterated = build_lambda(params, LambdaIndex(n, m), D)
+            lam = _lambda_band(lv, LambdaIndex(n, m), D)
             for j in range(j_max + 1):
-                closed = closed_form(params, n, m, j, D)
+                closed = closed_band(params, lam, lv, n, m, j)
                 if j > 0:
                     iterated = commutator(H, iterated)
                 worst = np.maximum(
-                    worst, interior_rel_error(iterated.matrix, closed.matrix, D - 1 - n)
+                    worst, band_rel_error(iterated.matrix, closed, D - 1 - n, -n)
                 )
     return worst
 
@@ -160,7 +201,14 @@ def suite_multicommutator(
         CheckResult(
             check_id="multicommutator",
             params={**_model_tag(params), "dim": D, "j_max": j_max, "nm_max": nm_max},
-            max_residual=_iterated_vs_closed(params, expansion_matrix, D, j_max, nm_max),
+            max_residual=_iterated_vs_closed(
+                params,
+                _expansion_band,
+                level_value(params, np.arange(D)),
+                D,
+                j_max,
+                nm_max,
+            ),
             tolerance=1e-9,
         )
         for params in [QOsc(q=1.2), QOsc(q=2.0), ANHARMONIC_DEFAULT]
@@ -171,13 +219,18 @@ def suite_power_law(
     D: int = DEFAULT_DIM, j_max: int = 6, nm_max: int = 3
 ) -> list[CheckResult]:
     """General-q closed form L^{n,m} (E(n)[a,a†])^j vs the iterated
-    commutator, including q < 1."""
+    commutator, including q < 1. At n = 0 the band reads the level [D]."""
     return [
         CheckResult(
             check_id="power_law",
             params={"model": "qosc", "q": q, "dim": D, "j_max": j_max, "nm_max": nm_max},
             max_residual=_iterated_vs_closed(
-                QOsc(q=q), power_law_multicommutator, D, j_max, nm_max
+                QOsc(q=q),
+                _power_law_band,
+                level_value(QOsc(q=q), np.arange(D + 1)),
+                D,
+                j_max,
+                nm_max,
             ),
             tolerance=1e-9,
         )
@@ -226,13 +279,14 @@ def suite_normal_order(D: int = 32, M_max: int = 5, n_max: int = 3) -> list[Chec
     results = []
     for q in Q_GRID:
         params = QOsc(q=q)
+        lv = level_value(params, np.arange(D))
         worst = 0.0
         for n in range(n_max + 1):
             for M in range(M_max + 1):
-                lam = build_lambda(params, LambdaIndex(n, M), D)
+                lam = _lambda_band(lv, LambdaIndex(n, M), D)
                 ordered = normal_order_matrix(params, LambdaIndex(n, M), D)
                 worst = np.maximum(
-                    worst, interior_rel_error(lam.matrix, ordered.matrix, D - 1 - n - M)
+                    worst, band_rel_error(lam, ordered.matrix, D - 1 - n - M, -n)
                 )
         results.append(
             CheckResult(
@@ -306,11 +360,8 @@ def oracle_expectation_series(
     lam = build_lambda(params, idx, D)
     scale = params.omega if isinstance(params, QOsc) else 1.0
     t = np.asarray(times, dtype=float) / scale
-    # Psi is built in place, so the series peaks at two D x T complex arrays
-    psi = np.empty((D, t.size), dtype=complex)
-    np.multiply.outer(-np.diag(H.matrix).real, t, out=psi)
-    psi *= 1j
-    np.exp(psi, out=psi)
+    # Psi is scaled in place, so the series peaks at two D x T complex arrays
+    psi = _cis(-np.diag(H.matrix).real[:, None], t)
     psi *= state.amplitudes[:, None]
     lam_psi = lam.matrix @ psi
     return np.einsum("dt,dt->t", np.conj(psi, out=psi), lam_psi)

@@ -69,6 +69,19 @@ class TestExpansion:
         assert len(terms) == 1
         assert terms[0].coeff == pytest.approx((2 * 3.0) ** 4)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_coefficients_beyond_double_precision_raise_domain_error(self):
+        # c_same^(j-k) beyond double precision, and C(j, k) beyond it while
+        # the rate powers are small
+        tiny = Anharmonic(omega1=1e-3, omega2=1e-3)
+        for fn, args in [
+            (multicommutator_expansion, (QOsc(q=2.0), 60, 0, 20)),
+            (expansion_matrix, (QOsc(q=2.0), 60, 0, 20, 64)),
+            (multicommutator_expansion, (tiny, 1, 0, 2000)),
+        ]:
+            with pytest.raises(DomainError, match="overflow double precision"):
+                fn(*args)
+
     @pytest.mark.parametrize("params", [QOsc(q=1.3), ANH])
     def test_matches_iterated_commutator(self, params):
         D = 32

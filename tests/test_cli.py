@@ -192,6 +192,15 @@ class TestMap:
         assert rec["omega_q"] == pytest.approx(11.0, rel=1e-13)
         assert max(rec["residuals"].values()) < 1e-12
 
+    def test_depth_beyond_double_precision_exits_2(self, tmp_path):
+        out = tmp_path / "m.json"
+        res = run_cli("map", "--j-max", 200, "--n", 4, "--omega1", 100, "--out", out)
+        assert res.returncode == 2, res.stderr
+        record = json.loads(res.stderr.strip())
+        assert record["error"] == "DomainError"
+        assert "overflow double precision" in record["message"]
+        assert not out.exists()
+
     def test_invalid_parameters_exit_2(self, tmp_path):
         res = run_cli("map", "--omega2", 0, "--out", tmp_path / "m.json")
         assert res.returncode == 2
@@ -261,6 +270,17 @@ class TestSweep:
         assert residuals and max(residuals) < 1e-12
         meta = json.loads((tmp_path / "s1.csv.meta.json").read_text())
         assert meta["diagnostics"]["max_residual"] < 1e-12
+
+    def test_depth_beyond_double_precision_is_an_error_row(self, tmp_path):
+        out = tmp_path / "s.csv"
+        res = run_cli(
+            "sweep", "--omega-ratios", "10,100", "--n-values", 4,
+            "--j-max", 200, "--out", out,
+        )  # fmt: skip
+        assert res.returncode == 0, res.stderr
+        rows = read_csv(out)
+        assert [r[3] for r in rows[1:]] == ["error", "error"]
+        assert all("double precision" in r[4] for r in rows[1:])
 
 
 class TestUsage:

@@ -75,3 +75,18 @@ class TestResiduals:
     def test_p_matches_inverse_q_exactly(self):
         rep = isomorphism_residuals(7.0, 2.0, 3)
         assert rep.p_residual < 1e-15
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "omega1, omega2, n, j_max",
+    [
+        (100.0, 1.0, 4, 200),  # the expansion coefficients overflow
+        (0.001, 0.001, 1, 200),  # Z^j underflows to 0
+        (0.001, 1.0, 2, 400),  # Z^j overflows
+        (0.001, 0.001, 4, 200),  # j! is beyond double precision
+    ],
+)
+def test_depth_beyond_double_precision_raises_domain_error(omega1, omega2, n, j_max):
+    with pytest.raises(DomainError):
+        isomorphism_residuals(omega1, omega2, n, j_max)

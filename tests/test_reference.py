@@ -15,13 +15,16 @@ ladder. The dynamics oracle evolved the operator in the Heisenberg picture
 once per time point. Every commutator was two dense matmuls, and the
 evolve command formatted its file one row and one scalar at a time. Each
 series wrote its model's rates itself, and the binomial expansion scaled
-binomial weights by Z^j. The vectorised builders, the mode-centred weight
+binomial weights by Z^j. The verify suites compared dense closed forms
+with dense oracles through interior_rel_error, the purely imaginary phases
+were np.exp(1j * x), and the collapse command formatted its file one row
+at a time. The vectorised builders, the mode-centred weight
 window, the streaming phase-sum evaluators, the tabulated q_stirling2, the
 band forms, the mode-centred coherent state, the batched
 Schrodinger-picture oracle, the element-wise commutator with a diagonal
-operand, the column-wise trace writer and the series and expansion built
-from the closure coefficients that replaced them must reproduce these
-forms.
+operand, the column-wise trace writer, the series and expansion built
+from the closure coefficients, the band comparisons of the suites and the
+cos/sin phases that replaced them must reproduce these forms.
 """
 
 import json
@@ -32,6 +35,7 @@ import pytest
 
 from qdosc import (
     Anharmonic,
+    collapse_transform,
     ConvergenceError,
     DimensionError,
     DomainError,
@@ -60,10 +64,20 @@ from qdosc import (
     q_number,
     q_stirling2,
     scaling_phase_check,
+    stirling2,
 )
 from qdosc import cli
 from qdosc.algebra import anharmonic_p, expansion_scale
-from qdosc.dynamics import _PHASE_BLOCK, TimeSeries, _horner, _phase_sum, band_phase_trace
+from qdosc import verify
+from qdosc.algebra import closure_coeffs, normal_order_matrix
+from qdosc.dynamics import (
+    _PHASE_BLOCK,
+    TimeSeries,
+    _cis,
+    _horner,
+    _phase_sum,
+    band_phase_trace,
+)
 from qdosc.params import validate_index
 from qdosc.qcore import _check_radius, _weight_window
 from qdosc.verify import interior_rel_error, oracle_expectation_series
@@ -870,3 +884,165 @@ def test_evolve_file_matches_per_row_formatter(tmp_path, run, fmt):
     grid = np.linspace(0.0, cfg["tau_max"], 3001)
     ts = evolve(params, complex(1.1, -0.6), LambdaIndex(2, 1), grid)
     assert out.read_text() == REF_TRACE[fmt](time_col, ts.times, ts.values)
+
+
+def ref_collapse_text(params, j_col, pairs, taus):
+    """The collapse command's per-row formatter."""
+    fmt = lambda x: repr(float(x))  # noqa: E731
+    curves = [band_phase_trace(params, LambdaIndex(n, m), j_col, taus) for n, m in pairs]
+    normalized = collapse_transform(curves)
+    rows = [",".join(["tau"] + [f"n{n}_m{m}" for n, m in pairs])]
+    for i, tau in enumerate(taus):
+        rows.append(",".join([fmt(tau)] + [fmt(c[i]) for c in normalized]))
+    stacked = np.vstack(normalized)
+    max_dev = float(np.max(np.abs(stacked[:, None, :] - stacked[None, :, :])))
+    rows.append(
+        ",".join(["max_pairwise_deviation", fmt(max_dev)] + [""] * (len(pairs) - 1))
+    )
+    return "\n".join(rows) + "\n"
+
+
+@pytest.mark.parametrize("steps", [1, 2001, cli._CSV_BLOCK + 7])
+def test_collapse_file_matches_per_row_formatter(tmp_path, steps):
+    out = tmp_path / "collapse.csv"
+    args = ["collapse", "--q", "2.0", "--j-col", "3", "--n-list", "1,2,3",
+            "--m-list", "0,2", "--tau-max", "0.5", "--steps", str(steps),
+            "--out", str(out)]  # fmt: skip
+    assert cli.main(args) == 0
+    pairs = [(n, m) for n in (1, 2, 3) for m in (0, 2)]
+    taus = np.linspace(0.0, 0.5, steps)
+    assert out.read_text() == ref_collapse_text(QOsc(q=2.0), 3, pairs, taus)
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
+    return a.shape == b.shape and np.array_equal(
+        np.atleast_1d(a).view(np.uint64), np.atleast_1d(b).view(np.uint64)
+    )
+
+
+@pytest.mark.parametrize("c", [0.0, 1e-300, 0.2, 1.0, 11.0, 416.0, 3.1e5, 7.3e12])
+def test_cis_has_the_bits_of_the_complex_exponential(c):
+    t = np.concatenate(
+        ([0.0, -0.0], np.linspace(0.0, 10.0, 20001), np.linspace(-50.0, 50.0, 999))
+    )
+    assert _same_bits(_cis(c, t), np.exp(1j * c * t))
+
+
+def test_cis_keeps_the_sign_of_zero_of_the_complex_exponential():
+    x = np.array([-0.0, 0.0, -1e-320, 1e-320, -np.pi, np.pi])
+    want = np.exp(1j * x)
+    assert np.signbit(want.imag[0]) == False  # noqa: E712 -- 1j * -0.0 is +0j
+    assert _same_bits(_cis(x, 1.0), want)
+    assert _same_bits(_cis(-0.0, 1.0), np.exp(1j * np.array(-0.0)))
+
+
+@pytest.mark.parametrize("params", MODELS, ids=_model_id)
+def test_cis_matches_the_oracle_phase_grid(params):
+    # the oracle's -E (x) t, whose first row is -0.0 * t
+    E = np.diag(build_hamiltonian(params, 512).matrix).real
+    t = np.linspace(0.0, 10.0, 101)
+    want = np.empty((E.size, t.size), dtype=complex)
+    np.multiply.outer(-E, t, out=want)
+    assert np.signbit(want.real[0]).all()
+    want *= 1j
+    np.exp(want, out=want)
+    assert _same_bits(_cis(-E[:, None], t), want)
+
+
+def ref_anharmonic_closed(params, alpha, n, m, ts):
+    """The closed-form anharmonic trace with np.exp phases and out-of-place
+    products."""
+    a2 = abs(alpha) ** 2
+    c_same = n * params.omega1 + n * n * params.omega2
+    c_up = 2.0 * n * params.omega2
+    rot = np.exp(1j * c_up * ts)
+    poly = np.zeros_like(ts, dtype=complex)
+    for r in range(m + 1):
+        poly += stirling2(r, m) * a2**r * rot**r
+    return np.conj(alpha) ** n * np.exp(1j * c_same * ts) * np.exp(a2 * (rot - 1.0)) * poly
+
+
+@pytest.mark.parametrize(
+    "params", [Anharmonic(10.0, 1.0), Anharmonic(3.7, 0.2), Anharmonic(1.0, 0.0)]
+)
+@pytest.mark.parametrize("alpha", [0.8, complex(1.1, -0.6), 3j, 30.0])
+def test_closed_trace_has_the_bits_of_the_exp_form(params, alpha):
+    rng = np.random.default_rng(3)
+    ts = np.concatenate(([0.0], np.sort(rng.uniform(0.0, 20.0, 2000))))
+    for n, m in NM:
+        got = evolve_anharmonic_closed(params, alpha, LambdaIndex(n, m), ts).values
+        assert _same_bits(got, ref_anharmonic_closed(params, alpha, n, m, ts)), (n, m)
+
+
+def ref_suite_closure(D, nm_max=4):
+    """Worst closure residual per model from the dense right-hand side."""
+    worst_per_model = []
+    for params in verify._closure_models():
+        H = build_hamiltonian(params, D)
+        worst = 0.0
+        for n in range(nm_max + 1):
+            cc = closure_coeffs(params, n)
+            for m in range(nm_max + 1):
+                lam = build_lambda(params, LambdaIndex(n, m), D)
+                lam_up = build_lambda(params, LambdaIndex(n, m + 1), D)
+                lhs = commutator(H, lam).matrix
+                rhs = cc.c_same * lam.matrix + cc.c_up * lam_up.matrix
+                worst = np.maximum(worst, interior_rel_error(rhs, lhs, D - 1 - n))
+                lhs_d = commutator(H, lam.dagger()).matrix
+                rhs_d = -cc.c_same * lam.matrix.conj().T - cc.c_up * lam_up.matrix.conj().T
+                worst = np.maximum(
+                    worst, interior_rel_error(rhs_d.T, lhs_d.T, D - 1 - n)
+                )
+        worst_per_model.append(float(worst))
+    return worst_per_model
+
+
+def ref_iterated_vs_closed(params, closed_form, D, j_max=6, nm_max=3):
+    """Worst residual of a dense closed form against the iterated commutator."""
+    H = build_hamiltonian(params, D)
+    worst = 0.0
+    for n in range(nm_max + 1):
+        for m in range(nm_max + 1):
+            iterated = build_lambda(params, LambdaIndex(n, m), D)
+            for j in range(j_max + 1):
+                closed = closed_form(params, n, m, j, D)
+                if j > 0:
+                    iterated = commutator(H, iterated)
+                worst = np.maximum(
+                    worst, interior_rel_error(iterated.matrix, closed.matrix, D - 1 - n)
+                )
+    return float(worst)
+
+
+def ref_normal_order(q, D, M_max=5, n_max=3):
+    params = QOsc(q=q)
+    worst = 0.0
+    for n in range(n_max + 1):
+        for M in range(M_max + 1):
+            lam = build_lambda(params, LambdaIndex(n, M), D)
+            ordered = normal_order_matrix(params, LambdaIndex(n, M), D)
+            worst = np.maximum(
+                worst, interior_rel_error(lam.matrix, ordered.matrix, D - 1 - n - M)
+            )
+    return float(worst)
+
+
+def _residuals(results):
+    return [r.max_residual for r in results]
+
+
+@pytest.mark.parametrize("D", [24, 64])
+def test_band_suites_keep_the_dense_residuals(D):
+    assert _residuals(verify.suite_closure(D)) == ref_suite_closure(D)
+    multicommutator_models = [QOsc(q=1.2), QOsc(q=2.0), Anharmonic(10.0, 1.0)]
+    assert _residuals(verify.suite_multicommutator(D)) == [
+        ref_iterated_vs_closed(p, expansion_matrix, D) for p in multicommutator_models
+    ]
+    assert _residuals(verify.suite_power_law(D)) == [
+        ref_iterated_vs_closed(QOsc(q=q), power_law_multicommutator, D)
+        for q in (0.5, 1.2, 2.0)
+    ]
+    assert _residuals(verify.suite_normal_order(D // 2)) == [
+        ref_normal_order(q, D // 2) for q in verify.Q_GRID
+    ]

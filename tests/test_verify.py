@@ -6,7 +6,13 @@ import pytest
 
 import qdosc.verify as verify
 from qdosc import DomainError, FockOperator, LambdaIndex, QOsc
-from qdosc.verify import CheckResult, oracle_expectation_series, run_suite
+from qdosc.verify import (
+    CheckResult,
+    band_rel_error,
+    interior_rel_error,
+    oracle_expectation_series,
+    run_suite,
+)
 
 
 class TestCheckResult:
@@ -22,15 +28,91 @@ class TestNanPropagation:
     def test_nan_after_finite_residual_fails_the_suite(self, monkeypatch):
         calls = []
 
-        def fake(ref, test, max_col):
+        def fake(ref, test, max_col, k):
             calls.append(None)
             return 1e-15 if len(calls) == 1 else math.nan
 
-        monkeypatch.setattr(verify, "interior_rel_error", fake)
+        monkeypatch.setattr(verify, "band_rel_error", fake)
         results = verify.suite_closure(D=6, nm_max=1)
         assert len(calls) > 1
         assert all(math.isnan(r.max_residual) for r in results)
         assert not any(r.passed for r in results)
+
+
+def _dense(band, k):
+    return np.diag(np.asarray(band, dtype=complex), k)
+
+
+def _same(a, b):
+    """Equal bits, or both NaN (whose sign and payload carry nothing)."""
+    if math.isnan(a) or math.isnan(b):
+        return math.isnan(a) and math.isnan(b)
+    return np.float64(a).view(np.uint64) == np.float64(b).view(np.uint64)
+
+
+class TestBandRelError:
+    """band_rel_error equals interior_rel_error on the band's dense form, bit
+    for bit, with the band as reference or as test."""
+
+    D = 12
+
+    def _case(self, k, seed):
+        rng = np.random.default_rng(seed)
+        L = self.D - abs(k)
+        # magnitudes across the floor of 1, and a band-shaped oracle near it
+        band = rng.normal(size=L) * 10.0 ** rng.uniform(-3, 6, L)
+        dense = _dense(band * (1 + 1e-13 * rng.normal(size=L)), k)
+        return band, dense
+
+    def _check(self, band, dense, k, max_col):
+        ref = interior_rel_error(_dense(band, k), dense, max_col)
+        assert _same(band_rel_error(band, dense, max_col, k), ref)
+        ref = interior_rel_error(dense, _dense(band, k), max_col)
+        assert _same(band_rel_error(dense, band, max_col, k), ref)
+
+    @pytest.mark.parametrize("k", [-3, -1, 0, 2])
+    @pytest.mark.parametrize("max_col", [-1, 0, 4, 11])
+    def test_band_shaped_oracle(self, k, max_col):
+        band, dense = self._case(k, seed=abs(k) + max_col + 2)
+        self._check(band, dense, k, max_col)
+
+    @pytest.mark.parametrize("k", [-3, 0, 2])
+    @pytest.mark.parametrize("value", [1e-9, 0.5, 3.0, 2e7, -0.0, 1e300j])
+    def test_off_band_entries_count(self, k, value):
+        band, dense = self._case(k, seed=7)
+        for row, col in [(0, 0), (self.D - 1, 4), (5, 1), (1, 9), (6, 6)]:
+            if col - row == k:
+                continue
+            hit = dense.copy()
+            hit[row, col] = value
+            self._check(band, hit, k, 8)
+        # an entry beyond the checked columns does not count
+        beyond = dense.copy()
+        beyond[0, self.D - 1] = 1e9
+        self._check(band, beyond, k, self.D - 3)
+
+    def test_off_band_entry_dominates(self):
+        band, dense = self._case(-2, seed=3)
+        dense[1, 7] = 2e7
+        assert band_rel_error(band, dense, 9, -2) == 2e7
+        assert band_rel_error(dense, band, 9, -2) == 1.0
+
+    @pytest.mark.parametrize("where", ["band", "on", "off"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_entries(self, where, bad):
+        band, dense = self._case(-1, seed=11)
+        if where == "band":
+            band[3] = bad
+        elif where == "on":
+            dense[4, 3] = bad
+        else:
+            dense[0, 5] = complex(0.0, bad)
+        with np.errstate(invalid="ignore"):
+            self._check(band, dense, -1, 9)
+            got = band_rel_error(dense, band, 9, -1)
+        # with the dense side as reference an inf there is inf / inf
+        if math.isnan(bad) or where != "band":
+            assert math.isnan(got)
 
 
 class TestRunSuite:
