@@ -18,7 +18,6 @@ from qdosc import (
     commutator,
     expansion_matrix,
     multicommutator_expansion,
-    multicommutator_matrix,
 )
 from qdosc.verify import interior_rel_error
 
@@ -39,7 +38,9 @@ for params in (QOsc(q=1.2), Anharmonic(omega1=10.0, omega2=1.0)):
 
     n, m, j = 2, 0, 4
     terms = multicommutator_expansion(params, n, m, j)
-    ref = multicommutator_matrix(H, build_lambda(params, LambdaIndex(n, m), D), j)
+    ref = build_lambda(params, LambdaIndex(n, m), D)
+    for _ in range(j):
+        ref = commutator(H, ref)
     got = expansion_matrix(params, n, m, j, D)
     resid = interior_rel_error(ref.matrix, got.matrix, D - 1 - n)
     print(f"  depth-{j} expansion of index ({n},{m}) has {len(terms)} terms, "

@@ -45,14 +45,11 @@ from .fock import (
     commutator,
     expectation,
     heisenberg_evolve,
-    multicommutator_matrix,
 )
 from .isomap import IsoMap, ResidualReport, isomorphism_residuals, map_to_q
 from .params import Anharmonic, LambdaIndex, ModelParams, QOsc, energy, level_value
 from .qcore import (
-    log_q_factorial,
     q_exponential,
-    q_factorial,
     q_number,
     q_stirling2,
     stirling2,

@@ -246,9 +246,11 @@ def cmd_collapse(cfg: dict) -> int:
     params = QOsc(q=float(cfg["q"]), omega=float(cfg["omega"]))
     j_col = int(cfg["j_col"])
     taus = np.linspace(0.0, float(cfg["tau_max"]), int(cfg["steps"]))
-    pairs = [
-        (n, m) for n in _list(cfg["n_list"], int) for m in _list(cfg["m_list"], int)
-    ]
+    ns, ms = _list(cfg["n_list"], int), _list(cfg["m_list"], int)
+    for flag, values in (("--n-list", ns), ("--m-list", ms)):
+        if not values:
+            raise ConfigError(f"{flag} must name at least one value")
+    pairs = [(n, m) for n in ns for m in ms]
     curves = [band_phase_trace(params, LambdaIndex(n, m), j_col, taus) for n, m in pairs]
     normalized = collapse_transform(curves)
     header = ["tau"] + [f"n{n}_m{m}" for n, m in pairs]

@@ -238,10 +238,12 @@ def collapse_transform(traces: list[PhaseCurve]) -> list[np.ndarray]:
 
     Grids whose expected phase step reaches pi are refused: a wrapped step
     beyond pi is indistinguishable from its alias, so silent unwrapping
-    would fake the collapse.
+    would fake the collapse. An empty grid raises DomainError.
     """
     out = []
     for tr in traces:
+        if len(tr.taus) == 0:
+            raise DomainError(f"empty tau grid for (n={tr.n}, m={tr.m})")
         nq = q_number(tr.n, tr.q)
         if len(tr.taus) > 1:
             max_step = float(np.max(np.diff(tr.taus))) * nq * tr.q**tr.j_col

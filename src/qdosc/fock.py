@@ -170,16 +170,6 @@ def commutator(A: FockOperator, B: FockOperator) -> FockOperator:
     return FockOperator(A.dim, out, A.margin + B.margin)
 
 
-def multicommutator_matrix(H: FockOperator, O: FockOperator, j: int) -> FockOperator:
-    """j-fold nested commutator [H, ... [H, O] ... ]; j = 0 returns O."""
-    if j < 0:
-        raise DomainError(f"j must be nonnegative, got {j}")
-    out = O
-    for _ in range(j):
-        out = commutator(H, out)
-    return out
-
-
 def heisenberg_evolve(O: FockOperator, H: FockOperator, t: float) -> FockOperator:
     """Heisenberg evolution e^{+iHt} O e^{-iHt} for diagonal H.
 

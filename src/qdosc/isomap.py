@@ -126,8 +126,10 @@ def isomorphism_residuals(
     algebra: binomial parameter, commutation scale Z, the full expansion
     coefficient tables up to depth j_max (scaled by Z^j) and the evolution
     coefficient functions e^{i c1 t} (i c2 t)^r / r! over a time grid
-    (relative, floored at 1).
+    (relative, floored at 1). A negative j_max raises DomainError.
     """
+    if j_max < 0:
+        raise DomainError(f"j_max must be nonnegative, got {j_max}")
     iso = map_to_q(omega1, omega2, n)
     qp = iso.q_params()
     ap = iso.source

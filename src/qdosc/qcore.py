@@ -1,17 +1,18 @@
-"""q-arithmetic and combinatorics: q-numbers, q-factorials, the q-exponential,
-(q-)Stirling numbers of the second kind and the mode-centred window of
-(q-)Poisson weights used by every coherent state.
+"""q-arithmetic and combinatorics: q-numbers, the q-exponential, (q-)Stirling
+numbers of the second kind and the mode-centred window of (q-)Poisson
+weights used by every coherent state.
 
-All factorial-like magnitudes are kept in log space and probability weights
-are products of term ratios below 1 outward from their mode, so nothing here
-overflows for moderate deformations even at large order.
+Nothing here forms a q-factorial. Probability weights are products of term
+ratios below 1 outward from their mode, and the Stirling numbers come from a
+recurrence of nonnegative terms, so nothing cancels and nothing overflows for
+moderate deformations even at large order.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from fractions import Fraction
+import sys
 
 import numpy as np
 
@@ -77,24 +78,6 @@ def q_number(n, q: float):
     return val
 
 
-def log_q_factorial(n: int, q: float) -> float:
-    """ln([n]_q!) accumulated as a sum of logs (the raw product overflows
-    for q > 1 near n ~ 40)."""
-    _require_positive_q(q)
-    if n < 0:
-        raise DomainError(f"n must be nonnegative, got n={n}")
-    return math.fsum(math.log(q_number(k, q)) for k in range(2, n + 1))
-
-
-def q_factorial(n: int, q: float) -> float:
-    """[n]_q! as a float; raises DomainError where it leaves double
-    precision, where log_q_factorial still serves."""
-    try:
-        return math.exp(log_q_factorial(n, q))
-    except OverflowError:
-        raise DomainError(f"[{n}]_q! overflows double precision at q={q}") from None
-
-
 def q_exponential(x: float, q: float, tol: float = 1e-14) -> float:
     """q-deformed exponential sum_k x^k/[k]_q! for x >= 0, over the window
     of _weight_window. For q < 1 the series has radius of convergence
@@ -108,72 +91,65 @@ def q_exponential(x: float, q: float, tol: float = 1e-14) -> float:
 
 
 def stirling2(r: int, m: int) -> float:
-    """Classical Stirling number of the second kind via the finite sum
-    sum_k (-1)^(r-k) k^m / (k! (r-k)!), evaluated in exact rational
-    arithmetic (convention 0^0 = 1)."""
-    if r < 0 or m < 0:
-        raise DomainError("indices must be nonnegative")
-    total = Fraction(0)
-    for k in range(r + 1):
-        km = 1 if (k == 0 and m == 0) else k**m
-        total += Fraction(
-            (-1) ** (r - k) * km, math.factorial(k) * math.factorial(r - k)
-        )
-    return float(total)
+    """Classical Stirling number of the second kind S(r, m), the q = 1 case
+    of q_stirling2, correctly rounded."""
+    return q_stirling2(r, m, 1.0)
 
 
 def q_stirling2(s: int, m: int, q: float) -> float:
-    """q-deformed Stirling number of the second kind,
+    """q-deformed Stirling number of the second kind S_q^{s,m}, the
+    coefficient of (a†)^{n+s} a^s in the normal-ordered (a†)^n (a†a)^m.
 
-        S_q^{s,m} = sum_{k=0}^{s} (-1)^{s-k} q^{((s-k)^2-(s-k))/2}
-                    [k]_q^m / ([k]_q! [s-k]_q!),
-
-    with the convention [0]_q^0 = 1.  The alternating sum is accumulated
-    with fsum; term magnitudes are formed by direct products when every
-    factor fits in double precision and in log space otherwise.  A term or
-    sum beyond double precision raises DomainError.
-
-    The coefficient depends on (s, m, q) alone, so each one is computed once
-    and remembered.
+    It vanishes for s > m and is read from the row S_q^{0..m,m} of
+    _stirling_row otherwise. q <= 0, a NaN q, a negative index and an
+    entry beyond double precision raise DomainError.
     """
     # a plain function over the cache, so that benchmarks/tracer.py, which
     # wraps functions only, still sees and times every call
-    return _q_stirling2(s, m, q)
-
-
-@functools.lru_cache(maxsize=4096, typed=True)
-def _q_stirling2(s: int, m: int, q: float) -> float:
     _require_positive_q(q)
     if s < 0 or m < 0:
         raise DomainError("indices must be nonnegative")
-    lnq = math.log(q)
-    levels = [q_number(k, q) for k in range(s + 1)]
-    logs = [math.log(lv) for lv in levels[2:]]
-    # ln([k]_q!) summed exactly as log_q_factorial does
-    ln_fact = [math.fsum(logs[: max(k - 1, 0)]) for k in range(s + 1)]
-    terms = []
-    try:
-        for k in range(s + 1):
-            r = s - k
-            if k == 0 and m > 0:
-                continue  # [0]_q^m = 0
-            sign = -1.0 if r % 2 else 1.0
-            tri = (r * r - r) // 2
-            ln_pow = tri * lnq
-            ln_level = m * math.log(levels[k]) if k > 0 else 0.0
-            ln_den = ln_fact[k] + ln_fact[r]
-            ln_mag = ln_pow + ln_level - ln_den
-            factors = (ln_pow, ln_level, ln_pow + ln_level, ln_den, ln_mag)
-            if max(map(abs, factors)) < 690.0:
-                # direct products keep an extra couple of digits vs exp(ln_mag)
-                num = q**tri * (levels[k] ** m if k > 0 else 1.0)
-                den = math.exp(ln_fact[k]) * math.exp(ln_fact[r])
-                terms.append(sign * num / den)
-            else:
-                terms.append(sign * math.exp(ln_mag))
-        return math.fsum(terms)
-    except OverflowError:
-        raise DomainError(f"S_q^({s},{m}) overflows double precision at q={q}") from None
+    if s > m:
+        return 0.0
+    val = _stirling_row(m, q)[s]
+    # false for inf, NaN and an exact int beyond the largest double
+    if not val <= sys.float_info.max:
+        raise DomainError(f"S_q^({s},{m}) overflows double precision at q={q}")
+    return float(val)
+
+
+@functools.lru_cache(maxsize=256, typed=True)
+def _stirling_row(m: int, q: float) -> np.ndarray:
+    """The row S_q^{0..m,m} of the positive-term recurrence
+
+        S^{s,M+1} = [s]_q S^{s,M} + q^(s-1) S^{s-1,M},   S^{0,0} = 1
+
+    (Katriel & Kibler, J. Phys. A 25, 2683 (1992)), one level M at a time.
+    Every term is nonnegative, so nothing cancels, and an entry depends on
+    entries at the same or smaller s only: an inf at a larger s never
+    reaches a smaller one. At q = 1 the recurrence runs in exact Python
+    ints, which q_stirling2 rounds correctly. The levels come from one
+    q_number call, so a row whose [m]_q leaves double precision raises
+    DomainError as a whole; its entries beyond s = 1 overflow there anyway.
+    The row costs O(m^2).
+    """
+    if q == 1.0:
+        lv = np.arange(m + 1).astype(object)
+        qp = np.ones(m, dtype=object)
+    else:
+        lv = q_number(np.arange(m + 1), q)
+        qp = float(q) ** np.arange(m)
+    row = np.zeros(m + 1, dtype=lv.dtype)
+    row[0] = 1
+    # an entry beyond double precision becomes inf, or NaN where an
+    # underflowed q^(s-1) meets it; q_stirling2 refuses both
+    with np.errstate(over="ignore", invalid="ignore"):
+        for M in range(m):
+            row[M + 1] = qp[M] * row[M]
+            row[1 : M + 1] = lv[1 : M + 1] * row[1 : M + 1] + qp[:M] * row[:M]
+            row[0] = 0
+    row.flags.writeable = False
+    return row
 
 
 def _mode_weights(x: float, lv: np.ndarray):

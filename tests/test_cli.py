@@ -207,6 +207,13 @@ class TestMap:
         record = json.loads(res.stderr.strip())
         assert record["error"] == "DomainError"
 
+    def test_negative_depth_exits_2(self, tmp_path):
+        out = tmp_path / "m.json"
+        res = run_cli("map", "--j-max", -1, "--out", out)
+        assert res.returncode == 2
+        assert json.loads(res.stderr.strip())["error"] == "DomainError"
+        assert not out.exists()
+
 
 class TestCollapse:
     def test_normalized_column_is_scaled_time(self, tmp_path):
@@ -251,6 +258,23 @@ class TestCollapse:
         assert res.returncode == 2
         record = json.loads(res.stderr.strip())
         assert record["error"] == "DomainError"
+
+    def test_empty_grid_exits_2(self, tmp_path):
+        out = tmp_path / "c.csv"
+        res = run_cli("collapse", "--steps", 0, "--out", out)
+        assert res.returncode == 2
+        record = json.loads(res.stderr.strip())
+        assert set(record) == {"error", "message"}
+        assert record["error"] == "DomainError"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--n-list", "--m-list"])
+    def test_empty_index_list_exits_2(self, tmp_path, flag):
+        res = run_cli("collapse", flag, "", "--out", tmp_path / "c.csv")
+        assert res.returncode == 2
+        record = json.loads(res.stderr.strip())
+        assert record["error"] == "ConfigError"
+        assert flag in record["message"]
 
 
 class TestSweep:

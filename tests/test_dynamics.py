@@ -256,3 +256,8 @@ class TestCollapse:
     def test_outside_domain_rejected(self, n, j_col):
         with pytest.raises(DomainError):
             band_phase_trace(QOsc(q=1.2), LambdaIndex(n, 0), j_col, TAUS)
+
+    def test_empty_grid_rejected(self):
+        tr = band_phase_trace(QOsc(q=1.2), LambdaIndex(1, 0), 0, np.array([]))
+        with pytest.raises(DomainError):
+            collapse_transform([tr])

@@ -90,3 +90,8 @@ class TestResiduals:
 def test_depth_beyond_double_precision_raises_domain_error(omega1, omega2, n, j_max):
     with pytest.raises(DomainError):
         isomorphism_residuals(omega1, omega2, n, j_max)
+
+
+def test_negative_depth_raises_domain_error():
+    with pytest.raises(DomainError):
+        isomorphism_residuals(10.0, 1.0, 1, -1)

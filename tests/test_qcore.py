@@ -16,9 +16,7 @@ from qdosc import (
     coherent_dim,
     evolve_anharmonic_expectation,
     evolve_q_expectation,
-    log_q_factorial,
     q_exponential,
-    q_factorial,
     q_number,
     q_stirling2,
     stirling2,
@@ -95,31 +93,6 @@ class TestQNumber:
             mq = mpmath.mpf(q)  # the double actually passed, not 1 +- eps
             want = [float((mq**n - 1) / (mq - 1)) for n in range(129)]
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
-
-
-class TestLogQFactorial:
-    def test_empty_product(self):
-        assert log_q_factorial(0, 3.0) == 0.0
-
-    def test_small_products(self):
-        # [3]_2! = 7 * 3 * 1
-        assert log_q_factorial(3, 2.0) == pytest.approx(math.log(21), rel=1e-13)
-        assert log_q_factorial(4, 1.0) == pytest.approx(math.log(24), rel=1e-13)
-
-    def test_no_overflow_at_large_n(self):
-        val = log_q_factorial(200, 2.0)  # raw product would be ~2^20000
-        assert math.isfinite(val) and val > 1e4
-
-    def test_rejects_nonpositive_q(self):
-        with pytest.raises(DomainError):
-            log_q_factorial(3, 0.0)
-        with pytest.raises(DomainError):
-            log_q_factorial(3, -1.0)
-
-    def test_q_factorial_overflow_is_domain_error(self):
-        assert q_factorial(170, 1.0) == pytest.approx(math.factorial(170), rel=1e-12)
-        with pytest.raises(DomainError):
-            q_factorial(171, 1.0)
 
 
 class TestQExponential:
@@ -296,16 +269,27 @@ class TestStirling:
         for q in (0.5, 1.3, 2.0):
             for m in range(4):
                 for s in range(m + 1, 7):
-                    assert abs(q_stirling2(s, m, q)) < 1e-12
+                    assert q_stirling2(s, m, q) == 0.0
+
+    @pytest.mark.parametrize("q", [0.5, 2.0])
+    def test_diagonal_is_power_of_q(self, q):
+        # S_q^{s,s} = q^(s(s-1)/2); an alternating sum loses it to cancellation
+        for s in range(31):
+            assert q_stirling2(s, s, q) == pytest.approx(q ** (s * (s - 1) // 2), rel=1e-14)
 
     def test_rejects_nonpositive_q(self):
-        with pytest.raises(DomainError):
-            q_stirling2(2, 3, 0.0)
+        for q in (0.0, -1.0, math.nan):
+            with pytest.raises(DomainError):
+                q_stirling2(2, 3, q)
+        for s, m in ((-1, 3), (2, -1)):
+            with pytest.raises(DomainError):
+                q_stirling2(s, m, 1.5)
+            with pytest.raises(DomainError):
+                stirling2(s, m)
 
     @pytest.mark.parametrize("q", [0.3, 0.5, 0.9, 1.0, 1.1, 1.5, 2.0, 3.0])
     def test_finite_or_typed_error(self, q):
-        # factors such as q^tri or [k]_q! can leave double precision while
-        # the term itself does not
+        # an entry beyond double precision raises; it never comes back as inf
         for s in range(0, 61, 3):
             for m in range(0, 61, 3):
                 try:
@@ -313,6 +297,10 @@ class TestStirling:
                 except QdoscError:
                     continue
                 assert math.isfinite(val), (s, m, q)
+
+
+def log_q_factorial(n, q):
+    return math.fsum(math.log(q_number(k, q)) for k in range(2, n + 1))
 
 
 def poisson_weights(a2, tol=1e-12):

@@ -1,34 +1,38 @@
 """The earlier per-element implementations, kept as independent references.
 
 The Fock builders used to fill their band one matrix element at a time from
-a scalar q-number, and the weight recursion existed twice: a plain term-ratio
-version for the coherent-state dimension and a moment-aware version for the
-expectation series. Those two became one walk from k = 0 that renormalized
-its terms past 1e280, and the q-exponential summed its own series in a
-loop. The coherent-state phase sums were one dense T x K
-product exp(i t r_k) @ c, and q_stirling2 recomputed both q-factorials for
-every term. The closed forms of the algebra were dense matrix expressions:
-a sum of j + 1 dense Lambdas, a matrix power of the dense [a, a†], and a
-dense Heisenberg evolution per scaling point; the coherent state was a
-cumulative product of its weights from k = 0, checked against the dense
-ladder. The dynamics oracle evolved the operator in the Heisenberg picture
-once per time point. Every commutator was two dense matmuls, and the
+a scalar q-number, and the weight recursion existed twice: a plain
+term-ratio version for the coherent-state dimension and a moment-aware
+version for the expectation series. Those two became one walk from k = 0
+that renormalized its terms past 1e280, and the q-exponential summed its own
+series in a loop. The coherent-state phase sums were one dense T x K product
+exp(i t r_k) @ c. The closed forms of the algebra were dense matrix
+expressions: a sum of j + 1 dense Lambdas, a matrix power of the dense
+[a, a†], and a dense Heisenberg evolution per scaling point; the coherent
+state was a cumulative product of its weights from k = 0, checked against
+the dense ladder. The dynamics oracle evolved the operator in the Heisenberg
+picture once per time point. Every commutator was two dense matmuls, and the
 evolve command formatted its file one row and one scalar at a time. Each
 series wrote its model's rates itself, and the binomial expansion scaled
-binomial weights by Z^j. The verify suites compared dense closed forms
-with dense oracles through interior_rel_error, the purely imaginary phases
-were np.exp(1j * x), and the collapse command formatted its file one row
-at a time. The vectorised builders, the mode-centred weight
-window, the streaming phase-sum evaluators, the tabulated q_stirling2, the
-band forms, the mode-centred coherent state, the batched
-Schrodinger-picture oracle, the element-wise commutator with a diagonal
-operand, the column-wise trace writer, the series and expansion built
-from the closure coefficients, the band comparisons of the suites and the
-cos/sin phases that replaced them must reproduce these forms.
+binomial weights by Z^j. The verify suites compared dense closed forms with
+dense oracles through interior_rel_error, the purely imaginary phases were
+np.exp(1j * x), and the collapse command formatted its file one row at a
+time. The vectorised builders, the mode-centred weight window, the streaming
+phase-sum evaluators, the band forms, the mode-centred coherent state, the
+batched Schrodinger-picture oracle, the element-wise commutator with a
+diagonal operand, the column-wise trace writer, the series and expansion
+built from the closure coefficients, the band comparisons of the suites and
+the cos/sin phases that replaced them must reproduce these forms.
+
+The (q-)Stirling numbers are the exception: their alternating per-term sum
+cancels catastrophically in floating point, so no float form of it is a
+reference. It is evaluated exactly in integers and rounded once, and the
+recurrence that replaced it must match that.
 """
 
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -55,12 +59,9 @@ from qdosc import (
     expansion_matrix,
     expectation,
     heisenberg_evolve,
-    log_q_factorial,
     multicommutator_expansion,
-    multicommutator_matrix,
     power_law_multicommutator,
     q_exponential,
-    q_factorial,
     q_number,
     q_stirling2,
     scaling_phase_check,
@@ -555,43 +556,57 @@ def test_expansion_from_closure_coeffs_matches_binomial_weights(params):
                 assert abs(got.get(k, 0.0) - coeff) <= 1e-14 * abs(z) ** j, (n, j, k)
 
 
-def ref_q_stirling2(s, m, q):
-    lnq = math.log(q)
-    terms = []
-    try:
-        for k in range(s + 1):
-            r = s - k
-            if k == 0 and m > 0:
-                continue
-            sign = -1.0 if r % 2 else 1.0
-            tri = (r * r - r) // 2
-            ln_pow = tri * lnq
-            ln_level = m * math.log(q_number(k, q)) if k > 0 else 0.0
-            ln_den = log_q_factorial(k, q) + log_q_factorial(r, q)
-            ln_mag = ln_pow + ln_level - ln_den
-            factors = (ln_pow, ln_level, ln_pow + ln_level, ln_den, ln_mag)
-            if max(map(abs, factors)) < 690.0:
-                num = q**tri * (q_number(k, q) ** m if k > 0 else 1.0)
-                den = q_factorial(k, q) * q_factorial(r, q)
-                terms.append(sign * num / den)
-            else:
-                terms.append(sign * math.exp(ln_mag))
-        return math.fsum(terms)
-    except OverflowError:
-        raise DomainError("overflow") from None
+def exact_q_stirling2(s, ms, q):
+    """The per-term sum
+
+        S_q^{s,m} = sum_k (-1)^(s-k) q^C(s-k,2) [k]_q^m / ([k]_q! [s-k]_q!)
+
+    evaluated exactly at the float q's own value a/b, for each m in ms, as a
+    pair of ints (num, den). With [k]_q = N[k] / b^(k-1) and
+    [k]_q! = F[k] / b^C(k,2), term k is coef[k] N[k]^m b^(C(k,2) - m(k-1))
+    / F[s], where F[s] / (F[k] F[s-k]) is an integer (a Gaussian binomial).
+    Ints instead of Fractions skip a gcd per operation, which dominates here.
+    """
+    a, b = q.as_integer_ratio()
+    N = [0] + [sum(a**i * b ** (k - 1 - i) for i in range(k)) for k in range(1, s + 1)]
+    F = [1]
+    for k in range(1, s + 1):
+        F.append(F[-1] * N[k])
+    coef = [
+        (-1) ** (s - k) * a ** ((s - k) * (s - k - 1) // 2) * (F[s] // (F[k] * F[s - k]))
+        for k in range(s + 1)
+    ]
+    out = {}
+    for m in ms:
+        ks = range(0 if m == 0 else 1, s + 1)  # [0]_q^0 = 1, [0]_q^m = 0
+        powers = {k: k * (k - 1) // 2 - m * (k - 1) for k in ks}
+        low = min(powers.values(), default=0)
+        num = sum(coef[k] * N[k] ** m * b ** (p - low) for k, p in powers.items())
+        out[m] = (num * b ** max(low, 0), F[s] * b ** max(-low, 0))
+    return out
 
 
-@pytest.mark.parametrize("q", [0.3, 0.9, 1.0, 1.0 + 1e-9, 1.2, 2.0, 3.0])
+@pytest.mark.parametrize("q", [0.3, 0.5, 0.9, 1.0, 1.0 + 1e-9, 1.2, 2.0, 3.0])
 def test_q_stirling2_matches_per_term_factorials(q):
+    # in floating point the per-term sum is off by up to 4e32 (q = 0.9) and
+    # 2e307 (q = 0.3) relative on this grid; exactly, it is the reference
     for s in range(0, 43, 3):
-        for m in range(0, 43, 6):
+        for m, (num, den) in exact_q_stirling2(s, range(0, 43, 6), q).items():
             try:
-                want = ref_q_stirling2(s, m, q)
-            except DomainError:
+                want = num / den  # correctly rounded
+            except OverflowError:
                 with pytest.raises(DomainError):
                     q_stirling2(s, m, q)
                 continue
-            assert q_stirling2(s, m, q) == want, (s, m)
+            got = q_stirling2(s, m, q)
+            # floored at the smallest normal double: subnormals lose bits
+            assert abs(got - want) <= 1e-13 * max(abs(want), sys.float_info.min), (s, m)
+
+
+def test_stirling2_is_the_correctly_rounded_exact_sum():
+    for r in range(61):
+        for m, (num, den) in exact_q_stirling2(r, range(61), 1.0).items():
+            assert stirling2(r, m) == num / den, (r, m)
 
 
 def ref_expansion_matrix(params, n, m, j, D):
@@ -806,7 +821,8 @@ def test_overflowing_commutator_raises_domain_error():
     H = build_hamiltonian(params, 96)
     lam = build_lambda(params, LambdaIndex(1, 1), 96)
     with pytest.raises(DomainError):
-        multicommutator_matrix(H, lam, 10)
+        for _ in range(10):
+            lam = commutator(H, lam)
     # the dense-product path refuses an overflowing product the same way
     big = FockOperator(4, np.full((4, 4), 1e200, dtype=complex))
     with pytest.raises(DomainError):
