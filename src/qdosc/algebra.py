@@ -6,7 +6,9 @@ Each closed form is the one band of Lambda^{n,m} times a factor per Fock
 column, and is built as that band (_expansion_band, _power_law_band) from a
 level vector the caller builds once per model. expansion_matrix and
 power_law_multicommutator package the band as a dense operator; the dense
-engine in fock is the oracle the bands are verified against.
+engine in fock is the oracle the bands are verified against. The
+normal-ordered oracle is real and takes its ladder powers from
+_ladder_powers, which a suite calls once per model for every (n, M).
 """
 
 from __future__ import annotations
@@ -191,15 +193,33 @@ def normal_order_expansion(n: int, M: int, q: float) -> list[tuple[int, float]]:
     return [(s, q_stirling2(s, M, q)) for s in range(M + 1)]
 
 
+def _ladder_powers(
+    params: ModelParams, D: int, k_max: int, s_max: int
+) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """The dense powers (a†)^k, k <= k_max, and a^s, s <= s_max, from one
+    build_ladder. Each is np.linalg.matrix_power's own: a running product
+    would round differently."""
+    a, adag = build_ladder(params, D)
+    return (
+        [np.linalg.matrix_power(adag.matrix, k) for k in range(k_max + 1)],
+        [np.linalg.matrix_power(a.matrix, s) for s in range(s_max + 1)],
+    )
+
+
+def _normal_order_dense(
+    n: int, M: int, q: float, up: list[np.ndarray], down: list[np.ndarray]
+) -> np.ndarray:
+    """sum_s S_q^{s,M} (a†)^{n+s} a^s as a real dense matrix, from the
+    ladder powers up and down of _ladder_powers (k_max >= n + M, s_max >= M)."""
+    mat = np.zeros(up[0].shape)
+    for s, coeff in normal_order_expansion(n, M, q):
+        mat += coeff * (up[n + s] @ down[s])
+    return mat
+
+
 def normal_order_matrix(params: ModelParams, idx: LambdaIndex, D: int) -> FockOperator:
     """Materialize the normal-ordered expansion as a matrix (oracle side of
     the normal-ordering identity)."""
-    n, M = LambdaIndex(*idx)
-    a, adag = build_ladder(params, D)
-    mat = np.zeros((D, D), dtype=complex)
-    for s, coeff in normal_order_expansion(n, M, _level_q(params)):
-        term = np.linalg.matrix_power(adag.matrix, n + s) @ np.linalg.matrix_power(
-            a.matrix, s
-        )
-        mat += coeff * term
-    return FockOperator(D, mat, margin=n)
+    n, M = validate_index(idx)
+    up, down = _ladder_powers(params, D, n + M, M)
+    return FockOperator(D, _normal_order_dense(n, M, _level_q(params), up, down), margin=n)

@@ -88,11 +88,18 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _list(value, cast) -> list:
-    """A list or tuple from a config file, or a comma-separated flag value."""
+def _list(cfg: dict, key: str, cast) -> list:
+    """cfg[key], a list or tuple from a config file or a comma-separated
+    flag value, cast element-wise; an empty list is a ConfigError naming
+    the flag."""
+    value = cfg[key]
     if isinstance(value, (list, tuple)):
-        return [cast(v) for v in value]
-    return [cast(v) for v in str(value).split(",") if v != ""]
+        out = [cast(v) for v in value]
+    else:
+        out = [cast(v) for v in str(value).split(",") if v != ""]
+    if not out:
+        raise ConfigError(f"--{key.replace('_', '-')} must name at least one value")
+    return out
 
 
 def _load_config_file(path: str) -> dict:
@@ -246,10 +253,7 @@ def cmd_collapse(cfg: dict) -> int:
     params = QOsc(q=float(cfg["q"]), omega=float(cfg["omega"]))
     j_col = int(cfg["j_col"])
     taus = np.linspace(0.0, float(cfg["tau_max"]), int(cfg["steps"]))
-    ns, ms = _list(cfg["n_list"], int), _list(cfg["m_list"], int)
-    for flag, values in (("--n-list", ns), ("--m-list", ms)):
-        if not values:
-            raise ConfigError(f"{flag} must name at least one value")
+    ns, ms = _list(cfg, "n_list", int), _list(cfg, "m_list", int)
     pairs = [(n, m) for n in ns for m in ms]
     curves = [band_phase_trace(params, LambdaIndex(n, m), j_col, taus) for n, m in pairs]
     normalized = collapse_transform(curves)
@@ -267,8 +271,8 @@ def cmd_collapse(cfg: dict) -> int:
 
 def cmd_sweep(cfg: dict) -> int:
     """Sweep isomorphism residuals over a parameter grid."""
-    ratios = _list(cfg["omega_ratios"], float)
-    ns = _list(cfg["n_values"], int)
+    ratios = _list(cfg, "omega_ratios", float)
+    ns = _list(cfg, "n_values", int)
     j_max = int(cfg["j_max"])
     rows = ["omega1,omega2,n,metric,value"]
     worst = 0.0

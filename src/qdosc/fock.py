@@ -10,7 +10,11 @@ has the bits of the two O(D^3) matmuls, which every other operand still
 takes. A commutator beyond double precision raises DomainError.
 
 Every operator built here is a single band, computed from one level
-vector and stored densely. Entries beyond double precision raise
+vector and stored densely in the band's own dtype: levels, energies,
+Lambda and the ladders are real float64 matrices, so their products are
+dgemm, not zgemm. A product of single-band matrices has at most one
+nonzero term per entry, so the real matrices give the bits the complex
+ones did. Entries beyond double precision raise
 DomainError rather than turning into inf. The closed forms in algebra
 are handed over as bands, not matrices: the band of Lambda^{n,m}
 (_lambda_band, read from a level vector the caller builds once per model)
@@ -38,7 +42,8 @@ from .qcore import _mode_weights, _weight_window
 
 @dataclass(frozen=True)
 class FockOperator:
-    """Dense complex matrix on a D-dimensional truncated Fock space.
+    """Dense matrix on a D-dimensional truncated Fock space: float64 for a
+    real band, complex128 for a complex one.
 
     margin counts the top Fock levels whose rows/columns are contaminated
     by the truncation.
@@ -87,8 +92,8 @@ def _finite_band(band: np.ndarray, D: int) -> np.ndarray:
 
 def _band_operator(D: int, band: np.ndarray, k: int, margin: int) -> FockOperator:
     """D x D operator holding `band` on diagonal k (k > 0 above the main
-    diagonal, k < 0 below it)."""
-    return FockOperator(D, np.diag(_finite_band(band, D).astype(complex), k), margin)
+    diagonal, k < 0 below it), in the band's own dtype."""
+    return FockOperator(D, np.diag(_finite_band(band, D), k), margin)
 
 
 def build_ladder(params: ModelParams, D: int) -> tuple[FockOperator, FockOperator]:

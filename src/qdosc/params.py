@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple, Union
 
@@ -17,10 +18,10 @@ class QOsc:
     omega: float = 1.0
 
     def __post_init__(self):
-        if not self.q > 0:
-            raise DomainError(f"q must be positive, got {self.q}")
-        if not self.omega > 0:
-            raise DomainError(f"omega must be positive, got {self.omega}")
+        if not (self.q > 0 and math.isfinite(self.q)):
+            raise DomainError(f"q must be positive and finite, got {self.q}")
+        if not (self.omega > 0 and math.isfinite(self.omega)):
+            raise DomainError(f"omega must be positive and finite, got {self.omega}")
 
 
 @dataclass(frozen=True)
@@ -31,10 +32,10 @@ class Anharmonic:
     omega2: float
 
     def __post_init__(self):
-        if not self.omega1 > 0:
-            raise DomainError(f"omega1 must be positive, got {self.omega1}")
-        if self.omega2 < 0:
-            raise DomainError(f"omega2 must be nonnegative, got {self.omega2}")
+        if not (self.omega1 > 0 and math.isfinite(self.omega1)):
+            raise DomainError(f"omega1 must be positive and finite, got {self.omega1}")
+        if not (self.omega2 >= 0 and math.isfinite(self.omega2)):
+            raise DomainError(f"omega2 must be nonnegative and finite, got {self.omega2}")
 
 
 ModelParams = Union[QOsc, Anharmonic]

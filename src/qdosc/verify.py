@@ -12,6 +12,13 @@ level vector made once per model, and band_rel_error compares the two with
 the bits interior_rel_error gives on the band's dense form, counting every
 off-band entry of the oracle.
 
+The oracle is real wherever its operator is: every dense operator is one
+real band, so its products and absolute values take float64 arithmetic
+with the bits the complex forms gave. State that does not depend on the
+operator under test is built once per model: the evolved coherent state
+Psi of the dynamics oracle (_oracle_state) and the ladder powers of the
+normal-ordered matrices (algebra._ladder_powers).
+
 Worst residuals are accumulated with np.maximum, which keeps a NaN
 (Python's max(0.0, nan) is 0.0), and a check with a non-finite worst
 residual fails.
@@ -26,9 +33,10 @@ import numpy as np
 
 from .algebra import (
     _expansion_band,
+    _ladder_powers,
+    _normal_order_dense,
     _power_law_band,
     closure_coeffs,
-    normal_order_matrix,
     scaling_phase_check,
 )
 from .dynamics import (
@@ -280,14 +288,13 @@ def suite_normal_order(D: int = 32, M_max: int = 5, n_max: int = 3) -> list[Chec
     for q in Q_GRID:
         params = QOsc(q=q)
         lv = level_value(params, np.arange(D))
+        up, down = _ladder_powers(params, D, n_max + M_max, M_max)
         worst = 0.0
         for n in range(n_max + 1):
             for M in range(M_max + 1):
                 lam = _lambda_band(lv, LambdaIndex(n, M), D)
-                ordered = normal_order_matrix(params, LambdaIndex(n, M), D)
-                worst = np.maximum(
-                    worst, band_rel_error(lam, ordered.matrix, D - 1 - n - M, -n)
-                )
+                ordered = _normal_order_dense(n, M, q, up, down)
+                worst = np.maximum(worst, band_rel_error(lam, ordered, D - 1 - n - M, -n))
         results.append(
             CheckResult(
                 check_id="normal_order",
@@ -341,6 +348,32 @@ def suite_isomorphism(j_max: int = 6) -> list[CheckResult]:
     return results
 
 
+def _oracle_state(
+    params: ModelParams, alpha: complex, times: np.ndarray, D: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The truncated coherent state evolved over the whole grid as one D x T
+    array Psi = e^{-iEt} psi under the diagonal of the dense H, and
+    conj(Psi), both read-only. Neither depends on the operator, so a suite
+    builds them once per model and shares them."""
+    state = coherent_state(params, alpha, D)
+    H = build_hamiltonian(params, D)
+    if not _is_exactly_diagonal(H.matrix):
+        raise DomainError("the dynamics oracle requires a diagonal Hamiltonian")
+    scale = params.omega if isinstance(params, QOsc) else 1.0
+    t = np.asarray(times, dtype=float) / scale
+    psi = _cis(-np.diag(H.matrix)[:, None], t)
+    psi *= state.amplitudes[:, None]
+    psi_conj = np.conj(psi)
+    psi.setflags(write=False)
+    psi_conj.setflags(write=False)
+    return psi, psi_conj
+
+
+def _oracle_series(lam: np.ndarray, psi: np.ndarray, psi_conj: np.ndarray) -> np.ndarray:
+    """<Psi(t)| L |Psi(t)> over the grid from one dense product L @ Psi."""
+    return np.einsum("dt,dt->t", psi_conj, lam @ psi)
+
+
 def oracle_expectation_series(
     params: ModelParams,
     alpha: complex,
@@ -349,22 +382,11 @@ def oracle_expectation_series(
     D: int = DEFAULT_DIM,
 ) -> np.ndarray:
     """Brute-force trace in the Schrodinger picture: the truncated coherent
-    state evolved over the whole grid as one D x T array
-    Psi = e^{-iEt} psi under the diagonal of the dense H, then
+    state evolved over the whole grid (_oracle_state), then
     <Psi(t)| L |Psi(t)> from one dense product L @ Psi.  `times` is tau for
     the q model and raw t for the anharmonic one."""
-    state = coherent_state(params, alpha, D)
-    H = build_hamiltonian(params, D)
-    if not _is_exactly_diagonal(H.matrix):
-        raise DomainError("the dynamics oracle requires a diagonal Hamiltonian")
-    lam = build_lambda(params, idx, D)
-    scale = params.omega if isinstance(params, QOsc) else 1.0
-    t = np.asarray(times, dtype=float) / scale
-    # Psi is scaled in place, so the series peaks at two D x T complex arrays
-    psi = _cis(-np.diag(H.matrix).real[:, None], t)
-    psi *= state.amplitudes[:, None]
-    lam_psi = lam.matrix @ psi
-    return np.einsum("dt,dt->t", np.conj(psi, out=psi), lam_psi)
+    psi, psi_conj = _oracle_state(params, alpha, times, D)
+    return _oracle_series(build_lambda(params, idx, D).matrix, psi, psi_conj)
 
 
 def suite_dynamics_oracle(D: int = DEFAULT_DIM, nm_max: int = 3) -> list[CheckResult]:
@@ -381,11 +403,12 @@ def suite_dynamics_oracle(D: int = DEFAULT_DIM, nm_max: int = 3) -> list[CheckRe
         ("dynamics_oracle_anharmonic", ap, evolve_anharmonic_expectation),
     ):
         worst = 0.0
+        state = _oracle_state(params, alpha, times, D)
         for n in range(nm_max + 1):
             for m in range(nm_max + 1):
                 idx = LambdaIndex(n, m)
                 series = evolve(params, alpha, idx, times)
-                oracle = oracle_expectation_series(params, alpha, idx, times, D)
+                oracle = _oracle_series(build_lambda(params, idx, D).matrix, *state)
                 scale = max(1e-300, float(np.abs(oracle).max()))
                 worst = np.maximum(worst, np.abs(series.values - oracle).max() / scale)
                 if params is ap:

@@ -7,6 +7,7 @@ from qdosc import (
     LambdaIndex,
     QOsc,
     build_hamiltonian,
+    build_ladder,
     build_lambda,
     closure_coeffs,
     commutator,
@@ -101,6 +102,11 @@ class TestExpansion:
                 assert interior_rel_error(ref, got, D - 1 - n) < 1e-9
 
 
+    def test_dense_form_stays_complex(self):
+        # the expansion coefficients are complex, so their band is too
+        assert expansion_matrix(QOsc(q=1.5), 1, 1, 2, 12).matrix.dtype == np.complex128
+
+
 class TestPowerLaw:
     def test_depth_zero_is_lambda(self):
         params = QOsc(q=0.5)
@@ -179,6 +185,22 @@ class TestNormalOrder:
                     interior_rel_error(lam.matrix, ordered.matrix, D - 1 - n - M)
                     < 1e-9
                 )
+
+    @pytest.mark.parametrize("q", [0.5, 1.0, 1.2, 2.0])
+    def test_real_matrix_keeps_the_complex_bits(self, q):
+        params, D = QOsc(q=q), 32
+        a, adag = build_ladder(params, D)
+        a, adag = a.matrix.astype(complex), adag.matrix.astype(complex)
+        power = np.linalg.matrix_power
+        for n in range(4):
+            for M in range(6):
+                want = np.zeros((D, D), dtype=complex)
+                for s, coeff in normal_order_expansion(n, M, q):
+                    want += coeff * (power(adag, n + s) @ power(a, s))
+                got = normal_order_matrix(params, LambdaIndex(n, M), D).matrix
+                assert got.dtype == np.float64
+                assert np.array_equal(got.view(np.uint64), want.real.view(np.uint64))
+                assert not want.imag.any()
 
     def test_first_order_is_shifted_creation(self):
         # L^{n,1} = (a†)^{n+1} a as matrices

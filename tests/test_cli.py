@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from qdosc.cli import DEFAULTS, build_parser
+from qdosc.cli import DEFAULTS, build_parser, main
 
 PKG = [sys.executable, "-m", "qdosc.cli"]
 
@@ -305,6 +305,38 @@ class TestSweep:
         rows = read_csv(out)
         assert [r[3] for r in rows[1:]] == ["error", "error"]
         assert all("double precision" in r[4] for r in rows[1:])
+
+    @pytest.mark.parametrize("flag", ["--omega-ratios", "--n-values"])
+    def test_empty_list_exits_2(self, tmp_path, flag):
+        out = tmp_path / "s.csv"
+        res = run_cli("sweep", f"{flag}=", "--out", out)
+        assert res.returncode == 2
+        record = json.loads(res.stderr.strip())
+        assert set(record) == {"error", "message"}
+        assert record["error"] == "ConfigError"
+        assert flag in record["message"]
+        assert not out.exists()
+
+
+class TestNonFiniteParameters:
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize(
+        "model, flag",
+        [
+            ("qosc", "--q"),
+            ("qosc", "--omega"),
+            ("anharmonic", "--omega1"),
+            ("anharmonic", "--omega2"),
+        ],
+    )
+    def test_evolve_exits_2(self, tmp_path, capsys, model, flag, value):
+        out = tmp_path / "t.csv"
+        argv = ["evolve", "--model", model, f"{flag}={value}", "--out", str(out)]
+        assert main(argv) == 2
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == "DomainError"
+        assert flag.lstrip("-") in record["message"]
+        assert not out.exists()
 
 
 class TestUsage:

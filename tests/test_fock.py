@@ -155,6 +155,53 @@ class TestCommutators:
             )
 
 
+def same_bits(real, cplx):
+    """real holds the bits of the real part of cplx, whose imaginary part is 0."""
+    assert real.dtype == np.float64
+    assert np.array_equal(real.view(np.uint64), cplx.real.view(np.uint64))
+    assert not cplx.imag.any()
+
+
+def as_complex(op):
+    return FockOperator(op.dim, op.matrix.astype(complex), op.margin)
+
+
+class TestRealOperators:
+    """Every operator is one real band, stored as float64, and its dense
+    products keep the bits of the complex128 ones."""
+
+    MODELS = [QOsc(q=0.5), QOsc(q=1.0), QOsc(q=1.2), Q2, ANH]
+
+    @pytest.mark.parametrize("params", MODELS, ids=repr)
+    def test_builders_are_real(self, params):
+        D = 16
+        H = build_hamiltonian(params, D)
+        lam = build_lambda(params, LambdaIndex(2, 1), D)
+        a, adag = build_ladder(params, D)
+        for op in (H, lam, a, adag, commutator(H, lam), commutator(H, lam.dagger())):
+            assert op.matrix.dtype == np.float64
+
+    @pytest.mark.parametrize("params", MODELS, ids=repr)
+    def test_iterated_commutators_keep_the_complex_bits(self, params):
+        D = 64
+        H = build_hamiltonian(params, D)
+        Hc = as_complex(H)
+        for n in range(4):
+            for m in range(4):
+                real = build_lambda(params, LambdaIndex(n, m), D)
+                cplx = as_complex(real)
+                for _ in range(6):
+                    real, cplx = commutator(H, real), commutator(Hc, cplx)
+                    same_bits(real.matrix, cplx.matrix)
+
+    @pytest.mark.parametrize("params", MODELS, ids=repr)
+    def test_ladder_commutator_keeps_the_complex_bits(self, params):
+        # neither operand is diagonal, so both sides take the two matmuls
+        a, adag = build_ladder(params, 64)
+        cplx = commutator(as_complex(a), as_complex(adag))
+        same_bits(commutator(a, adag).matrix, cplx.matrix)
+
+
 class TestHeisenberg:
     def test_zero_time(self):
         D = 8

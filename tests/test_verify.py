@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 import qdosc.verify as verify
-from qdosc import DomainError, FockOperator, LambdaIndex, QOsc
+from qdosc import DomainError, FockOperator, LambdaIndex, QOsc, build_lambda
+from qdosc.algebra import _ladder_powers, _normal_order_dense, normal_order_matrix
 from qdosc.verify import (
     CheckResult,
     band_rel_error,
@@ -131,8 +132,8 @@ class TestRunSuite:
 
 class TestDynamicsOracle:
     def test_memory_is_a_few_state_grids(self):
-        # Psi and L @ Psi are D x T each; building Psi from out-of-place
-        # temporaries would add up to three more
+        # Psi, conj(Psi) and L @ Psi are D x T each; building Psi from
+        # out-of-place temporaries would add up to three more
         D, T = 512, 2001
         times = np.linspace(0.0, 10.0, T)
         args = (QOsc(q=1.2), 0.8, LambdaIndex(2, 1))
@@ -166,3 +167,44 @@ class TestDynamicsOracle:
         monkeypatch.setattr(verify, "build_hamiltonian", skewed)
         with pytest.raises(DomainError):
             oracle_expectation_series(QOsc(q=1.2), 0.8, LambdaIndex(1, 0), [0.5], 32)
+
+
+class TestSharedOracleState:
+    """The state a suite builds once per model gives the bits of the public
+    per-call oracles."""
+
+    TIMES = np.linspace(0.0, 10.0, 101)
+
+    @pytest.mark.parametrize("params", [QOsc(q=1.2), verify.ANHARMONIC_DEFAULT], ids=repr)
+    def test_dynamics_oracle(self, params):
+        D = 64
+        state = verify._oracle_state(params, 0.8, self.TIMES, D)
+        for n in range(4):
+            for m in range(4):
+                idx = LambdaIndex(n, m)
+                shared = verify._oracle_series(build_lambda(params, idx, D).matrix, *state)
+                public = oracle_expectation_series(params, 0.8, idx, self.TIMES, D)
+                assert public.dtype == np.complex128
+                assert np.array_equal(shared, public)
+
+    def test_series_leaves_the_state_alone(self):
+        params, D = QOsc(q=1.2), 32
+        psi, psi_conj = verify._oracle_state(params, 0.8, self.TIMES, D)
+        assert not (psi.flags.writeable or psi_conj.flags.writeable)
+        before = psi.copy(), psi_conj.copy()
+        lam = build_lambda(params, LambdaIndex(2, 1), D).matrix
+        first = verify._oracle_series(lam, psi, psi_conj)
+        second = verify._oracle_series(lam, psi, psi_conj)
+        assert np.array_equal(first, second)
+        assert np.array_equal(psi, before[0]) and np.array_equal(psi_conj, before[1])
+
+    @pytest.mark.parametrize("q", verify.Q_GRID)
+    def test_normal_order(self, q):
+        params, D, n_max, M_max = QOsc(q=q), 32, 3, 5
+        up, down = _ladder_powers(params, D, n_max + M_max, M_max)
+        for n in range(n_max + 1):
+            for M in range(M_max + 1):
+                shared = _normal_order_dense(n, M, q, up, down)
+                public = normal_order_matrix(params, LambdaIndex(n, M), D).matrix
+                assert shared.dtype == public.dtype == np.float64
+                assert np.array_equal(shared, public)
