@@ -52,7 +52,7 @@ class ClosureCoeffs:
 
 class ExpansionTerm(NamedTuple):
     k: int  # shift of the m index
-    coeff: complex
+    coeff: float
 
 
 def closure_coeffs(params: ModelParams, n: int) -> ClosureCoeffs:
@@ -101,7 +101,7 @@ def multicommutator_expansion(
             for k in range(j + 1 if c_up else 1)
         ]
         if all(map(math.isfinite, coeffs)):
-            return [ExpansionTerm(k, complex(c)) for k, c in enumerate(coeffs)]
+            return [ExpansionTerm(k, c) for k, c in enumerate(coeffs)]
     except OverflowError:  # a power, or C(j, k) as a float
         pass
     raise DomainError(

@@ -25,7 +25,7 @@ from .dynamics import (
     evolve_q_expectation,
 )
 from .errors import QdoscError
-from .isomap import isomorphism_residuals, map_to_q
+from .isomap import isomorphism_residuals
 from .params import Anharmonic, LambdaIndex, QOsc
 from .verify import SUITES, run_suite
 
@@ -223,10 +223,10 @@ def cmd_verify(cfg: dict) -> int:
 
 def cmd_map(cfg: dict) -> int:
     """Evaluate the anharmonicity -> q mapping."""
-    iso = map_to_q(float(cfg["omega1"]), float(cfg["omega2"]), int(cfg["n"]))
     rep = isomorphism_residuals(
         float(cfg["omega1"]), float(cfg["omega2"]), int(cfg["n"]), int(cfg["j_max"])
     )
+    iso = rep.iso
     record = {
         "n": iso.n,
         "q": iso.q,

@@ -22,6 +22,10 @@ from .errors import DomainError
 from .params import Anharmonic, QOsc, _closure_rates
 from .qcore import q_number
 
+# time grid of the coefficient-function residual
+T_GRID = np.linspace(0.0, 1.0, 17)
+T_GRID.setflags(write=False)
+
 
 @dataclass(frozen=True)
 class IsoMap:
@@ -60,18 +64,17 @@ class ResidualReport:
 def map_to_q(omega1: float, omega2: float, n: int) -> IsoMap:
     """Map anharmonic parameters to the equivalent q model at supra-index n.
 
-    omega2 = 0 degenerates to q = 1 and is rejected.
+    The parameters are validated as an Anharmonic model; omega2 = 0, which
+    that model allows, degenerates to q = 1 and is rejected.
     """
-    if omega1 <= 0:
-        raise DomainError(f"omega1 must be positive, got {omega1}")
-    if omega2 <= 0:
+    source = Anharmonic(omega1=omega1, omega2=omega2)
+    if omega2 == 0:
         raise DomainError(f"omega2 must be positive, got {omega2}")
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
     w = omega1 / omega2
     q = (w + n + 2.0) / (w + n)
     nq = q_number(n, q)
-    source = Anharmonic(omega1=omega1, omega2=omega2)
     target = _closure_rates(source, n)[0]
     omega_q = target / nq
     p_n = anharmonic_p(source, n)
@@ -99,33 +102,28 @@ def _table_residual(qp: QOsc, ap: Anharmonic, n: int, j_max: int, z: float) -> f
     return float(table_res)
 
 
-def _coeff_fn_residual(
-    qp: QOsc, ap: Anharmonic, n: int, j_max: int, t_grid: np.ndarray
-) -> float:
+def _coeff_fn_residual(qp: QOsc, ap: Anharmonic, n: int, j_max: int) -> float:
     """Worst difference of the evolution coefficient functions
-    e^{i c1 t} (i c2 t)^r / r!, r <= j_max, relative with a floor of 1."""
+    e^{i c1 t} (i c2 t)^r / r!, r <= j_max, over T_GRID, relative with a
+    floor of 1."""
     c1_q, c2_q = _closure_rates(qp, n)
     c1_a, c2_a = _closure_rates(ap, n)
     fn_res = 0.0
     for r in range(j_max + 1):
-        fq = np.exp(1j * c1_q * t_grid) * (1j * c2_q * t_grid) ** r / math.factorial(r)
-        fa = np.exp(1j * c1_a * t_grid) * (1j * c2_a * t_grid) ** r / math.factorial(r)
+        fq = np.exp(1j * c1_q * T_GRID) * (1j * c2_q * T_GRID) ** r / math.factorial(r)
+        fa = np.exp(1j * c1_a * T_GRID) * (1j * c2_a * T_GRID) ** r / math.factorial(r)
         denom = np.maximum(1.0, np.abs(fa))
         fn_res = np.maximum(fn_res, np.max(np.abs(fq - fa) / denom))
     return float(fn_res)
 
 
 def isomorphism_residuals(
-    omega1: float,
-    omega2: float,
-    n: int,
-    j_max: int = 6,
-    t_grid: np.ndarray | None = None,
+    omega1: float, omega2: float, n: int, j_max: int = 6
 ) -> ResidualReport:
     """Quantify how exactly the mapped q model reproduces the anharmonic
     algebra: binomial parameter, commutation scale Z, the full expansion
     coefficient tables up to depth j_max (scaled by Z^j) and the evolution
-    coefficient functions e^{i c1 t} (i c2 t)^r / r! over a time grid
+    coefficient functions e^{i c1 t} (i c2 t)^r / r! over T_GRID
     (relative, floored at 1). A negative j_max raises DomainError.
     """
     if j_max < 0:
@@ -138,14 +136,12 @@ def isomorphism_residuals(
     z_a = expansion_scale(ap, n)
     z_res = abs(z_q - z_a)
 
-    if t_grid is None:
-        t_grid = np.linspace(0.0, 1.0, 17)
     # Z^j and the terms of e^{i c1 t} (i c2 t)^r / r! leave double precision
     # at large depth, and r! does beyond r = 170
     try:
         with np.errstate(over="raise", invalid="raise"):
             table_res = _table_residual(qp, ap, n, j_max, abs(z_a))
-            fn_res = _coeff_fn_residual(qp, ap, n, j_max, t_grid)
+            fn_res = _coeff_fn_residual(qp, ap, n, j_max)
     except (OverflowError, ZeroDivisionError, FloatingPointError) as exc:
         raise DomainError(
             f"isomorphism residuals at depth j_max={j_max} leave double "

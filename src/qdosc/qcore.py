@@ -128,17 +128,19 @@ def _stirling_row(m: int, q: float) -> np.ndarray:
     Every term is nonnegative, so nothing cancels, and an entry depends on
     entries at the same or smaller s only: an inf at a larger s never
     reaches a smaller one. At q = 1 the recurrence runs in exact Python
-    ints, which q_stirling2 rounds correctly. The levels come from one
-    q_number call, so a row whose [m]_q leaves double precision raises
-    DomainError as a whole; its entries beyond s = 1 overflow there anyway.
-    The row costs O(m^2).
+    ints, which q_stirling2 rounds correctly. A level [s]_q or a power
+    q^(s-1) beyond double precision is inf, and so are the entries that
+    depend on it, at s or above: q_stirling2 refuses those and returns the
+    rest, so S^{1,m} = 1 whatever m. Finite levels have the bits of
+    q_number, which is _q_ratio plus its check. The row costs O(m^2).
     """
     if q == 1.0:
         lv = np.arange(m + 1).astype(object)
         qp = np.ones(m, dtype=object)
     else:
-        lv = q_number(np.arange(m + 1), q)
-        qp = float(q) ** np.arange(m)
+        with np.errstate(over="ignore"):
+            lv = _q_ratio(np.arange(m + 1), q, np.expm1)
+            qp = float(q) ** np.arange(m)
     row = np.zeros(m + 1, dtype=lv.dtype)
     row[0] = 1
     # an entry beyond double precision becomes inf, or NaN where an

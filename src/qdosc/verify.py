@@ -19,6 +19,10 @@ operator under test is built once per model: the evolved coherent state
 Psi of the dynamics oracle (_oracle_state) and the ladder powers of the
 normal-ordered matrices (algebra._ladder_powers).
 
+Each suite checks one fixed grid, the module constants below, and its
+report records the grid; the truncation dimension D is the only argument
+a suite takes.
+
 Worst residuals are accumulated with np.maximum, which keeps a NaN
 (Python's max(0.0, nan) is 0.0), and a check with a non-finite worst
 residual fails.
@@ -26,6 +30,7 @@ residual fails.
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass, field
 
@@ -64,6 +69,16 @@ from .qcore import _check_radius
 DEFAULT_DIM = 64
 Q_GRID = (0.5, 1.0, 1.2, 2.0)
 ANHARMONIC_DEFAULT = Anharmonic(omega1=10.0, omega2=1.0)
+
+# the fixed grids of the suites; each report records the ones it used
+CLOSURE_NM_MAX = 4  # n, m of [H, L^{n,m}]
+ITERATED_J_MAX = 6  # commutator depth of multicommutator and power-law
+ITERATED_NM_MAX = 3  # n, m of multicommutator and power-law
+NORMAL_ORDER_M_MAX = 5
+NORMAL_ORDER_N_MAX = 3
+RELATION_M_MAX = 5
+ISOMORPHISM_J_MAX = 6
+ORACLE_NM_MAX = 3  # n, m of dynamics-oracle
 
 
 @dataclass
@@ -141,11 +156,11 @@ def _model_tag(params: ModelParams) -> dict:
     return {"model": "anharmonic", "omega1": params.omega1, "omega2": params.omega2}
 
 
-def _closure_models(q_grid=Q_GRID):
-    return [QOsc(q=q, omega=1.0) for q in q_grid] + [ANHARMONIC_DEFAULT]
+def _closure_models():
+    return [QOsc(q=q, omega=1.0) for q in Q_GRID] + [ANHARMONIC_DEFAULT]
 
 
-def suite_closure(D: int = DEFAULT_DIM, nm_max: int = 4) -> list[CheckResult]:
+def suite_closure(D: int = DEFAULT_DIM) -> list[CheckResult]:
     """[H, L^{n,m}] = c_same L^{n,m} + c_up L^{n,m+1}, plus the daggered
     version with sign-flipped coefficients. The right-hand side is one band
     on sub-diagonal n, the daggered one its negative on the transpose."""
@@ -154,9 +169,9 @@ def suite_closure(D: int = DEFAULT_DIM, nm_max: int = 4) -> list[CheckResult]:
         H = build_hamiltonian(params, D)
         lv = level_value(params, np.arange(D))
         worst = 0.0
-        for n in range(nm_max + 1):
+        for n in range(CLOSURE_NM_MAX + 1):
             cc = closure_coeffs(params, n)
-            for m in range(nm_max + 1):
+            for m in range(CLOSURE_NM_MAX + 1):
                 lam = build_lambda(params, LambdaIndex(n, m), D)
                 band = _lambda_band(lv, LambdaIndex(n, m), D)
                 band_up = _lambda_band(lv, LambdaIndex(n, m + 1), D)
@@ -168,7 +183,7 @@ def suite_closure(D: int = DEFAULT_DIM, nm_max: int = 4) -> list[CheckResult]:
         results.append(
             CheckResult(
                 check_id="closure",
-                params={**_model_tag(params), "dim": D, "nm_max": nm_max},
+                params={**_model_tag(params), "dim": D, "nm_max": CLOSURE_NM_MAX},
                 max_residual=worst,
                 tolerance=1e-10,
             )
@@ -177,7 +192,7 @@ def suite_closure(D: int = DEFAULT_DIM, nm_max: int = 4) -> list[CheckResult]:
 
 
 def _iterated_vs_closed(
-    params: ModelParams, closed_band, lv: np.ndarray, D: int, j_max: int, nm_max: int
+    params: ModelParams, closed_band, lv: np.ndarray, D: int
 ) -> float:
     """Worst residual of the band closed_band(params, lam, lv, n, m, j), lam
     the L^{n,m} band, against the dense iterated commutator
@@ -186,11 +201,11 @@ def _iterated_vs_closed(
     precedes any overflow in the oracle."""
     H = build_hamiltonian(params, D)
     worst = 0.0
-    for n in range(nm_max + 1):
-        for m in range(nm_max + 1):
+    for n in range(ITERATED_NM_MAX + 1):
+        for m in range(ITERATED_NM_MAX + 1):
             iterated = build_lambda(params, LambdaIndex(n, m), D)
             lam = _lambda_band(lv, LambdaIndex(n, m), D)
-            for j in range(j_max + 1):
+            for j in range(ITERATED_J_MAX + 1):
                 closed = closed_band(params, lam, lv, n, m, j)
                 if j > 0:
                     iterated = commutator(H, iterated)
@@ -200,22 +215,18 @@ def _iterated_vs_closed(
     return worst
 
 
-def suite_multicommutator(
-    D: int = DEFAULT_DIM, j_max: int = 6, nm_max: int = 3
-) -> list[CheckResult]:
+_ITERATED_GRID = {"j_max": ITERATED_J_MAX, "nm_max": ITERATED_NM_MAX}
+
+
+def suite_multicommutator(D: int = DEFAULT_DIM) -> list[CheckResult]:
     """Binomial expansion vs the literal iterated commutator (q > 1 and
     anharmonic)."""
     return [
         CheckResult(
             check_id="multicommutator",
-            params={**_model_tag(params), "dim": D, "j_max": j_max, "nm_max": nm_max},
+            params={**_model_tag(params), "dim": D, **_ITERATED_GRID},
             max_residual=_iterated_vs_closed(
-                params,
-                _expansion_band,
-                level_value(params, np.arange(D)),
-                D,
-                j_max,
-                nm_max,
+                params, _expansion_band, level_value(params, np.arange(D)), D
             ),
             tolerance=1e-9,
         )
@@ -223,22 +234,15 @@ def suite_multicommutator(
     ]
 
 
-def suite_power_law(
-    D: int = DEFAULT_DIM, j_max: int = 6, nm_max: int = 3
-) -> list[CheckResult]:
+def suite_power_law(D: int = DEFAULT_DIM) -> list[CheckResult]:
     """General-q closed form L^{n,m} (E(n)[a,a†])^j vs the iterated
     commutator, including q < 1. At n = 0 the band reads the level [D]."""
     return [
         CheckResult(
             check_id="power_law",
-            params={"model": "qosc", "q": q, "dim": D, "j_max": j_max, "nm_max": nm_max},
+            params={"model": "qosc", "q": q, "dim": D, **_ITERATED_GRID},
             max_residual=_iterated_vs_closed(
-                QOsc(q=q),
-                _power_law_band,
-                level_value(QOsc(q=q), np.arange(D + 1)),
-                D,
-                j_max,
-                nm_max,
+                QOsc(q=q), _power_law_band, level_value(QOsc(q=q), np.arange(D + 1)), D
             ),
             tolerance=1e-9,
         )
@@ -282,8 +286,9 @@ def suite_scaling() -> list[CheckResult]:
     return results
 
 
-def suite_normal_order(D: int = 32, M_max: int = 5, n_max: int = 3) -> list[CheckResult]:
+def suite_normal_order(D: int = DEFAULT_DIM) -> list[CheckResult]:
     """L^{n,M} equals its normally ordered expansion as matrices."""
+    n_max, M_max = NORMAL_ORDER_N_MAX, NORMAL_ORDER_M_MAX
     results = []
     for q in Q_GRID:
         params = QOsc(q=q)
@@ -306,7 +311,7 @@ def suite_normal_order(D: int = 32, M_max: int = 5, n_max: int = 3) -> list[Chec
     return results
 
 
-def suite_relation(m_max: int = 5) -> list[CheckResult]:
+def suite_relation() -> list[CheckResult]:
     """Moment/Stirling summation identity."""
     results = []
     for q in Q_GRID:
@@ -316,12 +321,12 @@ def suite_relation(m_max: int = 5) -> list[CheckResult]:
                 _check_radius(x, q)
             except ConvergenceError:
                 continue
-            for m in range(m_max + 1):
+            for m in range(RELATION_M_MAX + 1):
                 worst = np.maximum(worst, relation_identity_residual(x, q, m))
         results.append(
             CheckResult(
                 check_id="relation",
-                params={"q": q, "m_max": m_max},
+                params={"q": q, "m_max": RELATION_M_MAX},
                 max_residual=worst,
                 tolerance=1e-10,
             )
@@ -329,18 +334,18 @@ def suite_relation(m_max: int = 5) -> list[CheckResult]:
     return results
 
 
-def suite_isomorphism(j_max: int = 6) -> list[CheckResult]:
+def suite_isomorphism() -> list[CheckResult]:
     """Residuals of the anharmonic <-> q-model coefficient isomorphism."""
     results = []
     for ratio in (1.0, 5.0, 10.0, 100.0):
         worst = 0.0
         for n in (1, 2, 3, 4):
-            rep = isomorphism_residuals(ratio, 1.0, n, j_max=j_max)
+            rep = isomorphism_residuals(ratio, 1.0, n, ISOMORPHISM_J_MAX)
             worst = np.maximum(worst, rep.max_residual())
         results.append(
             CheckResult(
                 check_id="isomorphism",
-                params={"omega1": ratio, "omega2": 1.0, "j_max": j_max},
+                params={"omega1": ratio, "omega2": 1.0, "j_max": ISOMORPHISM_J_MAX},
                 max_residual=worst,
                 tolerance=1e-12,
             )
@@ -389,9 +394,10 @@ def oracle_expectation_series(
     return _oracle_series(build_lambda(params, idx, D).matrix, psi, psi_conj)
 
 
-def suite_dynamics_oracle(D: int = DEFAULT_DIM, nm_max: int = 3) -> list[CheckResult]:
+def suite_dynamics_oracle(D: int = DEFAULT_DIM) -> list[CheckResult]:
     """Analytic phase-sum dynamics vs the matrix oracle, the closed-form
     vs series anharmonic cross-check, and the q = 1 bridge."""
+    nm_max = ORACLE_NM_MAX
     results = []
     alpha = 0.8
     times = np.linspace(0.0, 10.0, 101)
@@ -468,25 +474,14 @@ SUITES = {
 }
 
 
-# suites whose truncation dimension D run_suite passes on
-_DIM_SUITES = (
-    "closure",
-    "multicommutator",
-    "power-law",
-    "normal-order",
-    "dynamics-oracle",
-)
-
-
-def run_suite(name: str, D: int | None = None) -> list[CheckResult]:
-    """Run one suite by name, or all of them in order; D reaches only the
-    suites that truncate, the others ignore it."""
+def run_suite(name: str, D: int = DEFAULT_DIM) -> list[CheckResult]:
+    """Run one suite by name, or all of them in order; D reaches the suites
+    whose signature takes it, the others do not truncate."""
     if name != "all" and name not in SUITES:
         raise KeyError(f"unknown suite {name!r}; choose from {sorted(SUITES)} or 'all'")
     out = []
     for key in SUITES if name == "all" else [name]:
-        if D is not None and key in _DIM_SUITES:
-            out.extend(SUITES[key](D=D))
-        else:
-            out.extend(SUITES[key]())
+        suite = SUITES[key]
+        # signature() follows functools.wraps, so a wrapped suite reads the same
+        out.extend(suite(D=D) if "D" in inspect.signature(suite).parameters else suite())
     return out

@@ -37,20 +37,20 @@ def _report(name, results, elapsed=None, limit=None):
 
 def test_closure_identity():
     start = time.perf_counter()
-    results = suite_closure(D=64, nm_max=4)
+    results = suite_closure(D=64)
     _report("closure identity", results, time.perf_counter() - start, 5.0)
 
 
 def test_commutator_expansion():
     start = time.perf_counter()
-    results = suite_multicommutator(D=64, j_max=6, nm_max=3)
+    results = suite_multicommutator(D=64)
     _report(
         "nested-commutator expansion", results, time.perf_counter() - start, 10.0
     )
 
 
 def test_power_law_form():
-    results = suite_power_law(D=64, j_max=6, nm_max=3)
+    results = suite_power_law(D=64)
     _report("power-law nested commutator", results)
 
 
@@ -60,18 +60,18 @@ def test_phase_scaling_collapse():
 
 
 def test_normal_ordering():
-    results = suite_normal_order(M_max=5, n_max=3)
+    results = suite_normal_order()
     _report("normal-ordering identity", results)
 
 
 def test_moment_series_identity():
-    results = suite_relation(m_max=5)
+    results = suite_relation()
     _report("weighted moment-series identity", results)
 
 
 def test_dynamics_against_matrix_oracle():
     start = time.perf_counter()
-    results = suite_dynamics_oracle(D=64, nm_max=3)
+    results = suite_dynamics_oracle(D=64)
     oracle = [r for r in results if r.check_id.startswith("dynamics_oracle")]
     closed = [r for r in results if r.check_id == "closed_vs_series"]
     elapsed = time.perf_counter() - start
@@ -80,15 +80,13 @@ def test_dynamics_against_matrix_oracle():
 
 
 def test_parameter_map():
-    results = suite_isomorphism(j_max=6)
+    results = suite_isomorphism()
     _report("anharmonic-to-q parameter map", results)
     assert all(r.passed and r.max_residual < 1e-12 for r in results)
 
 
 def test_harmonic_bridge():
-    results = [
-        r for r in suite_dynamics_oracle(nm_max=1) if r.check_id == "q1_bridge"
-    ]
+    results = [r for r in suite_dynamics_oracle() if r.check_id == "q1_bridge"]
     _report("harmonic-limit bridge", results)
 
 

@@ -207,6 +207,16 @@ class TestMap:
         record = json.loads(res.stderr.strip())
         assert record["error"] == "DomainError"
 
+    @pytest.mark.parametrize("name, value", [("omega1", "inf"), ("omega2", "nan")])
+    def test_non_finite_parameter_exits_2_naming_it(self, tmp_path, name, value):
+        out = tmp_path / "m.json"
+        res = run_cli("map", f"--{name}", value, "--out", out)
+        assert res.returncode == 2
+        record = json.loads(res.stderr.strip())
+        assert record["error"] == "DomainError"
+        assert name in record["message"]
+        assert not out.exists()
+
     def test_negative_depth_exits_2(self, tmp_path):
         out = tmp_path / "m.json"
         res = run_cli("map", "--j-max", -1, "--out", out)

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -49,6 +51,19 @@ class TestMapToQ:
             map_to_q(10.0, 1.0, 0)
         with pytest.raises(DomainError):
             map_to_q(-1.0, 1.0, 1)
+
+    @pytest.mark.parametrize(
+        "omega1, omega2, name",
+        [
+            (math.inf, 1.0, "omega1"),
+            (math.nan, 1.0, "omega1"),
+            (10.0, math.inf, "omega2"),
+            (10.0, math.nan, "omega2"),
+        ],
+    )
+    def test_non_finite_parameter_is_named(self, omega1, omega2, name):
+        with pytest.raises(DomainError, match=name):
+            map_to_q(omega1, omega2, 1)
 
 
 class TestResiduals:

@@ -287,6 +287,13 @@ class TestStirling:
             with pytest.raises(DomainError):
                 stirling2(s, m)
 
+    def test_row_past_a_level_overflow_keeps_its_finite_entries(self):
+        # [1100]_2 leaves double precision, but S^{1,m} = 1 needs no level
+        # beyond [1]; S^{2,1100} ~ [2]^1099 overflows
+        assert q_stirling2(1, 1100, 2.0) == 1.0
+        with pytest.raises(DomainError):
+            q_stirling2(2, 1100, 2.0)
+
     @pytest.mark.parametrize("q", [0.3, 0.5, 0.9, 1.0, 1.1, 1.5, 2.0, 3.0])
     def test_finite_or_typed_error(self, q):
         # an entry beyond double precision raises; it never comes back as inf

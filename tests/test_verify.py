@@ -1,3 +1,4 @@
+import inspect
 import math
 import tracemalloc
 
@@ -34,7 +35,7 @@ class TestNanPropagation:
             return 1e-15 if len(calls) == 1 else math.nan
 
         monkeypatch.setattr(verify, "band_rel_error", fake)
-        results = verify.suite_closure(D=6, nm_max=1)
+        results = verify.suite_closure(D=6)
         assert len(calls) > 1
         assert all(math.isnan(r.max_residual) for r in results)
         assert not any(r.passed for r in results)
@@ -129,6 +130,19 @@ class TestRunSuite:
         with pytest.raises(KeyError):
             run_suite("bogus")
 
+    @pytest.mark.parametrize("name", list(verify.SUITES))
+    def test_dimension_is_the_only_parameter(self, name):
+        params = inspect.signature(verify.SUITES[name]).parameters
+        assert set(params) <= {"D"}
+
+    def test_every_dimension_in_the_report_is_the_one_passed(self):
+        dims = [r.params["dim"] for r in run_suite("all", D=96) if "dim" in r.params]
+        assert dims and all(d == 96 for d in dims)
+
+    def test_default_dimension(self):
+        results = run_suite("normal-order")
+        assert results and all(r.params["dim"] == verify.DEFAULT_DIM for r in results)
+
 
 class TestDynamicsOracle:
     def test_memory_is_a_few_state_grids(self):
@@ -200,7 +214,8 @@ class TestSharedOracleState:
 
     @pytest.mark.parametrize("q", verify.Q_GRID)
     def test_normal_order(self, q):
-        params, D, n_max, M_max = QOsc(q=q), 32, 3, 5
+        params, D = QOsc(q=q), 32
+        n_max, M_max = verify.NORMAL_ORDER_N_MAX, verify.NORMAL_ORDER_M_MAX
         up, down = _ladder_powers(params, D, n_max + M_max, M_max)
         for n in range(n_max + 1):
             for M in range(M_max + 1):
