@@ -129,7 +129,7 @@ def expansion_matrix(
     of _expansion_band, as a dense operator."""
     lv = level_value(params, np.arange(D))
     band = _expansion_band(params, _lambda_band(lv, (n, m), D), lv, n, m, j)
-    return _band_operator(D, band, -n, margin=n)
+    return _band_operator(band, -n)
 
 
 def _power_law_band(
@@ -162,7 +162,7 @@ def power_law_multicommutator(
     # the band reads the levels below D and, at n = 0, [D]
     lv = level_value(params, np.arange(max(D, D - n + 1)))
     band = _power_law_band(params, _lambda_band(lv, (n, m), D), lv, n, m, j)
-    return _band_operator(D, band, -n, margin=n)
+    return _band_operator(band, -n)
 
 
 def scaling_phase_check(
@@ -222,4 +222,4 @@ def normal_order_matrix(params: ModelParams, idx: LambdaIndex, D: int) -> FockOp
     the normal-ordering identity)."""
     n, M = validate_index(idx)
     up, down = _ladder_powers(params, D, n + M, M)
-    return FockOperator(D, _normal_order_dense(n, M, _level_q(params), up, down), margin=n)
+    return FockOperator(_normal_order_dense(n, M, _level_q(params), up, down), margin=n)

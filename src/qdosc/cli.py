@@ -24,8 +24,8 @@ from .dynamics import (
     evolve_anharmonic_expectation,
     evolve_q_expectation,
 )
-from .errors import QdoscError
-from .isomap import isomorphism_residuals
+from .errors import DomainError, QdoscError
+from .isomap import isomorphism_residuals, map_to_q
 from .params import Anharmonic, LambdaIndex, QOsc
 from .verify import SUITES, run_suite
 
@@ -100,6 +100,15 @@ def _list(cfg: dict, key: str, cast) -> list:
     if not out:
         raise ConfigError(f"--{key.replace('_', '-')} must name at least one value")
     return out
+
+
+def _time_grid(cfg: dict) -> np.ndarray:
+    """cfg["steps"] evenly spaced times on [0, tau_max]; fewer than one step
+    is a DomainError naming the flag."""
+    steps = int(cfg["steps"])
+    if steps < 1:
+        raise DomainError(f"--steps must be at least 1, got {steps}")
+    return np.linspace(0.0, float(cfg["tau_max"]), steps)
 
 
 def _load_config_file(path: str) -> dict:
@@ -178,7 +187,7 @@ def cmd_evolve(cfg: dict) -> int:
     model = _build_model(cfg)
     alpha = complex(float(cfg["alpha_re"]), float(cfg["alpha_im"]))
     idx = LambdaIndex(int(cfg["n"]), int(cfg["m"]))
-    grid = np.linspace(0.0, float(cfg["tau_max"]), int(cfg["steps"]))
+    grid = _time_grid(cfg)
     method = cfg["method"]
     if isinstance(model, QOsc):
         if method != "series":
@@ -252,14 +261,15 @@ def cmd_collapse(cfg: dict) -> int:
     """Emit normalized phase-collapse curves."""
     params = QOsc(q=float(cfg["q"]), omega=float(cfg["omega"]))
     j_col = int(cfg["j_col"])
-    taus = np.linspace(0.0, float(cfg["tau_max"]), int(cfg["steps"]))
+    taus = _time_grid(cfg)
     ns, ms = _list(cfg, "n_list", int), _list(cfg, "m_list", int)
     pairs = [(n, m) for n in ns for m in ms]
     curves = [band_phase_trace(params, LambdaIndex(n, m), j_col, taus) for n, m in pairs]
     normalized = collapse_transform(curves)
     header = ["tau"] + [f"n{n}_m{m}" for n, m in pairs]
+    # per time the largest |a_i - a_j| is max - min: rounding is monotone
     stacked = np.vstack(normalized)
-    max_dev = float(np.max(np.abs(stacked[:, None, :] - stacked[None, :, :])))
+    max_dev = float(np.max(stacked.max(axis=0) - stacked.min(axis=0)))
     footer = ["max_pairwise_deviation", _fmt(max_dev)] + [""] * (len(pairs) - 1)
     out = cfg["out"]
     with open(out, "w") as fh:
@@ -270,10 +280,23 @@ def cmd_collapse(cfg: dict) -> int:
 
 
 def cmd_sweep(cfg: dict) -> int:
-    """Sweep isomorphism residuals over a parameter grid."""
+    """Sweep isomorphism residuals over a parameter grid.
+
+    A negative --j-max, or a ratio or n that map_to_q refuses, is a
+    DomainError naming the value; residuals beyond double precision are
+    error rows."""
     ratios = _list(cfg, "omega_ratios", float)
     ns = _list(cfg, "n_values", int)
     j_max = int(cfg["j_max"])
+    if j_max < 0:
+        raise DomainError(f"--j-max must be nonnegative, got {j_max}")
+    for ratio in ratios:
+        for n in ns:
+            try:
+                map_to_q(ratio, 1.0, n)
+            except DomainError as exc:
+                msg = f"sweep point omega1={ratio!r}, n={n}: {exc}"
+                raise DomainError(msg) from None
     rows = ["omega1,omega2,n,metric,value"]
     worst = 0.0
     for ratio in ratios:

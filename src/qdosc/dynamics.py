@@ -24,13 +24,10 @@ _PHASE_BLOCK = 1 << 16
 
 @dataclass(frozen=True)
 class TimeSeries:
-    """Complex expectation values over a time grid, with provenance."""
+    """Complex expectation values over a time grid, with the series' tail bound."""
 
     times: np.ndarray
     values: np.ndarray
-    model: ModelParams
-    idx: LambdaIndex
-    alpha: complex
     truncation_tail: float
 
     def __post_init__(self):
@@ -77,6 +74,20 @@ def _phase_sum(rate: float, t: np.ndarray, r: np.ndarray, c: np.ndarray) -> np.n
     return out
 
 
+def _amplitude_sq(alpha: complex) -> float:
+    """|alpha|^2, or DomainError for an alpha that is not finite or whose
+    |alpha|^2 is beyond double precision."""
+    try:
+        a2 = abs(complex(alpha)) ** 2
+    except OverflowError:  # abs of a complex, or the square
+        a2 = math.inf
+    if not math.isfinite(a2):
+        raise DomainError(
+            f"|alpha|^2 must be finite in double precision, got alpha={alpha}"
+        )
+    return a2
+
+
 def _series(
     params: ModelParams, alpha: complex, idx: LambdaIndex, grid, tol: float
 ) -> TimeSeries:
@@ -92,10 +103,9 @@ def _series(
     q = _level_q(params)
     # the window refuses a tol <= 0 and an amplitude outside the radius, also
     # for n = m = 0
-    k0, lev, w, tail, _ = _weight_window(abs(alpha) ** 2, q, m, tol)
+    k0, lev, w, tail, _ = _weight_window(_amplitude_sq(alpha), q, m, tol)
     if n == 0 and m == 0:
-        ones = np.ones_like(times, dtype=complex)
-        return TimeSeries(times, ones, params, LambdaIndex(0, 0), alpha, 0.0)
+        return TimeSeries(times, np.ones_like(times, dtype=complex), 0.0)
     # tau = omega t: the q model's tau rates are its rates at omega = 1,
     # which round as [n] and [n](q - 1) do
     tau_model = replace(params, omega=1.0) if isinstance(params, QOsc) else params
@@ -107,7 +117,7 @@ def _series(
     else:
         sums = _phase_sum(c_up, times, lev, lev**m * w)
     values = np.conj(alpha) ** n * _cis(c_same, times) * sums
-    return TimeSeries(times, values, params, LambdaIndex(n, m), alpha, tail)
+    return TimeSeries(times, values, tail)
 
 
 def evolve_q_expectation(
@@ -164,7 +174,7 @@ def evolve_anharmonic_closed(
         raise DomainError("evolve_anharmonic_closed requires anharmonic parameters")
     n, m = validate_index(idx)
     ts = np.asarray(t_grid, dtype=float)
-    a2 = abs(alpha) ** 2
+    a2 = _amplitude_sq(alpha)
     c_same, c_up = _closure_rates(params, n)
     rot = _cis(c_up, ts)
     poly = np.zeros_like(ts, dtype=complex)
@@ -177,7 +187,7 @@ def evolve_anharmonic_closed(
     values = np.multiply(np.conj(alpha) ** n, _cis(c_same, ts))
     values *= np.exp(decay, out=decay)
     values *= poly
-    return TimeSeries(ts, values, params, LambdaIndex(n, m), alpha, 0.0)
+    return TimeSeries(ts, values, 0.0)
 
 
 def relation_identity_residual(x: float, q: float, m: int) -> float:

@@ -13,13 +13,13 @@ Every operator built here is a single band, computed from one level
 vector and stored densely in the band's own dtype: levels, energies,
 Lambda and the ladders are real float64 matrices, so their products are
 dgemm, not zgemm. A product of single-band matrices has at most one
-nonzero term per entry, so the real matrices give the bits the complex
-ones did. Entries beyond double precision raise
-DomainError rather than turning into inf. The closed forms in algebra
-are handed over as bands, not matrices: the band of Lambda^{n,m}
-(_lambda_band, read from a level vector the caller builds once per model)
-scaled per column. Only their public wrappers package a band densely with
-_band_operator.
+nonzero term per entry, so it rounds alike in real and complex
+arithmetic. Entries beyond double precision raise DomainError rather than
+turning into inf. The closed forms in algebra are handed over as bands,
+not matrices: the band of Lambda^{n,m} (_lambda_band, read from a level
+vector the caller builds once per model) scaled per column.
+_band_operator packages a band densely; its dimension and margin follow
+from the band's length and diagonal.
 
 Truncation bookkeeping: both Hamiltonians are diagonal, so cutting the
 ladder at dimension D only contaminates the top `margin` Fock levels of an
@@ -42,40 +42,44 @@ from .qcore import _mode_weights, _weight_window
 
 @dataclass(frozen=True)
 class FockOperator:
-    """Dense matrix on a D-dimensional truncated Fock space: float64 for a
-    real band, complex128 for a complex one.
+    """Square dense matrix on a truncated Fock space, dimension dim: float64
+    for a real band, complex128 for a complex one.
 
     margin counts the top Fock levels whose rows/columns are contaminated
     by the truncation.
     """
 
-    dim: int
     matrix: np.ndarray
     margin: int = 0
 
     def __post_init__(self):
-        if self.matrix.shape != (self.dim, self.dim):
-            raise DimensionError(
-                f"matrix shape {self.matrix.shape} does not match dim {self.dim}"
-            )
+        if self.matrix.ndim != 2 or self.matrix.shape[0] != self.matrix.shape[1]:
+            raise DimensionError(f"matrix shape {self.matrix.shape} is not square")
         self.matrix.setflags(write=False)
 
+    @property
+    def dim(self) -> int:
+        return self.matrix.shape[0]
+
     def dagger(self) -> "FockOperator":
-        return FockOperator(self.dim, self.matrix.conj().T.copy(), self.margin)
+        return FockOperator(self.matrix.conj().T.copy(), self.margin)
 
 
 @dataclass(frozen=True)
 class FockState:
-    """Complex amplitudes over the Fock basis with a certified tail bound."""
+    """dim complex amplitudes over the Fock basis with a certified tail bound."""
 
-    dim: int
     amplitudes: np.ndarray
     tail_bound: float
 
     def __post_init__(self):
-        if self.amplitudes.shape != (self.dim,):
-            raise DimensionError("amplitude length does not match dim")
+        if self.amplitudes.ndim != 1:
+            raise DimensionError(f"amplitudes of shape {self.amplitudes.shape} are not 1-D")
         self.amplitudes.setflags(write=False)
+
+    @property
+    def dim(self) -> int:
+        return self.amplitudes.shape[0]
 
 
 def _check_dim(D: int) -> None:
@@ -90,23 +94,23 @@ def _finite_band(band: np.ndarray, D: int) -> np.ndarray:
     return band
 
 
-def _band_operator(D: int, band: np.ndarray, k: int, margin: int) -> FockOperator:
-    """D x D operator holding `band` on diagonal k (k > 0 above the main
-    diagonal, k < 0 below it), in the band's own dtype."""
-    return FockOperator(D, np.diag(_finite_band(band, D), k), margin)
+def _band_operator(band: np.ndarray, k: int) -> FockOperator:
+    """Operator holding `band` on diagonal k (k < 0 below the main diagonal),
+    in the band's own dtype, of dimension len(band) + |k| and margin |k|."""
+    return FockOperator(np.diag(_finite_band(band, len(band) + abs(k)), k), abs(k))
 
 
 def build_ladder(params: ModelParams, D: int) -> tuple[FockOperator, FockOperator]:
     """Annihilation/creation pair: a|n> = sqrt([n]) |n-1> (row = n-1, col = n)."""
     _check_dim(D)
-    a = _band_operator(D, np.sqrt(level_value(params, np.arange(1, D))), 1, margin=1)
+    a = _band_operator(np.sqrt(level_value(params, np.arange(1, D))), 1)
     return a, a.dagger()
 
 
 def build_hamiltonian(params: ModelParams, D: int) -> FockOperator:
     """Diagonal Hamiltonian; truncation-exact (margin 0)."""
     _check_dim(D)
-    return _band_operator(D, energy(params, np.arange(D)), 0, margin=0)
+    return _band_operator(energy(params, np.arange(D)), 0)
 
 
 def _lambda_band(lv: np.ndarray, idx: LambdaIndex, D: int) -> np.ndarray:
@@ -134,9 +138,8 @@ def _lambda_band(lv: np.ndarray, idx: LambdaIndex, D: int) -> np.ndarray:
 
 def build_lambda(params: ModelParams, idx: LambdaIndex, D: int) -> FockOperator:
     """Band operator (a†)^n (a† a)^m, holding _lambda_band on sub-diagonal n."""
-    n = LambdaIndex(*idx).n
     band = _lambda_band(level_value(params, np.arange(D)), idx, D)
-    return _band_operator(D, band, -n, margin=n)
+    return _band_operator(band, -LambdaIndex(*idx).n)
 
 
 def _is_exactly_diagonal(M: np.ndarray) -> bool:
@@ -172,7 +175,7 @@ def commutator(A: FockOperator, B: FockOperator) -> FockOperator:
             out = A.matrix @ B.matrix - B.matrix @ A.matrix
     if not np.isfinite(out).all():
         raise DomainError(f"commutator entries overflow double precision at D={A.dim}")
-    return FockOperator(A.dim, out, A.margin + B.margin)
+    return FockOperator(out, A.margin + B.margin)
 
 
 def heisenberg_evolve(O: FockOperator, H: FockOperator, t: float) -> FockOperator:
@@ -187,7 +190,7 @@ def heisenberg_evolve(O: FockOperator, H: FockOperator, t: float) -> FockOperato
     if not _is_exactly_diagonal(H.matrix):
         raise DomainError("heisenberg_evolve requires a diagonal Hamiltonian")
     phases = np.exp(1j * np.diag(H.matrix).real * t)
-    return FockOperator(O.dim, O.matrix * np.outer(phases, phases.conj()), O.margin)
+    return FockOperator(O.matrix * np.outer(phases, phases.conj()), O.margin)
 
 
 def coherent_dim(params: ModelParams, alpha: complex, tol: float = 1e-14) -> int:
@@ -224,7 +227,7 @@ def coherent_state(
     probs /= total + tail
     phase = cmath.phase(alpha) if alpha != 0 else 0.0
     amps = np.sqrt(probs) * np.exp(1j * phase * np.arange(D))
-    state = FockState(D, amps, tail_bound=tail / (total + tail))
+    state = FockState(amps, tail_bound=tail / (total + tail))
     # a|alpha> = alpha|alpha> on the ladder band: sqrt([k+1]) c_{k+1} = alpha c_k
     resid = np.abs(np.sqrt(lv[1:D]) * amps[1:] - alpha * amps[:-1]).max()
     if resid > 1e-10 * max(1.0, abs(alpha)):

@@ -7,17 +7,17 @@ on the denominator (interior_rel_error).
 
 The oracle side of every identity is dense: the dense Lambda, the dense
 commutator with H, the iterated commutators and the normal-ordered matrix
-products. The closed-form side is handed over as its one band, built from a
-level vector made once per model, and band_rel_error compares the two with
-the bits interior_rel_error gives on the band's dense form, counting every
-off-band entry of the oracle.
+products, the dense Lambda being the suite's own band. Each suite builds a
+model's level vector once and each Lambda band once from it. The
+closed-form side is handed over as its band, and band_rel_error compares
+the two with the bits interior_rel_error gives on the band's dense form.
 
 The oracle is real wherever its operator is: every dense operator is one
-real band, so its products and absolute values take float64 arithmetic
-with the bits the complex forms gave. State that does not depend on the
-operator under test is built once per model: the evolved coherent state
-Psi of the dynamics oracle (_oracle_state) and the ladder powers of the
-normal-ordered matrices (algebra._ladder_powers).
+real band, so its products and absolute values take float64 arithmetic.
+State that does not depend on the operator under test is built once per
+model: the evolved coherent state Psi of the dynamics oracle
+(_oracle_state) and the ladder powers of the normal-ordered matrices
+(algebra._ladder_powers).
 
 Each suite checks one fixed grid, the module constants below, and its
 report records the grid; the truncation dimension D is the only argument
@@ -53,9 +53,10 @@ from .dynamics import (
     evolve_q_expectation,
     relation_identity_residual,
 )
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError
 from .fock import (
-    _is_exactly_diagonal,
+    _band_operator,
+    _finite_band,
     _lambda_band,
     build_hamiltonian,
     build_lambda,
@@ -63,7 +64,7 @@ from .fock import (
     commutator,
 )
 from .isomap import isomorphism_residuals
-from .params import Anharmonic, LambdaIndex, ModelParams, QOsc, level_value
+from .params import Anharmonic, LambdaIndex, ModelParams, QOsc, energy, level_value
 from .qcore import _check_radius
 
 DEFAULT_DIM = 64
@@ -171,11 +172,10 @@ def suite_closure(D: int = DEFAULT_DIM) -> list[CheckResult]:
         worst = 0.0
         for n in range(CLOSURE_NM_MAX + 1):
             cc = closure_coeffs(params, n)
-            for m in range(CLOSURE_NM_MAX + 1):
-                lam = build_lambda(params, LambdaIndex(n, m), D)
-                band = _lambda_band(lv, LambdaIndex(n, m), D)
-                band_up = _lambda_band(lv, LambdaIndex(n, m + 1), D)
+            bands = [_lambda_band(lv, (n, m), D) for m in range(CLOSURE_NM_MAX + 2)]
+            for band, band_up in zip(bands, bands[1:]):
                 rhs = cc.c_same * band + cc.c_up * band_up
+                lam = _band_operator(band, -n)
                 lhs = commutator(H, lam).matrix
                 worst = np.maximum(worst, band_rel_error(rhs, lhs, D - 1 - n, -n))
                 lhs_d = commutator(H, lam.dagger()).matrix
@@ -203,8 +203,8 @@ def _iterated_vs_closed(
     worst = 0.0
     for n in range(ITERATED_NM_MAX + 1):
         for m in range(ITERATED_NM_MAX + 1):
-            iterated = build_lambda(params, LambdaIndex(n, m), D)
-            lam = _lambda_band(lv, LambdaIndex(n, m), D)
+            lam = _lambda_band(lv, (n, m), D)
+            iterated = _band_operator(lam, -n)
             for j in range(ITERATED_J_MAX + 1):
                 closed = closed_band(params, lam, lv, n, m, j)
                 if j > 0:
@@ -357,16 +357,14 @@ def _oracle_state(
     params: ModelParams, alpha: complex, times: np.ndarray, D: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """The truncated coherent state evolved over the whole grid as one D x T
-    array Psi = e^{-iEt} psi under the diagonal of the dense H, and
+    array Psi = e^{-iEt} psi under the spectrum E of the diagonal H, and
     conj(Psi), both read-only. Neither depends on the operator, so a suite
     builds them once per model and shares them."""
     state = coherent_state(params, alpha, D)
-    H = build_hamiltonian(params, D)
-    if not _is_exactly_diagonal(H.matrix):
-        raise DomainError("the dynamics oracle requires a diagonal Hamiltonian")
+    E = _finite_band(energy(params, np.arange(D)), D)
     scale = params.omega if isinstance(params, QOsc) else 1.0
     t = np.asarray(times, dtype=float) / scale
-    psi = _cis(-np.diag(H.matrix)[:, None], t)
+    psi = _cis(-E[:, None], t)
     psi *= state.amplitudes[:, None]
     psi_conj = np.conj(psi)
     psi.setflags(write=False)
@@ -410,11 +408,13 @@ def suite_dynamics_oracle(D: int = DEFAULT_DIM) -> list[CheckResult]:
     ):
         worst = 0.0
         state = _oracle_state(params, alpha, times, D)
+        lv = level_value(params, np.arange(D))
         for n in range(nm_max + 1):
             for m in range(nm_max + 1):
                 idx = LambdaIndex(n, m)
                 series = evolve(params, alpha, idx, times)
-                oracle = _oracle_series(build_lambda(params, idx, D).matrix, *state)
+                lam = _band_operator(_lambda_band(lv, idx, D), -n)
+                oracle = _oracle_series(lam.matrix, *state)
                 scale = max(1e-300, float(np.abs(oracle).max()))
                 worst = np.maximum(worst, np.abs(series.values - oracle).max() / scale)
                 if params is ap:

@@ -2,9 +2,12 @@ import csv
 import json
 import subprocess
 import sys
+import warnings
 
+import numpy as np
 import pytest
 
+from qdosc import LambdaIndex, QOsc, band_phase_trace, collapse_transform
 from qdosc.cli import DEFAULTS, build_parser, main
 
 PKG = [sys.executable, "-m", "qdosc.cli"]
@@ -243,6 +246,23 @@ class TestCollapse:
             for col in row[1:]:
                 assert float(col) == pytest.approx(tau * q**j_col, abs=1e-9)
 
+    def test_max_pairwise_deviation_is_the_pairwise_maximum(self, tmp_path):
+        out = tmp_path / "c.csv"
+        argv = ["collapse", "--q", "1.5", "--j-col", "1", "--n-list", "1,2,3",
+                "--m-list", "0,1,2", "--out", str(out)]  # fmt: skip
+        assert main(argv) == 0
+        taus = np.linspace(0.0, 10.0, DEFAULTS["collapse"]["steps"])
+        params = QOsc(q=1.5)
+        curves = [
+            band_phase_trace(params, LambdaIndex(n, m), 1, taus)
+            for n in (1, 2, 3)
+            for m in (0, 1, 2)
+        ]
+        stacked = np.vstack(collapse_transform(curves))
+        want = float(np.max(np.abs(stacked[:, None, :] - stacked[None, :, :])))
+        meta = json.loads((tmp_path / "c.csv.meta.json").read_text())
+        assert meta["diagnostics"]["max_pairwise_deviation"] == want > 0.0
+
     def test_coarse_grid_exits_2(self, tmp_path):
         res = run_cli(
             "collapse", "--q", 2.0, "--j-col", 3, "--n-list", "3",
@@ -316,6 +336,32 @@ class TestSweep:
         assert [r[3] for r in rows[1:]] == ["error", "error"]
         assert all("double precision" in r[4] for r in rows[1:])
 
+    @pytest.mark.parametrize(
+        "flag, value, named",
+        [
+            ("--omega-ratios", "nan", "omega1=nan"),
+            ("--omega-ratios", "-1", "omega1=-1.0"),
+            ("--omega-ratios", "0", "omega1=0.0"),
+            ("--omega-ratios", "1e308", "omega1=1e+308"),
+            ("--n-values", "0", "n=0"),
+            ("--j-max", "-1", "--j-max"),
+        ],
+    )
+    def test_refused_input_exits_2(self, tmp_path, capsys, flag, value, named):
+        out = tmp_path / "s.csv"
+        assert main(["sweep", f"{flag}={value}", "--out", str(out)]) == 2
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == "DomainError"
+        assert named in record["message"]
+        assert not out.exists()
+
+    def test_refused_point_among_valid_ones_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "s.csv"
+        argv = ["sweep", "--omega-ratios", "1,nan", "--n-values", "1,2", "--out", str(out)]
+        assert main(argv) == 2
+        assert "omega1=nan, n=1" in json.loads(capsys.readouterr().err.strip())["message"]
+        assert not out.exists()
+
     @pytest.mark.parametrize("flag", ["--omega-ratios", "--n-values"])
     def test_empty_list_exits_2(self, tmp_path, flag):
         out = tmp_path / "s.csv"
@@ -325,6 +371,28 @@ class TestSweep:
         assert set(record) == {"error", "message"}
         assert record["error"] == "ConfigError"
         assert flag in record["message"]
+        assert not out.exists()
+
+
+class TestAmplitudeDomain:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--alpha-re", "1e200"],
+            ["--model", "anharmonic", "--alpha-re", "1e200"],
+            ["--model", "anharmonic", "--method", "closed", "--alpha-re", "1e200"],
+            ["--model", "anharmonic", "--method", "closed", "--alpha-re", "inf"],
+        ],
+        ids=" ".join,
+    )
+    def test_exits_2(self, tmp_path, capsys, argv):
+        out = tmp_path / "t.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["evolve", *argv, "--out", str(out)]) == 2
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == "DomainError"
+        assert "alpha" in record["message"]
         assert not out.exists()
 
 
@@ -375,7 +443,27 @@ class TestUsage:
     def test_negative_steps_exit_2(self, tmp_path):
         res = run_cli("evolve", "--steps", -5, "--out", tmp_path / "t.csv")
         assert res.returncode == 2
-        assert "error" in json.loads(res.stderr.strip())
+        record = json.loads(res.stderr.strip())
+        assert record["error"] == "DomainError"
+        assert "--steps" in record["message"]
+
+    @pytest.mark.parametrize("command, steps", [("evolve", 0), ("collapse", -3)])
+    def test_steps_below_one_exit_2(self, tmp_path, capsys, command, steps):
+        out = tmp_path / "t.csv"
+        assert main([command, "--steps", str(steps), "--out", str(out)]) == 2
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record == {
+            "error": "DomainError",
+            "message": f"--steps must be at least 1, got {steps}",
+        }
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["evolve", "collapse"])
+    def test_one_step_is_a_one_row_file(self, tmp_path, command):
+        out = tmp_path / "t.csv"
+        assert main([command, "--steps", "1", "--out", str(out)]) == 0
+        rows = read_csv(out)
+        assert rows[1][0] == "0.0" and len(rows) == (2 if command == "evolve" else 3)
 
     def test_non_numeric_config_value_exits_2(self, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -19,6 +20,7 @@ from qdosc import (
     q_stirling2,
     relation_identity_residual,
 )
+from qdosc.dynamics import TimeSeries
 from qdosc.fock import build_hamiltonian, build_lambda, heisenberg_evolve
 from qdosc.verify import oracle_expectation_series
 
@@ -63,6 +65,40 @@ class TestQExpectation:
     def test_radius_rejected(self):
         with pytest.raises(ConvergenceError):
             evolve_q_expectation(QOsc(q=0.5), 1.5, LambdaIndex(1, 0), TAUS)
+
+
+class TestAmplitudeDomain:
+    """A non-finite alpha, or one whose |alpha|^2 leaves double precision, is
+    refused by every public evolve function before any weight is formed."""
+
+    EVOLVE = [
+        (evolve_q_expectation, QOsc(q=1.2)),
+        (evolve_anharmonic_expectation, ANH),
+        (evolve_anharmonic_closed, ANH),
+    ]
+
+    @pytest.mark.parametrize("evolve, params", EVOLVE, ids=["q", "series", "closed"])
+    @pytest.mark.parametrize(
+        "alpha", [math.inf, math.nan, complex(0.0, math.inf), 1e200, complex(1e300, 1e300)],
+        ids=repr,
+    )
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_refused(self, evolve, params, alpha):
+        with pytest.raises(DomainError, match="alpha"):
+            evolve(params, alpha, LambdaIndex(1, 0), TAUS)
+
+    @pytest.mark.parametrize("evolve, params", EVOLVE, ids=["q", "series", "closed"])
+    def test_n_zero_m_zero_refused_too(self, evolve, params):
+        with pytest.raises(DomainError):
+            evolve(params, math.nan, LambdaIndex(0, 0), TAUS)
+
+
+def test_time_series_fields():
+    assert [f.name for f in dataclasses.fields(TimeSeries)] == [
+        "times", "values", "truncation_tail"
+    ]  # fmt: skip
+    ts = evolve_anharmonic_closed(ANH, 0.8, LambdaIndex(1, 0), TAUS)
+    assert ts.truncation_tail == 0.0 and ts.times.shape == ts.values.shape
 
 
 class TestAnharmonicExpectation:

@@ -9,6 +9,7 @@ from qdosc import (
     DimensionError,
     DomainError,
     FockOperator,
+    FockState,
     LambdaIndex,
     QOsc,
     TruncationError,
@@ -22,6 +23,7 @@ from qdosc import (
     heisenberg_evolve,
     q_number,
 )
+from qdosc.fock import _band_operator
 from qdosc.qcore import _weight_window
 
 Q2 = QOsc(q=2.0)
@@ -82,6 +84,42 @@ class TestHamiltonian:
 
     def test_margin_zero(self):
         assert build_hamiltonian(Q2, 4).margin == 0
+
+
+class TestContainers:
+    """dim is read from the array; an operator's dim and margin follow from
+    its band."""
+
+    def test_dim_is_the_array_length(self):
+        assert FockOperator(np.zeros((5, 5))).dim == 5
+        assert FockState(np.zeros(7, dtype=complex), 0.0).dim == 7
+
+    def test_dim_is_read_only(self):
+        op = FockOperator(np.zeros((3, 3)))
+        with pytest.raises(AttributeError):
+            op.dim = 4
+
+    @pytest.mark.parametrize("shape", [(2, 3), (4,), (2, 2, 2)])
+    def test_non_square_matrix_rejected(self, shape):
+        with pytest.raises(DimensionError):
+            FockOperator(np.zeros(shape))
+
+    @pytest.mark.parametrize("shape", [(), (2, 2)])
+    def test_non_vector_amplitudes_rejected(self, shape):
+        with pytest.raises(DimensionError):
+            FockState(np.zeros(shape, dtype=complex), 0.0)
+
+    @pytest.mark.parametrize("k", [-3, -1, 0, 2])
+    def test_band_operator_derives_dim_and_margin(self, k):
+        band = np.arange(1.0, 6.0)
+        op = _band_operator(band, k)
+        assert (op.dim, op.margin) == (5 + abs(k), abs(k))
+        assert np.array_equal(op.matrix, np.diag(band, k))
+
+    def test_builders_keep_their_margins(self):
+        a, adag = build_ladder(Q2, 6)
+        assert (a.margin, adag.margin, build_hamiltonian(Q2, 6).margin) == (1, 1, 0)
+        assert all(op.dim == 6 for op in (a, adag, build_lambda(Q2, (2, 1), 6)))
 
 
 class TestLambda:
@@ -163,7 +201,7 @@ def same_bits(real, cplx):
 
 
 def as_complex(op):
-    return FockOperator(op.dim, op.matrix.astype(complex), op.margin)
+    return FockOperator(op.matrix.astype(complex), op.margin)
 
 
 class TestRealOperators:
@@ -249,7 +287,7 @@ class TestHeisenberg:
         mat[0, 3] = 1e-13
         lam = build_lambda(Q2, LambdaIndex(1, 0), D)
         with pytest.raises(DomainError):
-            heisenberg_evolve(lam, FockOperator(D, mat), 1.0)
+            heisenberg_evolve(lam, FockOperator(mat), 1.0)
 
 
 class TestCoherentState:
@@ -274,7 +312,6 @@ class TestCoherentState:
         for n in (0, 1, 2):
             for rk in (0, 1, 2, 3):
                 op = FockOperator(
-                    40,
                     np.linalg.matrix_power(adag.matrix, n + rk)
                     @ np.linalg.matrix_power(a.matrix, rk),
                     margin=n,
