@@ -6,7 +6,16 @@ import numpy as np
 import pytest
 
 import qdosc.verify as verify
-from qdosc import DomainError, LambdaIndex, QOsc, build_lambda, coherent_state
+from qdosc import (
+    DomainError,
+    FockOperator,
+    LambdaIndex,
+    QOsc,
+    build_hamiltonian,
+    build_lambda,
+    coherent_state,
+    heisenberg_evolve,
+)
 from qdosc.params import energy
 from qdosc.algebra import _ladder_powers, _normal_order_dense, normal_order_matrix
 from qdosc.verify import (
@@ -160,6 +169,37 @@ class TestDynamicsOracle:
         finally:
             tracemalloc.stop()
         assert peak <= 4 * 16 * D * T
+
+    def _skewed_hamiltonian_never_reaches_the_oracle(self, monkeypatch, r, c, value):
+        # Psi = e^{-iEt} psi would silently drop an off-diagonal entry of H.
+        # The oracle reads E from energy(), so a skewed H handed to verify is
+        # never asked for and leaves its series bit-identical. The Heisenberg
+        # picture, which does take H as a matrix, refuses it, and under the
+        # true diagonal H it gives the oracle's series.
+        params, D, idx, t = QOsc(q=1.2), 32, LambdaIndex(1, 0), 0.5
+        honest = oracle_expectation_series(params, 0.8, idx, [t], D)
+        mat = build_hamiltonian(params, D).matrix.copy()
+        mat[r, c] = value
+        skewed = FockOperator(mat)
+        handed_out = []
+        monkeypatch.setattr(
+            verify, "build_hamiltonian", lambda params, D: handed_out.append(D) or skewed
+        )
+        assert np.array_equal(oracle_expectation_series(params, 0.8, idx, [t], D), honest)
+        assert not handed_out
+        lam = build_lambda(params, idx, D)
+        with pytest.raises(DomainError):
+            heisenberg_evolve(lam, skewed, t / params.omega)
+        c_k = coherent_state(params, 0.8, D).amplitudes
+        evolved = heisenberg_evolve(lam, build_hamiltonian(params, D), t / params.omega)
+        np.testing.assert_allclose(honest, [np.conj(c_k) @ evolved.matrix @ c_k], rtol=1e-13)
+
+    def test_non_diagonal_hamiltonian_rejected(self, monkeypatch):
+        self._skewed_hamiltonian_never_reaches_the_oracle(monkeypatch, 0, 1, 1.0)
+
+    def test_nearly_diagonal_hamiltonian_rejected(self, monkeypatch):
+        # below any relative tolerance on the diagonal
+        self._skewed_hamiltonian_never_reaches_the_oracle(monkeypatch, 0, 3, 1e-13)
 
     def test_oracle_builds_no_dense_hamiltonian(self, monkeypatch):
         # Psi takes the spectrum from energy(); no D x D matrix is formed
