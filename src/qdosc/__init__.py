@@ -36,11 +36,9 @@ from .errors import (
 )
 from .fock import (
     FockOperator,
-    FockState,
     build_hamiltonian,
     build_ladder,
     build_lambda,
-    coherent_dim,
     coherent_state,
     commutator,
     expectation,

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -24,10 +25,10 @@ from .dynamics import (
     evolve_anharmonic_expectation,
     evolve_q_expectation,
 )
-from .errors import DomainError, QdoscError
+from .errors import DimensionError, DomainError, QdoscError
 from .isomap import isomorphism_residuals, map_to_q
 from .params import Anharmonic, LambdaIndex, QOsc
-from .verify import SUITES, run_suite
+from .verify import DEFAULT_DIM, SUITES, run_suite
 
 
 class ConfigError(QdoscError, ValueError):
@@ -52,11 +53,10 @@ DEFAULTS = {
         "out": "trace.csv",
         "format": "csv",
     },
-    "verify": {"suite": "all", "dim": 64, "out": None},
+    "verify": {"suite": "all", "dim": DEFAULT_DIM, "out": None},
     "map": {"omega1": 10.0, "omega2": 1.0, "n": 1, "j_max": 6, "out": None},
     "collapse": {
         "q": 1.2,
-        "omega": 1.0,
         "j_col": 0,
         "n_list": "1,2,3",
         "m_list": "0",
@@ -83,6 +83,9 @@ CHOICES = {
 # rows per block of the CSV writer
 _CSV_BLOCK = 8192
 
+# longest time grid: 80 MB per real column
+_MAX_STEPS = 10**7
+
 
 def _fmt(x: float) -> str:
     return repr(float(x))
@@ -103,11 +106,14 @@ def _list(cfg: dict, key: str, cast) -> list:
 
 
 def _time_grid(cfg: dict) -> np.ndarray:
-    """cfg["steps"] evenly spaced times on [0, tau_max]; fewer than one step
-    is a DomainError naming the flag."""
+    """cfg["steps"] evenly spaced times on [0, tau_max]. Fewer than one step
+    is a DomainError naming the flag, more than _MAX_STEPS a DimensionError
+    naming it, before the grid is allocated."""
     steps = int(cfg["steps"])
     if steps < 1:
         raise DomainError(f"--steps must be at least 1, got {steps}")
+    if steps > _MAX_STEPS:
+        raise DimensionError(f"--steps must be at most {_MAX_STEPS}, got {steps}")
     return np.linspace(0.0, float(cfg["tau_max"]), steps)
 
 
@@ -122,7 +128,9 @@ def _load_config_file(path: str) -> dict:
 
 
 def resolve_config(command: str, args: argparse.Namespace) -> dict:
-    """defaults < config file < explicit flags."""
+    """defaults < config file < explicit flags. A NaN or infinite value, for
+    a flag the command uses or not, is a DomainError naming the flag, so
+    every sidecar holds finite numbers only."""
     cfg = dict(DEFAULTS[command])
     if getattr(args, "config", None):
         file_cfg = _load_config_file(args.config)
@@ -133,6 +141,8 @@ def resolve_config(command: str, args: argparse.Namespace) -> dict:
         val = getattr(args, key, None)
         if val is not None:
             cfg[key] = val
+        if isinstance(cfg[key], float) and not math.isfinite(cfg[key]):
+            raise DomainError(f"--{key.replace('_', '-')} must be finite, got {cfg[key]}")
     return cfg
 
 
@@ -259,7 +269,7 @@ def cmd_map(cfg: dict) -> int:
 
 def cmd_collapse(cfg: dict) -> int:
     """Emit normalized phase-collapse curves."""
-    params = QOsc(q=float(cfg["q"]), omega=float(cfg["omega"]))
+    params = QOsc(q=float(cfg["q"]))
     j_col = int(cfg["j_col"])
     taus = _time_grid(cfg)
     ns, ms = _list(cfg, "n_list", int), _list(cfg, "m_list", int)

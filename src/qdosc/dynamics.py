@@ -24,7 +24,8 @@ _PHASE_BLOCK = 1 << 16
 
 @dataclass(frozen=True)
 class TimeSeries:
-    """Complex expectation values over a time grid, with the series' tail bound."""
+    """Complex expectation values over a time grid, with the series' tail
+    bound. Values beyond double precision, inf or NaN, raise DomainError."""
 
     times: np.ndarray
     values: np.ndarray
@@ -35,6 +36,11 @@ class TimeSeries:
             raise DomainError("times and values must have matching shapes")
         if len(self.times) > 1 and not np.all(np.diff(self.times) > 0):
             raise DomainError("times must be strictly increasing")
+        bad = np.count_nonzero(~np.isfinite(self.values))
+        if bad:
+            raise DomainError(
+                f"{bad} of {len(self.values)} expectation values overflow double precision"
+            )
         self.times.setflags(write=False)
         self.values.setflags(write=False)
 
@@ -110,13 +116,16 @@ def _series(
     # which round as [n] and [n](q - 1) do
     tau_model = replace(params, omega=1.0) if isinstance(params, QOsc) else params
     c_same, c_up = _closure_rates(tau_model, n)
-    if q == 1.0:
-        # the z of evolve_anharmonic_closed, so both round their phases alike
-        z = _cis(c_up, times)
-        sums = z**k0 * _horner(z, lev**m * w)
-    else:
-        sums = _phase_sum(c_up, times, lev, lev**m * w)
-    values = np.conj(alpha) ** n * _cis(c_same, times) * sums
+    # an overflow here, in a phase or a value, reaches TimeSeries as inf or
+    # NaN, which it refuses
+    with np.errstate(over="ignore", invalid="ignore"):
+        if q == 1.0:
+            # the z of evolve_anharmonic_closed, so both round their phases alike
+            z = _cis(c_up, times)
+            sums = z**k0 * _horner(z, lev**m * w)
+        else:
+            sums = _phase_sum(c_up, times, lev, lev**m * w)
+        values = np.conj(alpha) ** n * _cis(c_same, times) * sums
     return TimeSeries(times, values, tail)
 
 
@@ -176,17 +185,26 @@ def evolve_anharmonic_closed(
     ts = np.asarray(t_grid, dtype=float)
     a2 = _amplitude_sq(alpha)
     c_same, c_up = _closure_rates(params, n)
-    rot = _cis(c_up, ts)
+    try:
+        coeffs = [stirling2(r, m) * a2**r for r in range(m + 1)]
+    except OverflowError:  # a2**r of a Python float
+        raise DomainError(
+            f"|alpha|^(2r) overflows double precision at alpha={alpha}, m={m}"
+        ) from None
     poly = np.zeros_like(ts, dtype=complex)
-    for r in range(m + 1):
-        poly += stirling2(r, m) * a2**r * rot**r
-    # (alpha*)^n e^{i c_same t} exp[a2 (rot - 1)] poly, in place and in that
-    # order; rot is not needed past poly
-    decay = np.subtract(rot, 1.0, out=rot)
-    np.multiply(a2, decay, out=decay)
-    values = np.multiply(np.conj(alpha) ** n, _cis(c_same, ts))
-    values *= np.exp(decay, out=decay)
-    values *= poly
+    # an overflow here, in a phase or a value, reaches TimeSeries as inf or
+    # NaN, which it refuses
+    with np.errstate(over="ignore", invalid="ignore"):
+        rot = _cis(c_up, ts)
+        for r, coeff in enumerate(coeffs):
+            poly += coeff * rot**r
+        # (alpha*)^n e^{i c_same t} exp[a2 (rot - 1)] poly, in place and in
+        # that order; rot is not needed past poly
+        decay = np.subtract(rot, 1.0, out=rot)
+        np.multiply(a2, decay, out=decay)
+        values = np.multiply(np.conj(alpha) ** n, _cis(c_same, ts))
+        values *= np.exp(decay, out=decay)
+        values *= poly
     return TimeSeries(ts, values, 0.0)
 
 

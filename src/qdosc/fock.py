@@ -36,8 +36,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, DomainError, TruncationError
-from .params import LambdaIndex, ModelParams, _level_q, energy, level_value, validate_index
-from .qcore import _mode_weights, _weight_window
+from .params import LambdaIndex, ModelParams, energy, level_value, validate_index
+from .qcore import _mode_weights
 
 
 @dataclass(frozen=True)
@@ -65,26 +65,14 @@ class FockOperator:
         return FockOperator(self.matrix.conj().T.copy(), self.margin)
 
 
-@dataclass(frozen=True)
-class FockState:
-    """dim complex amplitudes over the Fock basis with a certified tail bound."""
-
-    amplitudes: np.ndarray
-    tail_bound: float
-
-    def __post_init__(self):
-        if self.amplitudes.ndim != 1:
-            raise DimensionError(f"amplitudes of shape {self.amplitudes.shape} are not 1-D")
-        self.amplitudes.setflags(write=False)
-
-    @property
-    def dim(self) -> int:
-        return self.amplitudes.shape[0]
+# largest truncation dimension: one real D x D matrix at 4096 is 134 MB
+_MAX_DIM = 4096
 
 
 def _check_dim(D: int) -> None:
-    if D < 2:
-        raise DimensionError(f"dimension must be >= 2, got {D}")
+    """Refuse a dimension outside [2, _MAX_DIM] before anything is allocated."""
+    if not 2 <= D <= _MAX_DIM:
+        raise DimensionError(f"dimension (--dim) must be in [2, {_MAX_DIM}], got {D}")
 
 
 def _finite_band(band: np.ndarray, D: int) -> np.ndarray:
@@ -193,28 +181,16 @@ def heisenberg_evolve(O: FockOperator, H: FockOperator, t: float) -> FockOperato
     return FockOperator(O.matrix * np.outer(phases, phases.conj()), O.margin)
 
 
-def coherent_dim(params: ModelParams, alpha: complex, tol: float = 1e-14) -> int:
-    """Smallest dimension at which a coherent state of amplitude alpha has
-    occupation tail mass below tol."""
-    k0, _, w, _, _ = _weight_window(abs(alpha) ** 2, _level_q(params), 0, tol)
-    return k0 + len(w) + 1
-
-
 def coherent_state(
-    params: ModelParams,
-    alpha: complex,
-    D: int | None = None,
-    tol: float = 1e-14,
-) -> FockState:
-    """(q-)coherent state, the normalized eigenstate of the annihilator:
-    amplitudes c_k proportional to alpha^k / sqrt([k]!).
+    params: ModelParams, alpha: complex, D: int, tol: float = 1e-14
+) -> np.ndarray:
+    """(q-)coherent state, the normalized eigenstate of the annihilator, as
+    its D read-only complex amplitudes c_k proportional to alpha^k / sqrt([k]!).
 
-    D = None picks the dimension adaptively so the tail mass is below tol.
+    The occupation mass beyond D - 1 must have a geometric bound below tol.
     The eigenvalue relation a|alpha> = alpha|alpha> is verified on the
     first D-1 components before returning.
     """
-    if D is None:
-        D = coherent_dim(params, alpha, tol)
     _check_dim(D)
     lv = level_value(params, np.arange(D + 1))
     ratio, _, probs = _mode_weights(abs(alpha) ** 2, lv)
@@ -227,16 +203,16 @@ def coherent_state(
     probs /= total + tail
     phase = cmath.phase(alpha) if alpha != 0 else 0.0
     amps = np.sqrt(probs) * np.exp(1j * phase * np.arange(D))
-    state = FockState(amps, tail_bound=tail / (total + tail))
+    amps.setflags(write=False)
     # a|alpha> = alpha|alpha> on the ladder band: sqrt([k+1]) c_{k+1} = alpha c_k
     resid = np.abs(np.sqrt(lv[1:D]) * amps[1:] - alpha * amps[:-1]).max()
     if resid > 1e-10 * max(1.0, abs(alpha)):
         raise TruncationError(f"eigenvalue relation violated: residual {resid:.3e}")
-    return state
+    return amps
 
 
-def expectation(state: FockState, O: FockOperator) -> complex:
-    """<psi|O|psi> in the truncated space."""
-    if state.dim != O.dim:
-        raise DimensionError(f"dimension mismatch: {state.dim} vs {O.dim}")
-    return complex(np.vdot(state.amplitudes, O.matrix @ state.amplitudes))
+def expectation(state: np.ndarray, O: FockOperator) -> complex:
+    """<psi|O|psi> in the truncated space, for the amplitude vector psi."""
+    if state.shape != (O.dim,):
+        raise DimensionError(f"state of shape {state.shape} does not match dim {O.dim}")
+    return complex(np.vdot(state, O.matrix @ state))

@@ -212,13 +212,23 @@ def _weight_window(x: float, q: float, m: int = 0, tol: float = 1e-14):
             if k0:
                 low = float(below[k0 - 1] / (x - lo[k0 - 1]))
         start = max(mode, 1)
-        rho = ratio[start:] * (lv[start + 1 :] / lv[start:-1]) ** m
-        above = p[start:] * lv[start:-1] ** m * rho
         total = np.cumsum(p[k0:])[start - k0 :]
-        closes = above < (tol * total - low) * (1.0 - rho)
+        # a power beyond double precision is inf, and inf or NaN in `above`
+        # (NaN where p_k is 0), which never closes the window; a tol near
+        # the largest double makes tol * total inf, which closes it at once
+        with np.errstate(over="ignore", invalid="ignore"):
+            rho = ratio[start:] * (lv[start + 1 :] / lv[start:-1]) ** m
+            powers = lv[start:-1] ** m
+            above = p[start:] * powers * rho
+            closes = above < (tol * total - low) * (1.0 - rho)
         i = int(np.argmax(closes))
         if closes[i]:
             break
+        # [k]^m rises with k: once it overflows, no longer vector closes
+        if np.isinf(powers[-1]):
+            raise DomainError(
+                f"[k]^m overflows double precision at m={m} before the window closes"
+            )
         size *= 2
     else:
         raise ConvergenceError(f"weight window does not close within {_MAX_LEVELS} levels")

@@ -56,6 +56,7 @@ from .dynamics import (
 from .errors import ConvergenceError
 from .fock import (
     _band_operator,
+    _check_dim,
     _finite_band,
     _lambda_band,
     build_hamiltonian,
@@ -360,12 +361,12 @@ def _oracle_state(
     array Psi = e^{-iEt} psi under the spectrum E of the diagonal H, and
     conj(Psi), both read-only. Neither depends on the operator, so a suite
     builds them once per model and shares them."""
-    state = coherent_state(params, alpha, D)
+    psi0 = coherent_state(params, alpha, D)
     E = _finite_band(energy(params, np.arange(D)), D)
     scale = params.omega if isinstance(params, QOsc) else 1.0
     t = np.asarray(times, dtype=float) / scale
     psi = _cis(-E[:, None], t)
-    psi *= state.amplitudes[:, None]
+    psi *= psi0[:, None]
     psi_conj = np.conj(psi)
     psi.setflags(write=False)
     psi_conj.setflags(write=False)
@@ -476,9 +477,11 @@ SUITES = {
 
 def run_suite(name: str, D: int = DEFAULT_DIM) -> list[CheckResult]:
     """Run one suite by name, or all of them in order; D reaches the suites
-    whose signature takes it, the others do not truncate."""
+    whose signature takes it, the others do not truncate. A D outside the
+    range of fock._check_dim is refused before any suite runs."""
     if name != "all" and name not in SUITES:
         raise KeyError(f"unknown suite {name!r}; choose from {sorted(SUITES)} or 'all'")
+    _check_dim(D)
     out = []
     for key in SUITES if name == "all" else [name]:
         suite = SUITES[key]

@@ -1,13 +1,19 @@
+import contextlib
 import csv
+import io
 import json
+import os
 import subprocess
 import sys
+import tempfile
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qdosc import LambdaIndex, QOsc, band_phase_trace, collapse_transform
+from qdosc import LambdaIndex, QdoscError, QOsc, band_phase_trace, collapse_transform
 from qdosc.cli import DEFAULTS, build_parser, main
 
 PKG = [sys.executable, "-m", "qdosc.cli"]
@@ -263,6 +269,20 @@ class TestCollapse:
         meta = json.loads((tmp_path / "c.csv.meta.json").read_text())
         assert meta["diagnostics"]["max_pairwise_deviation"] == want > 0.0
 
+    def test_old_sidecar_with_omega_reruns(self, tmp_path):
+        # sidecars written before collapse dropped --omega carry "omega"; it
+        # never reached the collapse and is ignored
+        out1 = tmp_path / "a.csv"
+        assert main(["collapse", "--q", "1.5", "--j-col", "1", "--out", str(out1)]) == 0
+        meta = json.loads((tmp_path / "a.csv.meta.json").read_text())
+        assert "omega" not in meta["config"]
+        meta["config"]["omega"] = 2.5
+        old = tmp_path / "old.meta.json"
+        old.write_text(json.dumps(meta))
+        out2 = tmp_path / "b.csv"
+        assert main(["collapse", "--config", str(old), "--out", str(out2)]) == 0
+        assert out1.read_bytes() == out2.read_bytes()
+
     def test_coarse_grid_exits_2(self, tmp_path):
         res = run_cli(
             "collapse", "--q", 2.0, "--j-col", 3, "--n-list", "3",
@@ -394,6 +414,140 @@ class TestAmplitudeDomain:
         assert record["error"] == "DomainError"
         assert "alpha" in record["message"]
         assert not out.exists()
+
+
+def _refusal(capsys) -> dict:
+    """The one JSON error record a refused command wrote to stderr."""
+    record = json.loads(capsys.readouterr().err.strip())
+    assert set(record) == {"error", "message"}
+    return record
+
+
+class TestOverflowingTrace:
+    """A finite alpha whose powers, or levels whose powers, leave double
+    precision are refused, never written as inf or NaN rows or leaked as an
+    OverflowError."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--alpha-re", "1e100", "--n", "4"],
+            ["--model", "anharmonic", "--method", "closed", "--alpha-re", "1e100", "--n", "4"],
+            ["--model", "anharmonic", "--method", "closed", "--alpha-re", "1e25",
+             "--n", "4", "--m", "6"],
+            ["--model", "anharmonic", "--method", "closed", "--alpha-re", "1e100", "--m", "2"],
+            ["--model", "anharmonic", "--method", "closed", "--alpha-re", "30", "--m", "200"],
+            # [k]^m overflows before the series window closes
+            ["--model", "anharmonic", "--n", "1", "--m", "200"],
+            ["--n", "0", "--m", "200"],
+        ],
+        ids=" ".join,
+    )  # fmt: skip
+    def test_exits_2(self, tmp_path, capsys, argv):
+        out = tmp_path / "t.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["evolve", *argv, "--steps", "5", "--out", str(out)]) == 2
+        assert _refusal(capsys)["error"] == "DomainError"
+        assert not out.exists()
+
+    def test_large_finite_closed_form_is_kept(self, tmp_path):
+        # S(r, 200) |alpha|^(2r) at the default alpha is large but finite
+        out = tmp_path / "t.csv"
+        argv = ["evolve", "--model", "anharmonic", "--method", "closed", "--m", "200"]
+        assert main([*argv, "--steps", "3", "--out", str(out)]) == 0
+        assert read_csv(out)[1][1] == "2.5069342778199782e+266"
+
+
+class TestResourceBounds:
+    """Oversized runs are refused before anything is allocated."""
+
+    HUGE = "4611686018427387904"
+
+    def test_verify_dim(self, capsys):
+        assert main(["verify", "--dim", self.HUGE]) == 2
+        record = _refusal(capsys)
+        assert record["error"] == "DimensionError" and "--dim" in record["message"]
+
+    @pytest.mark.parametrize("command", ["evolve", "collapse"])
+    def test_steps(self, tmp_path, capsys, command):
+        out = tmp_path / "t.csv"
+        assert main([command, "--steps", self.HUGE, "--out", str(out)]) == 2
+        record = _refusal(capsys)
+        assert record == {
+            "error": "DimensionError",
+            "message": f"--steps must be at most 10000000, got {self.HUGE}",
+        }
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["evolve", "collapse"])
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    def test_non_finite_tau_max(self, tmp_path, capsys, command, value):
+        out = tmp_path / "t.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main([command, f"--tau-max={value}", "--out", str(out)]) == 2
+        record = _refusal(capsys)
+        assert record["error"] == "DomainError" and "--tau-max" in record["message"]
+        assert not out.exists()
+
+
+# up to three float flags take one of these values, the others their defaults
+FLAG_VALUES = ("nan", "inf", "-inf", "0", "-1", "1e300", "1e-300")
+FLOAT_FLAGS = ("q", "omega", "omega1", "omega2", "alpha_re", "alpha_im", "tau_max", "tol")
+INDEX_VALUES = ("-1", "0", "1", "3", "200")
+
+
+def _finite_json(path):
+    """The JSON in path; the NaN and Infinity that json.dumps writes for a
+    non-finite float fail the test."""
+
+    def refuse(token):
+        raise AssertionError(f"{path} holds {token}")
+
+    with open(path) as fh:
+        return json.load(fh, parse_constant=refuse)
+
+
+@given(
+    floats=st.dictionaries(
+        st.sampled_from(FLOAT_FLAGS), st.sampled_from(FLAG_VALUES), max_size=3
+    ),
+    n=st.sampled_from(INDEX_VALUES),
+    m=st.sampled_from(INDEX_VALUES),
+    steps=st.sampled_from(("-1", "0", "1", "4")),
+    model=st.sampled_from(("qosc", "anharmonic")),
+    method=st.sampled_from(("series", "closed")),
+    fmt=st.sampled_from(("csv", "json")),
+)
+@settings(max_examples=500, deadline=None)
+def test_evolve_flags_exit_0_with_finite_files_or_2_with_one_record(
+    floats, n, m, steps, model, method, fmt
+):
+    flags = {**floats, "n": n, "m": m, "steps": steps}
+    argv = ["evolve", "--model", model, "--method", method, "--format", fmt]
+    argv += [f"--{key.replace('_', '-')}={value}" for key, value in flags.items()]
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "trace")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            status = main([*argv, "--out", out])
+        assert status in (0, 2), err.getvalue()
+        if status == 2:
+            (line,) = err.getvalue().splitlines()
+            record = json.loads(line)
+            assert set(record) == {"error", "message"}
+            assert record["error"] in {c.__name__ for c in QdoscError.__subclasses__()}
+            assert not os.listdir(tmp)
+            return
+        if fmt == "json":
+            rows = [list(row.values()) for row in _finite_json(out)]
+        else:
+            rows = read_csv(out)[1:]
+        assert len(rows) == int(steps)
+        assert np.isfinite(np.array(rows, dtype=float)).all()
+        _finite_json(out + ".meta.json")
 
 
 class TestNonFiniteParameters:

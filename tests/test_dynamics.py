@@ -93,6 +93,14 @@ class TestAmplitudeDomain:
             evolve(params, math.nan, LambdaIndex(0, 0), TAUS)
 
 
+def test_time_series_refuses_non_finite_values():
+    # so no evolve function returns an inf or NaN value
+    times = np.arange(3.0)
+    for bad in (math.inf, math.nan, complex(0.0, -math.inf)):
+        with pytest.raises(DomainError, match="1 of 3"):
+            TimeSeries(times, np.array([1.0, bad, 0.5j]), 0.0)
+
+
 def test_time_series_fields():
     assert [f.name for f in dataclasses.fields(TimeSeries)] == [
         "times", "values", "truncation_tail"

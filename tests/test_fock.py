@@ -9,21 +9,19 @@ from qdosc import (
     DimensionError,
     DomainError,
     FockOperator,
-    FockState,
     LambdaIndex,
     QOsc,
     TruncationError,
     build_hamiltonian,
     build_ladder,
     build_lambda,
-    coherent_dim,
     coherent_state,
     commutator,
     expectation,
     heisenberg_evolve,
     q_number,
 )
-from qdosc.fock import _band_operator
+from qdosc.fock import _band_operator, _check_dim
 from qdosc.qcore import _weight_window
 
 Q2 = QOsc(q=2.0)
@@ -67,6 +65,14 @@ class TestLadder:
         with pytest.raises(DimensionError):
             build_ladder(Q2, 1)
 
+    def test_oversized_dim_rejected_before_allocating(self):
+        # one real D x D matrix at D = 10^5 would be 80 GB
+        with pytest.raises(DimensionError, match="--dim"):
+            _check_dim(10**5)
+        _check_dim(4096)
+        with pytest.raises(DimensionError):
+            build_ladder(Q2, 4097)
+
 
 class TestHamiltonian:
     def test_q_spectrum(self):
@@ -92,7 +98,6 @@ class TestContainers:
 
     def test_dim_is_the_array_length(self):
         assert FockOperator(np.zeros((5, 5))).dim == 5
-        assert FockState(np.zeros(7, dtype=complex), 0.0).dim == 7
 
     def test_dim_is_read_only(self):
         op = FockOperator(np.zeros((3, 3)))
@@ -107,7 +112,7 @@ class TestContainers:
     @pytest.mark.parametrize("shape", [(), (2, 2)])
     def test_non_vector_amplitudes_rejected(self, shape):
         with pytest.raises(DimensionError):
-            FockState(np.zeros(shape, dtype=complex), 0.0)
+            expectation(np.zeros(shape, dtype=complex), FockOperator(np.eye(2)))
 
     @pytest.mark.parametrize("k", [-3, -1, 0, 2])
     def test_band_operator_derives_dim_and_margin(self, k):
@@ -293,14 +298,20 @@ class TestHeisenberg:
 class TestCoherentState:
     def test_vacuum(self):
         st = coherent_state(Q2, 0.0, D=5)
-        np.testing.assert_allclose(st.amplitudes, np.eye(5)[0])
+        np.testing.assert_allclose(st, np.eye(5)[0])
+
+    def test_read_only_vector(self):
+        st = coherent_state(Q2, 0.8, D=40)
+        assert st.shape == (40,) and st.dtype == complex
+        with pytest.raises(ValueError):
+            st[0] = 0.0
 
     def test_classical_amplitudes(self):
         alpha = 0.8
-        st = coherent_state(QOsc(q=1.0), alpha)
-        for k in range(st.dim):
+        st = coherent_state(QOsc(q=1.0), alpha, D=40)
+        for k in range(len(st)):
             expected = math.exp(-0.32) * alpha**k / math.sqrt(math.factorial(k))
-            assert st.amplitudes[k].real == pytest.approx(expected, abs=1e-12)
+            assert st[k].real == pytest.approx(expected, abs=1e-12)
 
     def test_q_moment_identity(self):
         # <(a†)^{n+r+k} a^{r+k}> = (alpha*)^n |alpha|^{2(r+k)}
@@ -321,8 +332,10 @@ class TestCoherentState:
                 assert got == pytest.approx(want, abs=1e-9)
 
     def test_radius_rejected(self):
-        with pytest.raises(ConvergenceError):
-            coherent_state(QOsc(q=0.5), 1.5)
+        # outside the radius no cutoff bounds the mass above it, at any D
+        for D in (2, 40, 400):
+            with pytest.raises(TruncationError):
+                coherent_state(QOsc(q=0.5), 1.5, D)
 
     def test_radius_rejected_at_fixed_dim(self):
         # outside the radius every term ratio exceeds 1, so no cutoff bounds
@@ -334,7 +347,7 @@ class TestCoherentState:
         # |alpha|^2 = 2.25 is outside the radius 2; a walk over the terms
         # would run to its term cap before giving up
         with pytest.raises(ConvergenceError, match=r"\|x\|=2\.25 outside radius 2\.0"):
-            coherent_dim(QOsc(q=0.5), 1.5)
+            _weight_window(1.5**2, 0.5, 0, 1e-14)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("alpha", [27.0, 30.0])
@@ -342,14 +355,13 @@ class TestCoherentState:
         # the weights at k = 0 and at the mode k ~ |alpha|^2 differ by about
         # e^{|alpha|^2}, beyond double precision
         tol = 1e-14
-        st = coherent_state(ANH, alpha, tol=tol)
         k0, _, w, _, _ = _weight_window(alpha**2, 1.0, 0, tol)
-        assert st.dim == k0 + len(w) + 1
-        probs = np.abs(st.amplitudes) ** 2
+        st = coherent_state(ANH, alpha, k0 + len(w) + 1, tol=tol)
+        probs = np.abs(st) ** 2
         np.testing.assert_allclose(probs[k0 : k0 + len(w)], w, rtol=1e-12, atol=0)
         # the state keeps the products below the series window as they are
         assert k0 > 0 and probs[k0 - 1] > 0.0
-        assert np.vdot(st.amplitudes, st.amplitudes).real == pytest.approx(1.0)
+        assert np.vdot(st, st).real == pytest.approx(1.0)
 
 
 class TestExpectation:
@@ -361,8 +373,8 @@ class TestExpectation:
 
     def test_classical_number_mean(self):
         alpha = 0.8
-        st = coherent_state(QOsc(q=1.0), alpha)
-        delta = build_lambda(QOsc(q=1.0), LambdaIndex(0, 1), st.dim)
+        st = coherent_state(QOsc(q=1.0), alpha, D=40)
+        delta = build_lambda(QOsc(q=1.0), LambdaIndex(0, 1), 40)
         assert expectation(st, delta) == pytest.approx(abs(alpha) ** 2, abs=1e-12)
 
     def test_q_number_mean_against_weights(self):

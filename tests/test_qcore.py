@@ -13,7 +13,6 @@ from qdosc import (
     LambdaIndex,
     QdoscError,
     QOsc,
-    coherent_dim,
     evolve_anharmonic_expectation,
     evolve_q_expectation,
     q_exponential,
@@ -393,7 +392,7 @@ def test_nonpositive_tol_is_refused_before_any_level(tol):
     # such a tol never closes the window: without the check the level vector
     # doubles up to _MAX_LEVELS before a ConvergenceError
     with pytest.raises(DomainError, match="tol"):
-        coherent_dim(Anharmonic(10.0, 1.0), 1.0, tol=tol)
+        _weight_window(1.0, 1.0, 0, tol)
     with pytest.raises(DomainError, match="tol"):
         q_exponential(1.0, 1.0, tol=tol)
     for n, m in [(0, 0), (1, 2)]:

@@ -49,7 +49,6 @@ from qdosc import (
     build_hamiltonian,
     build_ladder,
     build_lambda,
-    coherent_dim,
     coherent_state,
     commutator,
     energy,
@@ -79,7 +78,7 @@ from qdosc.dynamics import (
     _phase_sum,
     band_phase_trace,
 )
-from qdosc.params import validate_index
+from qdosc.params import _level_q, validate_index
 from qdosc.qcore import _check_radius, _weight_window
 from qdosc.verify import interior_rel_error, oracle_expectation_series
 
@@ -302,6 +301,13 @@ class TestRecursionMatchesLoops:
         # the old form also normalized by the tail bound, which is below tol,
         # and did not park the last-ulp normalization defect
         np.testing.assert_allclose(w, w_ref, rtol=2 * tol, atol=1e-15)
+
+
+def coherent_dim(params, alpha, tol=1e-14):
+    """The dimension one level past the weight window, k1 + 2, where the
+    coherent state's tail is below tol."""
+    k0, _, w, _, _ = _weight_window(abs(alpha) ** 2, _level_q(params), 0, tol)
+    return k0 + len(w) + 1
 
 
 @pytest.mark.parametrize("params", MODELS, ids=_model_id)
@@ -696,11 +702,11 @@ def ref_coherent_amplitudes(params, alpha, D):
 def test_coherent_state_matches_cumulative_product(params, alpha):
     if isinstance(params, QOsc) and params.q < 1 and abs(alpha) ** 2 >= 2.0:
         with pytest.raises(ConvergenceError):
-            coherent_state(params, alpha)
+            coherent_dim(params, alpha)
         return
-    st = coherent_state(params, alpha)
-    want = ref_coherent_amplitudes(params, complex(alpha), st.dim)
-    np.testing.assert_allclose(st.amplitudes, want, rtol=1e-12, atol=0)
+    st = coherent_state(params, alpha, coherent_dim(params, alpha))
+    want = ref_coherent_amplitudes(params, complex(alpha), len(st))
+    np.testing.assert_allclose(st, want, rtol=1e-12, atol=0)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -710,10 +716,11 @@ def test_large_coherent_state_matches_walk_at_every_level(alpha):
     # the hundreds of normal doubles below the series window (k >= 50 at
     # alpha = 30); both underflow to 0 or subnormals below that
     tol = 1e-14
-    st = coherent_state(Anharmonic(10.0, 1.0), alpha, tol=tol)
     w_ref, _, _, _ = ref_walk_weights(float, alpha**2, 0, tol)
-    assert st.dim == len(w_ref) + 1
-    probs = np.abs(st.amplitudes[:-1]) ** 2
+    params = Anharmonic(10.0, 1.0)
+    assert coherent_dim(params, alpha, tol) == len(w_ref) + 1
+    st = coherent_state(params, alpha, len(w_ref) + 1, tol=tol)
+    probs = np.abs(st[:-1]) ** 2
     assert np.count_nonzero(probs[: len(probs) // 2] >= np.finfo(float).tiny) > 400
     np.testing.assert_allclose(probs, w_ref, rtol=1e-12, atol=np.finfo(float).tiny)
 

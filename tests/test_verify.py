@@ -7,6 +7,7 @@ import pytest
 
 import qdosc.verify as verify
 from qdosc import (
+    DimensionError,
     DomainError,
     FockOperator,
     LambdaIndex,
@@ -153,6 +154,14 @@ class TestRunSuite:
         results = run_suite("normal-order")
         assert results and all(r.params["dim"] == verify.DEFAULT_DIM for r in results)
 
+    @pytest.mark.parametrize("D", [1, 10**5])
+    def test_dimension_refused_before_any_suite_runs(self, monkeypatch, D):
+        ran = []
+        monkeypatch.setattr(verify, "SUITES", {"relation": lambda: ran.append(1) or []})
+        with pytest.raises(DimensionError, match="--dim"):
+            run_suite("all", D=D)
+        assert not ran
+
 
 class TestDynamicsOracle:
     def test_memory_is_a_few_state_grids(self):
@@ -190,7 +199,7 @@ class TestDynamicsOracle:
         lam = build_lambda(params, idx, D)
         with pytest.raises(DomainError):
             heisenberg_evolve(lam, skewed, t / params.omega)
-        c_k = coherent_state(params, 0.8, D).amplitudes
+        c_k = coherent_state(params, 0.8, D)
         evolved = heisenberg_evolve(lam, build_hamiltonian(params, D), t / params.omega)
         np.testing.assert_allclose(honest, [np.conj(c_k) @ evolved.matrix @ c_k], rtol=1e-13)
 
@@ -219,7 +228,7 @@ class TestDynamicsOracle:
         assert peak < 8 * D * D // 4
         state = coherent_state(params, 0.8, D)
         phases = np.exp(-1j * energy(params, np.arange(D))[:, None] * times)
-        np.testing.assert_allclose(psi, phases * state.amplitudes[:, None], atol=1e-15)
+        np.testing.assert_allclose(psi, phases * state[:, None], atol=1e-15)
 
 
 class TestSharedOracleState:
