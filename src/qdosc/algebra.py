@@ -198,22 +198,29 @@ def _ladder_powers(
 ) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """The dense powers (a†)^k, k <= k_max, and a^s, s <= s_max, from one
     build_ladder. Each is np.linalg.matrix_power's own: a running product
-    would round differently."""
+    would round differently. A power beyond double precision raises
+    DomainError."""
     a, adag = build_ladder(params, D)
-    return (
-        [np.linalg.matrix_power(adag.matrix, k) for k in range(k_max + 1)],
-        [np.linalg.matrix_power(a.matrix, s) for s in range(s_max + 1)],
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        up = [np.linalg.matrix_power(adag.matrix, k) for k in range(k_max + 1)]
+        down = [np.linalg.matrix_power(a.matrix, s) for s in range(s_max + 1)]
+    if not all(np.isfinite(p).all() for p in up + down):
+        raise DomainError(f"ladder powers overflow double precision at D={D}")
+    return up, down
 
 
 def _normal_order_dense(
     n: int, M: int, q: float, up: list[np.ndarray], down: list[np.ndarray]
 ) -> np.ndarray:
     """sum_s S_q^{s,M} (a†)^{n+s} a^s as a real dense matrix, from the
-    ladder powers up and down of _ladder_powers (k_max >= n + M, s_max >= M)."""
+    ladder powers up and down of _ladder_powers (k_max >= n + M, s_max >= M).
+    A sum beyond double precision raises DomainError."""
     mat = np.zeros(up[0].shape)
-    for s, coeff in normal_order_expansion(n, M, q):
-        mat += coeff * (up[n + s] @ down[s])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for s, coeff in normal_order_expansion(n, M, q):
+            mat += coeff * (up[n + s] @ down[s])
+    if not np.isfinite(mat).all():
+        raise DomainError(f"normal-ordered entries overflow double precision at D={len(mat)}")
     return mat
 
 

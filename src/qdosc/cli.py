@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -80,6 +79,9 @@ CHOICES = {
 }
 
 
+# keys whose comma-separated value a config file may also give as a JSON list
+_LIST_KEYS = ("n_list", "m_list", "omega_ratios", "n_values")
+
 # rows per block of the CSV writer
 _CSV_BLOCK = 8192
 
@@ -127,8 +129,23 @@ def _load_config_file(path: str) -> dict:
     return data
 
 
+def _fits(key: str, val, default) -> bool:
+    """True when a config-file value has the JSON type of its DEFAULTS entry:
+    a float key takes an int or a float, an int key an int, never a bool; a
+    list key also takes a list of numbers and strings, and a key whose
+    default is None also takes null."""
+    if isinstance(default, float):
+        return type(val) in (int, float)
+    if isinstance(default, int):
+        return type(val) is int
+    if key in _LIST_KEYS and type(val) is list:
+        return all(type(v) in (int, float, str) for v in val)
+    return type(val) is str or (default is None and val is None)
+
+
 def resolve_config(command: str, args: argparse.Namespace) -> dict:
-    """defaults < config file < explicit flags. A NaN or infinite value, for
+    """defaults < config file < explicit flags. A config-file value of the
+    wrong type is a ConfigError naming the key. A NaN or infinite value, for
     a flag the command uses or not, is a DomainError naming the flag, so
     every sidecar holds finite numbers only."""
     cfg = dict(DEFAULTS[command])
@@ -136,12 +153,16 @@ def resolve_config(command: str, args: argparse.Namespace) -> dict:
         file_cfg = _load_config_file(args.config)
         for key, val in file_cfg.items():
             if key in cfg:
+                if not _fits(key, val, cfg[key]):
+                    raise ConfigError(f"config key {key!r} has the wrong type: {val!r}")
                 cfg[key] = val
     for key in cfg:
         val = getattr(args, key, None)
         if val is not None:
             cfg[key] = val
-        if isinstance(cfg[key], float) and not math.isfinite(cfg[key]):
+        float_key = isinstance(DEFAULTS[command][key], float)
+        # false for NaN, an inf and an int beyond the largest double
+        if float_key and not abs(cfg[key]) <= sys.float_info.max:
             raise DomainError(f"--{key.replace('_', '-')} must be finite, got {cfg[key]}")
     return cfg
 

@@ -25,7 +25,8 @@ _PHASE_BLOCK = 1 << 16
 @dataclass(frozen=True)
 class TimeSeries:
     """Complex expectation values over a time grid, with the series' tail
-    bound. Values beyond double precision, inf or NaN, raise DomainError."""
+    bound. Times that are not finite, and values beyond double precision,
+    inf or NaN, raise DomainError."""
 
     times: np.ndarray
     values: np.ndarray
@@ -34,6 +35,8 @@ class TimeSeries:
     def __post_init__(self):
         if self.times.shape != self.values.shape:
             raise DomainError("times and values must have matching shapes")
+        if not np.isfinite(self.times).all():
+            raise DomainError("times must be finite")
         if len(self.times) > 1 and not np.all(np.diff(self.times) > 0):
             raise DomainError("times must be strictly increasing")
         bad = np.count_nonzero(~np.isfinite(self.values))
@@ -277,7 +280,7 @@ def collapse_transform(traces: list[PhaseCurve]) -> list[np.ndarray]:
             max_step = float(np.max(np.diff(tr.taus))) * nq * tr.q**tr.j_col
             if max_step >= math.pi:
                 raise PhaseUnwrapError(
-                    f"phase step {max_step:.3f} >= pi for (n={tr.n}, m={tr.m}, "
+                    f"phase step {max_step:.3e} >= pi for (n={tr.n}, m={tr.m}, "
                     f"j_col={tr.j_col}); refine the tau grid"
                 )
         raw = np.angle(tr.values)

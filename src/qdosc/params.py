@@ -56,9 +56,7 @@ def _level_q(params: ModelParams) -> float:
 def level_value(params: ModelParams, k):
     """Eigenvalue [k]_q, q = _level_q(params), of the (deformed) number operator
     a† a at level k; an integer ndarray k gives the levels elementwise."""
-    q = _level_q(params)
-    # [k]_1 = k, the value q_number gives, without its array checks
-    return k * 1.0 if q == 1.0 else q_number(k, q)
+    return q_number(k, _level_q(params))
 
 
 def _closure_rates(params: ModelParams, n: int) -> tuple[float, float]:

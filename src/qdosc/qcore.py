@@ -18,16 +18,13 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError
 
-# switch-over width for the q -> 1 limit of (q^n - 1)/(q - 1)
-_Q_ONE_WINDOW = 1e-8
-
 # longest level vector of _weight_window: 16 MB, |alpha| up to ~1400 at q = 1
 _MAX_LEVELS = 1 << 21
 
 
 def _require_positive_q(q: float) -> None:
-    if not q > 0:
-        raise DomainError(f"q must be positive, got q={q}")
+    if not 0 < q < math.inf:
+        raise DomainError(f"q must be positive and finite, got q={q}")
 
 
 def _check_radius(x: float, q: float) -> None:
@@ -40,42 +37,44 @@ def _check_radius(x: float, q: float) -> None:
         )
 
 
-def _q_ratio(n, q: float, expm1):
-    """(q^n - 1)/(q - 1) for an int or int-array n, expm1 matching n's kind."""
-    if abs(q - 1.0) < _Q_ONE_WINDOW:
-        # first-order expansion about q = 1; the neglected term is O(n^3 eps^2)
-        return n * (1.0 + 0.5 * (n - 1) * (q - 1.0))
-    if q > 0:
-        return expm1(n * math.log(q)) / math.expm1(math.log(q))
-    return (1.0 - q**n) / (1.0 - q)
+@np.errstate(over="ignore")
+def _q_ratio(n, q: float):
+    """(q^n - 1)/(q - 1), inf beyond double precision, for q > 0 and an int or
+    int-array n >= 0: n at q == 1, else expm1(x)/expm1(log q), x = n log q,
+    where |x| < 0.5, which keeps the digits q^n - 1 cancels and [1] = 1, and
+    (q^n - 1)/(q - 1) elsewhere; NumPy's ufuncs give both kinds the same bits."""
+    if q == 1.0:
+        return n * 1.0
+    log_q = np.log(q)
+    x = n * log_q
+    if isinstance(x, np.ndarray):
+        near = np.expm1(x) / np.expm1(log_q)
+        return np.where(abs(x) < 0.5, near, (np.power(q, n) - 1.0) / (q - 1.0))
+    if abs(x) < 0.5:
+        return np.expm1(x) / np.expm1(log_q)
+    return (np.power(q, n) - 1.0) / (q - 1.0)
 
 
 def q_number(n, q: float):
-    """Basic q-number (q^n - 1)/(q - 1), with a stable q -> 1 branch.
+    """Basic q-number [n]_q = (q^n - 1)/(q - 1) = 1 + q + ... + q^(n-1) for
+    q > 0, within 3 ulp.
 
     n is a nonnegative int, or an integer ndarray mapped elementwise (one
-    call gives the level vector of a whole truncated Fock space). Any real
-    q is accepted; q <= 0 falls back to the raw ratio, whose denominator is
-    then bounded away from zero. A value beyond double precision raises
-    DomainError.
+    call gives the level vector of a whole truncated Fock space), with the
+    same bits. A q that is not positive and finite, a negative n and a value
+    beyond double precision raise DomainError.
     """
-    if isinstance(n, np.ndarray):
-        if n.size and n.min() < 0:
-            raise DomainError(f"n must be nonnegative, got n={n.min()}")
-        with np.errstate(over="ignore"):
-            val = _q_ratio(n, q, np.expm1)
-        finite = bool(np.isfinite(val).all())
-    else:
-        if n < 0:
-            raise DomainError(f"n must be nonnegative, got n={n}")
-        try:
-            val = _q_ratio(n, q, math.expm1)
-        except OverflowError:
-            val = math.inf
-        finite = math.isfinite(val)
-    if not finite:
+    _require_positive_q(q)
+    array = isinstance(n, np.ndarray)
+    if (n.min(initial=0) if array else n) < 0:
+        raise DomainError(f"n must be nonnegative, got n={np.min(n)}")
+    try:
+        val = _q_ratio(n, q)
+    except OverflowError:  # an int n beyond double precision
+        val = math.inf
+    if not (np.isfinite(val).all() if array else math.isfinite(val)):
         raise DomainError(f"[n]_q overflows double precision at q={q}")
-    return val
+    return val if array else float(val)
 
 
 def q_exponential(x: float, q: float, tol: float = 1e-14) -> float:
@@ -101,8 +100,8 @@ def q_stirling2(s: int, m: int, q: float) -> float:
     coefficient of (a†)^{n+s} a^s in the normal-ordered (a†)^n (a†a)^m.
 
     It vanishes for s > m and is read from the row S_q^{0..m,m} of
-    _stirling_row otherwise. q <= 0, a NaN q, a negative index and an
-    entry beyond double precision raise DomainError.
+    _stirling_row otherwise. A q that is not positive and finite, a negative
+    index and an entry beyond double precision raise DomainError.
     """
     # a plain function over the cache, so that benchmarks/tracer.py, which
     # wraps functions only, still sees and times every call
@@ -138,8 +137,8 @@ def _stirling_row(m: int, q: float) -> np.ndarray:
         lv = np.arange(m + 1).astype(object)
         qp = np.ones(m, dtype=object)
     else:
+        lv = _q_ratio(np.arange(m + 1), q)
         with np.errstate(over="ignore"):
-            lv = _q_ratio(np.arange(m + 1), q, np.expm1)
             qp = float(q) ** np.arange(m)
     row = np.zeros(m + 1, dtype=lv.dtype)
     row[0] = 1

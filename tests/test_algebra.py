@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -19,7 +21,8 @@ from qdosc import (
     power_law_multicommutator,
     scaling_phase_check,
 )
-from qdosc.verify import interior_rel_error
+from qdosc.algebra import _normal_order_dense
+from qdosc.verify import interior_rel_error, suite_normal_order
 
 ANH = Anharmonic(omega1=10.0, omega2=1.0)
 
@@ -202,6 +205,23 @@ class TestNormalOrder:
                 assert got.dtype == np.float64
                 assert np.array_equal(got.view(np.uint64), want.real.view(np.uint64))
                 assert not want.imag.any()
+
+    def test_overflowing_ladder_powers_raise_domain_error_without_warning(self):
+        # at q = 2, D = 512 the entries of (a†)^8 pass 1e308; matrix_power
+        # used to warn of the overflow before the suite refused it
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(DomainError, match="ladder powers overflow"):
+                normal_order_matrix(QOsc(q=2.0), LambdaIndex(3, 5), 512)
+            with pytest.raises(DomainError, match="ladder powers overflow"):
+                suite_normal_order(512)
+
+    def test_overflowing_sum_raises_domain_error_without_warning(self):
+        big = [np.full((2, 2), 1e200)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(DomainError, match="normal-ordered entries overflow"):
+                _normal_order_dense(0, 0, 1.0, big, big)
 
     def test_first_order_is_shifted_creation(self):
         # L^{n,1} = (a†)^{n+1} a as matrices

@@ -318,6 +318,15 @@ class TestCollapse:
         assert record["error"] == "DomainError"
         assert not out.exists()
 
+    def test_huge_phase_step_is_printed_in_exponent_form(self, tmp_path, capsys):
+        out = tmp_path / "c.csv"
+        argv = ["collapse", "--q", "2", "--j-col", "1000", "--steps", "2", "--out", str(out)]
+        assert main(argv) == 2
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == "PhaseUnwrapError"
+        assert record["message"].startswith("phase step 1.072e+302 >= pi")
+        assert not out.exists()
+
     @pytest.mark.parametrize("flag", ["--n-list", "--m-list"])
     def test_empty_index_list_exits_2(self, tmp_path, flag):
         res = run_cli("collapse", flag, "", "--out", tmp_path / "c.csv")
@@ -625,6 +634,61 @@ class TestUsage:
         res = run_cli("evolve", "--config", cfg, "--out", tmp_path / "t.csv")
         assert res.returncode == 2
         assert "error" in json.loads(res.stderr.strip())
+
+    @pytest.mark.parametrize(
+        "command, key, value",
+        [
+            ("evolve", "q", None),
+            ("evolve", "q", True),
+            ("evolve", "q", "1.2"),
+            ("evolve", "steps", [3]),
+            ("evolve", "steps", 3.0),
+            ("evolve", "n", False),
+            ("evolve", "model", 1),
+            ("evolve", "out", None),
+            ("verify", "dim", None),
+            ("verify", "out", 3),
+            ("collapse", "n_list", [1, None]),
+            ("collapse", "m_list", {"0": 1}),
+            ("sweep", "omega_ratios", 10.0),
+        ],
+    )  # fmt: skip
+    def test_config_value_of_the_wrong_type_exits_2(
+        self, tmp_path, capsys, command, key, value
+    ):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        out = tmp_path / "t.csv"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == "ConfigError"
+        assert repr(key) in record["message"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, config",
+        [
+            ("evolve", {"q": 2, "omega": 1.5, "steps": 3, "out": "t.csv"}),
+            ("verify", {"suite": "relation", "out": None}),
+            ("collapse", {"n_list": [1, 2], "m_list": "0,1", "j_col": 1, "steps": 401}),
+            ("sweep", {"omega_ratios": [1, 5.5], "n_values": ["1", 2]}),
+        ],
+    )
+    def test_config_values_of_the_default_types_run(
+        self, tmp_path, monkeypatch, command, config
+    ):
+        monkeypatch.chdir(tmp_path)  # the data files go to their default paths
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main([command, "--config", str(cfg)]) == 0
+
+    def test_config_int_beyond_double_precision_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"q": 1' + "0" * 400 + "}")
+        assert main(["evolve", "--config", str(cfg), "--out", str(tmp_path / "t.csv")]) == 2
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == "DomainError" and "--q must be finite" in record["message"]
 
     def test_broken_config_file(self, tmp_path):
         bad = tmp_path / "bad.json"

@@ -101,6 +101,15 @@ def test_time_series_refuses_non_finite_values():
             TimeSeries(times, np.array([1.0, bad, 0.5j]), 0.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_time_series_names_non_finite_times(bad):
+    # a NaN time makes its value NaN too; the error names the time
+    with pytest.raises(DomainError, match="times must be finite"):
+        TimeSeries(np.array([bad]), np.array([complex(bad)]), 0.0)
+    with pytest.raises(DomainError, match="times must be finite"):
+        evolve_anharmonic_closed(ANH, 0.8, LambdaIndex(1, 0), [0.0, bad])
+
+
 def test_time_series_fields():
     assert [f.name for f in dataclasses.fields(TimeSeries)] == [
         "times", "values", "truncation_tail"

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import mpmath as mp
 import numpy as np
@@ -23,6 +24,11 @@ from qdosc import (
 from qdosc.qcore import _check_radius, _weight_window
 
 
+# q from 1e-300 to 10, and down to 1e-12 either side of q = 1
+ULP_GRID = [1e-300, 0.01, 0.3, 0.5, 0.9, 0.999, 1 - 1e-9, 1 + 1e-12, 1 + 1e-9,
+            1.001, 1.01, 1.1, 1.2, 2.0, 3.0, 10.0]  # fmt: skip
+
+
 def q_number_oracle(n, q):
     # geometric-sum definition, summed term by term
     return math.fsum(q**k for k in range(n))
@@ -30,9 +36,11 @@ def q_number_oracle(n, q):
 
 class TestQNumber:
     def test_zero_and_one_are_exact(self):
-        for q in (2.0, 0.3, 1.0, -1.7, 5.0):
+        # [1]_q = 1 also where the expm1 branch gives it, |log q| < 0.5
+        for q in (2.0, 0.3, 1.0, 5.0, *np.linspace(0.6, 1.65, 1001).tolist()):
             assert q_number(0, q) == 0.0
             assert q_number(1, q) == 1.0
+            np.testing.assert_array_equal(q_number(np.arange(2), q), [0.0, 1.0])
 
     def test_classical_limit(self):
         assert q_number(5, 1.0) == 5.0
@@ -43,8 +51,12 @@ class TestQNumber:
     def test_against_geometric_sum(self, n, q):
         assert q_number(n, q) == pytest.approx(q_number_oracle(n, q), rel=1e-13)
 
-    def test_negative_q_accepted(self):
-        assert q_number(3, -2.0) == pytest.approx(q_number_oracle(3, -2.0), rel=1e-13)
+    @pytest.mark.parametrize("q", [0.0, -0.0, -1.7, -2.0, math.nan, math.inf])
+    def test_q_not_positive_and_finite_refused(self, q):
+        with pytest.raises(DomainError, match="q must be positive"):
+            q_number(3, q)
+        with pytest.raises(DomainError, match="q must be positive"):
+            q_number(np.arange(4), q)
 
     @given(st.integers(1, 50), st.floats(0.05, 3.0))
     @settings(max_examples=200)
@@ -64,12 +76,12 @@ class TestQNumber:
         with pytest.raises(DomainError):
             q_number(np.array([0, 1, -1]), 2.0)
 
-    @pytest.mark.parametrize("q", [0.5, 1.0, 1.0 + 1e-9, 1.2, 2.0, -1.7])
+    @pytest.mark.parametrize("q", [0.5, 1.0, 1.0 + 1e-9, 1.2, 2.0])
     def test_array_form_matches_scalar(self, q):
         k = np.arange(200)
         got = q_number(k, q)
         want = np.array([q_number(int(kk), q) for kk in k])
-        np.testing.assert_allclose(got, want, rtol=4e-16, atol=0)
+        np.testing.assert_array_equal(got, want)
         assert got[0] == 0.0 and got[1] == 1.0
 
     def test_overflow_is_a_domain_error(self):
@@ -92,6 +104,29 @@ class TestQNumber:
             mq = mpmath.mpf(q)  # the double actually passed, not 1 +- eps
             want = [float((mq**n - 1) / (mq - 1)) for n in range(129)]
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("q", ULP_GRID)
+    def test_within_4_ulp_of_mpmath_up_to_overflow(self, q):
+        # expm1(k log q)/expm1(log q) for every k was 955 ulp off at q = 3
+        scalars = []
+        for k in range(1100):
+            try:
+                scalars.append(q_number(k, q))
+            except DomainError:
+                break
+        got = q_number(np.arange(len(scalars)), q)
+        np.testing.assert_array_equal(got, scalars)
+        with mp.workdps(50):
+            mq = mp.mpf(q)
+            exact = [(mq**k - 1) / (mq - 1) for k in range(1100)]
+            # [k]_q rises with k; q^k may overflow one level before [k]_q does
+            finite = sum(v <= sys.float_info.max for v in exact)
+            assert finite - 1 <= len(got) <= finite
+            ulps = [abs(mp.mpf(g) - v) / np.spacing(float(v)) for g, v in zip(got, exact)]
+        assert got[0] == 0.0 and max(ulps[1:]) <= 4.0
+        if len(got) < 1100:
+            with pytest.raises(DomainError, match="overflows"):
+                q_number(np.arange(len(got) + 1), q)
 
 
 class TestQExponential:

@@ -30,6 +30,7 @@ reference. It is evaluated exactly in integers and rounded once, and the
 recurrence that replaced it must match that.
 """
 
+import functools
 import json
 import math
 import sys
@@ -85,16 +86,10 @@ from qdosc.verify import interior_rel_error, oracle_expectation_series
 MODELS = [QOsc(q=0.5), QOsc(q=1.0), QOsc(q=1.2), QOsc(q=2.0), Anharmonic(10.0, 1.0)]
 
 
+@functools.lru_cache(maxsize=None)
 def ref_q_number(n, q):
-    if n == 0:
-        return 0.0
-    if n == 1:
-        return 1.0
-    if abs(q - 1.0) < 1e-8:
-        return n * (1.0 + 0.5 * (n - 1) * (q - 1.0))
-    if q > 0:
-        return math.expm1(n * math.log(q)) / math.expm1(math.log(q))
-    return (q**n - 1.0) / (q - 1.0)
+    # the geometric sum 1 + q + ... + q^(n-1), with no closed form in it
+    return math.fsum(q**k for k in range(n))
 
 
 def ref_level(params, k):
