@@ -38,7 +38,6 @@ DEFAULTS = {
     "evolve": {
         "model": "qosc",
         "q": 1.2,
-        "omega": 1.0,
         "omega1": 10.0,
         "omega2": 1.0,
         "alpha_re": 0.8,
@@ -145,9 +144,10 @@ def _fits(key: str, val, default) -> bool:
 
 def resolve_config(command: str, args: argparse.Namespace) -> dict:
     """defaults < config file < explicit flags. A config-file value of the
-    wrong type is a ConfigError naming the key. A NaN or infinite value, for
-    a flag the command uses or not, is a DomainError naming the flag, so
-    every sidecar holds finite numbers only."""
+    wrong type is a ConfigError naming the key, and a value outside its
+    CHOICES, from a flag or a file, a ConfigError naming the flag. A NaN or
+    infinite value, for a flag the command uses or not, is a DomainError
+    naming the flag, so every sidecar holds finite numbers only."""
     cfg = dict(DEFAULTS[command])
     if getattr(args, "config", None):
         file_cfg = _load_config_file(args.config)
@@ -164,6 +164,9 @@ def resolve_config(command: str, args: argparse.Namespace) -> dict:
         # false for NaN, an inf and an int beyond the largest double
         if float_key and not abs(cfg[key]) <= sys.float_info.max:
             raise DomainError(f"--{key.replace('_', '-')} must be finite, got {cfg[key]}")
+        if key in CHOICES and cfg[key] not in CHOICES[key]:
+            choices = ", ".join(CHOICES[key])
+            raise ConfigError(f"--{key} must be one of {choices}, got {cfg[key]!r}")
     return cfg
 
 
@@ -186,10 +189,8 @@ def _write_csv(fh, header: list[str], columns: list[np.ndarray]) -> None:
 
 def _build_model(cfg: dict):
     if cfg["model"] == "qosc":
-        return QOsc(q=float(cfg["q"]), omega=float(cfg["omega"]))
-    if cfg["model"] == "anharmonic":
-        return Anharmonic(omega1=float(cfg["omega1"]), omega2=float(cfg["omega2"]))
-    raise ConfigError(f"unknown model {cfg['model']!r}")
+        return QOsc(q=float(cfg["q"]))
+    return Anharmonic(omega1=float(cfg["omega1"]), omega2=float(cfg["omega2"]))
 
 
 def _write_trace(
@@ -206,11 +207,9 @@ def _write_trace(
         rows = zip(*(c.tolist() for c in columns.values()))
         payload = [dict(zip(columns, row)) for row in rows]
         Path(out).write_text(json.dumps(payload, indent=2) + "\n")
-    elif fmt == "csv":
+    else:
         with open(out, "w") as fh:
             _write_csv(fh, list(columns), list(columns.values()))
-    else:
-        raise ConfigError(f"unknown format {fmt!r}")
 
 
 def cmd_evolve(cfg: dict) -> int:
@@ -228,10 +227,8 @@ def cmd_evolve(cfg: dict) -> int:
     else:
         if method == "closed":
             ts = evolve_anharmonic_closed(model, alpha, idx, grid)
-        elif method == "series":
-            ts = evolve_anharmonic_expectation(model, alpha, idx, grid, float(cfg["tol"]))
         else:
-            raise ConfigError(f"unknown method {method!r}")
+            ts = evolve_anharmonic_expectation(model, alpha, idx, grid, float(cfg["tol"]))
         time_col = "t"
     _write_trace(cfg["out"], cfg["format"], time_col, ts.times, ts.values)
     _write_sidecar(cfg["out"], "evolve", cfg, {"truncation_tail": ts.truncation_tail})
@@ -240,10 +237,7 @@ def cmd_evolve(cfg: dict) -> int:
 
 def cmd_verify(cfg: dict) -> int:
     """Run a verification suite."""
-    try:
-        results = run_suite(cfg["suite"], D=int(cfg["dim"]))
-    except KeyError as exc:
-        raise ConfigError(str(exc)) from exc
+    results = run_suite(cfg["suite"], D=int(cfg["dim"]))
     report = [r.to_dict() for r in results]
     text = json.dumps(report, indent=2) + "\n"
     if cfg["out"]:
@@ -315,12 +309,15 @@ def cmd_sweep(cfg: dict) -> int:
 
     A negative --j-max, or a ratio or n that map_to_q refuses, is a
     DomainError naming the value; residuals beyond double precision are
-    error rows."""
+    error rows. The rows are written once the whole grid has run, so a
+    refusal writes no file."""
     ratios = _list(cfg, "omega_ratios", float)
     ns = _list(cfg, "n_values", int)
     j_max = int(cfg["j_max"])
     if j_max < 0:
         raise DomainError(f"--j-max must be nonnegative, got {j_max}")
+    rows = ["omega1,omega2,n,metric,value"]
+    worst = 0.0
     for ratio in ratios:
         for n in ns:
             try:
@@ -328,10 +325,6 @@ def cmd_sweep(cfg: dict) -> int:
             except DomainError as exc:
                 msg = f"sweep point omega1={ratio!r}, n={n}: {exc}"
                 raise DomainError(msg) from None
-    rows = ["omega1,omega2,n,metric,value"]
-    worst = 0.0
-    for ratio in ratios:
-        for n in ns:
             prefix = f"{_fmt(ratio)},{_fmt(1.0)},{n}"
             try:
                 rep = isomorphism_residuals(ratio, 1.0, n, j_max)
@@ -375,12 +368,12 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(command, help=fn.__doc__, description=fn.__doc__)
         p.add_argument("--config", help="JSON config file (flags override it)")
         for key, default in DEFAULTS[command].items():
+            choices = f"one of {', '.join(CHOICES[key])}; " if key in CHOICES else ""
             p.add_argument(
                 "--" + key.replace("_", "-"),
                 dest=key,
                 type=str if default is None else type(default),
-                choices=CHOICES.get(key),
-                help=f"default: {default}",
+                help=f"{choices}default: {default}",
             )
     return parser
 

@@ -42,17 +42,28 @@ def _q_ratio(n, q: float):
     """(q^n - 1)/(q - 1), inf beyond double precision, for q > 0 and an int or
     int-array n >= 0: n at q == 1, else expm1(x)/expm1(log q), x = n log q,
     where |x| < 0.5, which keeps the digits q^n - 1 cancels and [1] = 1, and
-    (q^n - 1)/(q - 1) elsewhere; NumPy's ufuncs give both kinds the same bits."""
+    _power_ratio elsewhere; NumPy's ufuncs give both kinds the same bits."""
     if q == 1.0:
         return n * 1.0
     log_q = np.log(q)
     x = n * log_q
     if isinstance(x, np.ndarray):
         near = np.expm1(x) / np.expm1(log_q)
-        return np.where(abs(x) < 0.5, near, (np.power(q, n) - 1.0) / (q - 1.0))
+        return np.where(abs(x) < 0.5, near, _power_ratio(n, q))
     if abs(x) < 0.5:
         return np.expm1(x) / np.expm1(log_q)
-    return (np.power(q, n) - 1.0) / (q - 1.0)
+    return _power_ratio(n, q)
+
+
+def _power_ratio(n, q: float):
+    """(q^n - 1)/(q - 1) for q != 1, and q^(n-1) (q/(q-1)) - 1/(q-1) where
+    q^n overflows: for q > 2, [n]_q is finite one level past q^n."""
+    power = np.power(q, n)
+    over = power == math.inf
+    if not over.any():
+        return (power - 1.0) / (q - 1.0)
+    far = np.power(q, n - 1) * (q / (q - 1.0)) - 1.0 / (q - 1.0)
+    return np.where(over, far, (power - 1.0) / (q - 1.0))
 
 
 def q_number(n, q: float):

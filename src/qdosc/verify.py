@@ -21,11 +21,7 @@ model: the evolved coherent state Psi of the dynamics oracle
 
 Each suite checks one fixed grid, the module constants below, and its
 report records the grid; the truncation dimension D is the only argument
-a suite takes.
-
-Worst residuals are accumulated with np.maximum, which keeps a NaN
-(Python's max(0.0, nan) is 0.0), and a check with a non-finite worst
-residual fails.
+a suite takes. Each check is a generator of residuals judged by _check.
 """
 
 from __future__ import annotations
@@ -152,6 +148,17 @@ def band_rel_error(ref: np.ndarray, test: np.ndarray, max_col: int, k: int) -> f
     return float(np.maximum(worst, top))
 
 
+def _check(check_id: str, params: dict, tolerance: float, residuals) -> CheckResult:
+    """The check check_id: the worst of its stream of residuals, consumed
+    in order, against tolerance. The worst is np.maximum's reduction, which
+    keeps a NaN at any position (Python's max(0.0, nan) is 0.0), and a
+    non-finite worst fails. A stream that yields nothing has checked
+    nothing: its worst is NaN, so it fails too."""
+    values = list(residuals)
+    worst = np.maximum.reduce(values) if values else math.nan
+    return CheckResult(check_id, params, worst, tolerance)
+
+
 def _model_tag(params: ModelParams) -> dict:
     if isinstance(params, QOsc):
         return {"model": "qosc", "q": params.q, "omega": params.omega}
@@ -162,46 +169,42 @@ def _closure_models():
     return [QOsc(q=q, omega=1.0) for q in Q_GRID] + [ANHARMONIC_DEFAULT]
 
 
+def _closure_residuals(params: ModelParams, D: int):
+    """[H, L^{n,m}] and [H, L^{n,m}†] against their one-band right-hand
+    sides, for n, m up to CLOSURE_NM_MAX."""
+    H = build_hamiltonian(params, D)
+    lv = level_value(params, np.arange(D))
+    for n in range(CLOSURE_NM_MAX + 1):
+        cc = closure_coeffs(params, n)
+        bands = [_lambda_band(lv, (n, m), D) for m in range(CLOSURE_NM_MAX + 2)]
+        for band, band_up in zip(bands, bands[1:]):
+            rhs = cc.c_same * band + cc.c_up * band_up
+            lam = _band_operator(band, -n)
+            lhs = commutator(H, lam).matrix
+            yield band_rel_error(rhs, lhs, D - 1 - n, -n)
+            lhs_d = commutator(H, lam.dagger()).matrix
+            yield band_rel_error(-rhs, lhs_d.T, D - 1 - n, -n)
+
+
 def suite_closure(D: int = DEFAULT_DIM) -> list[CheckResult]:
     """[H, L^{n,m}] = c_same L^{n,m} + c_up L^{n,m+1}, plus the daggered
     version with sign-flipped coefficients. The right-hand side is one band
     on sub-diagonal n, the daggered one its negative on the transpose."""
-    results = []
-    for params in _closure_models():
-        H = build_hamiltonian(params, D)
-        lv = level_value(params, np.arange(D))
-        worst = 0.0
-        for n in range(CLOSURE_NM_MAX + 1):
-            cc = closure_coeffs(params, n)
-            bands = [_lambda_band(lv, (n, m), D) for m in range(CLOSURE_NM_MAX + 2)]
-            for band, band_up in zip(bands, bands[1:]):
-                rhs = cc.c_same * band + cc.c_up * band_up
-                lam = _band_operator(band, -n)
-                lhs = commutator(H, lam).matrix
-                worst = np.maximum(worst, band_rel_error(rhs, lhs, D - 1 - n, -n))
-                lhs_d = commutator(H, lam.dagger()).matrix
-                worst = np.maximum(worst, band_rel_error(-rhs, lhs_d.T, D - 1 - n, -n))
-        results.append(
-            CheckResult(
-                check_id="closure",
-                params={**_model_tag(params), "dim": D, "nm_max": CLOSURE_NM_MAX},
-                max_residual=worst,
-                tolerance=1e-10,
-            )
-        )
-    return results
+    grid = {"dim": D, "nm_max": CLOSURE_NM_MAX}
+    return [
+        _check("closure", {**_model_tag(p), **grid}, 1e-10, _closure_residuals(p, D))
+        for p in _closure_models()
+    ]
 
 
-def _iterated_vs_closed(
-    params: ModelParams, closed_band, lv: np.ndarray, D: int
-) -> float:
-    """Worst residual of the band closed_band(params, lam, lv, n, m, j), lam
-    the L^{n,m} band, against the dense iterated commutator
+def _iterated_residuals(params: ModelParams, closed_band, D: int, levels: int):
+    """The band closed_band(params, lam, lv, n, m, j), lam the L^{n,m} band
+    and lv the first `levels` levels, against the dense iterated commutator
     [H, ...[H, L^{n,m}]...] on the exact columns 0..D-1-n. Each band is
     built before the commutator of the same depth, so its DomainError
     precedes any overflow in the oracle."""
+    lv = level_value(params, np.arange(levels))
     H = build_hamiltonian(params, D)
-    worst = 0.0
     for n in range(ITERATED_NM_MAX + 1):
         for m in range(ITERATED_NM_MAX + 1):
             lam = _lambda_band(lv, (n, m), D)
@@ -210,10 +213,7 @@ def _iterated_vs_closed(
                 closed = closed_band(params, lam, lv, n, m, j)
                 if j > 0:
                     iterated = commutator(H, iterated)
-                worst = np.maximum(
-                    worst, band_rel_error(iterated.matrix, closed, D - 1 - n, -n)
-                )
-    return worst
+                yield band_rel_error(iterated.matrix, closed, D - 1 - n, -n)
 
 
 _ITERATED_GRID = {"j_max": ITERATED_J_MAX, "nm_max": ITERATED_NM_MAX}
@@ -223,15 +223,13 @@ def suite_multicommutator(D: int = DEFAULT_DIM) -> list[CheckResult]:
     """Binomial expansion vs the literal iterated commutator (q > 1 and
     anharmonic)."""
     return [
-        CheckResult(
-            check_id="multicommutator",
-            params={**_model_tag(params), "dim": D, **_ITERATED_GRID},
-            max_residual=_iterated_vs_closed(
-                params, _expansion_band, level_value(params, np.arange(D)), D
-            ),
-            tolerance=1e-9,
+        _check(
+            "multicommutator",
+            {**_model_tag(p), "dim": D, **_ITERATED_GRID},
+            1e-9,
+            _iterated_residuals(p, _expansion_band, D, D),
         )
-        for params in [QOsc(q=1.2), QOsc(q=2.0), ANHARMONIC_DEFAULT]
+        for p in [QOsc(q=1.2), QOsc(q=2.0), ANHARMONIC_DEFAULT]
     ]
 
 
@@ -239,119 +237,110 @@ def suite_power_law(D: int = DEFAULT_DIM) -> list[CheckResult]:
     """General-q closed form L^{n,m} (E(n)[a,a†])^j vs the iterated
     commutator, including q < 1. At n = 0 the band reads the level [D]."""
     return [
-        CheckResult(
-            check_id="power_law",
-            params={"model": "qosc", "q": q, "dim": D, **_ITERATED_GRID},
-            max_residual=_iterated_vs_closed(
-                QOsc(q=q), _power_law_band, level_value(QOsc(q=q), np.arange(D + 1)), D
-            ),
-            tolerance=1e-9,
+        _check(
+            "power_law",
+            {"model": "qosc", "q": q, "dim": D, **_ITERATED_GRID},
+            1e-9,
+            _iterated_residuals(QOsc(q=q), _power_law_band, D, D + 1),
         )
         for q in (0.5, 1.2, 2.0)
     ]
 
 
+def _scaling_residuals(q: float, j_col: int):
+    """The element-wise phase residual of the scaling law for each (n, m),
+    then the deviation of the collapsed curves from tau q^j_col."""
+    params = QOsc(q=q)
+    taus_check = np.linspace(0.0, 10.0, 21)
+    taus_collapse = np.linspace(0.0, 10.0, 2001)
+    curves = []
+    for n in (1, 2, 3):
+        for m in (0, 1, 2):
+            if m >= 1 and j_col == 0:
+                continue  # band entry vanishes; phase undefined
+            yield scaling_phase_check(params, n, m, taus_check, j_col)
+            curves.append(band_phase_trace(params, LambdaIndex(n, m), j_col, taus_collapse))
+    normalized = collapse_transform(curves)
+    target = taus_collapse * q**j_col
+    yield np.abs(np.vstack(normalized) - target).max()
+
+
 def suite_scaling() -> list[CheckResult]:
     """Element-wise phase residual of the scaling law and the cross-(n, m)
     collapse deviation."""
-    results = []
-    taus_check = np.linspace(0.0, 10.0, 21)
-    taus_collapse = np.linspace(0.0, 10.0, 2001)
-    for q in (1.2, 2.0):
-        params = QOsc(q=q)
-        for j_col in (0, 1, 3):
-            worst_phase = 0.0
-            curves = []
-            for n in (1, 2, 3):
-                for m in (0, 1, 2):
-                    if m >= 1 and j_col == 0:
-                        continue  # band entry vanishes; phase undefined
-                    worst_phase = np.maximum(
-                        worst_phase, scaling_phase_check(params, n, m, taus_check, j_col)
-                    )
-                    curves.append(
-                        band_phase_trace(params, LambdaIndex(n, m), j_col, taus_collapse)
-                    )
-            normalized = collapse_transform(curves)
-            target = taus_collapse * q**j_col
-            worst_dev = np.abs(np.vstack(normalized) - target).max()
-            worst = np.maximum(worst_phase, worst_dev)
-            results.append(
-                CheckResult(
-                    check_id="scaling",
-                    params={"model": "qosc", "q": q, "j_col": j_col},
-                    max_residual=worst,
-                    tolerance=1e-9,
-                )
-            )
-    return results
+    return [
+        _check(
+            "scaling",
+            {"model": "qosc", "q": q, "j_col": j_col},
+            1e-9,
+            _scaling_residuals(q, j_col),
+        )
+        for q in (1.2, 2.0)
+        for j_col in (0, 1, 3)
+    ]
+
+
+def _normal_order_residuals(q: float, D: int):
+    """Each L^{n,M} band against its normally ordered dense expansion."""
+    n_max, M_max = NORMAL_ORDER_N_MAX, NORMAL_ORDER_M_MAX
+    params = QOsc(q=q)
+    lv = level_value(params, np.arange(D))
+    up, down = _ladder_powers(params, D, n_max + M_max, M_max)
+    for n in range(n_max + 1):
+        for M in range(M_max + 1):
+            lam = _lambda_band(lv, LambdaIndex(n, M), D)
+            ordered = _normal_order_dense(n, M, q, up, down)
+            yield band_rel_error(lam, ordered, D - 1 - n - M, -n)
 
 
 def suite_normal_order(D: int = DEFAULT_DIM) -> list[CheckResult]:
     """L^{n,M} equals its normally ordered expansion as matrices."""
-    n_max, M_max = NORMAL_ORDER_N_MAX, NORMAL_ORDER_M_MAX
-    results = []
-    for q in Q_GRID:
-        params = QOsc(q=q)
-        lv = level_value(params, np.arange(D))
-        up, down = _ladder_powers(params, D, n_max + M_max, M_max)
-        worst = 0.0
-        for n in range(n_max + 1):
-            for M in range(M_max + 1):
-                lam = _lambda_band(lv, LambdaIndex(n, M), D)
-                ordered = _normal_order_dense(n, M, q, up, down)
-                worst = np.maximum(worst, band_rel_error(lam, ordered, D - 1 - n - M, -n))
-        results.append(
-            CheckResult(
-                check_id="normal_order",
-                params={"model": "qosc", "q": q, "dim": D, "M_max": M_max, "n_max": n_max},
-                max_residual=worst,
-                tolerance=1e-9,
-            )
+    grid = {"dim": D, "M_max": NORMAL_ORDER_M_MAX, "n_max": NORMAL_ORDER_N_MAX}
+    return [
+        _check(
+            "normal_order",
+            {"model": "qosc", "q": q, **grid},
+            1e-9,
+            _normal_order_residuals(q, D),
         )
-    return results
+        for q in Q_GRID
+    ]
+
+
+def _relation_residuals(q: float):
+    """The moment/Stirling identity at each x inside the radius of
+    convergence."""
+    for x in (0.1, 0.5, 1.0, 2.0):
+        try:
+            _check_radius(x, q)
+        except ConvergenceError:
+            continue
+        for m in range(RELATION_M_MAX + 1):
+            yield relation_identity_residual(x, q, m)
 
 
 def suite_relation() -> list[CheckResult]:
     """Moment/Stirling summation identity."""
-    results = []
-    for q in Q_GRID:
-        worst = 0.0
-        for x in (0.1, 0.5, 1.0, 2.0):
-            try:
-                _check_radius(x, q)
-            except ConvergenceError:
-                continue
-            for m in range(RELATION_M_MAX + 1):
-                worst = np.maximum(worst, relation_identity_residual(x, q, m))
-        results.append(
-            CheckResult(
-                check_id="relation",
-                params={"q": q, "m_max": RELATION_M_MAX},
-                max_residual=worst,
-                tolerance=1e-10,
-            )
-        )
-    return results
+    return [
+        _check("relation", {"q": q, "m_max": RELATION_M_MAX}, 1e-10, _relation_residuals(q))
+        for q in Q_GRID
+    ]
 
 
 def suite_isomorphism() -> list[CheckResult]:
     """Residuals of the anharmonic <-> q-model coefficient isomorphism."""
-    results = []
-    for ratio in (1.0, 5.0, 10.0, 100.0):
-        worst = 0.0
-        for n in (1, 2, 3, 4):
-            rep = isomorphism_residuals(ratio, 1.0, n, ISOMORPHISM_J_MAX)
-            worst = np.maximum(worst, rep.max_residual())
-        results.append(
-            CheckResult(
-                check_id="isomorphism",
-                params={"omega1": ratio, "omega2": 1.0, "j_max": ISOMORPHISM_J_MAX},
-                max_residual=worst,
-                tolerance=1e-12,
-            )
+    return [
+        _check(
+            "isomorphism",
+            {"omega1": ratio, "omega2": 1.0, "j_max": ISOMORPHISM_J_MAX},
+            1e-12,
+            (
+                isomorphism_residuals(ratio, 1.0, n, ISOMORPHISM_J_MAX).max_residual()
+                for n in (1, 2, 3, 4)
+            ),
         )
-    return results
+        for ratio in (1.0, 5.0, 10.0, 100.0)
+    ]
 
 
 def _oracle_state(
@@ -393,74 +382,74 @@ def oracle_expectation_series(
     return _oracle_series(build_lambda(params, idx, D).matrix, psi, psi_conj)
 
 
+# the (n, m) of every dynamics-oracle check
+_ORACLE_INDICES = [
+    LambdaIndex(n, m) for n in range(ORACLE_NM_MAX + 1) for m in range(ORACLE_NM_MAX + 1)
+]
+
+
+def _oracle_residuals(params: ModelParams, traces, alpha: complex, times, D: int):
+    """Each analytic trace, the values over times in _ORACLE_INDICES order,
+    against the matrix oracle, relative to the oracle's largest |value|."""
+    state = _oracle_state(params, alpha, times, D)
+    lv = level_value(params, np.arange(D))
+    for idx, values in zip(_ORACLE_INDICES, traces):
+        lam = _band_operator(_lambda_band(lv, idx, D), -idx.n)
+        oracle = _oracle_series(lam.matrix, *state)
+        scale = max(1e-300, float(np.abs(oracle).max()))
+        yield np.abs(values - oracle).max() / scale
+
+
+def _max_abs_diffs(traces, others):
+    """The largest |difference| of each pair of traces."""
+    for a, b in zip(traces, others):
+        yield np.abs(a - b).max()
+
+
 def suite_dynamics_oracle(D: int = DEFAULT_DIM) -> list[CheckResult]:
     """Analytic phase-sum dynamics vs the matrix oracle, the closed-form
     vs series anharmonic cross-check, and the q = 1 bridge."""
-    nm_max = ORACLE_NM_MAX
-    results = []
-    alpha = 0.8
-    times = np.linspace(0.0, 10.0, 101)
+    alpha, times = 0.8, np.linspace(0.0, 10.0, 101)
+    grid = {"alpha": alpha, "nm_max": ORACLE_NM_MAX}
+    oracle_grid = {"alpha": alpha, "dim": D, "nm_max": ORACLE_NM_MAX}
+    pq, ap = QOsc(q=1.2), ANHARMONIC_DEFAULT
 
-    ap = ANHARMONIC_DEFAULT
-    worst_closed = 0.0
-    for check_id, params, evolve in (
-        ("dynamics_oracle_q", QOsc(q=1.2), evolve_q_expectation),
-        ("dynamics_oracle_anharmonic", ap, evolve_anharmonic_expectation),
-    ):
-        worst = 0.0
-        state = _oracle_state(params, alpha, times, D)
-        lv = level_value(params, np.arange(D))
-        for n in range(nm_max + 1):
-            for m in range(nm_max + 1):
-                idx = LambdaIndex(n, m)
-                series = evolve(params, alpha, idx, times)
-                lam = _band_operator(_lambda_band(lv, idx, D), -n)
-                oracle = _oracle_series(lam.matrix, *state)
-                scale = max(1e-300, float(np.abs(oracle).max()))
-                worst = np.maximum(worst, np.abs(series.values - oracle).max() / scale)
-                if params is ap:
-                    closed = evolve_anharmonic_closed(ap, alpha, idx, times)
-                    worst_closed = np.maximum(
-                        worst_closed, np.abs(series.values - closed.values).max()
-                    )
-        results.append(
-            CheckResult(
-                check_id=check_id,
-                params={**_model_tag(params), "alpha": alpha, "dim": D, "nm_max": nm_max},
-                max_residual=worst,
-                tolerance=1e-8,
-            )
-        )
-    results.append(
-        CheckResult(
-            check_id="closed_vs_series",
-            params={**_model_tag(ap), "alpha": alpha, "nm_max": nm_max},
-            max_residual=worst_closed,
-            tolerance=1e-10,
-        )
-    )
+    def traces(evolve, params, t=times):
+        return (evolve(params, alpha, idx, t).values for idx in _ORACLE_INDICES)
 
+    # the anharmonic series feed two checks, so they are computed once
+    series = list(traces(evolve_anharmonic_expectation, ap))
     # harmonic bridge: q -> 1 with omega_q = omega1 vs omega2 = 0, compared
     # at the same physical instants over the q model's native tau in [0, 10]
     bridge_q = QOsc(q=1.0 + 1e-9, omega=10.0)
     bridge_a = Anharmonic(omega1=10.0, omega2=0.0)
-    worst = 0.0
-    for n in range(nm_max + 1):
-        for m in range(nm_max + 1):
-            sa = evolve_anharmonic_expectation(
-                bridge_a, alpha, LambdaIndex(n, m), times / bridge_q.omega
-            )
-            sq = evolve_q_expectation(bridge_q, alpha, LambdaIndex(n, m), times)
-            worst = np.maximum(worst, np.abs(sa.values - sq.values).max())
-    results.append(
-        CheckResult(
-            check_id="q1_bridge",
-            params={"omega1": 10.0, "alpha": alpha, "nm_max": nm_max},
-            max_residual=worst,
-            tolerance=1e-6,
-        )
-    )
-    return results
+    harmonic = traces(evolve_anharmonic_expectation, bridge_a, times / bridge_q.omega)
+    return [
+        _check(
+            "dynamics_oracle_q",
+            {**_model_tag(pq), **oracle_grid},
+            1e-8,
+            _oracle_residuals(pq, traces(evolve_q_expectation, pq), alpha, times, D),
+        ),
+        _check(
+            "dynamics_oracle_anharmonic",
+            {**_model_tag(ap), **oracle_grid},
+            1e-8,
+            _oracle_residuals(ap, series, alpha, times, D),
+        ),
+        _check(
+            "closed_vs_series",
+            {**_model_tag(ap), **grid},
+            1e-10,
+            _max_abs_diffs(series, traces(evolve_anharmonic_closed, ap)),
+        ),
+        _check(
+            "q1_bridge",
+            {"omega1": 10.0, **grid},
+            1e-6,
+            _max_abs_diffs(harmonic, traces(evolve_q_expectation, bridge_q)),
+        ),
+    ]
 
 
 SUITES = {

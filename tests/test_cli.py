@@ -14,7 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qdosc import LambdaIndex, QdoscError, QOsc, band_phase_trace, collapse_transform
-from qdosc.cli import DEFAULTS, build_parser, main
+from qdosc import cli
+from qdosc.cli import CHOICES, DEFAULTS, build_parser, main
 
 PKG = [sys.executable, "-m", "qdosc.cli"]
 
@@ -119,6 +120,21 @@ class TestEvolve:
         out2 = tmp_path / "b.csv"
         res = run_cli("evolve", "--config", old, "--out", out2)
         assert res.returncode == 0
+        assert out1.read_bytes() == out2.read_bytes()
+
+    def test_old_sidecar_with_omega_reruns(self, tmp_path):
+        # sidecars written before evolve dropped --omega carry "omega"; the
+        # q-model trace runs in tau = omega t and never read it
+        argv = ["evolve", "--q", "1.3", "--n", "2", "--m", "3", "--alpha-re", "3"]
+        out1 = tmp_path / "a.csv"
+        assert main([*argv, "--steps", "50", "--out", str(out1)]) == 0
+        meta = json.loads((tmp_path / "a.csv.meta.json").read_text())
+        assert "omega" not in meta["config"]
+        meta["config"]["omega"] = 2.5
+        old = tmp_path / "old.meta.json"
+        old.write_text(json.dumps(meta))
+        out2 = tmp_path / "b.csv"
+        assert main(["evolve", "--config", str(old), "--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
     def test_large_amplitude_series(self, tmp_path):
@@ -503,7 +519,7 @@ class TestResourceBounds:
 
 # up to three float flags take one of these values, the others their defaults
 FLAG_VALUES = ("nan", "inf", "-inf", "0", "-1", "1e300", "1e-300")
-FLOAT_FLAGS = ("q", "omega", "omega1", "omega2", "alpha_re", "alpha_im", "tau_max", "tol")
+FLOAT_FLAGS = ("q", "omega1", "omega2", "alpha_re", "alpha_im", "tau_max", "tol")
 INDEX_VALUES = ("-1", "0", "1", "3", "200")
 
 
@@ -565,7 +581,6 @@ class TestNonFiniteParameters:
         "model, flag",
         [
             ("qosc", "--q"),
-            ("qosc", "--omega"),
             ("anharmonic", "--omega1"),
             ("anharmonic", "--omega2"),
         ],
@@ -578,6 +593,62 @@ class TestNonFiniteParameters:
         assert record["error"] == "DomainError"
         assert flag.lstrip("-") in record["message"]
         assert not out.exists()
+
+
+class TestChoices:
+    @pytest.fixture(autouse=True)
+    def no_work(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("work began before the choices were checked")
+
+        for name in (
+            "evolve_q_expectation",
+            "evolve_anharmonic_expectation",
+            "evolve_anharmonic_closed",
+            "run_suite",
+        ):
+            monkeypatch.setattr(cli, name, refuse)
+
+    @pytest.mark.parametrize("source", ["flag", "file"])
+    @pytest.mark.parametrize(
+        "command, key, value",
+        [
+            ("evolve", "model", "foo"),
+            ("evolve", "method", "bogus"),  # on the default q model
+            ("evolve", "format", "xml"),
+            ("verify", "suite", "bogus"),
+        ],
+    )
+    def test_bad_choice_exits_2_before_any_work(
+        self, tmp_path, capsys, source, command, key, value
+    ):
+        out = tmp_path / "out" / "data"
+        out.parent.mkdir()
+        argv = [command, "--out", str(out)]
+        if source == "flag":
+            argv += [f"--{key}", value]
+        else:
+            # a long run, so that work done before the check would show
+            config = {key: value, "steps": 2_000_000} if command == "evolve" else {key: value}
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(config))
+            argv += ["--config", str(cfg)]
+        assert main(argv) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        record = json.loads(line)
+        assert record["error"] == "ConfigError"
+        assert record["message"].startswith(f"--{key} must be one of")
+        assert not os.listdir(out.parent)
+
+    @pytest.mark.parametrize(
+        "command, key", [(c, k) for c, keys in DEFAULTS.items() for k in keys if k in CHOICES]
+    )
+    def test_help_lists_the_choices(self, capsys, command, key):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        text = " ".join(capsys.readouterr().out.split())
+        entry = text.split(f"--{key} ")[-1].split(" --")[0]
+        assert all(choice in entry for choice in CHOICES[key])
 
 
 class TestUsage:

@@ -52,6 +52,28 @@ class TestNanPropagation:
         assert not any(r.passed for r in results)
 
 
+class TestCheck:
+    @pytest.mark.parametrize(
+        "stream",
+        [[math.nan, 1e-15, 2e-15], [1e-15, math.nan, 2e-15], [1e-15, 2e-15, math.nan], []],
+        ids=["first", "middle", "last", "empty"],
+    )
+    def test_nan_anywhere_or_an_empty_stream_fails(self, stream):
+        result = verify._check("c", {}, 1.0, iter(stream))
+        assert math.isnan(result.max_residual)
+        assert not result.passed
+
+    def test_worst_of_a_finite_stream(self):
+        result = verify._check("c", {"q": 2.0}, 1e-9, iter([1e-12, 3e-12, 2e-12]))
+        assert result.to_dict() == {
+            "check_id": "c",
+            "params": {"q": 2.0},
+            "max_residual": 3e-12,
+            "tolerance": 1e-9,
+            "pass": True,
+        }
+
+
 def _dense(band, k):
     return np.diag(np.asarray(band, dtype=complex), k)
 
