@@ -353,19 +353,29 @@ COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argparse parser whose usage errors raise ConfigError, so that main
+    reports them as one JSON record instead of usage text."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
     """One subcommand per COMMANDS entry; its flags are --config and one
-    --key-with-dashes per DEFAULTS key, typed like the default.
+    --key-with-dashes per DEFAULTS key, typed like the default. A flag must
+    be spelled out: a prefix such as --omega is refused, not expanded.
 
     Every flag defaults to None, so resolve_config can tell a flag that was
     given from one that was not."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qdosc",
         description="Dynamics and verification for q-deformed and anharmonic oscillators",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for command, fn in COMMANDS.items():
-        p = sub.add_parser(command, help=fn.__doc__, description=fn.__doc__)
+        p = sub.add_parser(command, help=fn.__doc__, description=fn.__doc__, allow_abbrev=False)
         p.add_argument("--config", help="JSON config file (flags override it)")
         for key, default in DEFAULTS[command].items():
             choices = f"one of {', '.join(CHOICES[key])}; " if key in CHOICES else ""
@@ -379,9 +389,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         cfg = resolve_config(args.command, args)
         return COMMANDS[args.command](cfg)
     except (QdoscError, OSError, ValueError) as exc:

@@ -17,7 +17,7 @@ from .params import Anharmonic, LambdaIndex, ModelParams, QOsc, validate_index
 from .params import _closure_rates, _level_q
 from .qcore import _weight_window, q_exponential, q_number, q_stirling2, stirling2
 
-# phases per row block of _phase_sum: a few 0.5 MB real work arrays,
+# phases per row block of _row_phase_sum: a few 0.5 MB real work arrays,
 # whatever the grid length
 _PHASE_BLOCK = 1 << 16
 
@@ -71,6 +71,134 @@ def _cis(a, b) -> np.ndarray:
 
 
 def _phase_sum(rate: float, t: np.ndarray, r: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """sum_k c_k e^{i w_k t_j}, w_k = rate r_k, for real r and c: by block
+    angle addition on a uniform grid, by row blocks on any other.
+
+    Write j = bB + i with B = ceil(sqrt(T)), t_b the grid point j = bB,
+    v_i = fl(i h) with h = (t_{T-1} - t_0)/(T - 1), and d_j = t_j - t_b - v_i
+    the grid's departure from t_b + v_i. Then
+
+        sum_k c_k e^{i w_k t_j} = sum_k e^{i w_k t_b} c_k e^{i w_k v_i} (1 + i w_k d_j) + R_j,
+
+    which is the outer table e^{i w_k t_b} (ceil(T/B) x K) times the inner
+    tables c_k e^{i w_k v_i} and c_k w_k e^{i w_k v_i} (B x K): two complex
+    matmuls and O((T/B + B) K) cos and sin, where the row path takes T K.
+    d_j is exact up to its last rounding: t_j - t_b by TwoSum, and the rest
+    by Sterbenz where the grid is uniform. Each table angle w_k s is formed
+    as a double-double (Dekker's products for rate r_k and w_k s, and for
+    n 2pi with n = rint(w_k s / 2pi) and 2pi to 106 bits), reduced to about
+    [-pi, pi] and rounded once to double.
+
+    With u = 2^-53 and t_max = max|t_j|, the error relative to sum_k |c_k|
+    is at most the |c_k|-weighted mean over k of
+
+        (2 pi + 2K + 6) u + 36 u^2 |w_k| t_max + (w_k d_max)^2 / 2 + (2K + 7) u |w_k| d_max:
+
+    the two table angles' final roundings (pi u each, |angle| <= pi); cos,
+    sin and the K-term complex contraction; the double-double remainders
+    (12 u^2 |w_k s| per table, |s| <= t_max for t_b and <= 2 t_max for v_i);
+    R_j, since |e^{ix} - 1 - ix| <= x^2/2; and the rounding of the first-order
+    term and of d_j. The row path rounds each phase w_k t_j in double
+    instead, at 2 u |w_k| t_max.
+
+    The block path is taken when T >= 2, the tables are finite, and R_j's
+    bound, d_max^2 sum_k |c_k| w_k^2 / 2, is at most eps sum_k |c_k| < inf;
+    that last condition is what makes a grid uniform. Every other grid
+    takes the row path.
+    """
+    if len(t) >= 2:
+        out = _uniform_phase_sum(rate, t, r, c)
+        if out is not None:
+            return out
+    return _row_phase_sum(rate, t, r, c)
+
+
+_SPLIT = 2.0**27 + 1.0  # Dekker's splitter for a 53-bit mantissa
+_TWO_PI_LO = 2.4492935982947064e-16  # 2 pi - fl(2 pi), to 53 more bits
+_EPS = np.finfo(float).eps
+
+
+def _two_prod(a, b):
+    """p = fl(a b) and e with p + e = a b exactly, broadcast (Dekker)."""
+    p = a * b
+    a_hi = a * _SPLIT
+    a_hi -= a_hi - a
+    b_hi = b * _SPLIT
+    b_hi -= b_hi - b
+    a_lo = a - a_hi
+    b_lo = b - b_hi
+    e = a_hi * b_hi - p
+    e += a_hi * b_lo
+    e += a_lo * b_hi
+    e += a_lo * b_lo
+    return p, e
+
+
+def _table_cis(s: np.ndarray, w_hi: np.ndarray, w_lo: np.ndarray) -> np.ndarray:
+    """e^{i w_k s_j} for w = w_hi + w_lo, the angle reduced mod 2 pi in
+    double-double before its one rounding to double."""
+    p, e = _two_prod(s[:, None], w_hi)
+    e += s[:, None] * w_lo
+    n = np.rint(p / (2.0 * math.pi))
+    n_hi, n_lo = _two_prod(n, 2.0 * math.pi)
+    e -= n_lo
+    e -= n * _TWO_PI_LO
+    p -= n_hi  # exact: p and n_hi are within a factor 2, or n = 0
+    p += e
+    return _cis(p, 1.0)
+
+
+def _departures(t: np.ndarray, size: int, v: np.ndarray):
+    """The block starts t_b and d_j = t_j - t_b - v_i, with t padded to
+    whole blocks of `size` (the padding's d_j are dropped later): fl(t_j -
+    t_b) and its rounding error by TwoSum, then v_i subtracted, exactly on
+    a uniform grid (Sterbenz)."""
+    blocks = -(-len(t) // size)
+    tj = np.empty((blocks, size))
+    tj.ravel()[: len(t)] = t
+    tj.ravel()[len(t) :] = t[-1]
+    tb = tj[:, :1].copy()
+    d = tj - tb
+    part = d + tb
+    err = tj - part
+    part -= d
+    part -= tb
+    err += part
+    d -= v
+    d += err
+    return tb[:, 0], d
+
+
+def _uniform_phase_sum(rate, t, r, c):
+    """The block path of _phase_sum, or None where its gate refuses."""
+    n_t = len(t)
+    size = math.isqrt(n_t - 1) + 1
+    v = np.arange(size) * ((t[-1] - t[0]) / (n_t - 1))
+    # a huge phase or time overflows the splitting or TwoSum to inf or
+    # NaN, which the gate refuses
+    with np.errstate(over="ignore", invalid="ignore"):
+        tb, d = _departures(t, size, v)
+        d_max = np.abs(d.ravel()[:n_t]).max()
+        w_hi, w_lo = _two_prod(rate, r)
+        abs_c = np.abs(c)
+        remainder = 0.5 * np.dot(abs_c, np.square(w_hi * d_max))
+        if not remainder <= _EPS * abs_c.sum() < np.inf:
+            return None
+        tables = _table_cis(np.concatenate((tb, v)), w_hi, w_lo)
+        if not np.isfinite(tables).all():
+            return None
+    outer, inner = tables[: len(tb)], tables[len(tb) :]
+    inner *= c
+    out = outer @ inner.T
+    slope = outer @ (inner * w_hi).T
+    slope *= d
+    # out += i slope
+    out.real -= slope.imag
+    out.imag += slope.real
+    return out.ravel()[:n_t]
+
+
+def _row_phase_sum(rate: float, t: np.ndarray, r: np.ndarray, c: np.ndarray) -> np.ndarray:
     """sum_k c_k e^{i rate t r_k} for real r and c, as cos and sin over row
     blocks of about _PHASE_BLOCK phases, so memory stays O(len(t))."""
     out = np.empty(t.shape, dtype=complex)

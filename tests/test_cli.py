@@ -674,6 +674,28 @@ class TestUsage:
         res = subprocess.run(PKG, capture_output=True, text=True)
         assert res.returncode == 2
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["evolve", "--steps", "abc"], "argument --steps: invalid int value: 'abc'"),
+            (["evolve", "--no-such-flag"], "unrecognized arguments: --no-such-flag"),
+            # the retired --omega is a prefix of --omega1 and --omega2
+            (["evolve", "--omega", "2"], "unrecognized arguments: --omega 2"),
+            # a unique prefix is refused too, not expanded
+            (["evolve", "--tau", "5"], "unrecognized arguments: --tau 5"),
+            ([], "the following arguments are required: command"),
+        ],
+        ids=["bad-int", "unknown-flag", "ambiguous-prefix", "unique-prefix", "no-command"],
+    )
+    def test_parser_errors_return_2_with_one_record(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "t.csv"
+        assert main(argv + (["--out", str(out)] if argv else [])) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert json.loads(line) == {"error": "ConfigError", "message": message}
+        assert not out.exists()
+
     def test_negative_steps_exit_2(self, tmp_path):
         res = run_cli("evolve", "--steps", -5, "--out", tmp_path / "t.csv")
         assert res.returncode == 2

@@ -24,6 +24,12 @@ diagonal operand, the column-wise trace writer, the series and expansion
 built from the closure coefficients, the band comparisons of the suites and
 the cos/sin phases that replaced them must reproduce these forms.
 
+The q series' phase sum on a uniform grid is block angle addition from
+table angles reduced in double-double; the per-point row blocks it replaced
+there stay as _row_phase_sum, which every other grid takes, and both are
+held to a 40-digit mpmath sum of the same phases where the dense product is
+itself too coarse.
+
 The (q-)Stirling numbers are the exception: their alternating per-term sum
 cancels catastrophically in floating point, so no float form of it is a
 reference. It is evaluated exactly in integers and rounded once, and the
@@ -35,6 +41,7 @@ import json
 import math
 import sys
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -67,7 +74,7 @@ from qdosc import (
     scaling_phase_check,
     stirling2,
 )
-from qdosc import cli
+from qdosc import cli, dynamics
 from qdosc.algebra import anharmonic_p, expansion_scale
 from qdosc import verify
 from qdosc.algebra import closure_coeffs, normal_order_matrix
@@ -333,20 +340,50 @@ def test_q_exponential_matches_loop(q, x):
     assert q_exponential(x, q) == pytest.approx(ref_q_exponential(x, q), rel=1e-13)
 
 
-def ref_expectation(params, alpha, n, m, t, tol=1e-12):
-    """The phase sum as one dense T x K matrix exp(i rate t r_k) times c."""
+def _ref_terms(params, alpha, n, m, tol):
+    """The independent walk's levels r_k, coefficients c_k = r_k^m w_k and
+    the model's phase rates (rate, global_rate)."""
     a2 = abs(alpha) ** 2
     if isinstance(params, QOsc):
         q = params.q
         w, lev, _, _ = ref_walk_weights(scalar_level(q), a2, m, tol)
         nq = q_number(n, q)
-        rate, global_rate = nq * (q - 1.0), nq
-    else:
-        w, lev, _, _ = ref_walk_weights(float, a2, m, tol)
-        rate = 2.0 * n * params.omega2
-        global_rate = n * params.omega1 + n * n * params.omega2
+        return lev, lev**m * w, nq * (q - 1.0), nq
+    w, lev, _, _ = ref_walk_weights(float, a2, m, tol)
+    global_rate = n * params.omega1 + n * n * params.omega2
+    return lev, lev**m * w, 2.0 * n * params.omega2, global_rate
+
+
+def ref_expectation(params, alpha, n, m, t, tol=1e-12):
+    """The phase sum as one dense T x K matrix exp(i rate t r_k) times c."""
+    lev, c, rate, global_rate = _ref_terms(params, alpha, n, m, tol)
     phases = np.exp(1j * rate * np.outer(t, lev))
-    return np.conj(alpha) ** n * np.exp(1j * global_rate * t) * (phases @ (lev**m * w))
+    return np.conj(alpha) ** n * np.exp(1j * global_rate * t) * (phases @ c)
+
+
+@functools.lru_cache(maxsize=1 << 15)
+def _mp_cis(*factors):
+    """e^{i x} at 40 digits for the exact product x of the given doubles."""
+    with mpmath.workdps(40):
+        return mpmath.expj(mpmath.fprod(mpmath.mpf(f) for f in factors))
+
+
+def mp_phase_sum(rate, t, r, c):
+    """sum_k c_k e^{i rate r_k t_j} at 40 digits, with the exact phases of
+    the doubles rate, r_k and t_j, rounded once to complex."""
+    with mpmath.workdps(40):
+        return np.array([
+            complex(mpmath.fsum(mpmath.mpf(ck) * _mp_cis(rate, rk, tj) for rk, ck in zip(r, c)))
+            for tj in t
+        ])  # fmt: skip
+
+
+def mp_expectation(params, alpha, n, m, t, tol=1e-12):
+    """ref_expectation's sum, and its global phase, at 40 digits."""
+    lev, c, rate, global_rate = _ref_terms(params, alpha, n, m, tol)
+    sums = mp_phase_sum(rate, t, lev, c)
+    glob = np.array([complex(_mp_cis(global_rate, tj)) for tj in t])
+    return np.conj(alpha) ** n * glob * sums
 
 
 def _nonuniform(span):
@@ -354,10 +391,16 @@ def _nonuniform(span):
     return np.sort(np.unique(rng.uniform(0.0, span, 3001)))
 
 
-# The dense form rounds each phase rate * (t k) once; Horner's powers of
-# e^{i rate t} round differently, and the two drift apart as
+# The dense form rounds each phase rate * t * r_k twice in double; Horner's
+# powers of e^{i rate t} round differently, and the two drift apart as
 # eps * rate * t * k. Over two revival periods (t <= 2 pi at omega2 = 1)
-# that stays below 5e-14; the q form rounds its phases as the dense form does.
+# that stays below 5e-14. The q form sums a uniform grid by block angle
+# addition from phases reduced in double-double, which is more accurate
+# than the dense form itself: at q = 2, |alpha| = 3 on the 2^16 + 7 grid the
+# dense form is 1.45e-13 from the 40-digit sum at (n, m) = (2, 3) and 3.0e-13
+# at (3, 3). So a q series on that grid is held to the 40-digit sum, on the
+# last 8 rows, every (T // 64)-th row and the 8 rows farthest from the dense
+# form; the other grids and models keep the dense reference.
 SPAN = 2.0 * math.pi
 GRIDS = {
     "T=0": np.array([]),
@@ -382,14 +425,16 @@ def _series_id(params):
     return f"omega2={params.omega2}"
 
 
-@pytest.mark.parametrize("grid", list(GRIDS.values()), ids=list(GRIDS))
+@pytest.mark.parametrize("grid_id", list(GRIDS))
 @pytest.mark.parametrize("amp", [0.8, 3.0])
 @pytest.mark.parametrize("params", SERIES_MODELS, ids=_series_id)
-def test_phase_sums_match_dense_product(params, amp, grid):
+def test_phase_sums_match_dense_product(params, amp, grid_id):
+    grid = GRIDS[grid_id]
     alpha = amp * complex(math.cos(0.7), math.sin(0.7))
     is_q = isinstance(params, QOsc)
     evolve = evolve_q_expectation if is_q else evolve_anharmonic_expectation
     outside_radius = is_q and params.q < 1 and amp**2 >= 1 / (1 - params.q)
+    block_path = is_q and params.q != 1.0 and grid_id == "T=2^16+7"
     for n in range(4):
         for m in range(4):
             if outside_radius:
@@ -403,8 +448,90 @@ def test_phase_sums_match_dense_product(params, amp, grid):
             want = ref_expectation(params, alpha, n, m, grid)
             # the weights are positive, so |value(0)| bounds the whole trace
             scale = abs(ref_expectation(params, alpha, n, m, np.zeros(1))[0])
+            if block_path:
+                T = len(grid)
+                rows = set(range(T - 8, T)) | set(range(0, T, T // 64))
+                rows |= set(np.argsort(np.abs(got - want))[-8:].tolist())
+                rows = sorted(rows)
+                got, want = got[rows], mp_expectation(params, alpha, n, m, grid[rows])
             err = np.abs(got - want).max() / scale
             assert err <= 1e-13, (n, m, err)
+
+
+UNIFORM_GRIDS = {
+    "[0,10]": np.linspace(0.0, 10.0, 401),
+    "[0,1e5]": np.linspace(0.0, 1e5, 200_001),
+    "[1e-3,1e5]": np.linspace(1e-3, 1e5, 200_001),
+    "[-50,50]": np.linspace(-50.0, 50.0, 4097),
+    "[1e4,1e4+10]": np.linspace(1e4, 1e4 + 10.0, 1001),
+    "[-1e3,-1]": np.linspace(-1e3, -1.0, 10_001),
+}
+# q = 0.5 converges only for |alpha|^2 < 2
+BLOCK_CASES = [(0.5, 0.8)] + [(q, amp) for q in (1.05, 1.2, 2.0) for amp in (0.8, 3.0, 5.0)]
+# where the first-order remainder bound exceeds eps: t_j rounds by up to
+# 1.45e-11 on this grid, and the |c_k|-weighted w_k^2 at (n, m) = (3, 3) makes
+# d_max^2 sum_k |c_k| w_k^2 / 2 = 1.9 eps sum_k |c_k|
+ROW_PATH_CASES = {(2.0, 5.0, "[1e-3,1e5]", (3, 3))}
+
+
+@pytest.fixture
+def row_path_calls(monkeypatch):
+    """The grid lengths that _phase_sum hands to its row path."""
+    calls = []
+    row_path = dynamics._row_phase_sum
+
+    def spy(rate, t, r, c):
+        calls.append(len(t))
+        return row_path(rate, t, r, c)
+
+    monkeypatch.setattr(dynamics, "_row_phase_sum", spy)
+    return calls
+
+
+class TestBlockPhaseSum:
+    @pytest.mark.parametrize("grid_id", list(UNIFORM_GRIDS))
+    @pytest.mark.parametrize("q, amp", BLOCK_CASES)
+    def test_matches_mpmath_within_the_documented_bound(self, row_path_calls, q, amp, grid_id):
+        calls = row_path_calls
+        grid = UNIFORM_GRIDS[grid_id]
+        T = len(grid)
+        # the whole grid, its first blocks (where t_j - t_b may round) and its end
+        rows = np.linspace(0, T - 1, 16).tolist() + np.linspace(1, 3 * math.isqrt(T), 8).tolist()
+        rows = sorted(set(int(j) for j in rows) | set(range(T - 4, T)))
+        u = 2.0**-53
+        t_max = np.abs(grid).max()
+        for n, m in [(1, 0), (2, 1), (3, 3)]:
+            _, lev, w, _, _ = _weight_window(amp**2, q, m, 1e-12)
+            c = lev**m * w
+            rate = q_number(n, q) * (q - 1.0)
+            calls.clear()
+            got = dynamics._phase_sum(rate, grid, lev, c)[rows]
+            want = mp_phase_sum(rate, grid[rows], lev, c)
+            err = np.abs(got - want).max() / c.sum()
+            w_t = np.abs(rate * lev) * t_max
+            if (q, amp, grid_id, (n, m)) in ROW_PATH_CASES:
+                assert calls, "the block path took a grid its gate should refuse"
+                per_k = 2 * u * w_t + (2 * len(c) + 4) * u
+            else:
+                assert not calls, "a uniform grid took the row path"
+                # the block path's bound without its grid terms, which only add
+                per_k = (2 * math.pi + 2 * len(c) + 6) * u + 36 * u**2 * w_t
+                assert err <= 1e-13, (n, m, err)
+            bound = np.dot(c, per_k) / c.sum()
+            assert err <= bound, (n, m, err, bound)
+
+    def test_other_grids_take_the_row_path(self, row_path_calls):
+        calls = row_path_calls
+        nonuniform = np.sort(np.random.default_rng(5).uniform(0.0, 10.0, 501))
+        params, idx = QOsc(q=1.2), LambdaIndex(2, 1)
+        for grid in (nonuniform, np.array([0.7]), np.array([])):
+            calls.clear()
+            evolve_q_expectation(params, 0.8, idx, grid)
+            assert calls == [len(grid)]
+        calls.clear()
+        evolve_q_expectation(params, 0.8, idx, np.linspace(0.0, 10.0, 2))
+        evolve_q_expectation(params, 0.8, idx, np.linspace(0.0, 10.0, 101))
+        assert calls == []
 
 
 def ref_evolve_q_expectation(params, alpha, idx, tau_grid, tol=1e-12):
@@ -492,13 +619,15 @@ def ref_multicommutator_expansion(params, n, m, j):
 
 CLOSURE_GRIDS = {
     "T=401": np.linspace(0.0, 10.0, 401),
+    "T=4097 offset": np.linspace(-50.0, 950.0, 4097),
     "nonuniform": np.sort(np.random.default_rng(3).uniform(0.0, 10.0, 257)),
 }
 
 
 # the q model's tau rates are its closure coefficients at omega = 1, which
 # round as [n] and [n](q - 1) do; q = 1 has integer levels and takes Horner's
-# rule, so it is left to test_phase_sums_match_dense_product
+# rule, so it is left to test_phase_sums_match_dense_product. Both uniform
+# grids take _phase_sum's block path, the nonuniform one its row path.
 @pytest.mark.parametrize("grid", list(CLOSURE_GRIDS.values()), ids=list(CLOSURE_GRIDS))
 @pytest.mark.parametrize("amp", [0.8, 3.0, 30.0])
 @pytest.mark.parametrize("omega", [1.0, 2.5])
