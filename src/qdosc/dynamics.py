@@ -17,8 +17,8 @@ from .params import Anharmonic, LambdaIndex, ModelParams, QOsc, validate_index
 from .params import _closure_rates, _level_q
 from .qcore import _weight_window, q_exponential, q_number, q_stirling2, stirling2
 
-# phases per row block of _row_phase_sum: a few 0.5 MB real work arrays,
-# whatever the grid length
+# phases per row block of _row_phase_sum and per term chunk of the block
+# path's tables: a few 0.5 MB real work arrays, whatever T and K
 _PHASE_BLOCK = 1 << 16
 
 
@@ -48,15 +48,6 @@ class TimeSeries:
         self.values.setflags(write=False)
 
 
-def _horner(z: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """sum_k c_k z^k by Horner's rule, in place in one complex vector."""
-    acc = np.full(z.shape, c[-1], dtype=complex)
-    for ck in c[-2::-1]:
-        acc *= z
-        acc += ck
-    return acc
-
-
 def _cis(a, b) -> np.ndarray:
     """e^{ix} for the real product x = a * b, broadcast, as cos(x) + i sin(x)
     written into one complex array with no other temporary: the bits of
@@ -83,6 +74,7 @@ def _phase_sum(rate: float, t: np.ndarray, r: np.ndarray, c: np.ndarray) -> np.n
     which is the outer table e^{i w_k t_b} (ceil(T/B) x K) times the inner
     tables c_k e^{i w_k v_i} and c_k w_k e^{i w_k v_i} (B x K): two complex
     matmuls and O((T/B + B) K) cos and sin, where the row path takes T K.
+    Both paths take O(T) memory, in blocks of about _PHASE_BLOCK phases.
     d_j is exact up to its last rounding: t_j - t_b by TwoSum, and the rest
     by Sterbenz where the grid is uniform. Each table angle w_k s is formed
     as a double-double (Dekker's products for rate r_k and w_k s, and for
@@ -184,13 +176,20 @@ def _uniform_phase_sum(rate, t, r, c):
         remainder = 0.5 * np.dot(abs_c, np.square(w_hi * d_max))
         if not remainder <= _EPS * abs_c.sum() < np.inf:
             return None
-        tables = _table_cis(np.concatenate((tb, v)), w_hi, w_lo)
-        if not np.isfinite(tables).all():
-            return None
-    outer, inner = tables[: len(tb)], tables[len(tb) :]
-    inner *= c
-    out = outer @ inner.T
-    slope = outer @ (inner * w_hi).T
+        s = np.concatenate((tb, v))
+        # chunks of terms whose tables hold about _PHASE_BLOCK phases; each
+        # later chunk's products are added in place as they are formed, and
+        # the first chunk's are assigned, so one chunk gives one matmul's bits
+        terms = max(1, _PHASE_BLOCK // len(s))
+        for start in range(0, len(c), terms):
+            k = slice(start, start + terms)
+            tables = _table_cis(s, w_hi[k], w_lo[k])
+            if not np.isfinite(tables).all():
+                return None
+            outer, inner = tables[: len(tb)], tables[len(tb) :]
+            inner *= c[k]
+            parts = (outer @ x.T for x in (inner, inner * w_hi[k]))
+            out, slope = map(np.add, (out, slope), parts, (out, slope)) if start else parts
     slope *= d
     # out += i slope
     out.real -= slope.imag
@@ -237,10 +236,9 @@ def _series(
     """
     n, m = validate_index(idx)
     times = np.asarray(grid, dtype=float)
-    q = _level_q(params)
     # the window refuses a tol <= 0 and an amplitude outside the radius, also
     # for n = m = 0
-    k0, lev, w, tail, _ = _weight_window(_amplitude_sq(alpha), q, m, tol)
+    _, lev, w, tail, _ = _weight_window(_amplitude_sq(alpha), _level_q(params), m, tol)
     if n == 0 and m == 0:
         return TimeSeries(times, np.ones_like(times, dtype=complex), 0.0)
     # tau = omega t: the q model's tau rates are its rates at omega = 1,
@@ -250,12 +248,7 @@ def _series(
     # an overflow here, in a phase or a value, reaches TimeSeries as inf or
     # NaN, which it refuses
     with np.errstate(over="ignore", invalid="ignore"):
-        if q == 1.0:
-            # the z of evolve_anharmonic_closed, so both round their phases alike
-            z = _cis(c_up, times)
-            sums = z**k0 * _horner(z, lev**m * w)
-        else:
-            sums = _phase_sum(c_up, times, lev, lev**m * w)
+        sums = _phase_sum(c_up, times, lev, lev**m * w)
         values = np.conj(alpha) ** n * _cis(c_same, times) * sums
     return TimeSeries(times, values, tail)
 
@@ -359,7 +352,8 @@ def relation_identity_residual(x: float, q: float, m: int) -> float:
 
 @dataclass(frozen=True)
 class PhaseCurve:
-    """Band-entry phase trace tagged with its provenance."""
+    """Band-entry phase trace tagged with its provenance. Taus or phases
+    that are not finite raise DomainError."""
 
     taus: np.ndarray
     values: np.ndarray  # complex ratios band(tau)/band(0)
@@ -367,6 +361,10 @@ class PhaseCurve:
     m: int
     q: float
     j_col: int
+
+    def __post_init__(self):
+        if not (np.isfinite(self.taus).all() and np.isfinite(self.values).all()):
+            raise DomainError("taus and their phases must be finite")
 
 
 def band_phase_trace(
@@ -387,8 +385,9 @@ def band_phase_trace(
         raise DomainError(f"band entry vanishes at (n={n}, m={m}, j={j_col})")
     taus = np.asarray(taus, dtype=float)
     rate = q_number(j_col + n, params.q) - q_number(j_col, params.q)
-    values = _cis(rate, taus)
-    return PhaseCurve(taus, values, n, m, params.q, j_col)
+    # a tau or phase that is not finite gives NaN, which PhaseCurve refuses
+    with np.errstate(over="ignore", invalid="ignore"):
+        return PhaseCurve(taus, _cis(rate, taus), n, m, params.q, j_col)
 
 
 def collapse_transform(traces: list[PhaseCurve]) -> list[np.ndarray]:

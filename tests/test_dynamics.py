@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -19,8 +20,9 @@ from qdosc import (
     evolve_q_expectation,
     q_stirling2,
     relation_identity_residual,
+    scaling_phase_check,
 )
-from qdosc.dynamics import TimeSeries
+from qdosc.dynamics import PhaseCurve, TimeSeries
 from qdosc.fock import build_hamiltonian, build_lambda, heisenberg_evolve
 from qdosc.verify import oracle_expectation_series
 
@@ -180,18 +182,24 @@ class TestAnharmonicClosed:
 
 
 @pytest.mark.parametrize(
-    "evolve, params",
-    [(evolve_anharmonic_expectation, ANH), (evolve_q_expectation, QOsc(q=1.1))],
-    ids=["anharmonic", "q"],
+    "evolve, params, amp",
+    [
+        (evolve_anharmonic_expectation, ANH, 3.0),
+        (evolve_q_expectation, QOsc(q=1.1), 3.0),
+        (evolve_anharmonic_expectation, ANH, 300.0),
+        (evolve_q_expectation, QOsc(q=1.0 + 1e-9), 300.0),
+    ],
+    ids=["anharmonic", "q", "anharmonic-300", "q=1+1e-9-300"],
 )
-def test_series_memory_is_linear_in_grid(evolve, params):
-    # a T x K phase matrix would hold about K = 43 complex vectors here
+def test_series_memory_is_linear_in_grid(evolve, params, amp):
+    # a T x K phase matrix would hold about K = 43 complex vectors here at
+    # |alpha| = 3, and K = 6818 at |alpha| = 300
     T = 200_000
     grid = np.linspace(0.0, 4.0 * math.pi, T)
-    evolve(params, 3.0, LambdaIndex(2, 2), grid[:10])
+    evolve(params, amp, LambdaIndex(2, 2), grid[:10])
     tracemalloc.start()
     try:
-        evolve(params, 3.0, LambdaIndex(2, 2), grid)
+        evolve(params, amp, LambdaIndex(2, 2), grid)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -314,3 +322,19 @@ class TestCollapse:
         tr = band_phase_trace(QOsc(q=1.2), LambdaIndex(1, 0), 0, np.array([]))
         with pytest.raises(DomainError):
             collapse_transform([tr])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 1e308])
+    def test_non_finite_tau_or_phase_refused(self, bad):
+        # no silent NaN and no warning: 1e308 is finite, its phase
+        # [3]_1.2 tau is not
+        params, taus = QOsc(q=1.2), np.array([0.0, bad])
+        with np.errstate(all="ignore"):
+            values = np.exp(1j * 3.64 * taus)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="must be finite"):
+                band_phase_trace(params, LambdaIndex(3, 0), 0, taus)
+            with pytest.raises(DomainError, match="must be finite"):
+                scaling_phase_check(params, 3, 0, taus, 0)
+            with pytest.raises(DomainError, match="must be finite"):
+                collapse_transform([PhaseCurve(taus, values, 3, 0, params.q, 0)])

@@ -24,11 +24,13 @@ diagonal operand, the column-wise trace writer, the series and expansion
 built from the closure coefficients, the band comparisons of the suites and
 the cos/sin phases that replaced them must reproduce these forms.
 
-The q series' phase sum on a uniform grid is block angle addition from
+Both series sum their phases on a uniform grid by block angle addition from
 table angles reduced in double-double; the per-point row blocks it replaced
 there stay as _row_phase_sum, which every other grid takes, and both are
 held to a 40-digit mpmath sum of the same phases where the dense product is
-itself too coarse.
+itself too coarse. The anharmonic series was a polynomial in e^{i c_up t}
+by Horner's rule, kept here as _horner; the phase sum must follow it within
+the drift of its powers.
 
 The (q-)Stirling numbers are the exception: their alternating per-term sum
 cancels catastrophically in floating point, so no float form of it is a
@@ -82,7 +84,6 @@ from qdosc.dynamics import (
     _PHASE_BLOCK,
     TimeSeries,
     _cis,
-    _horner,
     _phase_sum,
     band_phase_trace,
 )
@@ -391,16 +392,14 @@ def _nonuniform(span):
     return np.sort(np.unique(rng.uniform(0.0, span, 3001)))
 
 
-# The dense form rounds each phase rate * t * r_k twice in double; Horner's
-# powers of e^{i rate t} round differently, and the two drift apart as
-# eps * rate * t * k. Over two revival periods (t <= 2 pi at omega2 = 1)
-# that stays below 5e-14. The q form sums a uniform grid by block angle
-# addition from phases reduced in double-double, which is more accurate
-# than the dense form itself: at q = 2, |alpha| = 3 on the 2^16 + 7 grid the
-# dense form is 1.45e-13 from the 40-digit sum at (n, m) = (2, 3) and 3.0e-13
-# at (3, 3). So a q series on that grid is held to the 40-digit sum, on the
-# last 8 rows, every (T // 64)-th row and the 8 rows farthest from the dense
-# form; the other grids and models keep the dense reference.
+# The dense form rounds each phase rate * t * r_k twice in double. Both
+# series sum a uniform grid by block angle addition from phases reduced in
+# double-double, which is more accurate than the dense form itself: at
+# q = 2, |alpha| = 3 on the 2^16 + 7 grid the dense form is 1.45e-13 from
+# the 40-digit sum at (n, m) = (2, 3) and 3.0e-13 at (3, 3). So every series
+# on that grid is held to the 40-digit sum, on the last 8 rows, every
+# (T // 64)-th row and the 8 rows farthest from the dense form; the other
+# grids keep the dense reference.
 SPAN = 2.0 * math.pi
 GRIDS = {
     "T=0": np.array([]),
@@ -434,7 +433,7 @@ def test_phase_sums_match_dense_product(params, amp, grid_id):
     is_q = isinstance(params, QOsc)
     evolve = evolve_q_expectation if is_q else evolve_anharmonic_expectation
     outside_radius = is_q and params.q < 1 and amp**2 >= 1 / (1 - params.q)
-    block_path = is_q and params.q != 1.0 and grid_id == "T=2^16+7"
+    block_path = grid_id == "T=2^16+7"
     for n in range(4):
         for m in range(4):
             if outside_radius:
@@ -523,15 +522,18 @@ class TestBlockPhaseSum:
     def test_other_grids_take_the_row_path(self, row_path_calls):
         calls = row_path_calls
         nonuniform = np.sort(np.random.default_rng(5).uniform(0.0, 10.0, 501))
-        params, idx = QOsc(q=1.2), LambdaIndex(2, 1)
-        for grid in (nonuniform, np.array([0.7]), np.array([])):
+        idx = LambdaIndex(2, 1)
+        runs = [(evolve_q_expectation, QOsc(q=1.2)),
+                (evolve_anharmonic_expectation, Anharmonic(10.0, 1.0))]  # fmt: skip
+        for evolve, params in runs:
+            for grid in (nonuniform, np.array([0.7]), np.array([])):
+                calls.clear()
+                evolve(params, 0.8, idx, grid)
+                assert calls == [len(grid)]
             calls.clear()
-            evolve_q_expectation(params, 0.8, idx, grid)
-            assert calls == [len(grid)]
-        calls.clear()
-        evolve_q_expectation(params, 0.8, idx, np.linspace(0.0, 10.0, 2))
-        evolve_q_expectation(params, 0.8, idx, np.linspace(0.0, 10.0, 101))
-        assert calls == []
+            evolve(params, 0.8, idx, np.linspace(0.0, 10.0, 2))
+            evolve(params, 0.8, idx, np.linspace(0.0, 10.0, 101))
+            assert calls == []
 
 
 def ref_evolve_q_expectation(params, alpha, idx, tau_grid, tol=1e-12):
@@ -566,14 +568,29 @@ def ref_evolve_anharmonic_expectation(params, alpha, idx, t_grid, tol=1e-12):
     a2 = abs(alpha) ** 2
     if n == 0 and m == 0:
         return TimeSeries(ts, np.ones_like(ts, dtype=complex), 0.0)
-    k0, lev, w, tail, _ = _weight_window(a2, 1.0, m, tol)
+    _, lev, w, tail, _ = _weight_window(a2, 1.0, m, tol)
     c1 = n * params.omega1 + n * n * params.omega2
     c2 = 2.0 * n * params.omega2
-    # the z of evolve_anharmonic_closed, so both round their phases alike
-    z = np.exp(1j * c2 * ts)
-    sums = z**k0 * _horner(z, lev**m * w)
+    sums = _phase_sum(c2, ts, lev, lev**m * w)
     values = np.conj(alpha) ** n * np.exp(1j * c1 * ts) * sums
     return TimeSeries(ts, values, tail)
+
+
+def _horner(z, c):
+    """sum_k c_k z^k by Horner's rule, in place in one complex vector."""
+    acc = np.full(z.shape, c[-1], dtype=complex)
+    for ck in c[-2::-1]:
+        acc *= z
+        acc += ck
+    return acc
+
+
+def horner_anharmonic_sum(c2, alpha, m, t, tol=1e-12):
+    """The anharmonic phase sum as it was: the powers z^k of z = e^{i c2 t},
+    the z of evolve_anharmonic_closed, by Horner's rule from z^k0."""
+    k0, lev, w, _, _ = _weight_window(abs(alpha) ** 2, 1.0, m, tol)
+    z = np.exp(1j * c2 * t)
+    return z**k0 * _horner(z, lev**m * w)
 
 
 def ref_binomial_weights(j, p):
@@ -625,9 +642,8 @@ CLOSURE_GRIDS = {
 
 
 # the q model's tau rates are its closure coefficients at omega = 1, which
-# round as [n] and [n](q - 1) do; q = 1 has integer levels and takes Horner's
-# rule, so it is left to test_phase_sums_match_dense_product. Both uniform
-# grids take _phase_sum's block path, the nonuniform one its row path.
+# round as [n] and [n](q - 1) do. Both uniform grids take _phase_sum's block
+# path, the nonuniform one its row path.
 @pytest.mark.parametrize("grid", list(CLOSURE_GRIDS.values()), ids=list(CLOSURE_GRIDS))
 @pytest.mark.parametrize("amp", [0.8, 3.0, 30.0])
 @pytest.mark.parametrize("omega", [1.0, 2.5])
@@ -635,7 +651,7 @@ def test_series_from_closure_coeffs_is_bit_identical(omega, amp, grid):
     alpha = amp * complex(math.cos(0.7), math.sin(0.7))
     runs = [
         (QOsc(q=q, omega=omega), evolve_q_expectation, ref_evolve_q_expectation)
-        for q in (0.5, 1.0 + 1e-9, 1.2, 2.0)
+        for q in (0.5, 1.0, 1.0 + 1e-9, 1.2, 2.0)
     ] + [
         (Anharmonic(w1, omega), evolve_anharmonic_expectation,
          ref_evolve_anharmonic_expectation)
@@ -654,6 +670,29 @@ def test_series_from_closure_coeffs_is_bit_identical(omega, amp, grid):
                 got = evolve(params, alpha, idx, grid)
                 assert np.array_equal(got.values, want.values), (params, n, m)
                 assert got.truncation_tail == want.truncation_tail
+
+
+# Horner's powers z^k carry k times the rounding of the phase c2 t of z, so
+# the two sums drift apart as eps * c2 * t * k, plus eps per Horner step
+@pytest.mark.parametrize("grid", list(CLOSURE_GRIDS.values()), ids=list(CLOSURE_GRIDS))
+@pytest.mark.parametrize("amp", [0.8, 3.0, 30.0])
+@pytest.mark.parametrize("omega", [1.0, 2.5])
+def test_anharmonic_series_follows_horner_within_phase_drift(omega, amp, grid):
+    params = Anharmonic(10.0, omega)
+    alpha = amp * complex(math.cos(0.7), math.sin(0.7))
+    t_max = np.abs(grid).max()
+    for n in range(1, 4):
+        c1 = n * params.omega1 + n * n * params.omega2
+        c2 = 2.0 * n * params.omega2
+        for m in range(4):
+            got = evolve_anharmonic_expectation(params, alpha, LambdaIndex(n, m), grid).values
+            old = horner_anharmonic_sum(c2, alpha, m, grid)
+            old *= np.conj(alpha) ** n * np.exp(1j * c1 * grid)
+            _, lev, w, _, _ = _weight_window(amp**2, 1.0, m, 1e-12)
+            c = lev**m * w
+            err = np.abs(got - old).max() / (amp**n * c.sum())
+            bound = np.finfo(float).eps * np.dot(c, lev * c2 * t_max + 2 * len(c)) / c.sum()
+            assert err <= bound, (n, m, err, bound)
 
 
 EXPANSION_MODELS = [
