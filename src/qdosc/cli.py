@@ -4,6 +4,8 @@ Commands: evolve, verify, map, collapse, sweep.  Data files are CSV with a
 JSON metadata sidecar (`<out>.meta.json`) echoing the fully resolved
 configuration, so any run can be reproduced byte-identically via
 `--config <sidecar>`.  Numbers are written as shortest round-trip decimals.
+A CSV of more row blocks than usable CPUs is formatted by one forked
+worker process per CPU on Linux; its bytes are the same on any CPU count.
 
 Exit status: 0 success, 1 verification failure, 2 usage/domain error.
 """
@@ -12,7 +14,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+from collections import deque
 from pathlib import Path
 
 import numpy as np
@@ -175,16 +179,69 @@ def _write_sidecar(out: str, command: str, cfg: dict, diagnostics: dict) -> None
     Path(out + ".meta.json").write_text(json.dumps(payload, indent=2) + "\n")
 
 
+def _csv_rows(columns: list[np.ndarray], start: int) -> str:
+    """Rows start to start + _CSV_BLOCK of the columns as CSV lines of
+    shortest round-trip decimals: each column is turned into strings once,
+    and the rows are joined from them."""
+    block = slice(start, start + _CSV_BLOCK)
+    cells = (map(float.__repr__, c[block].tolist()) for c in columns)
+    # list() ends the zip, and frees the block's floats, before the join
+    return "\n".join(list(map(",".join, zip(*cells)))) + "\n"
+
+
+# the columns of the CSV being written, set in each worker process only
+_worker_columns: list[np.ndarray] = []
+
+
+def _init_csv_worker(columns: list[np.ndarray]) -> None:
+    global _worker_columns
+    _worker_columns = columns
+
+
+def _csv_worker_rows(start: int) -> str:
+    return _csv_rows(_worker_columns, start)
+
+
 def _write_csv(fh, header: list[str], columns: list[np.ndarray]) -> None:
     """Write a header row and float columns as CSV rows of shortest
-    round-trip decimals, _CSV_BLOCK rows at a time: each column is turned
-    into strings once, and the rows are joined from them."""
+    round-trip decimals, _CSV_BLOCK rows at a time, each block by _csv_rows.
+
+    With at least two usable CPUs and more blocks than CPUs, one forked
+    worker process per CPU formats the blocks: the workers inherit the
+    columns, only block starts are sent to them, and at most one block per
+    worker is in flight. The blocks are written in order, so the bytes do
+    not depend on the CPU count. Every worker has ended when this returns,
+    also on an error; a worker that dies is a ChildProcessError."""
     fh.write(",".join(header) + "\n")
-    for start in range(0, len(columns[0]), _CSV_BLOCK):
-        block = slice(start, start + _CSV_BLOCK)
-        cells = (map(float.__repr__, c[block].tolist()) for c in columns)
-        # list() ends the zip, and frees the block's floats, before the join
-        fh.write("\n".join(list(map(",".join, zip(*cells)))) + "\n")
+    starts = range(0, len(columns[0]), _CSV_BLOCK)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    if cpus < 2 or len(starts) <= cpus:
+        for start in starts:
+            fh.write(_csv_rows(columns, start))
+        return
+    # imported here: they cost about 20 ms, which a small output and a bare
+    # import of qdosc.cli need not pay
+    from concurrent.futures import process
+    from multiprocessing import get_context
+
+    # fork: the workers inherit the columns instead of unpickling them, and
+    # they run no BLAS, so threads of the parent's BLAS do not matter
+    with process.ProcessPoolExecutor(
+        cpus, mp_context=get_context("fork"), initializer=_init_csv_worker, initargs=(columns,)
+    ) as pool:
+        try:
+            pending = deque()
+            for start in starts:
+                if len(pending) == cpus:
+                    fh.write(pending.popleft().result())
+                pending.append(pool.submit(_csv_worker_rows, start))
+            for future in pending:
+                fh.write(future.result())
+        except process.BrokenProcessPool as exc:
+            raise ChildProcessError(f"a CSV formatting worker ended: {exc}") from None
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
 
 
 def _build_model(cfg: dict):

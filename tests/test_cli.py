@@ -1,7 +1,10 @@
 import contextlib
 import csv
+import errno
+import faulthandler
 import io
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -788,3 +791,81 @@ class TestUsage:
         bad.write_text("{not json")
         res = run_cli("evolve", "--config", bad, "--out", tmp_path / "t.csv")
         assert res.returncode == 2
+
+
+POOLED_STEPS = 4 * cli._CSV_BLOCK + 7
+
+
+@pytest.mark.parametrize("csv_cpus", ["pooled"], indirect=True)
+class TestCsvWorkers:
+    """Every worker process of the CSV writer has ended when a command
+    returns, whatever happened; small outputs start none."""
+
+    @pytest.fixture(autouse=True)
+    def deadline(self):
+        # a hung pool ends the test run with every thread's traceback
+        faulthandler.dump_traceback_later(120, exit=True)
+        yield
+        faulthandler.cancel_dump_traceback_later()
+
+    @staticmethod
+    def evolve(out):
+        args = ["evolve", "--model", "anharmonic", "--method", "closed",
+                "--steps", str(POOLED_STEPS), "--out", str(out)]  # fmt: skip
+        return main(args)
+
+    def test_written_file(self, tmp_path, csv_cpus):
+        assert self.evolve(tmp_path / "t.csv") == 0
+        assert len(csv_cpus.pools) == 1
+        assert multiprocessing.active_children() == []
+
+    def test_write_error_part_way(self, tmp_path, capsys, monkeypatch, csv_cpus):
+        class Full(io.StringIO):
+            writes = 0
+
+            def write(self, text):
+                self.writes += 1
+                if self.writes > 3:  # the header and two blocks
+                    raise OSError(errno.ENOSPC, "No space left on device")
+                return super().write(text)
+
+        monkeypatch.setattr(cli, "open", lambda *args: Full(), raising=False)
+        assert self.evolve(tmp_path / "t.csv") == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert json.loads(line) == {
+            "error": "OSError",
+            "message": "[Errno 28] No space left on device",
+        }
+        assert len(csv_cpus.pools) == 1
+        assert multiprocessing.active_children() == []
+
+    def test_dead_worker_is_one_record(self, tmp_path, capsys, monkeypatch, csv_cpus):
+        parent, csv_rows = os.getpid(), cli._csv_rows
+
+        def die_in_a_worker(columns, start):
+            if os.getpid() != parent:
+                os._exit(1)
+            return csv_rows(columns, start)
+
+        monkeypatch.setattr(cli, "_csv_rows", die_in_a_worker)
+        assert self.evolve(tmp_path / "t.csv") == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert json.loads(line)["error"] == "ChildProcessError"
+        assert len(csv_cpus.pools) == 1
+        assert multiprocessing.active_children() == []
+        assert not (tmp_path / "t.csv.meta.json").exists()
+
+    @pytest.mark.parametrize("command", ["evolve", "collapse"])
+    def test_default_output_starts_no_process(self, tmp_path, csv_cpus, command):
+        assert main([command, "--out", str(tmp_path / "t.csv")]) == 0
+        assert csv_cpus.pools == []
+
+
+def test_import_loads_no_process_pool():
+    code = (
+        "import sys, qdosc.cli; "
+        "print([m for m in ('multiprocessing', 'concurrent.futures.process') if m in sys.modules])"
+    )
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == "[]\n"

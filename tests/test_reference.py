@@ -1022,14 +1022,23 @@ def ref_trace_json(time_col, times, values):
 REF_TRACE = {"csv": ref_trace_rows, "json": ref_trace_json}
 
 
+# signed zeros, the least subnormal, and the floats on either side of the
+# switches of repr between positional and exponent form (at 1e16 and 1e-4)
+EDGE_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 1e16, 9.999999999999999e15, 1e-5, 1e-4]
+
+
 def _hard_trace():
-    """Values where np.abs differs from the scalar abs in many entries, plus
-    signed zeros in both parts, over more rows than one CSV block."""
+    """Values where np.abs differs from the scalar abs in many entries, with
+    every pair of EDGE_FLOATS as (re, im) in the first and the last rows,
+    over more rows than three CSV blocks and not a whole number of them."""
     rng = np.random.default_rng(5)
-    size = cli._CSV_BLOCK + 1000
+    size = 3 * cli._CSV_BLOCK + 1000
     values = rng.normal(size=size) + 1j * rng.normal(size=size)
-    values[:4] = [complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0), 0j]
+    edges = [complex(x, y) for x in EDGE_FLOATS for y in EDGE_FLOATS]
+    values[: len(edges)] = edges
+    values[-len(edges) :] = edges[::-1]
     times = np.concatenate(([-0.0], np.cumsum(rng.uniform(0.1, 1.0, size - 1))))
+    times[-len(EDGE_FLOATS) :] = EDGE_FLOATS
     return times, values
 
 
@@ -1040,6 +1049,15 @@ def test_trace_writer_matches_per_row_formatter(tmp_path, fmt):
     out = tmp_path / f"trace.{fmt}"
     cli._write_trace(str(out), fmt, "t", times, values)
     assert out.read_text() == REF_TRACE[fmt]("t", times, values)
+
+
+def test_trace_csv_has_the_same_bytes_on_one_cpu_and_on_a_pool(tmp_path, csv_cpus):
+    times, values = _hard_trace()
+    assert len(times) > (csv_cpus.cpus + 1) * cli._CSV_BLOCK
+    out = tmp_path / "trace.csv"
+    cli._write_trace(str(out), "csv", "t", times, values)
+    assert len(csv_cpus.pools) == (csv_cpus.cpus > 1)
+    assert out.read_text() == ref_trace_rows("t", times, values)
 
 
 # (flags, the dynamics function the command calls, time column)
@@ -1084,7 +1102,7 @@ def ref_collapse_text(params, j_col, pairs, taus):
     return "\n".join(rows) + "\n"
 
 
-@pytest.mark.parametrize("steps", [1, 2001, cli._CSV_BLOCK + 7])
+@pytest.mark.parametrize("steps", [1, 2001, cli._CSV_BLOCK + 7, 4 * cli._CSV_BLOCK + 7])
 def test_collapse_file_matches_per_row_formatter(tmp_path, steps):
     out = tmp_path / "collapse.csv"
     args = ["collapse", "--q", "2.0", "--j-col", "3", "--n-list", "1,2,3",
