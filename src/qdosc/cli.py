@@ -3,9 +3,9 @@
 Commands: evolve, verify, map, collapse, sweep.  Data files are CSV with a
 JSON metadata sidecar (`<out>.meta.json`) echoing the fully resolved
 configuration, so any run can be reproduced byte-identically via
-`--config <sidecar>`.  Numbers are written as shortest round-trip decimals.
-A CSV of more row blocks than usable CPUs is formatted by one forked
-worker process per CPU on Linux; its bytes are the same on any CPU count.
+`--config <sidecar>`.  Numbers are written as shortest round-trip decimals,
+spelled as Python's repr spells them; CSV cells take their digits from
+orjson, in the process.
 
 Exit status: 0 success, 1 verification failure, 2 usage/domain error.
 """
@@ -14,9 +14,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
+import re
 import sys
-from collections import deque
 from pathlib import Path
 
 import numpy as np
@@ -179,69 +178,35 @@ def _write_sidecar(out: str, command: str, cfg: dict, diagnostics: dict) -> None
     Path(out + ".meta.json").write_text(json.dumps(payload, indent=2) + "\n")
 
 
-def _csv_rows(columns: list[np.ndarray], start: int) -> str:
-    """Rows start to start + _CSV_BLOCK of the columns as CSV lines of
-    shortest round-trip decimals: each column is turned into strings once,
-    and the rows are joined from them."""
-    block = slice(start, start + _CSV_BLOCK)
-    cells = (map(float.__repr__, c[block].tolist()) for c in columns)
-    # list() ends the zip, and frees the block's floats, before the join
-    return "\n".join(list(map(",".join, zip(*cells)))) + "\n"
+def _csv_cells(col: np.ndarray) -> list[str]:
+    """The shortest round-trip decimals of a float column, spelled as repr
+    spells them. orjson's digits are repr's, and so is its spelling for
+    1e-4 <= |x| < 1e16, for zeros and for |x| < 1e-5 once its one-digit
+    exponents are padded; the cells outside those ranges, and non-finite
+    ones, which it writes as null, are spelled by repr."""
+    # imported here: it costs about 8 ms, which a bare import of qdosc.cli
+    # and the commands without a CSV need not pay
+    import orjson
 
-
-# the columns of the CSV being written, set in each worker process only
-_worker_columns: list[np.ndarray] = []
-
-
-def _init_csv_worker(columns: list[np.ndarray]) -> None:
-    global _worker_columns
-    _worker_columns = columns
-
-
-def _csv_worker_rows(start: int) -> str:
-    return _csv_rows(_worker_columns, start)
+    # orjson dumps only C-contiguous arrays; a trace's re and im are strided
+    col = np.ascontiguousarray(col, dtype=float)
+    text = orjson.dumps(col, option=orjson.OPT_SERIALIZE_NUMPY)
+    cells = re.sub(rb"e-(\d)(?=[,\]])", rb"e-0\1", text)[1:-1].decode().split(",")
+    a = np.abs(col)
+    for i in np.flatnonzero(~(a < 1e16) | ((a >= 1e-5) & (a < 1e-4))).tolist():
+        cells[i] = repr(float(col[i]))
+    return cells
 
 
 def _write_csv(fh, header: list[str], columns: list[np.ndarray]) -> None:
     """Write a header row and float columns as CSV rows of shortest
-    round-trip decimals, _CSV_BLOCK rows at a time, each block by _csv_rows.
-
-    With at least two usable CPUs and more blocks than CPUs, one forked
-    worker process per CPU formats the blocks: the workers inherit the
-    columns, only block starts are sent to them, and at most one block per
-    worker is in flight. The blocks are written in order, so the bytes do
-    not depend on the CPU count. Every worker has ended when this returns,
-    also on an error; a worker that dies is a ChildProcessError."""
+    round-trip decimals, spelled as repr spells them, _CSV_BLOCK rows at a
+    time: each block of a column is turned into strings once by _csv_cells,
+    and the rows are joined from them."""
     fh.write(",".join(header) + "\n")
-    starts = range(0, len(columns[0]), _CSV_BLOCK)
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    if cpus < 2 or len(starts) <= cpus:
-        for start in starts:
-            fh.write(_csv_rows(columns, start))
-        return
-    # imported here: they cost about 20 ms, which a small output and a bare
-    # import of qdosc.cli need not pay
-    from concurrent.futures import process
-    from multiprocessing import get_context
-
-    # fork: the workers inherit the columns instead of unpickling them, and
-    # they run no BLAS, so threads of the parent's BLAS do not matter
-    with process.ProcessPoolExecutor(
-        cpus, mp_context=get_context("fork"), initializer=_init_csv_worker, initargs=(columns,)
-    ) as pool:
-        try:
-            pending = deque()
-            for start in starts:
-                if len(pending) == cpus:
-                    fh.write(pending.popleft().result())
-                pending.append(pool.submit(_csv_worker_rows, start))
-            for future in pending:
-                fh.write(future.result())
-        except process.BrokenProcessPool as exc:
-            raise ChildProcessError(f"a CSV formatting worker ended: {exc}") from None
-        except BaseException:
-            pool.shutdown(cancel_futures=True)
-            raise
+    for start in range(0, len(columns[0]), _CSV_BLOCK):
+        cells = [_csv_cells(c[start : start + _CSV_BLOCK]) for c in columns]
+        fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
 def _build_model(cfg: dict):

@@ -39,6 +39,7 @@ recurrence that replaced it must match that.
 """
 
 import functools
+import io
 import json
 import math
 import sys
@@ -46,6 +47,8 @@ import sys
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qdosc import (
     Anharmonic,
@@ -1022,9 +1025,19 @@ def ref_trace_json(time_col, times, values):
 REF_TRACE = {"csv": ref_trace_rows, "json": ref_trace_json}
 
 
-# signed zeros, the least subnormal, and the floats on either side of the
-# switches of repr between positional and exponent form (at 1e16 and 1e-4)
-EDGE_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 1e16, 9.999999999999999e15, 1e-5, 1e-4]
+def _around(x):
+    return [math.nextafter(x, 0.0), x, math.nextafter(x, math.inf)]
+
+
+# signed zeros, the least subnormal, and the floats at and on either side of
+# each switch of spelling: repr's between positional and exponent form (1e16
+# and 1e-4), and those of the CSV writer's digits between fixed and exponent
+# form (1e-5), between one- and two-digit exponents (1e-10) and to exponents
+# that need a sign (1e16)
+EDGE_FLOATS = [
+    -0.0, 0.0, 5e-324, -5e-324, *_around(1e16), *_around(1e-5), 9.999999999999999e-05,
+    1e-4, *_around(1e-10), 1.5e-07, 1.5e300,
+]  # fmt: skip
 
 
 def _hard_trace():
@@ -1051,13 +1064,54 @@ def test_trace_writer_matches_per_row_formatter(tmp_path, fmt):
     assert out.read_text() == REF_TRACE[fmt]("t", times, values)
 
 
-def test_trace_csv_has_the_same_bytes_on_one_cpu_and_on_a_pool(tmp_path, csv_cpus):
-    times, values = _hard_trace()
-    assert len(times) > (csv_cpus.cpus + 1) * cli._CSV_BLOCK
-    out = tmp_path / "trace.csv"
-    cli._write_trace(str(out), "csv", "t", times, values)
-    assert len(csv_cpus.pools) == (csv_cpus.cpus > 1)
-    assert out.read_text() == ref_trace_rows("t", times, values)
+def ref_csv_text(columns):
+    """The CSV writer's rows without a header, one repr per cell."""
+    rows = zip(*(c.tolist() for c in columns))
+    return "".join(",".join(map(repr, row)) + "\n" for row in rows)
+
+
+def _csv_body(columns):
+    buf = io.StringIO()
+    cli._write_csv(buf, [f"c{i}" for i in range(len(columns))], columns)
+    return buf.getvalue().split("\n", 1)[1]
+
+
+def _decades(rng):
+    """Each power of ten from the least subnormal to the largest double, its
+    neighbours and random mantissas of its decade, in both signs."""
+    values = [5e-324, sys.float_info.max]
+    for e in range(-323, 309):
+        p = float(f"1e{e}")
+        values += _around(p) + [float(f"{m!r}e{e}") for m in rng.uniform(1.0, 10.0, 20).tolist()]
+    values = np.array([v for v in values if math.isfinite(v)])
+    return np.concatenate([values, -values])
+
+
+def test_csv_writer_spells_every_float_as_repr():
+    rng = np.random.default_rng(21)
+    bits = rng.integers(0, 2**64, size=10**6, dtype=np.uint64)
+    patterns = bits.view(float)
+    patterns = patterns[np.isfinite(patterns)]
+    special = [0.0, -0.0, 5e-324, -5e-324, math.inf, -math.inf, math.nan]
+    values = np.concatenate([special, EDGE_FLOATS, _decades(rng), patterns])
+    values = values[: len(values) // 3 * 3]
+    # three columns: cells are spelled first, inside and last in a row
+    columns = [values[0::3], values[1::3], values[2::3]]
+    assert len(columns[0]) > 2 * cli._CSV_BLOCK
+    got, want = _csv_body(columns).split("\n"), ref_csv_text(columns).split("\n")
+    # the first few differing rows, not a diff of a 40 MB text
+    assert len(got) == len(want)
+    assert [(g, w) for g, w in zip(got, want) if g != w][:5] == []
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@given(st.lists(st.tuples(FINITE, FINITE), min_size=1, max_size=40))
+@settings(max_examples=300, deadline=None)
+def test_csv_writer_spells_finite_floats_as_repr(rows):
+    columns = [np.array(c, dtype=float) for c in zip(*rows)]
+    assert _csv_body(columns) == ref_csv_text(columns)
 
 
 # (flags, the dynamics function the command calls, time column)
