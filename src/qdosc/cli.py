@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import re
 import sys
 from pathlib import Path
 
@@ -181,19 +180,25 @@ def _write_sidecar(out: str, command: str, cfg: dict, diagnostics: dict) -> None
 def _csv_cells(col: np.ndarray) -> list[str]:
     """The shortest round-trip decimals of a float column, spelled as repr
     spells them. orjson's digits are repr's, and so is its spelling for
-    1e-4 <= |x| < 1e16, for zeros and for |x| < 1e-5 once its one-digit
-    exponents are padded; the cells outside those ranges, and non-finite
-    ones, which it writes as null, are spelled by repr."""
+    1e-4 <= |x| < 1e16, for zeros and for |x| < 1e-9; the cells it spells
+    otherwise are respelled from its digits, and those from 1e16 up, and
+    non-finite ones, which it writes as null, are spelled by repr."""
     # imported here: it costs about 8 ms, which a bare import of qdosc.cli
     # and the commands without a CSV need not pay
     import orjson
 
     # orjson dumps only C-contiguous arrays; a trace's re and im are strided
     col = np.ascontiguousarray(col, dtype=float)
-    text = orjson.dumps(col, option=orjson.OPT_SERIALIZE_NUMPY)
-    cells = re.sub(rb"e-(\d)(?=[,\]])", rb"e-0\1", text)[1:-1].decode().split(",")
+    cells = orjson.dumps(col, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode().split(",")
     a = np.abs(col)
-    for i in np.flatnonzero(~(a < 1e16) | ((a >= 1e-5) & (a < 1e-4))).tolist():
+    # d.dde-6 to d.dde-9: repr pads the exponent to two digits
+    for i in np.flatnonzero((a >= 1e-9) & (a < 1e-5)).tolist():
+        cells[i] = cells[i].replace("e-", "e-0")
+    # 0.0000ddd: repr writes d.dde-05
+    for i in np.flatnonzero((a >= 1e-5) & (a < 1e-4)).tolist():
+        sign, _, d = cells[i].partition("0.0000")
+        cells[i] = f"{sign}{d[0]}.{d[1:]}e-05" if len(d) > 1 else f"{sign}{d}e-05"
+    for i in np.flatnonzero(~(a < 1e16)).tolist():
         cells[i] = repr(float(col[i]))
     return cells
 

@@ -61,9 +61,11 @@ def _cis(a, b) -> np.ndarray:
     return out
 
 
-def _phase_sum(rate: float, t: np.ndarray, r: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """sum_k c_k e^{i w_k t_j}, w_k = rate r_k, for real r and c: by block
-    angle addition on a uniform grid, by row blocks on any other.
+def _phase_sum(
+    rate: float, t: np.ndarray, r: np.ndarray, c: np.ndarray, rate0: float
+) -> np.ndarray:
+    """sum_k c_k e^{i w_k t_j}, w_k = rate0 + rate r_k, for real r and c: by
+    block angle addition on a uniform grid, by row blocks on any other.
 
     Write j = bB + i with B = ceil(sqrt(T)), t_b the grid point j = bB,
     v_i = fl(i h) with h = (t_{T-1} - t_0)/(T - 1), and d_j = t_j - t_b - v_i
@@ -76,22 +78,28 @@ def _phase_sum(rate: float, t: np.ndarray, r: np.ndarray, c: np.ndarray) -> np.n
     matmuls and O((T/B + B) K) cos and sin, where the row path takes T K.
     Both paths take O(T) memory, in blocks of about _PHASE_BLOCK phases.
     d_j is exact up to its last rounding: t_j - t_b by TwoSum, and the rest
-    by Sterbenz where the grid is uniform. Each table angle w_k s is formed
-    as a double-double (Dekker's products for rate r_k and w_k s, and for
+    by Sterbenz where the grid is uniform. Each w_k is formed as a
+    double-double, Dekker's product rate r_k plus rate0 by TwoSum, and each
+    table angle w_k s as another (Dekker's products for w_k s, and for
     n 2pi with n = rint(w_k s / 2pi) and 2pi to 106 bits), reduced to about
-    [-pi, pi] and rounded once to double.
+    [-pi, pi] and rounded once to double. So the global rate rate0 costs no
+    phase of its own, and its angle rate0 t is as exact as the others.
 
     With u = 2^-53 and t_max = max|t_j|, the error relative to sum_k |c_k|
     is at most the |c_k|-weighted mean over k of
 
-        (2 pi + 2K + 6) u + 36 u^2 |w_k| t_max + (w_k d_max)^2 / 2 + (2K + 7) u |w_k| d_max:
+        (2 pi + 2K + 6) u + 36 u^2 W_k t_max + (w_k d_max)^2 / 2 + (2K + 7) u |w_k| d_max,
 
-    the two table angles' final roundings (pi u each, |angle| <= pi); cos,
-    sin and the K-term complex contraction; the double-double remainders
-    (12 u^2 |w_k s| per table, |s| <= t_max for t_b and <= 2 t_max for v_i);
-    R_j, since |e^{ix} - 1 - ix| <= x^2/2; and the rounding of the first-order
-    term and of d_j. The row path rounds each phase w_k t_j in double
-    instead, at 2 u |w_k| t_max.
+    with |w_k| = |rate0 + rate r_k| <= W_k = |rate0| + |rate r_k|: the two
+    table angles' final roundings (pi u each, |angle| <= pi); cos, sin and
+    the K-term complex contraction; the double-double remainders (12 u^2
+    W_k |s| per table, |s| <= t_max for t_b and <= 2 t_max for v_i; W_k,
+    since the low part of w_k keeps the scale of rate r_k where rate0
+    cancels it); R_j, since |e^{ix} - 1 - ix| <= x^2/2; and the rounding
+    of the first-order term and of d_j. The row path rounds each phase
+    (t_j r_k) rate in double instead, at 2 u |rate r_k| t_max, and
+    multiplies the sum by e^{i rate0 t_j}, whose angle rounds once more, at
+    u |rate0| t_max.
 
     The block path is taken when T >= 2, the tables are finite, and R_j's
     bound, d_max^2 sum_k |c_k| w_k^2 / 2, is at most eps sum_k |c_k| < inf;
@@ -99,10 +107,10 @@ def _phase_sum(rate: float, t: np.ndarray, r: np.ndarray, c: np.ndarray) -> np.n
     takes the row path.
     """
     if len(t) >= 2:
-        out = _uniform_phase_sum(rate, t, r, c)
+        out = _uniform_phase_sum(rate, t, r, c, rate0)
         if out is not None:
             return out
-    return _row_phase_sum(rate, t, r, c)
+    return _row_phase_sum(rate, t, r, c, rate0)
 
 
 _SPLIT = 2.0**27 + 1.0  # Dekker's splitter for a 53-bit mantissa
@@ -124,6 +132,16 @@ def _two_prod(a, b):
     e += a_lo * b_hi
     e += a_lo * b_lo
     return p, e
+
+
+def _two_sum(a, hi, lo):
+    """The double-double a + (hi + lo) as s + e, s = fl(a + hi), with the
+    rounding error of that sum by TwoSum (Knuth) added to lo."""
+    s = a + hi
+    b = s - a
+    e = (a - (s - b)) + (hi - b)
+    e += lo
+    return s, e
 
 
 def _table_cis(s: np.ndarray, w_hi: np.ndarray, w_lo: np.ndarray) -> np.ndarray:
@@ -161,7 +179,7 @@ def _departures(t: np.ndarray, size: int, v: np.ndarray):
     return tb[:, 0], d
 
 
-def _uniform_phase_sum(rate, t, r, c):
+def _uniform_phase_sum(rate, t, r, c, rate0):
     """The block path of _phase_sum, or None where its gate refuses."""
     n_t = len(t)
     size = math.isqrt(n_t - 1) + 1
@@ -171,7 +189,7 @@ def _uniform_phase_sum(rate, t, r, c):
     with np.errstate(over="ignore", invalid="ignore"):
         tb, d = _departures(t, size, v)
         d_max = np.abs(d.ravel()[:n_t]).max()
-        w_hi, w_lo = _two_prod(rate, r)
+        w_hi, w_lo = _two_sum(rate0, *_two_prod(rate, r))
         abs_c = np.abs(c)
         remainder = 0.5 * np.dot(abs_c, np.square(w_hi * d_max))
         if not remainder <= _EPS * abs_c.sum() < np.inf:
@@ -197,9 +215,12 @@ def _uniform_phase_sum(rate, t, r, c):
     return out.ravel()[:n_t]
 
 
-def _row_phase_sum(rate: float, t: np.ndarray, r: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """sum_k c_k e^{i rate t r_k} for real r and c, as cos and sin over row
-    blocks of about _PHASE_BLOCK phases, so memory stays O(len(t))."""
+def _row_phase_sum(
+    rate: float, t: np.ndarray, r: np.ndarray, c: np.ndarray, rate0: float
+) -> np.ndarray:
+    """e^{i rate0 t} sum_k c_k e^{i rate t r_k} for real r and c, as cos and
+    sin over row blocks of about _PHASE_BLOCK phases, so memory stays
+    O(len(t))."""
     out = np.empty(t.shape, dtype=complex)
     rows = max(1, _PHASE_BLOCK // len(r))
     for start in range(0, len(t), rows):
@@ -207,6 +228,7 @@ def _row_phase_sum(rate: float, t: np.ndarray, r: np.ndarray, c: np.ndarray) -> 
         x *= rate
         out.real[start : start + rows] = np.cos(x) @ c
         out.imag[start : start + rows] = np.sin(x, out=x) @ c
+    out *= _cis(rate0, t)
     return out
 
 
@@ -248,8 +270,8 @@ def _series(
     # an overflow here, in a phase or a value, reaches TimeSeries as inf or
     # NaN, which it refuses
     with np.errstate(over="ignore", invalid="ignore"):
-        sums = _phase_sum(c_up, times, lev, lev**m * w)
-        values = np.conj(alpha) ** n * _cis(c_same, times) * sums
+        values = _phase_sum(c_up, times, lev, lev**m * w, c_same)
+        values *= np.conj(alpha) ** n
     return TimeSeries(times, values, tail)
 
 

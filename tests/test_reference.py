@@ -28,9 +28,12 @@ Both series sum their phases on a uniform grid by block angle addition from
 table angles reduced in double-double; the per-point row blocks it replaced
 there stay as _row_phase_sum, which every other grid takes, and both are
 held to a 40-digit mpmath sum of the same phases where the dense product is
-itself too coarse. The anharmonic series was a polynomial in e^{i c_up t}
-by Horner's rule, kept here as _horner; the phase sum must follow it within
-the drift of its powers.
+itself too coarse. Each series multiplied its sum by a global phase
+e^{i c_same t} from the one double product c_same t, as the dense form
+still does; the block path now adds c_same to every term's rate, so that
+phase is held to the 40-digit sum at long times too. The anharmonic series
+was a polynomial in e^{i c_up t} by Horner's rule, kept here as _horner;
+the phase sum must follow it within the drift of its powers.
 
 The (q-)Stirling numbers are the exception: their alternating per-term sum
 cancels catastrophically in floating point, so no float form of it is a
@@ -88,6 +91,7 @@ from qdosc.dynamics import (
     TimeSeries,
     _cis,
     _phase_sum,
+    _table_cis,
     band_phase_trace,
 )
 from qdosc.params import _level_q, validate_index
@@ -366,28 +370,27 @@ def ref_expectation(params, alpha, n, m, t, tol=1e-12):
 
 
 @functools.lru_cache(maxsize=1 << 15)
-def _mp_cis(*factors):
-    """e^{i x} at 40 digits for the exact product x of the given doubles."""
+def _mp_cis(rate0, rate, rk, tj):
+    """e^{i (rate0 + rate r_k) t_j} at 40 digits for the doubles given."""
     with mpmath.workdps(40):
-        return mpmath.expj(mpmath.fprod(mpmath.mpf(f) for f in factors))
+        w = mpmath.mpf(rate0) + mpmath.mpf(rate) * mpmath.mpf(rk)
+        return mpmath.expj(w * mpmath.mpf(tj))
 
 
-def mp_phase_sum(rate, t, r, c):
-    """sum_k c_k e^{i rate r_k t_j} at 40 digits, with the exact phases of
-    the doubles rate, r_k and t_j, rounded once to complex."""
+def mp_phase_sum(rate, t, r, c, rate0=0.0):
+    """sum_k c_k e^{i (rate0 + rate r_k) t_j} at 40 digits, with the exact
+    phases of the doubles rate0, rate, r_k and t_j, rounded once to complex."""
     with mpmath.workdps(40):
         return np.array([
-            complex(mpmath.fsum(mpmath.mpf(ck) * _mp_cis(rate, rk, tj) for rk, ck in zip(r, c)))
+            complex(mpmath.fsum(mpmath.mpf(ck) * _mp_cis(rate0, rate, rk, tj) for rk, ck in zip(r, c)))
             for tj in t
         ])  # fmt: skip
 
 
 def mp_expectation(params, alpha, n, m, t, tol=1e-12):
-    """ref_expectation's sum, and its global phase, at 40 digits."""
+    """ref_expectation's sum, with its global phase, at 40 digits."""
     lev, c, rate, global_rate = _ref_terms(params, alpha, n, m, tol)
-    sums = mp_phase_sum(rate, t, lev, c)
-    glob = np.array([complex(_mp_cis(global_rate, tj)) for tj in t])
-    return np.conj(alpha) ** n * glob * sums
+    return np.conj(alpha) ** n * mp_phase_sum(rate, t, lev, c, global_rate)
 
 
 def _nonuniform(span):
@@ -460,6 +463,36 @@ def test_phase_sums_match_dense_product(params, amp, grid_id):
             assert err <= 1e-13, (n, m, err)
 
 
+# The global phase e^{i c_same t} is summed with the levels' phases, its
+# angle reduced in double-double. As one double product c_same t it was the
+# largest error at long times: 7.4e-12 at q = 1.2, |alpha| = 3, (n, m) =
+# (2, 1), and 1.8e-11 at omega2 = 0.1, (n, m) = (1, 0), on this grid.
+LONG_TAU_CASES = [
+    (QOsc(q=0.5), 0.8),
+    (QOsc(q=1.2), 3.0),
+    (QOsc(q=2.0), 3.0),
+    (Anharmonic(10.0, 1.0), 3.0),
+    (Anharmonic(10.0, 0.1), 3.0),
+]
+
+
+@pytest.mark.parametrize(
+    "params, amp", LONG_TAU_CASES, ids=[_series_id(p) for p, _ in LONG_TAU_CASES]
+)
+def test_series_at_long_tau_match_mpmath(params, amp):
+    grid = np.linspace(5e4, 1e5, 200_001)
+    rows = np.linspace(0, len(grid) - 1, 20).astype(int)
+    alpha = amp * complex(math.cos(0.7), math.sin(0.7))
+    evolve = evolve_q_expectation if isinstance(params, QOsc) else evolve_anharmonic_expectation
+    for n, m in [(1, 0), (2, 1), (3, 3)]:
+        got = evolve(params, alpha, LambdaIndex(n, m), grid).values[rows]
+        want = mp_expectation(params, alpha, n, m, grid[rows])
+        # the weights are positive, so |value(0)| bounds the whole trace
+        scale = abs(ref_expectation(params, alpha, n, m, np.zeros(1))[0])
+        err = np.abs(got - want).max() / scale
+        assert err <= 1e-14, (n, m, err)
+
+
 UNIFORM_GRIDS = {
     "[0,10]": np.linspace(0.0, 10.0, 401),
     "[0,1e5]": np.linspace(0.0, 1e5, 200_001),
@@ -482,9 +515,9 @@ def row_path_calls(monkeypatch):
     calls = []
     row_path = dynamics._row_phase_sum
 
-    def spy(rate, t, r, c):
+    def spy(rate, t, r, c, rate0):
         calls.append(len(t))
-        return row_path(rate, t, r, c)
+        return row_path(rate, t, r, c, rate0)
 
     monkeypatch.setattr(dynamics, "_row_phase_sum", spy)
     return calls
@@ -505,15 +538,20 @@ class TestBlockPhaseSum:
         for n, m in [(1, 0), (2, 1), (3, 3)]:
             _, lev, w, _, _ = _weight_window(amp**2, q, m, 1e-12)
             c = lev**m * w
-            rate = q_number(n, q) * (q - 1.0)
+            # the q series' own rates: [n] global, [n](q - 1) per level
+            rate0 = q_number(n, q)
+            rate = rate0 * (q - 1.0)
             calls.clear()
-            got = dynamics._phase_sum(rate, grid, lev, c)[rows]
-            want = mp_phase_sum(rate, grid[rows], lev, c)
+            got = dynamics._phase_sum(rate, grid, lev, c, rate0)[rows]
+            want = mp_phase_sum(rate, grid[rows], lev, c, rate0)
             err = np.abs(got - want).max() / c.sum()
-            w_t = np.abs(rate * lev) * t_max
+            # W_k t_max of the bound, W_k = |rate0| + |rate r_k| >= |w_k|
+            w_t = (abs(rate0) + np.abs(rate * lev)) * t_max
             if (q, amp, grid_id, (n, m)) in ROW_PATH_CASES:
                 assert calls, "the block path took a grid its gate should refuse"
-                per_k = 2 * u * w_t + (2 * len(c) + 4) * u
+                # the row phases (t_j r_k) rate, then e^{i rate0 t_j} in double
+                per_k = 2 * u * np.abs(rate * lev) * t_max + u * abs(rate0) * t_max
+                per_k += (2 * len(c) + 6) * u
             else:
                 assert not calls, "a uniform grid took the row path"
                 # the block path's bound without its grid terms, which only add
@@ -553,8 +591,8 @@ def ref_evolve_q_expectation(params, alpha, idx, tau_grid, tol=1e-12):
     if n == 0 and m == 0:
         return TimeSeries(taus, np.ones_like(taus, dtype=complex), 0.0)
     nq = q_number(n, q)
-    sums = _phase_sum(nq * (q - 1.0), taus, lev, lev**m * w)
-    values = np.conj(alpha) ** n * np.exp(1j * nq * taus) * sums
+    values = _phase_sum(nq * (q - 1.0), taus, lev, lev**m * w, nq)
+    values *= np.conj(alpha) ** n
     return TimeSeries(taus, values, tail)
 
 
@@ -574,8 +612,8 @@ def ref_evolve_anharmonic_expectation(params, alpha, idx, t_grid, tol=1e-12):
     _, lev, w, tail, _ = _weight_window(a2, 1.0, m, tol)
     c1 = n * params.omega1 + n * n * params.omega2
     c2 = 2.0 * n * params.omega2
-    sums = _phase_sum(c2, ts, lev, lev**m * w)
-    values = np.conj(alpha) ** n * np.exp(1j * c1 * ts) * sums
+    values = _phase_sum(c2, ts, lev, lev**m * w, c1)
+    values *= np.conj(alpha) ** n
     return TimeSeries(ts, values, tail)
 
 
@@ -676,11 +714,14 @@ def test_series_from_closure_coeffs_is_bit_identical(omega, amp, grid):
 
 
 # Horner's powers z^k carry k times the rounding of the phase c2 t of z, so
-# the two sums drift apart as eps * c2 * t * k, plus eps per Horner step
-@pytest.mark.parametrize("grid", list(CLOSURE_GRIDS.values()), ids=list(CLOSURE_GRIDS))
+# the two sums drift apart as eps * c2 * t * k, plus eps per Horner step.
+# Both sides take the series' global factor e^{i c1 t}: on the block path
+# from its exactly reduced angle, on the row path as e^{i fl(c1 t)}.
+@pytest.mark.parametrize("grid_id", list(CLOSURE_GRIDS))
 @pytest.mark.parametrize("amp", [0.8, 3.0, 30.0])
 @pytest.mark.parametrize("omega", [1.0, 2.5])
-def test_anharmonic_series_follows_horner_within_phase_drift(omega, amp, grid):
+def test_anharmonic_series_follows_horner_within_phase_drift(omega, amp, grid_id):
+    grid = CLOSURE_GRIDS[grid_id]
     params = Anharmonic(10.0, omega)
     alpha = amp * complex(math.cos(0.7), math.sin(0.7))
     t_max = np.abs(grid).max()
@@ -689,8 +730,12 @@ def test_anharmonic_series_follows_horner_within_phase_drift(omega, amp, grid):
         c2 = 2.0 * n * params.omega2
         for m in range(4):
             got = evolve_anharmonic_expectation(params, alpha, LambdaIndex(n, m), grid).values
+            if grid_id == "nonuniform":
+                glob = _cis(c1, grid)
+            else:
+                glob = _table_cis(grid, np.array([c1]), np.zeros(1))[:, 0]
             old = horner_anharmonic_sum(c2, alpha, m, grid)
-            old *= np.conj(alpha) ** n * np.exp(1j * c1 * grid)
+            old *= np.conj(alpha) ** n * glob
             _, lev, w, _, _ = _weight_window(amp**2, 1.0, m, 1e-12)
             c = lev**m * w
             err = np.abs(got - old).max() / (amp**n * c.sum())
