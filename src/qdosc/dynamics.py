@@ -17,8 +17,9 @@ from .params import Anharmonic, LambdaIndex, ModelParams, QOsc, validate_index
 from .params import _closure_rates, _level_q
 from .qcore import _weight_window, q_exponential, q_number, q_stirling2, stirling2
 
-# phases per row block of _row_phase_sum and per term chunk of the block
-# path's tables: a few 0.5 MB real work arrays, whatever T and K
+# phases per term chunk of _phase_sum's tables, a few 0.5 MB real work
+# arrays whatever K; a chunk holds at least one term, so a grid of one point
+# per block takes O(T) arrays
 _PHASE_BLOCK = 1 << 16
 
 
@@ -62,23 +63,28 @@ def _cis(a, b) -> np.ndarray:
 
 
 def _phase_sum(
-    rate: float, t: np.ndarray, r: np.ndarray, c: np.ndarray, rate0: float
+    rate: float,
+    t: np.ndarray,
+    r: np.ndarray,
+    c: np.ndarray,
+    rate0: float,
+    size: int | None = None,
 ) -> np.ndarray:
-    """sum_k c_k e^{i w_k t_j}, w_k = rate0 + rate r_k, for real r and c: by
-    block angle addition on a uniform grid, by row blocks on any other.
+    """sum_k c_k e^{i w_k t_j}, w_k = rate0 + rate r_k, for real r and c, by
+    block angle addition over blocks of `size` points.
 
-    Write j = bB + i with B = ceil(sqrt(T)), t_b the grid point j = bB,
-    v_i = fl(i h) with h = (t_{T-1} - t_0)/(T - 1), and d_j = t_j - t_b - v_i
-    the grid's departure from t_b + v_i. Then
+    Write j = bB + i with B = size, t_b the grid point j = bB, v_i = fl(i h)
+    with h = (t_{T-1} - t_0)/(T - 1), and d_j = t_j - t_b - v_i the grid's
+    departure from t_b + v_i. Then
 
         sum_k c_k e^{i w_k t_j} = sum_k e^{i w_k t_b} c_k e^{i w_k v_i} (1 + i w_k d_j) + R_j,
 
     which is the outer table e^{i w_k t_b} (ceil(T/B) x K) times the inner
     tables c_k e^{i w_k v_i} and c_k w_k e^{i w_k v_i} (B x K): two complex
-    matmuls and O((T/B + B) K) cos and sin, where the row path takes T K.
-    Both paths take O(T) memory, in blocks of about _PHASE_BLOCK phases.
-    d_j is exact up to its last rounding: t_j - t_b by TwoSum, and the rest
-    by Sterbenz where the grid is uniform. Each w_k is formed as a
+    matmuls and O((T/B + B) K) cos and sin, in chunks of terms whose tables
+    hold about _PHASE_BLOCK phases, so memory is O(T) whatever K. d_j is
+    exact up to its last rounding: t_j - t_b by TwoSum, and the rest by
+    Sterbenz where the grid is uniform. Each w_k is formed as a
     double-double, Dekker's product rate r_k plus rate0 by TwoSum, and each
     table angle w_k s as another (Dekker's products for w_k s, and for
     n 2pi with n = rint(w_k s / 2pi) and 2pi to 106 bits), reduced to about
@@ -96,21 +102,51 @@ def _phase_sum(
     W_k |s| per table, |s| <= t_max for t_b and <= 2 t_max for v_i; W_k,
     since the low part of w_k keeps the scale of rate r_k where rate0
     cancels it); R_j, since |e^{ix} - 1 - ix| <= x^2/2; and the rounding
-    of the first-order term and of d_j. The row path rounds each phase
-    (t_j r_k) rate in double instead, at 2 u |rate r_k| t_max, and
-    multiplies the sum by e^{i rate0 t_j}, whose angle rounds once more, at
-    u |rate0| t_max.
+    of the first-order term and of d_j.
 
-    The block path is taken when T >= 2, the tables are finite, and R_j's
-    bound, d_max^2 sum_k |c_k| w_k^2 / 2, is at most eps sum_k |c_k| < inf;
-    that last condition is what makes a grid uniform. Every other grid
-    takes the row path.
+    By default B = ceil(sqrt(T)), if the tables are finite and R_j's bound,
+    d_max^2 sum_k |c_k| w_k^2 / 2, is at most eps sum_k |c_k| < inf; that
+    last condition is what makes a grid uniform. Every other grid, T = 1
+    among them, takes B = 1: then v = [0], t_b = t_j and d_j = 0 exactly,
+    so the last two terms of the bound vanish and every angle w_k t_j is
+    reduced in double-double. T = 0 gives an empty sum.
     """
-    if len(t) >= 2:
-        out = _uniform_phase_sum(rate, t, r, c, rate0)
-        if out is not None:
-            return out
-    return _row_phase_sum(rate, t, r, c, rate0)
+    n_t = len(t)
+    if not n_t:
+        return np.empty(0, dtype=complex)
+    if size is None:
+        size = math.isqrt(n_t - 1) + 1
+    v = np.arange(size) * ((t[-1] - t[0]) / max(n_t - 1, 1))
+    # a huge phase or time overflows the splitting or TwoSum to inf or
+    # NaN, which the gate refuses and TimeSeries refuses at B = 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        tb, d = _departures(t, size, v)
+        w_hi, w_lo = _two_sum(rate0, *_two_prod(rate, r))
+        if size > 1:
+            d_max = np.abs(d.ravel()[:n_t]).max()
+            abs_c = np.abs(c)
+            remainder = 0.5 * np.dot(abs_c, np.square(w_hi * d_max))
+            if not remainder <= _EPS * abs_c.sum() < np.inf:
+                return _phase_sum(rate, t, r, c, rate0, 1)
+        s = np.concatenate((tb, v))
+        # chunks of terms whose tables hold about _PHASE_BLOCK phases; each
+        # later chunk's products are added in place as they are formed, and
+        # the first chunk's are assigned, so one chunk gives one matmul's bits
+        terms = max(1, _PHASE_BLOCK // len(s))
+        for start in range(0, len(c), terms):
+            k = slice(start, start + terms)
+            tables = _table_cis(s, w_hi[k], w_lo[k])
+            if size > 1 and not np.isfinite(tables).all():
+                return _phase_sum(rate, t, r, c, rate0, 1)
+            outer, inner = tables[: len(tb)], tables[len(tb) :]
+            inner *= c[k]
+            parts = (outer @ x.T for x in (inner, inner * w_hi[k]))
+            out, slope = map(np.add, (out, slope), parts, (out, slope)) if start else parts
+        slope *= d
+        # out += i slope
+        out.real -= slope.imag
+        out.imag += slope.real
+    return out.ravel()[:n_t]
 
 
 _SPLIT = 2.0**27 + 1.0  # Dekker's splitter for a 53-bit mantissa
@@ -177,59 +213,6 @@ def _departures(t: np.ndarray, size: int, v: np.ndarray):
     d -= v
     d += err
     return tb[:, 0], d
-
-
-def _uniform_phase_sum(rate, t, r, c, rate0):
-    """The block path of _phase_sum, or None where its gate refuses."""
-    n_t = len(t)
-    size = math.isqrt(n_t - 1) + 1
-    v = np.arange(size) * ((t[-1] - t[0]) / (n_t - 1))
-    # a huge phase or time overflows the splitting or TwoSum to inf or
-    # NaN, which the gate refuses
-    with np.errstate(over="ignore", invalid="ignore"):
-        tb, d = _departures(t, size, v)
-        d_max = np.abs(d.ravel()[:n_t]).max()
-        w_hi, w_lo = _two_sum(rate0, *_two_prod(rate, r))
-        abs_c = np.abs(c)
-        remainder = 0.5 * np.dot(abs_c, np.square(w_hi * d_max))
-        if not remainder <= _EPS * abs_c.sum() < np.inf:
-            return None
-        s = np.concatenate((tb, v))
-        # chunks of terms whose tables hold about _PHASE_BLOCK phases; each
-        # later chunk's products are added in place as they are formed, and
-        # the first chunk's are assigned, so one chunk gives one matmul's bits
-        terms = max(1, _PHASE_BLOCK // len(s))
-        for start in range(0, len(c), terms):
-            k = slice(start, start + terms)
-            tables = _table_cis(s, w_hi[k], w_lo[k])
-            if not np.isfinite(tables).all():
-                return None
-            outer, inner = tables[: len(tb)], tables[len(tb) :]
-            inner *= c[k]
-            parts = (outer @ x.T for x in (inner, inner * w_hi[k]))
-            out, slope = map(np.add, (out, slope), parts, (out, slope)) if start else parts
-    slope *= d
-    # out += i slope
-    out.real -= slope.imag
-    out.imag += slope.real
-    return out.ravel()[:n_t]
-
-
-def _row_phase_sum(
-    rate: float, t: np.ndarray, r: np.ndarray, c: np.ndarray, rate0: float
-) -> np.ndarray:
-    """e^{i rate0 t} sum_k c_k e^{i rate t r_k} for real r and c, as cos and
-    sin over row blocks of about _PHASE_BLOCK phases, so memory stays
-    O(len(t))."""
-    out = np.empty(t.shape, dtype=complex)
-    rows = max(1, _PHASE_BLOCK // len(r))
-    for start in range(0, len(t), rows):
-        x = np.outer(t[start : start + rows], r)
-        x *= rate
-        out.real[start : start + rows] = np.cos(x) @ c
-        out.imag[start : start + rows] = np.sin(x, out=x) @ c
-    out *= _cis(rate0, t)
-    return out
 
 
 def _amplitude_sq(alpha: complex) -> float:
@@ -331,6 +314,10 @@ def evolve_anharmonic_closed(
     ts = np.asarray(t_grid, dtype=float)
     a2 = _amplitude_sq(alpha)
     c_same, c_up = _closure_rates(params, n)
+    # S(2, m) = 2^(m-1) - 1 is beyond double precision: refuse before the
+    # O(m^2) exact-integer Stirling row is built
+    if m > 1024:
+        raise DomainError(f"S(2, m) = 2^(m-1) - 1 overflows double precision at m={m}")
     try:
         coeffs = [stirling2(r, m) * a2**r for r in range(m + 1)]
     except OverflowError:  # a2**r of a Python float
@@ -416,9 +403,10 @@ def collapse_transform(traces: list[PhaseCurve]) -> list[np.ndarray]:
     """Unwrap each curve's phase and divide by [n]_q; for fixed (q, j_col)
     the outputs coincide pointwise with tau * q^j_col.
 
-    Grids whose expected phase step reaches pi are refused: a wrapped step
-    beyond pi is indistinguishable from its alias, so silent unwrapping
-    would fake the collapse. An empty grid raises DomainError.
+    Grids whose expected phase step reaches pi in size, forward or backward,
+    are refused: a wrapped step beyond pi is indistinguishable from its
+    alias, so silent unwrapping would fake the collapse. An empty grid
+    raises DomainError.
     """
     out = []
     for tr in traces:
@@ -426,7 +414,7 @@ def collapse_transform(traces: list[PhaseCurve]) -> list[np.ndarray]:
             raise DomainError(f"empty tau grid for (n={tr.n}, m={tr.m})")
         nq = q_number(tr.n, tr.q)
         if len(tr.taus) > 1:
-            max_step = float(np.max(np.diff(tr.taus))) * nq * tr.q**tr.j_col
+            max_step = float(np.max(np.abs(np.diff(tr.taus)))) * nq * tr.q**tr.j_col
             if max_step >= math.pi:
                 raise PhaseUnwrapError(
                     f"phase step {max_step:.3e} >= pi for (n={tr.n}, m={tr.m}, "

@@ -309,6 +309,14 @@ class TestCollapse:
         record = json.loads(res.stderr.strip())
         assert record["error"] == "PhaseUnwrapError"
 
+    def test_coarse_decreasing_grid_exits_2(self, tmp_path, capsys):
+        # tau = 0, -500, -1000: each step aliases, whatever its sign
+        out = tmp_path / "c.csv"
+        argv = ["collapse", "--tau-max", "-1000", "--steps", "3", "--out", str(out)]
+        assert main(argv) == 2
+        assert _refusal(capsys)["error"] == "PhaseUnwrapError"
+        assert not out.exists()
+
     def test_column_beyond_any_dimension(self, tmp_path):
         out = tmp_path / "collapse.csv"
         q, j_col = 1.01, 100

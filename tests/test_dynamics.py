@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import time
 import tracemalloc
 import warnings
 
@@ -180,6 +181,14 @@ class TestAnharmonicClosed:
             series = evolve_anharmonic_expectation(ANH, alpha, LambdaIndex(n, m), TAUS)
             np.testing.assert_allclose(closed.values, series.values, atol=1e-10)
 
+    def test_huge_m_refused_before_the_stirling_row(self):
+        # S(2, m) = 2^(m-1) - 1 leaves double precision from m = 1025 on; the
+        # exact row S(0..m, m) would take O(m^2) big-integer additions
+        start = time.perf_counter()
+        with pytest.raises(DomainError, match="m=100000"):
+            evolve_anharmonic_closed(ANH, 0.8, LambdaIndex(1, 100_000), TAUS)
+        assert time.perf_counter() - start < 1.0
+
 
 @pytest.mark.parametrize(
     "evolve, params, amp",
@@ -288,6 +297,19 @@ class TestCollapse:
         tr = band_phase_trace(params, LambdaIndex(3, 0), 3, taus)
         with pytest.raises(PhaseUnwrapError):
             collapse_transform([tr])
+
+    def test_coarse_decreasing_grid_refused(self):
+        # steps of -500 alias as much as steps of +500
+        taus = np.linspace(0.0, -1000.0, 3)
+        tr = band_phase_trace(QOsc(q=1.5), LambdaIndex(1, 0), 0, taus)
+        with pytest.raises(PhaseUnwrapError, match="phase step 5.000e\\+02"):
+            collapse_transform([tr])
+
+    def test_fine_decreasing_grid_collapses(self):
+        taus = np.linspace(0.0, -5.0, 200)
+        tr = band_phase_trace(QOsc(q=1.5), LambdaIndex(1, 0), 0, taus)
+        (norm,) = collapse_transform([tr])
+        np.testing.assert_allclose(norm, taus, atol=1e-12)
 
     @pytest.mark.parametrize("q", [0.5, 1.0, 1.2, 2.0])
     def test_matches_dense_band_entry(self, q):

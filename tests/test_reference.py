@@ -24,16 +24,17 @@ diagonal operand, the column-wise trace writer, the series and expansion
 built from the closure coefficients, the band comparisons of the suites and
 the cos/sin phases that replaced them must reproduce these forms.
 
-Both series sum their phases on a uniform grid by block angle addition from
-table angles reduced in double-double; the per-point row blocks it replaced
-there stay as _row_phase_sum, which every other grid takes, and both are
-held to a 40-digit mpmath sum of the same phases where the dense product is
-itself too coarse. Each series multiplied its sum by a global phase
-e^{i c_same t} from the one double product c_same t, as the dense form
-still does; the block path now adds c_same to every term's rate, so that
-phase is held to the 40-digit sum at long times too. The anharmonic series
-was a polynomial in e^{i c_up t} by Horner's rule, kept here as _horner;
-the phase sum must follow it within the drift of its powers.
+Both series sum their phases by block angle addition from table angles
+reduced in double-double: in blocks of about sqrt(T) points on a uniform
+grid, and of one point on any other grid, where the per-point row blocks
+of plain double phases used to be. Every grid is held to a 40-digit mpmath
+sum of the same phases where the dense product is itself too coarse. Each
+series multiplied its sum by a global phase e^{i c_same t} from the one
+double product c_same t, as the dense form still does; the phase sum now
+adds c_same to every term's rate, so that phase is held to the 40-digit sum
+at long times too. The anharmonic series was a polynomial in e^{i c_up t}
+by Horner's rule, kept here as _horner; the phase sum must follow it within
+the drift of its powers.
 
 The (q-)Stirling numbers are the exception: their alternating per-term sum
 cancels catastrophically in floating point, so no float form of it is a
@@ -399,13 +400,13 @@ def _nonuniform(span):
 
 
 # The dense form rounds each phase rate * t * r_k twice in double. Both
-# series sum a uniform grid by block angle addition from phases reduced in
+# series sum their phases by block angle addition from phases reduced in
 # double-double, which is more accurate than the dense form itself: at
 # q = 2, |alpha| = 3 on the 2^16 + 7 grid the dense form is 1.45e-13 from
 # the 40-digit sum at (n, m) = (2, 3) and 3.0e-13 at (3, 3). So every series
-# on that grid is held to the 40-digit sum, on the last 8 rows, every
-# (T // 64)-th row and the 8 rows farthest from the dense form; the other
-# grids keep the dense reference.
+# on that grid and on the nonuniform one is held to the 40-digit sum, on the
+# last 8 rows, every (T // 64)-th row and the 8 rows farthest from the dense
+# form; the one-point grid keeps the dense reference.
 SPAN = 2.0 * math.pi
 GRIDS = {
     "T=0": np.array([]),
@@ -439,7 +440,7 @@ def test_phase_sums_match_dense_product(params, amp, grid_id):
     is_q = isinstance(params, QOsc)
     evolve = evolve_q_expectation if is_q else evolve_anharmonic_expectation
     outside_radius = is_q and params.q < 1 and amp**2 >= 1 / (1 - params.q)
-    block_path = grid_id == "T=2^16+7"
+    to_mpmath = grid_id in ("T=2^16+7", "nonuniform")
     for n in range(4):
         for m in range(4):
             if outside_radius:
@@ -453,7 +454,7 @@ def test_phase_sums_match_dense_product(params, amp, grid_id):
             want = ref_expectation(params, alpha, n, m, grid)
             # the weights are positive, so |value(0)| bounds the whole trace
             scale = abs(ref_expectation(params, alpha, n, m, np.zeros(1))[0])
-            if block_path:
+            if to_mpmath:
                 T = len(grid)
                 rows = set(range(T - 8, T)) | set(range(0, T, T // 64))
                 rows |= set(np.argsort(np.abs(got - want))[-8:].tolist())
@@ -497,6 +498,8 @@ UNIFORM_GRIDS = {
     "[0,10]": np.linspace(0.0, 10.0, 401),
     "[0,1e5]": np.linspace(0.0, 1e5, 200_001),
     "[1e-3,1e5]": np.linspace(1e-3, 1e5, 200_001),
+    # the grid of qdosc evolve --tau-max 1e5 --steps 200000
+    "cli[0,1e5]": np.linspace(0.0, 1e5, 200_000),
     "[-50,50]": np.linspace(-50.0, 50.0, 4097),
     "[1e4,1e4+10]": np.linspace(1e4, 1e4 + 10.0, 1001),
     "[-1e3,-1]": np.linspace(-1e3, -1.0, 10_001),
@@ -504,77 +507,98 @@ UNIFORM_GRIDS = {
 # q = 0.5 converges only for |alpha|^2 < 2
 BLOCK_CASES = [(0.5, 0.8)] + [(q, amp) for q in (1.05, 1.2, 2.0) for amp in (0.8, 3.0, 5.0)]
 # where the first-order remainder bound exceeds eps: t_j rounds by up to
-# 1.45e-11 on this grid, and the |c_k|-weighted w_k^2 at (n, m) = (3, 3) makes
-# d_max^2 sum_k |c_k| w_k^2 / 2 = 1.9 eps sum_k |c_k|
-ROW_PATH_CASES = {(2.0, 5.0, "[1e-3,1e5]", (3, 3))}
+# 1.45e-11 on these grids, and the |c_k|-weighted w_k^2 at (n, m) = (3, 3)
+# makes d_max^2 sum_k |c_k| w_k^2 / 2 = 1.9 eps sum_k |c_k|. These take
+# blocks of one point.
+ONE_POINT_CASES = {
+    (2.0, 5.0, "[1e-3,1e5]", (3, 3)),
+    (2.0, 5.0, "cli[0,1e5]", (3, 3)),
+}
+OTHER_GRIDS = {
+    "T=1": np.array([0.7]),
+    "T=1 at 7e4": np.array([7e4 + 0.123]),
+    "nonuniform [0,10]": np.sort(np.random.default_rng(5).uniform(0.0, 10.0, 501)),
+    "nonuniform [5e4,1e5]": _nonuniform(5e4) + 5e4,
+}
 
 
-@pytest.fixture
-def row_path_calls(monkeypatch):
-    """The grid lengths that _phase_sum hands to its row path."""
-    calls = []
-    row_path = dynamics._row_phase_sum
+def _q_phase_terms(q, amp, n, m):
+    """The q series' weights c and levels, with its own rates: [n] global,
+    [n](q - 1) per level."""
+    _, lev, w, _, _ = _weight_window(amp**2, q, m, 1e-12)
+    rate0 = q_number(n, q)
+    return rate0 * (q - 1.0), lev, lev**m * w, rate0
 
-    def spy(rate, t, r, c, rate0):
-        calls.append(len(t))
-        return row_path(rate, t, r, c, rate0)
 
-    monkeypatch.setattr(dynamics, "_row_phase_sum", spy)
-    return calls
+def _block_bound(grid, rate, lev, c, rate0):
+    """_phase_sum's bound relative to sum_k |c_k| without its grid terms,
+    which vanish for one-point blocks and only add otherwise."""
+    u = 2.0**-53
+    # W_k t_max of the bound, W_k = |rate0| + |rate r_k| >= |w_k|
+    w_t = (abs(rate0) + np.abs(rate * lev)) * np.abs(grid).max()
+    per_k = (2 * math.pi + 2 * len(c) + 6) * u + 36 * u**2 * w_t
+    return np.dot(c, per_k) / c.sum()
 
 
 class TestBlockPhaseSum:
     @pytest.mark.parametrize("grid_id", list(UNIFORM_GRIDS))
     @pytest.mark.parametrize("q, amp", BLOCK_CASES)
-    def test_matches_mpmath_within_the_documented_bound(self, row_path_calls, q, amp, grid_id):
-        calls = row_path_calls
+    def test_matches_mpmath_within_the_documented_bound(self, q, amp, grid_id):
         grid = UNIFORM_GRIDS[grid_id]
         T = len(grid)
         # the whole grid, its first blocks (where t_j - t_b may round) and its end
         rows = np.linspace(0, T - 1, 16).tolist() + np.linspace(1, 3 * math.isqrt(T), 8).tolist()
         rows = sorted(set(int(j) for j in rows) | set(range(T - 4, T)))
-        u = 2.0**-53
-        t_max = np.abs(grid).max()
         for n, m in [(1, 0), (2, 1), (3, 3)]:
-            _, lev, w, _, _ = _weight_window(amp**2, q, m, 1e-12)
-            c = lev**m * w
-            # the q series' own rates: [n] global, [n](q - 1) per level
-            rate0 = q_number(n, q)
-            rate = rate0 * (q - 1.0)
-            calls.clear()
-            got = dynamics._phase_sum(rate, grid, lev, c, rate0)[rows]
+            rate, lev, c, rate0 = _q_phase_terms(q, amp, n, m)
+            got = dynamics._phase_sum(rate, grid, lev, c, rate0)
+            if (q, amp, grid_id, (n, m)) in ONE_POINT_CASES:
+                assert np.array_equal(got, dynamics._phase_sum(rate, grid, lev, c, rate0, 1))
             want = mp_phase_sum(rate, grid[rows], lev, c, rate0)
-            err = np.abs(got - want).max() / c.sum()
-            # W_k t_max of the bound, W_k = |rate0| + |rate r_k| >= |w_k|
-            w_t = (abs(rate0) + np.abs(rate * lev)) * t_max
-            if (q, amp, grid_id, (n, m)) in ROW_PATH_CASES:
-                assert calls, "the block path took a grid its gate should refuse"
-                # the row phases (t_j r_k) rate, then e^{i rate0 t_j} in double
-                per_k = 2 * u * np.abs(rate * lev) * t_max + u * abs(rate0) * t_max
-                per_k += (2 * len(c) + 6) * u
-            else:
-                assert not calls, "a uniform grid took the row path"
-                # the block path's bound without its grid terms, which only add
-                per_k = (2 * math.pi + 2 * len(c) + 6) * u + 36 * u**2 * w_t
-                assert err <= 1e-13, (n, m, err)
-            bound = np.dot(c, per_k) / c.sum()
+            err = np.abs(got[rows] - want).max() / c.sum()
+            assert err <= 1e-13, (n, m, err)
+            bound = _block_bound(grid, rate, lev, c, rate0)
             assert err <= bound, (n, m, err, bound)
 
-    def test_other_grids_take_the_row_path(self, row_path_calls):
-        calls = row_path_calls
-        nonuniform = np.sort(np.random.default_rng(5).uniform(0.0, 10.0, 501))
-        idx = LambdaIndex(2, 1)
+    @pytest.mark.parametrize("grid_id", list(OTHER_GRIDS))
+    @pytest.mark.parametrize("q, amp", [(1.2, 0.8), (1.2, 3.0), (2.0, 5.0)])
+    def test_other_grids_take_one_point_blocks_within_the_bound(self, q, amp, grid_id):
+        grid = OTHER_GRIDS[grid_id]
+        rows = np.unique(np.linspace(0, len(grid) - 1, 24).astype(int))
+        for n, m in [(1, 0), (2, 1), (3, 3)]:
+            rate, lev, c, rate0 = _q_phase_terms(q, amp, n, m)
+            got = dynamics._phase_sum(rate, grid, lev, c, rate0)
+            assert np.array_equal(got, dynamics._phase_sum(rate, grid, lev, c, rate0, 1))
+            want = mp_phase_sum(rate, grid[rows], lev, c, rate0)
+            err = np.abs(got[rows] - want).max() / c.sum()
+            bound = _block_bound(grid, rate, lev, c, rate0)
+            assert err <= min(bound, 1e-15), (n, m, err, bound)
+
+    def test_only_gate_refused_grids_fall_back_to_one_point_blocks(self, monkeypatch):
+        sizes = []
+        phase_sum = dynamics._phase_sum
+
+        def spy(*args):
+            sizes.append(args[5:])
+            return phase_sum(*args)
+
+        monkeypatch.setattr(dynamics, "_phase_sum", spy)
+        nonuniform = OTHER_GRIDS["nonuniform [0,10]"]
         runs = [(evolve_q_expectation, QOsc(q=1.2)),
                 (evolve_anharmonic_expectation, Anharmonic(10.0, 1.0))]  # fmt: skip
         for evolve, params in runs:
-            for grid in (nonuniform, np.array([0.7]), np.array([])):
-                calls.clear()
-                evolve(params, 0.8, idx, grid)
-                assert calls == [len(grid)]
-            calls.clear()
-            evolve(params, 0.8, idx, np.linspace(0.0, 10.0, 2))
-            evolve(params, 0.8, idx, np.linspace(0.0, 10.0, 101))
-            assert calls == []
+            for grid, want in [(np.linspace(0.0, 10.0, 2), [()]),
+                               (np.linspace(0.0, 10.0, 101), [()]),
+                               (nonuniform, [(), (1,)])]:  # fmt: skip
+                sizes.clear()
+                evolve(params, 0.8, LambdaIndex(2, 1), grid)
+                assert sizes == want
+
+    def test_empty_grid_gives_an_empty_sum(self):
+        rate, lev, c, rate0 = _q_phase_terms(1.2, 0.8, 2, 1)
+        for size in (None, 1):
+            got = dynamics._phase_sum(rate, np.array([]), lev, c, rate0, size)
+            assert got.shape == (0,) and got.dtype == complex
 
 
 def ref_evolve_q_expectation(params, alpha, idx, tau_grid, tol=1e-12):
@@ -683,8 +707,8 @@ CLOSURE_GRIDS = {
 
 
 # the q model's tau rates are its closure coefficients at omega = 1, which
-# round as [n] and [n](q - 1) do. Both uniform grids take _phase_sum's block
-# path, the nonuniform one its row path.
+# round as [n] and [n](q - 1) do. Both uniform grids take _phase_sum's
+# blocks of about sqrt(T) points, the nonuniform one blocks of one point.
 @pytest.mark.parametrize("grid", list(CLOSURE_GRIDS.values()), ids=list(CLOSURE_GRIDS))
 @pytest.mark.parametrize("amp", [0.8, 3.0, 30.0])
 @pytest.mark.parametrize("omega", [1.0, 2.5])
@@ -715,8 +739,8 @@ def test_series_from_closure_coeffs_is_bit_identical(omega, amp, grid):
 
 # Horner's powers z^k carry k times the rounding of the phase c2 t of z, so
 # the two sums drift apart as eps * c2 * t * k, plus eps per Horner step.
-# Both sides take the series' global factor e^{i c1 t}: on the block path
-# from its exactly reduced angle, on the row path as e^{i fl(c1 t)}.
+# Both sides take the series' global factor e^{i c1 t} from its exactly
+# reduced angle.
 @pytest.mark.parametrize("grid_id", list(CLOSURE_GRIDS))
 @pytest.mark.parametrize("amp", [0.8, 3.0, 30.0])
 @pytest.mark.parametrize("omega", [1.0, 2.5])
@@ -730,10 +754,7 @@ def test_anharmonic_series_follows_horner_within_phase_drift(omega, amp, grid_id
         c2 = 2.0 * n * params.omega2
         for m in range(4):
             got = evolve_anharmonic_expectation(params, alpha, LambdaIndex(n, m), grid).values
-            if grid_id == "nonuniform":
-                glob = _cis(c1, grid)
-            else:
-                glob = _table_cis(grid, np.array([c1]), np.zeros(1))[:, 0]
+            glob = _table_cis(grid, np.array([c1]), np.zeros(1))[:, 0]
             old = horner_anharmonic_sum(c2, alpha, m, grid)
             old *= np.conj(alpha) ** n * glob
             _, lev, w, _, _ = _weight_window(amp**2, 1.0, m, 1e-12)
