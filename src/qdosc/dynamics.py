@@ -108,8 +108,8 @@ def _phase_sum(
     d_max^2 sum_k |c_k| w_k^2 / 2, is at most eps sum_k |c_k| < inf; that
     last condition is what makes a grid uniform. Every other grid, T = 1
     among them, takes B = 1: then v = [0], t_b = t_j and d_j = 0 exactly,
-    so the last two terms of the bound vanish and every angle w_k t_j is
-    reduced in double-double. T = 0 gives an empty sum.
+    so no slope table is formed, the last two terms of the bound vanish and
+    every angle w_k t_j is reduced in double-double. T = 0 gives an empty sum.
     """
     n_t = len(t)
     if not n_t:
@@ -140,12 +140,15 @@ def _phase_sum(
                 return _phase_sum(rate, t, r, c, rate0, 1)
             outer, inner = tables[: len(tb)], tables[len(tb) :]
             inner *= c[k]
-            parts = (outer @ x.T for x in (inner, inner * w_hi[k]))
-            out, slope = map(np.add, (out, slope), parts, (out, slope)) if start else parts
-        slope *= d
-        # out += i slope
-        out.real -= slope.imag
-        out.imag += slope.real
+            # one-point blocks have d = 0 exactly: no slope table at size 1
+            parts = [outer @ x.T for x in (inner, inner * w_hi[k])[:size]]
+            sums = list(map(np.add, sums, parts, sums)) if start else parts
+        out = sums[0]
+        if size > 1:
+            slope = np.multiply(sums[1], d, out=sums[1])
+            # out += i slope
+            out.real -= slope.imag
+            out.imag += slope.real
     return out.ravel()[:n_t]
 
 
@@ -307,6 +310,9 @@ def evolve_anharmonic_closed(
 
         (alpha*)^n e^{i(n w1 + n^2 w2) t} exp[|alpha|^2 (e^{i 2 n w2 t} - 1)]
         * sum_{r=0}^{m} S^{r,m} |alpha|^{2r} e^{i 2 n w2 r t}.
+
+    The r-sum, its global phase included, and e^{i c_up t} are _phase_sum's,
+    so every angle is reduced mod 2 pi in double-double as the series' are.
     """
     if not isinstance(params, Anharmonic):
         raise DomainError("evolve_anharmonic_closed requires anharmonic parameters")
@@ -319,25 +325,18 @@ def evolve_anharmonic_closed(
     if m > 1024:
         raise DomainError(f"S(2, m) = 2^(m-1) - 1 overflows double precision at m={m}")
     try:
-        coeffs = [stirling2(r, m) * a2**r for r in range(m + 1)]
+        coeffs = np.array([stirling2(r, m) * a2**r for r in range(m + 1)])
     except OverflowError:  # a2**r of a Python float
         raise DomainError(
             f"|alpha|^(2r) overflows double precision at alpha={alpha}, m={m}"
         ) from None
-    poly = np.zeros_like(ts, dtype=complex)
     # an overflow here, in a phase or a value, reaches TimeSeries as inf or
     # NaN, which it refuses
     with np.errstate(over="ignore", invalid="ignore"):
-        rot = _cis(c_up, ts)
-        for r, coeff in enumerate(coeffs):
-            poly += coeff * rot**r
-        # (alpha*)^n e^{i c_same t} exp[a2 (rot - 1)] poly, in place and in
-        # that order; rot is not needed past poly
-        decay = np.subtract(rot, 1.0, out=rot)
-        np.multiply(a2, decay, out=decay)
-        values = np.multiply(np.conj(alpha) ** n, _cis(c_same, ts))
+        values = _phase_sum(c_up, ts, np.arange(m + 1.0), coeffs, c_same)
+        decay = a2 * (_phase_sum(c_up, ts, np.ones(1), np.ones(1), 0.0) - 1.0)
         values *= np.exp(decay, out=decay)
-        values *= poly
+        values *= np.conj(alpha) ** n
     return TimeSeries(ts, values, 0.0)
 
 

@@ -3,14 +3,15 @@ truncated Fock-space matrix oracle, packaged as machine-readable records.
 
 Band entries grow like q^(n j) with the column index, so identity residuals
 are measured element-wise relative to the reference entry, with a floor of 1
-on the denominator (interior_rel_error).
+on the denominator. Every suite measures them with band_rel_error.
 
 The oracle side of every identity is dense: the dense Lambda, the dense
 commutator with H, the iterated commutators and the normal-ordered matrix
 products, the dense Lambda being the suite's own band. Each suite builds a
 model's level vector once and each Lambda band once from it. The
 closed-form side is handed over as its band, and band_rel_error compares
-the two with the bits interior_rel_error gives on the band's dense form.
+the two; it gives the bits of interior_rel_error, the same residual of two
+dense matrices, on the band's dense form. No suite calls interior_rel_error.
 
 The oracle is real wherever its operator is: every dense operator is one
 real band, so its products and absolute values take float64 arithmetic.

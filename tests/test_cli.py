@@ -485,6 +485,18 @@ class TestOverflowingTrace:
         assert _refusal(capsys)["error"] == "DomainError"
         assert not out.exists()
 
+    @pytest.mark.parametrize("method", ["series", "closed"])
+    def test_huge_time_exits_2(self, tmp_path, capsys, method):
+        # no phase c t has a correct digit at t = 1e300
+        out = tmp_path / "t.csv"
+        argv = ["evolve", "--model", "anharmonic", "--method", method,
+                "--tau-max", "1e300", "--steps", "3", "--out", str(out)]  # fmt: skip
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(argv) == 2
+        assert _refusal(capsys)["error"] == "DomainError"
+        assert not out.exists()
+
     def test_large_finite_closed_form_is_kept(self, tmp_path):
         # S(r, 200) |alpha|^(2r) at the default alpha is large but finite
         out = tmp_path / "t.csv"

@@ -181,6 +181,16 @@ class TestAnharmonicClosed:
             series = evolve_anharmonic_expectation(ANH, alpha, LambdaIndex(n, m), TAUS)
             np.testing.assert_allclose(closed.values, series.values, atol=1e-10)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_huge_time_refused_as_the_series_is(self):
+        # the phase angles c t at t = 1e300 overflow their double-double
+        # reduction, so no value has a correct digit: both forms refuse
+        grid = np.array([0.0, 5e299, 1e300])
+        for evolve in (evolve_anharmonic_expectation, evolve_anharmonic_closed):
+            for n, m in [(1, 0), (2, 3)]:
+                with pytest.raises(DomainError, match="overflow double precision"):
+                    evolve(ANH, 0.8, LambdaIndex(n, m), grid)
+
     def test_huge_m_refused_before_the_stirling_row(self):
         # S(2, m) = 2^(m-1) - 1 leaves double precision from m = 1025 on; the
         # exact row S(0..m, m) would take O(m^2) big-integer additions

@@ -34,7 +34,11 @@ double product c_same t, as the dense form still does; the phase sum now
 adds c_same to every term's rate, so that phase is held to the 40-digit sum
 at long times too. The anharmonic series was a polynomial in e^{i c_up t}
 by Horner's rule, kept here as _horner; the phase sum must follow it within
-the drift of its powers.
+the drift of its powers. The closed form took e^{i c_same t} and e^{i c_up t}
+from double products and summed its Stirling polynomial in the powers of
+e^{i c_up t}, kept here as ref_anharmonic_closed; it now takes its r-sum and
+e^{i c_up t} from the same phase sum, is held to a 40-digit mpmath closed
+form and must follow the old form within the drift of its phases.
 
 The (q-)Stirling numbers are the exception: their alternating per-term sum
 cancels catastrophically in floating point, so no float form of it is a
@@ -95,7 +99,7 @@ from qdosc.dynamics import (
     _table_cis,
     band_phase_trace,
 )
-from qdosc.params import _level_q, validate_index
+from qdosc.params import _closure_rates, _level_q, validate_index
 from qdosc.qcore import _check_radius, _weight_window
 from qdosc.verify import interior_rel_error, oracle_expectation_series
 
@@ -1271,8 +1275,9 @@ def test_cis_matches_the_oracle_phase_grid(params):
 
 
 def ref_anharmonic_closed(params, alpha, n, m, ts):
-    """The closed-form anharmonic trace with np.exp phases and out-of-place
-    products."""
+    """The closed-form anharmonic trace as it was: np.exp phases of the
+    double products c_same t and c_up t, the powers rot**r of its polynomial
+    and out-of-place products."""
     a2 = abs(alpha) ** 2
     c_same = n * params.omega1 + n * n * params.omega2
     c_up = 2.0 * n * params.omega2
@@ -1283,16 +1288,88 @@ def ref_anharmonic_closed(params, alpha, n, m, ts):
     return np.conj(alpha) ** n * np.exp(1j * c_same * ts) * np.exp(a2 * (rot - 1.0)) * poly
 
 
-@pytest.mark.parametrize(
-    "params", [Anharmonic(10.0, 1.0), Anharmonic(3.7, 0.2), Anharmonic(1.0, 0.0)]
-)
-@pytest.mark.parametrize("alpha", [0.8, complex(1.1, -0.6), 3j, 30.0])
-def test_closed_trace_has_the_bits_of_the_exp_form(params, alpha):
-    rng = np.random.default_rng(3)
-    ts = np.concatenate(([0.0], np.sort(rng.uniform(0.0, 20.0, 2000))))
+def mp_anharmonic_closed(params, alpha, n, m, t):
+    """The closed form at 40 digits with the double rates of _closure_rates,
+    the double |alpha|^2 and the exact phases (c_same + c_up r) t_j, rounded
+    once to complex."""
+    c_same, c_up = _closure_rates(params, n)
+    with mpmath.workdps(40):
+        a2 = mpmath.mpf(abs(complex(alpha)) ** 2)
+        coeffs = [mpmath.mpf(stirling2(r, m)) * a2**r for r in range(m + 1)]
+        head = mpmath.mpc(np.conj(alpha)) ** n
+        out = []
+        for tj in t:
+            rot = _mp_cis(0.0, c_up, 1.0, tj)
+            poly = mpmath.fsum(ck * _mp_cis(c_same, c_up, r, tj) for r, ck in enumerate(coeffs))
+            out.append(complex(head * mpmath.exp(a2 * (rot - 1)) * poly))
+    return np.array(out)
+
+
+def _closed_scale(alpha, m):
+    """sum_r S(r, m) |alpha|^{2r}, which times |alpha|^n bounds every |value|
+    of the closed form (positive coefficients, |exp[a2 (rot - 1)]| <= 1)."""
+    a2 = abs(alpha) ** 2
+    return math.fsum(stirling2(r, m) * a2**r for r in range(m + 1))
+
+
+CLOSED_MODELS = [Anharmonic(10.0, 1.0), Anharmonic(10.0, 0.1), Anharmonic(3.7, 0.2),
+                 Anharmonic(1.0, 0.0)]  # fmt: skip
+CLOSED_ALPHAS = [0.8, complex(1.1, -0.6), 3j, 30.0]
+CLOSED_GRIDS = {
+    "nonuniform [0,20]": np.concatenate(
+        ([0.0], np.sort(np.random.default_rng(3).uniform(0.0, 20.0, 2000)))
+    ),
+    "[5e4,1e5]": np.linspace(5e4, 1e5, 200_001),
+}
+
+
+# The closed form takes its r-sum, global phase included, and e^{i c_up t}
+# from _phase_sum, every angle reduced mod 2 pi in double-double. As double
+# products c_same t and c_up t they were up to 2.3e-10 off at omega2 = 0.1
+# and 1.1e-10 at (3.7, 0.2), |alpha| = 3, on the long grid. |alpha|^2 times
+# the rounding of e^{i c_up t} enters the exponent: one rounding on the
+# one-point blocks of the nonuniform grid, and on the long grid's blocks the
+# product of two tables, (2 pi + 8) u by _phase_sum's bound.
+@pytest.mark.parametrize("grid_id", list(CLOSED_GRIDS))
+@pytest.mark.parametrize("alpha", CLOSED_ALPHAS, ids=repr)
+@pytest.mark.parametrize("params", CLOSED_MODELS, ids=_series_id)
+def test_closed_trace_matches_mpmath(params, alpha, grid_id):
+    grid = CLOSED_GRIDS[grid_id]
+    a2 = abs(alpha) ** 2
+    if a2 <= 9.0:
+        tol = 1e-14
+    elif grid_id.startswith("nonuniform"):
+        tol = 1e-13
+    else:
+        tol = a2 * (2 * math.pi + 8) * 2.0**-53
     for n, m in NM:
-        got = evolve_anharmonic_closed(params, alpha, LambdaIndex(n, m), ts).values
-        assert _same_bits(got, ref_anharmonic_closed(params, alpha, n, m, ts)), (n, m)
+        got = evolve_anharmonic_closed(params, alpha, LambdaIndex(n, m), grid).values
+        # the whole grid, its end and the largest values, near the revivals
+        rows = set(np.linspace(0, len(grid) - 1, 16).astype(int).tolist())
+        rows |= set(range(len(grid) - 4, len(grid))) | set(np.argsort(np.abs(got))[-8:].tolist())
+        rows = sorted(rows)
+        want = mp_anharmonic_closed(params, alpha, n, m, grid[rows])
+        err = np.abs(got[rows] - want).max() / (abs(alpha) ** n * _closed_scale(alpha, m))
+        assert err <= tol, (n, m, err)
+
+
+# The np.exp form rounds its angles c_same t and c_up t once each, and its
+# powers rot**r carry r times the rounding of rot; |alpha|^2 times that of rot
+# enters the exponent. So the two forms drift apart as eps t_max times
+# |c_same| + (|alpha|^2 + m) c_up, plus eps per product and per term.
+@pytest.mark.parametrize("alpha", CLOSED_ALPHAS, ids=repr)
+@pytest.mark.parametrize("params", CLOSED_MODELS, ids=_series_id)
+def test_closed_trace_follows_the_exp_form_within_phase_drift(params, alpha):
+    grid = CLOSED_GRIDS["nonuniform [0,20]"]
+    a2 = abs(alpha) ** 2
+    for n, m in NM:
+        got = evolve_anharmonic_closed(params, alpha, LambdaIndex(n, m), grid).values
+        old = ref_anharmonic_closed(params, alpha, n, m, grid)
+        err = np.abs(got - old).max() / (abs(alpha) ** n * _closed_scale(alpha, m))
+        c_same, c_up = _closure_rates(params, n)
+        drift = (abs(c_same) + (a2 + m) * abs(c_up)) * grid.max() + 2 * a2 + 2 * m + 8
+        bound = np.finfo(float).eps * drift
+        assert err <= bound, (n, m, err, bound)
 
 
 def ref_suite_closure(D, nm_max=4):
