@@ -8,17 +8,9 @@ a truncated number-state basis.
 
 import numpy as np
 
-from qdosc import (
-    Anharmonic,
-    LambdaIndex,
-    QOsc,
-    build_hamiltonian,
-    build_lambda,
-    closure_coeffs,
-    commutator,
-    expansion_matrix,
-    multicommutator_expansion,
-)
+from qdosc import Anharmonic, LambdaIndex, QOsc, closure_coeffs, multicommutator_expansion
+from qdosc.algebra import expansion_matrix
+from qdosc.fock import build_hamiltonian, build_lambda, commutator
 from qdosc.verify import interior_rel_error
 
 D = 32

@@ -1,19 +1,17 @@
 """Dynamics of the q-deformed oscillator and the second-order
-anharmonic oscillator on truncated Fock spaces: exact q-arithmetic, a dense
-matrix oracle, closed-form algebraic expansions, coherent-state dynamics and
-the anharmonicity <-> q parameter isomorphism.
+anharmonic oscillator: exact q-arithmetic, closed-form algebraic
+expansions, coherent-state dynamics and the anharmonicity <-> q parameter
+isomorphism, each verified against a dense truncated Fock-space matrix
+oracle (qdosc.fock) by qdosc.verify.
 """
 
 from .algebra import (
     ClosureCoeffs,
     ExpansionTerm,
     closure_coeffs,
-    expansion_matrix,
     expansion_scale,
     multicommutator_expansion,
     normal_order_expansion,
-    normal_order_matrix,
-    power_law_multicommutator,
     scaling_phase_check,
 )
 from .dynamics import (
@@ -33,16 +31,6 @@ from .errors import (
     PhaseUnwrapError,
     QdoscError,
     TruncationError,
-)
-from .fock import (
-    FockOperator,
-    build_hamiltonian,
-    build_ladder,
-    build_lambda,
-    coherent_state,
-    commutator,
-    expectation,
-    heisenberg_evolve,
 )
 from .isomap import IsoMap, ResidualReport, isomorphism_residuals, map_to_q
 from .params import Anharmonic, LambdaIndex, ModelParams, QOsc, energy, level_value

@@ -3,12 +3,11 @@ the binomial and power-law multicommutator expansions, the element-wise
 dynamical-scaling check and the normal-ordering coefficient generator.
 
 Each closed form is the one band of Lambda^{n,m} times a factor per Fock
-column, and is built as that band (_expansion_band, _power_law_band) from a
-level vector the caller builds once per model. expansion_matrix and
-power_law_multicommutator package the band as a dense operator; the dense
-engine in fock is the oracle the bands are verified against. The
-normal-ordered oracle is real and takes its ladder powers from
-_ladder_powers, which a suite calls once per model for every (n, M).
+column, and is built as that band (expansion_band, power_law_band) from a
+level vector the caller builds once per model. expansion_matrix,
+power_law_multicommutator and normal_order_matrix package a closed form as
+a dense operator; every dense array is built by the oracle in fock, which
+the bands are verified against.
 """
 
 from __future__ import annotations
@@ -24,9 +23,10 @@ from .dynamics import band_phase_trace
 from .fock import (
     FockOperator,
     _band_operator,
-    _finite_band,
+    _finite,
+    _ladder_powers,
     _lambda_band,
-    build_ladder,
+    _normal_order_dense,
 )
 from .params import (
     Anharmonic,
@@ -109,7 +109,7 @@ def multicommutator_expansion(
     )
 
 
-def _expansion_band(
+def expansion_band(
     params: ModelParams, lam: np.ndarray, lv: np.ndarray, n: int, m: int, j: int
 ) -> np.ndarray:
     """The binomial expansion sum_k coeff_k L^{n,m+k} as its one band on
@@ -119,20 +119,20 @@ def _expansion_band(
     lv = lv[: len(lam)]
     with np.errstate(over="ignore", invalid="ignore"):
         band = lam * sum(coeff * lv**k for k, coeff in terms)
-    return _finite_band(band, len(lam) + n)
+    return _finite(band, len(lam) + n)
 
 
 def expansion_matrix(
     params: ModelParams, n: int, m: int, j: int, D: int
 ) -> FockOperator:
     """Materialize the binomial expansion sum_k coeff_k L^{n,m+k}, the band
-    of _expansion_band, as a dense operator."""
+    of expansion_band, as a dense operator."""
     lv = level_value(params, np.arange(D))
-    band = _expansion_band(params, _lambda_band(lv, (n, m), D), lv, n, m, j)
+    band = expansion_band(params, _lambda_band(lv, (n, m), D), lv, n, m, j)
     return _band_operator(band, -n)
 
 
-def _power_law_band(
+def power_law_band(
     params: QOsc, lam: np.ndarray, lv: np.ndarray, n: int, m: int, j: int
 ) -> np.ndarray:
     """The general-q closed form L^{n,m} (E(n) [a, a†])^j as its one band on
@@ -147,21 +147,21 @@ def _power_law_band(
     lv = lv[: len(lam) + 1]
     with np.errstate(over="ignore", invalid="ignore"):
         band = lam * (energy(params, n) * (lv[1:] - lv[:-1])) ** j
-    return _finite_band(band, len(lam) + n)
+    return _finite(band, len(lam) + n)
 
 
 def power_law_multicommutator(
     params: QOsc, n: int, m: int, j: int, D: int
 ) -> FockOperator:
     """General-q closed form L^{n,m} (E(n)[a, a†])^j, the band of
-    _power_law_band, as a dense operator.
+    power_law_band, as a dense operator.
 
     Valid for any q > 0; must match the iterated commutator on interior
     columns.
     """
     # the band reads the levels below D and, at n = 0, [D]
     lv = level_value(params, np.arange(max(D, D - n + 1)))
-    band = _power_law_band(params, _lambda_band(lv, (n, m), D), lv, n, m, j)
+    band = power_law_band(params, _lambda_band(lv, (n, m), D), lv, n, m, j)
     return _band_operator(band, -n)
 
 
@@ -193,40 +193,10 @@ def normal_order_expansion(n: int, M: int, q: float) -> list[tuple[int, float]]:
     return [(s, q_stirling2(s, M, q)) for s in range(M + 1)]
 
 
-def _ladder_powers(
-    params: ModelParams, D: int, k_max: int, s_max: int
-) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """The dense powers (a†)^k, k <= k_max, and a^s, s <= s_max, from one
-    build_ladder. Each is np.linalg.matrix_power's own: a running product
-    would round differently. A power beyond double precision raises
-    DomainError."""
-    a, adag = build_ladder(params, D)
-    with np.errstate(over="ignore", invalid="ignore"):
-        up = [np.linalg.matrix_power(adag.matrix, k) for k in range(k_max + 1)]
-        down = [np.linalg.matrix_power(a.matrix, s) for s in range(s_max + 1)]
-    if not all(np.isfinite(p).all() for p in up + down):
-        raise DomainError(f"ladder powers overflow double precision at D={D}")
-    return up, down
-
-
-def _normal_order_dense(
-    n: int, M: int, q: float, up: list[np.ndarray], down: list[np.ndarray]
-) -> np.ndarray:
-    """sum_s S_q^{s,M} (a†)^{n+s} a^s as a real dense matrix, from the
-    ladder powers up and down of _ladder_powers (k_max >= n + M, s_max >= M).
-    A sum beyond double precision raises DomainError."""
-    mat = np.zeros(up[0].shape)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for s, coeff in normal_order_expansion(n, M, q):
-            mat += coeff * (up[n + s] @ down[s])
-    if not np.isfinite(mat).all():
-        raise DomainError(f"normal-ordered entries overflow double precision at D={len(mat)}")
-    return mat
-
-
 def normal_order_matrix(params: ModelParams, idx: LambdaIndex, D: int) -> FockOperator:
     """Materialize the normal-ordered expansion as a matrix (oracle side of
     the normal-ordering identity)."""
     n, M = validate_index(idx)
     up, down = _ladder_powers(params, D, n + M, M)
-    return FockOperator(_normal_order_dense(n, M, _level_q(params), up, down), margin=n)
+    terms = normal_order_expansion(n, M, _level_q(params))
+    return FockOperator(_normal_order_dense(n, terms, up, down), margin=n)

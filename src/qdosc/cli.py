@@ -177,6 +177,16 @@ def _write_sidecar(out: str, command: str, cfg: dict, diagnostics: dict) -> None
     Path(out + ".meta.json").write_text(json.dumps(payload, indent=2) + "\n")
 
 
+def _write_json(cfg: dict, command: str, data, diagnostics: dict) -> None:
+    """data as indented JSON: to --out with its sidecar, or else to stdout."""
+    text = json.dumps(data, indent=2) + "\n"
+    if cfg["out"]:
+        Path(cfg["out"]).write_text(text)
+        _write_sidecar(cfg["out"], command, cfg, diagnostics)
+    else:
+        sys.stdout.write(text)
+
+
 def _csv_cells(col: np.ndarray) -> list[str]:
     """The shortest round-trip decimals of a float column, spelled as repr
     spells them. orjson's digits are repr's, and so is its spelling for
@@ -266,12 +276,7 @@ def cmd_verify(cfg: dict) -> int:
     """Run a verification suite."""
     results = run_suite(cfg["suite"], D=int(cfg["dim"]))
     report = [r.to_dict() for r in results]
-    text = json.dumps(report, indent=2) + "\n"
-    if cfg["out"]:
-        Path(cfg["out"]).write_text(text)
-        _write_sidecar(cfg["out"], "verify", cfg, {"checks": len(report)})
-    else:
-        sys.stdout.write(text)
+    _write_json(cfg, "verify", report, {"checks": len(report)})
     for r in results:
         status = "PASS" if r.passed else "FAIL"
         print(
@@ -300,12 +305,7 @@ def cmd_map(cfg: dict) -> int:
             "coefficient_function": rep.coeff_fn_residual,
         },
     }
-    text = json.dumps(record, indent=2) + "\n"
-    if cfg["out"]:
-        Path(cfg["out"]).write_text(text)
-        _write_sidecar(cfg["out"], "map", cfg, {})
-    else:
-        sys.stdout.write(text)
+    _write_json(cfg, "map", record, {})
     return 0
 
 

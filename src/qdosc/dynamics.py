@@ -104,21 +104,36 @@ def _phase_sum(
     cancels it); R_j, since |e^{ix} - 1 - ix| <= x^2/2; and the rounding
     of the first-order term and of d_j.
 
-    By default B = ceil(sqrt(T)), if the tables are finite and R_j's bound,
-    d_max^2 sum_k |c_k| w_k^2 / 2, is at most eps sum_k |c_k| < inf; that
-    last condition is what makes a grid uniform. Every other grid, T = 1
-    among them, takes B = 1: then v = [0], t_b = t_j and d_j = 0 exactly,
-    so no slope table is formed, the last two terms of the bound vanish and
-    every angle w_k t_j is reduced in double-double. T = 0 gives an empty sum.
+    Before any table is built, a grid on which that bound keeps no digit,
+    36 u^2 W t_max >= 1 rad with W = |rate0| + |rate| max|r_k| >= W_k, or
+    where Dekker's split of 2 t_max, W, |rate| or max|r_k| is not finite,
+    raises DomainError. On any other grid of finite times every split is
+    finite and every table angle below 1/(18 u^2), so every table is finite.
+    Times that are not finite give sums that are not, which TimeSeries
+    refuses by naming the times.
+
+    By default B = ceil(sqrt(T)), if R_j's bound, d_max^2 sum_k |c_k|
+    w_k^2 / 2, is at most eps sum_k |c_k| < inf; that last condition is what
+    makes a grid uniform. Every other grid, T = 1 among them, takes B = 1:
+    then v = [0], t_b = t_j and d_j = 0 exactly, so no slope table is
+    formed, the last two terms of the bound vanish and every angle w_k t_j
+    is reduced in double-double. T = 0 gives an empty sum.
     """
     n_t = len(t)
     if not n_t:
         return np.empty(0, dtype=complex)
+    t_max, r_max = float(np.abs(t).max()), float(np.abs(r).max(initial=0.0))
+    w_max = abs(rate0) + abs(rate) * r_max
+    splits = [_SPLIT * x for x in (2.0 * t_max, w_max, abs(rate), r_max)]
+    if math.isfinite(t_max) and not all(map(math.isfinite, splits)):
+        raise DomainError(f"phase angles overflow double precision at t={t_max:.3e}")
+    if math.isfinite(t_max) and not 9.0 * _EPS**2 * w_max * t_max < 1.0:  # 36 u^2
+        raise DomainError(f"phase angles up to {w_max * t_max:.3e} rad keep no correct digit")
     if size is None:
         size = math.isqrt(n_t - 1) + 1
     v = np.arange(size) * ((t[-1] - t[0]) / max(n_t - 1, 1))
-    # a huge phase or time overflows the splitting or TwoSum to inf or
-    # NaN, which the gate refuses and TimeSeries refuses at B = 1
+    # a time that is not finite gives inf or NaN, which the gate refuses and
+    # TimeSeries refuses at B = 1
     with np.errstate(over="ignore", invalid="ignore"):
         tb, d = _departures(t, size, v)
         w_hi, w_lo = _two_sum(rate0, *_two_prod(rate, r))
@@ -136,8 +151,6 @@ def _phase_sum(
         for start in range(0, len(c), terms):
             k = slice(start, start + terms)
             tables = _table_cis(s, w_hi[k], w_lo[k])
-            if size > 1 and not np.isfinite(tables).all():
-                return _phase_sum(rate, t, r, c, rate0, 1)
             outer, inner = tables[: len(tb)], tables[len(tb) :]
             inner *= c[k]
             # one-point blocks have d = 0 exactly: no slope table at size 1

@@ -1,25 +1,26 @@
-"""Truncated Fock-space matrix engine.
+"""Truncated Fock-space matrix engine: the dense oracle.
 
 Everything here is the literal, brute-force side of the library: dense
-operators, explicit commutators and phase evolution. It serves as the
-oracle against which the closed-form algebra and dynamics are verified.
+operators, explicit commutators, ladder powers, normal-ordered sums and the
+evolved coherent state. It is the oracle the closed-form algebra and
+dynamics are verified against, and it uses nothing from them: callers hand
+in the normal-ordering coefficients, and the oracle forms its own phases.
 
 A commutator whose first operand is exactly diagonal, as both Hamiltonians
 are, is formed element-wise in O(D^2) and is exact: for a real diagonal it
-has the bits of the two O(D^3) matmuls, which every other operand still
-takes. A commutator beyond double precision raises DomainError.
+has the bits of the two O(D^3) matmuls, which every other operand takes.
 
 Every operator built here is a single band, computed from one level
 vector and stored densely in the band's own dtype: levels, energies,
 Lambda and the ladders are real float64 matrices, so their products are
 dgemm, not zgemm. A product of single-band matrices has at most one
 nonzero term per entry, so it rounds alike in real and complex
-arithmetic. Entries beyond double precision raise DomainError rather than
-turning into inf. The closed forms in algebra are handed over as bands,
-not matrices: the band of Lambda^{n,m} (_lambda_band, read from a level
-vector the caller builds once per model) scaled per column.
-_band_operator packages a band densely; its dimension and margin follow
-from the band's length and diagonal.
+arithmetic. A band or dense array beyond double precision raises
+DomainError (_finite) rather than holding inf or NaN. The closed forms in
+algebra are handed over as bands: the band of Lambda^{n,m} (_lambda_band,
+read from a level vector the caller builds once per model) scaled per
+column. _band_operator packages a band densely; its dimension and margin
+follow from the band's length and diagonal.
 
 Truncation bookkeeping: both Hamiltonians are diagonal, so cutting the
 ladder at dimension D only contaminates the top `margin` Fock levels of an
@@ -36,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, DomainError, TruncationError
-from .params import LambdaIndex, ModelParams, energy, level_value, validate_index
+from .params import LambdaIndex, ModelParams, QOsc, energy, level_value, validate_index
 from .qcore import _mode_weights
 
 
@@ -75,17 +76,17 @@ def _check_dim(D: int) -> None:
         raise DimensionError(f"dimension (--dim) must be in [2, {_MAX_DIM}], got {D}")
 
 
-def _finite_band(band: np.ndarray, D: int) -> np.ndarray:
-    """band itself, or DomainError when an entry is beyond double precision."""
-    if not np.isfinite(band).all():
-        raise DomainError(f"operator entries overflow double precision at D={D}")
-    return band
+def _finite(a: np.ndarray, D: int, what: str = "operator entries") -> np.ndarray:
+    """a itself, or DomainError naming `what` if an entry is inf or NaN."""
+    if not np.isfinite(a).all():
+        raise DomainError(f"{what} overflow double precision at D={D}")
+    return a
 
 
 def _band_operator(band: np.ndarray, k: int) -> FockOperator:
     """Operator holding `band` on diagonal k (k < 0 below the main diagonal),
     in the band's own dtype, of dimension len(band) + |k| and margin |k|."""
-    return FockOperator(np.diag(_finite_band(band, len(band) + abs(k)), k), abs(k))
+    return FockOperator(np.diag(_finite(band, len(band) + abs(k)), k), abs(k))
 
 
 def build_ladder(params: ModelParams, D: int) -> tuple[FockOperator, FockOperator]:
@@ -121,7 +122,7 @@ def _lambda_band(lv: np.ndarray, idx: LambdaIndex, D: int) -> np.ndarray:
         for i in range(1, n + 1):
             band *= np.sqrt(lv[i : D - n + i])
         band *= lv[: D - n] ** m
-    return _finite_band(band, D)
+    return _finite(band, D)
 
 
 def build_lambda(params: ModelParams, idx: LambdaIndex, D: int) -> FockOperator:
@@ -161,9 +162,7 @@ def commutator(A: FockOperator, B: FockOperator) -> FockOperator:
             out = d[:, None] * B.matrix - B.matrix * d[None, :]
         else:
             out = A.matrix @ B.matrix - B.matrix @ A.matrix
-    if not np.isfinite(out).all():
-        raise DomainError(f"commutator entries overflow double precision at D={A.dim}")
-    return FockOperator(out, A.margin + B.margin)
+    return FockOperator(_finite(out, A.dim, "commutator entries"), A.margin + B.margin)
 
 
 def heisenberg_evolve(O: FockOperator, H: FockOperator, t: float) -> FockOperator:
@@ -216,3 +215,59 @@ def expectation(state: np.ndarray, O: FockOperator) -> complex:
     if state.shape != (O.dim,):
         raise DimensionError(f"state of shape {state.shape} does not match dim {O.dim}")
     return complex(np.vdot(state, O.matrix @ state))
+
+
+def _ladder_powers(
+    params: ModelParams, D: int, k_max: int, s_max: int
+) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """The dense powers (a†)^k, k <= k_max, and a^s, s <= s_max, from one
+    build_ladder. Each is np.linalg.matrix_power's own: a running product
+    would round differently. A power beyond double precision raises
+    DomainError."""
+    a, adag = build_ladder(params, D)
+    with np.errstate(over="ignore", invalid="ignore"):
+        up = [np.linalg.matrix_power(adag.matrix, k) for k in range(k_max + 1)]
+        down = [np.linalg.matrix_power(a.matrix, s) for s in range(s_max + 1)]
+    for p in up + down:
+        _finite(p, D, "ladder powers")
+    return up, down
+
+
+def _normal_order_dense(
+    n: int, terms: list[tuple[int, float]], up: list[np.ndarray], down: list[np.ndarray]
+) -> np.ndarray:
+    """sum_s coeff (a†)^{n+s} a^s over the terms (s, coeff) that the caller
+    hands in, as a real dense matrix from the ladder powers up and down of
+    _ladder_powers. A sum beyond double precision raises DomainError."""
+    mat = np.zeros(up[0].shape)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for s, coeff in terms:
+            mat += coeff * (up[n + s] @ down[s])
+    return _finite(mat, len(mat), "normal-ordered entries")
+
+
+def _oracle_state(
+    params: ModelParams, alpha: complex, times: np.ndarray, D: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The truncated coherent state evolved over the whole grid as one D x T
+    array Psi = e^{-iEt} psi under the spectrum E of the diagonal H, its
+    phases np.exp of -iEt in place, and conj(Psi), both read-only. Neither
+    depends on the operator, so a suite builds them once per model."""
+    psi0 = coherent_state(params, alpha, D)
+    E = _finite(energy(params, np.arange(D)), D)
+    scale = params.omega if isinstance(params, QOsc) else 1.0
+    t = np.asarray(times, dtype=float) / scale
+    psi = np.empty(np.broadcast_shapes((D, 1), t.shape), dtype=complex)
+    np.multiply(-E[:, None], t, out=psi)
+    psi *= 1j
+    np.exp(psi, out=psi)
+    psi *= psi0[:, None]
+    psi_conj = np.conj(psi)
+    psi.setflags(write=False)
+    psi_conj.setflags(write=False)
+    return psi, psi_conj
+
+
+def _oracle_series(lam: np.ndarray, psi: np.ndarray, psi_conj: np.ndarray) -> np.ndarray:
+    """<Psi(t)| L |Psi(t)> over the grid from one dense product L @ Psi."""
+    return np.einsum("dt,dt->t", psi_conj, lam @ psi)

@@ -5,20 +5,17 @@ Band entries grow like q^(n j) with the column index, so identity residuals
 are measured element-wise relative to the reference entry, with a floor of 1
 on the denominator. Every suite measures them with band_rel_error.
 
-The oracle side of every identity is dense: the dense Lambda, the dense
-commutator with H, the iterated commutators and the normal-ordered matrix
-products, the dense Lambda being the suite's own band. Each suite builds a
-model's level vector once and each Lambda band once from it. The
-closed-form side is handed over as its band, and band_rel_error compares
-the two; it gives the bits of interior_rel_error, the same residual of two
-dense matrices, on the band's dense form. No suite calls interior_rel_error.
-
-The oracle is real wherever its operator is: every dense operator is one
-real band, so its products and absolute values take float64 arithmetic.
-State that does not depend on the operator under test is built once per
-model: the evolved coherent state Psi of the dynamics oracle
-(_oracle_state) and the ladder powers of the normal-ordered matrices
-(algebra._ladder_powers).
+The oracle side of every identity is dense, and fock builds every dense
+array of it: the dense Lambda (the suite's own band), its commutators with
+H, the normal-ordered matrix products and the evolved coherent state. Each
+suite builds a model's level vector once, each Lambda band once from it,
+and the oracle's per-model state once: the ladder powers
+(fock._ladder_powers) and the state Psi (fock._oracle_state). Every dense
+operator is one real band, so its products and absolute values take
+float64 arithmetic. The closed-form side, from algebra and dynamics, is
+handed over as its band, and band_rel_error compares the two; it gives the
+bits of interior_rel_error, the same residual of two dense matrices, on
+the band's dense form. No suite calls interior_rel_error.
 
 Each suite checks one fixed grid, the module constants below, and its
 report records the grid; the truncation dimension D is the only argument
@@ -34,15 +31,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import (
-    _expansion_band,
-    _ladder_powers,
-    _normal_order_dense,
-    _power_law_band,
     closure_coeffs,
+    expansion_band,
+    normal_order_expansion,
+    power_law_band,
     scaling_phase_check,
 )
 from .dynamics import (
-    _cis,
     band_phase_trace,
     collapse_transform,
     evolve_anharmonic_closed,
@@ -54,15 +49,17 @@ from .errors import ConvergenceError
 from .fock import (
     _band_operator,
     _check_dim,
-    _finite_band,
+    _ladder_powers,
     _lambda_band,
+    _normal_order_dense,
+    _oracle_series,
+    _oracle_state,
     build_hamiltonian,
     build_lambda,
-    coherent_state,
     commutator,
 )
 from .isomap import isomorphism_residuals
-from .params import Anharmonic, LambdaIndex, ModelParams, QOsc, energy, level_value
+from .params import Anharmonic, LambdaIndex, ModelParams, QOsc, level_value
 from .qcore import _check_radius
 
 DEFAULT_DIM = 64
@@ -228,7 +225,7 @@ def suite_multicommutator(D: int = DEFAULT_DIM) -> list[CheckResult]:
             "multicommutator",
             {**_model_tag(p), "dim": D, **_ITERATED_GRID},
             1e-9,
-            _iterated_residuals(p, _expansion_band, D, D),
+            _iterated_residuals(p, expansion_band, D, D),
         )
         for p in [QOsc(q=1.2), QOsc(q=2.0), ANHARMONIC_DEFAULT]
     ]
@@ -242,7 +239,7 @@ def suite_power_law(D: int = DEFAULT_DIM) -> list[CheckResult]:
             "power_law",
             {"model": "qosc", "q": q, "dim": D, **_ITERATED_GRID},
             1e-9,
-            _iterated_residuals(QOsc(q=q), _power_law_band, D, D + 1),
+            _iterated_residuals(QOsc(q=q), power_law_band, D, D + 1),
         )
         for q in (0.5, 1.2, 2.0)
     ]
@@ -290,7 +287,7 @@ def _normal_order_residuals(q: float, D: int):
     for n in range(n_max + 1):
         for M in range(M_max + 1):
             lam = _lambda_band(lv, LambdaIndex(n, M), D)
-            ordered = _normal_order_dense(n, M, q, up, down)
+            ordered = _normal_order_dense(n, normal_order_expansion(n, M, q), up, down)
             yield band_rel_error(lam, ordered, D - 1 - n - M, -n)
 
 
@@ -344,30 +341,6 @@ def suite_isomorphism() -> list[CheckResult]:
     ]
 
 
-def _oracle_state(
-    params: ModelParams, alpha: complex, times: np.ndarray, D: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """The truncated coherent state evolved over the whole grid as one D x T
-    array Psi = e^{-iEt} psi under the spectrum E of the diagonal H, and
-    conj(Psi), both read-only. Neither depends on the operator, so a suite
-    builds them once per model and shares them."""
-    psi0 = coherent_state(params, alpha, D)
-    E = _finite_band(energy(params, np.arange(D)), D)
-    scale = params.omega if isinstance(params, QOsc) else 1.0
-    t = np.asarray(times, dtype=float) / scale
-    psi = _cis(-E[:, None], t)
-    psi *= psi0[:, None]
-    psi_conj = np.conj(psi)
-    psi.setflags(write=False)
-    psi_conj.setflags(write=False)
-    return psi, psi_conj
-
-
-def _oracle_series(lam: np.ndarray, psi: np.ndarray, psi_conj: np.ndarray) -> np.ndarray:
-    """<Psi(t)| L |Psi(t)> over the grid from one dense product L @ Psi."""
-    return np.einsum("dt,dt->t", psi_conj, lam @ psi)
-
-
 def oracle_expectation_series(
     params: ModelParams,
     alpha: complex,
@@ -375,10 +348,9 @@ def oracle_expectation_series(
     times: np.ndarray,
     D: int = DEFAULT_DIM,
 ) -> np.ndarray:
-    """Brute-force trace in the Schrodinger picture: the truncated coherent
-    state evolved over the whole grid (_oracle_state), then
-    <Psi(t)| L |Psi(t)> from one dense product L @ Psi.  `times` is tau for
-    the q model and raw t for the anharmonic one."""
+    """Brute-force trace in the Schrodinger picture, fock._oracle_series of
+    fock._oracle_state. `times` is tau for the q model and raw t for the
+    anharmonic one."""
     psi, psi_conj = _oracle_state(params, alpha, times, D)
     return _oracle_series(build_lambda(params, idx, D).matrix, psi, psi_conj)
 

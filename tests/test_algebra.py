@@ -8,20 +8,20 @@ from qdosc import (
     DomainError,
     LambdaIndex,
     QOsc,
-    build_hamiltonian,
-    build_ladder,
-    build_lambda,
     closure_coeffs,
-    commutator,
-    expansion_matrix,
     expansion_scale,
     multicommutator_expansion,
     normal_order_expansion,
-    normal_order_matrix,
-    power_law_multicommutator,
     scaling_phase_check,
 )
-from qdosc.algebra import _normal_order_dense
+from qdosc.algebra import expansion_matrix, normal_order_matrix, power_law_multicommutator
+from qdosc.fock import (
+    _normal_order_dense,
+    build_hamiltonian,
+    build_ladder,
+    build_lambda,
+    commutator,
+)
 from qdosc.verify import interior_rel_error, suite_normal_order
 
 ANH = Anharmonic(omega1=10.0, omega2=1.0)
@@ -221,7 +221,7 @@ class TestNormalOrder:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(DomainError, match="normal-ordered entries overflow"):
-                _normal_order_dense(0, 0, 1.0, big, big)
+                _normal_order_dense(0, normal_order_expansion(0, 0, 1.0), big, big)
 
     def test_first_order_is_shifted_creation(self):
         # L^{n,1} = (a†)^{n+1} a as matrices

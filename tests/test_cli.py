@@ -485,12 +485,18 @@ class TestOverflowingTrace:
         assert _refusal(capsys)["error"] == "DomainError"
         assert not out.exists()
 
-    @pytest.mark.parametrize("method", ["series", "closed"])
-    def test_huge_time_exits_2(self, tmp_path, capsys, method):
-        # no phase c t has a correct digit at t = 1e300
+    @pytest.mark.parametrize("tau_max", ["1e31", "1e299", "1e300"])
+    @pytest.mark.parametrize(
+        "model, method",
+        [("anharmonic", "series"), ("anharmonic", "closed"), ("qosc", "series")],
+        ids=["series", "closed", "qosc"],
+    )
+    def test_huge_time_exits_2(self, tmp_path, capsys, model, method, tau_max):
+        # no phase c t has a correct digit from t = 1e31 on; at 1e300 the
+        # double-double split of t overflows
         out = tmp_path / "t.csv"
-        argv = ["evolve", "--model", "anharmonic", "--method", method,
-                "--tau-max", "1e300", "--steps", "3", "--out", str(out)]  # fmt: skip
+        argv = ["evolve", "--model", model, "--method", method,
+                "--tau-max", tau_max, "--steps", "3", "--out", str(out)]  # fmt: skip
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             assert main(argv) == 2

@@ -23,7 +23,7 @@ from qdosc import (
     relation_identity_residual,
     scaling_phase_check,
 )
-from qdosc.dynamics import PhaseCurve, TimeSeries
+from qdosc.dynamics import PhaseCurve, TimeSeries, _phase_sum
 from qdosc.fock import build_hamiltonian, build_lambda, heisenberg_evolve
 from qdosc.verify import oracle_expectation_series
 
@@ -190,6 +190,19 @@ class TestAnharmonicClosed:
             for n, m in [(1, 0), (2, 3)]:
                 with pytest.raises(DomainError, match="overflow double precision"):
                     evolve(ANH, 0.8, LambdaIndex(n, m), grid)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_long_grid_refused_where_no_digit_is_left(self):
+        # the double-double remainder 36 u^2 W t_max reaches 1 rad at
+        # t_max = 2^106 / 36 for W = |rate0| + |rate| max|r_k| = 1
+        r, c, edge = np.array([0.0, 1.0]), np.ones(2), 2.0**106 / 36.0
+        for size in (None, 1):
+            kept = _phase_sum(1.0, np.array([0.0, 0.99 * edge]), r, c, 0.0, size)
+            assert np.isfinite(kept).all()
+            with pytest.raises(DomainError, match="keep no correct digit"):
+                _phase_sum(1.0, np.array([0.0, 1.01 * edge]), r, c, 0.0, size)
+            with pytest.raises(DomainError, match="overflow double precision"):
+                _phase_sum(1e-300, np.array([0.0, 1e300]), r, c, 0.0, size)
 
     def test_huge_m_refused_before_the_stirling_row(self):
         # S(2, m) = 2^(m-1) - 1 leaves double precision from m = 1025 on; the

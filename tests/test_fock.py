@@ -8,10 +8,15 @@ from qdosc import (
     ConvergenceError,
     DimensionError,
     DomainError,
-    FockOperator,
     LambdaIndex,
     QOsc,
     TruncationError,
+    q_number,
+)
+from qdosc.fock import (
+    FockOperator,
+    _band_operator,
+    _check_dim,
     build_hamiltonian,
     build_ladder,
     build_lambda,
@@ -19,9 +24,7 @@ from qdosc import (
     commutator,
     expectation,
     heisenberg_evolve,
-    q_number,
 )
-from qdosc.fock import _band_operator, _check_dim
 from qdosc.qcore import _weight_window
 
 Q2 = QOsc(q=2.0)

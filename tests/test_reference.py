@@ -64,23 +64,13 @@ from qdosc import (
     ConvergenceError,
     DimensionError,
     DomainError,
-    FockOperator,
     LambdaIndex,
     QOsc,
-    build_hamiltonian,
-    build_ladder,
-    build_lambda,
-    coherent_state,
-    commutator,
     energy,
     evolve_anharmonic_closed,
     evolve_anharmonic_expectation,
     evolve_q_expectation,
-    expansion_matrix,
-    expectation,
-    heisenberg_evolve,
     multicommutator_expansion,
-    power_law_multicommutator,
     q_exponential,
     q_number,
     q_stirling2,
@@ -90,7 +80,12 @@ from qdosc import (
 from qdosc import cli, dynamics
 from qdosc.algebra import anharmonic_p, expansion_scale
 from qdosc import verify
-from qdosc.algebra import closure_coeffs, normal_order_matrix
+from qdosc.algebra import (
+    closure_coeffs,
+    expansion_matrix,
+    normal_order_matrix,
+    power_law_multicommutator,
+)
 from qdosc.dynamics import (
     _PHASE_BLOCK,
     TimeSeries,
@@ -98,6 +93,16 @@ from qdosc.dynamics import (
     _phase_sum,
     _table_cis,
     band_phase_trace,
+)
+from qdosc.fock import (
+    FockOperator,
+    build_hamiltonian,
+    build_ladder,
+    build_lambda,
+    coherent_state,
+    commutator,
+    expectation,
+    heisenberg_evolve,
 )
 from qdosc.params import _closure_rates, _level_q, validate_index
 from qdosc.qcore import _check_radius, _weight_window

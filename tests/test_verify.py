@@ -6,19 +6,19 @@ import numpy as np
 import pytest
 
 import qdosc.verify as verify
-from qdosc import (
-    DimensionError,
-    DomainError,
+import qdosc.fock as fock
+from qdosc import DimensionError, DomainError, LambdaIndex, QOsc, normal_order_expansion
+from qdosc.params import energy
+from qdosc.algebra import normal_order_matrix
+from qdosc.fock import (
     FockOperator,
-    LambdaIndex,
-    QOsc,
+    _ladder_powers,
+    _normal_order_dense,
     build_hamiltonian,
     build_lambda,
     coherent_state,
     heisenberg_evolve,
 )
-from qdosc.params import energy
-from qdosc.algebra import _ladder_powers, _normal_order_dense, normal_order_matrix
 from qdosc.verify import (
     CheckResult,
     band_rel_error,
@@ -214,7 +214,7 @@ class TestDynamicsOracle:
         skewed = FockOperator(mat)
         handed_out = []
         monkeypatch.setattr(
-            verify, "build_hamiltonian", lambda params, D: handed_out.append(D) or skewed
+            fock, "build_hamiltonian", lambda params, D: handed_out.append(D) or skewed
         )
         assert np.array_equal(oracle_expectation_series(params, 0.8, idx, [t], D), honest)
         assert not handed_out
@@ -237,13 +237,13 @@ class TestDynamicsOracle:
         def refuse(params, D):
             raise AssertionError("the dynamics oracle built a dense Hamiltonian")
 
-        monkeypatch.setattr(verify, "build_hamiltonian", refuse)
+        monkeypatch.setattr(fock, "build_hamiltonian", refuse)
         params, D = QOsc(q=1.2), 512
         times = np.linspace(0.0, 10.0, 3)
-        verify._oracle_state(params, 0.8, times[:1], D)
+        fock._oracle_state(params, 0.8, times[:1], D)
         tracemalloc.start()
         try:
-            psi, _ = verify._oracle_state(params, 0.8, times, D)
+            psi, _ = fock._oracle_state(params, 0.8, times, D)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -262,23 +262,23 @@ class TestSharedOracleState:
     @pytest.mark.parametrize("params", [QOsc(q=1.2), verify.ANHARMONIC_DEFAULT], ids=repr)
     def test_dynamics_oracle(self, params):
         D = 64
-        state = verify._oracle_state(params, 0.8, self.TIMES, D)
+        state = fock._oracle_state(params, 0.8, self.TIMES, D)
         for n in range(4):
             for m in range(4):
                 idx = LambdaIndex(n, m)
-                shared = verify._oracle_series(build_lambda(params, idx, D).matrix, *state)
+                shared = fock._oracle_series(build_lambda(params, idx, D).matrix, *state)
                 public = oracle_expectation_series(params, 0.8, idx, self.TIMES, D)
                 assert public.dtype == np.complex128
                 assert np.array_equal(shared, public)
 
     def test_series_leaves_the_state_alone(self):
         params, D = QOsc(q=1.2), 32
-        psi, psi_conj = verify._oracle_state(params, 0.8, self.TIMES, D)
+        psi, psi_conj = fock._oracle_state(params, 0.8, self.TIMES, D)
         assert not (psi.flags.writeable or psi_conj.flags.writeable)
         before = psi.copy(), psi_conj.copy()
         lam = build_lambda(params, LambdaIndex(2, 1), D).matrix
-        first = verify._oracle_series(lam, psi, psi_conj)
-        second = verify._oracle_series(lam, psi, psi_conj)
+        first = fock._oracle_series(lam, psi, psi_conj)
+        second = fock._oracle_series(lam, psi, psi_conj)
         assert np.array_equal(first, second)
         assert np.array_equal(psi, before[0]) and np.array_equal(psi_conj, before[1])
 
@@ -289,7 +289,8 @@ class TestSharedOracleState:
         up, down = _ladder_powers(params, D, n_max + M_max, M_max)
         for n in range(n_max + 1):
             for M in range(M_max + 1):
-                shared = _normal_order_dense(n, M, q, up, down)
+                terms = normal_order_expansion(n, M, q)
+                shared = _normal_order_dense(n, terms, up, down)
                 public = normal_order_matrix(params, LambdaIndex(n, M), D).matrix
                 assert shared.dtype == public.dtype == np.float64
                 assert np.array_equal(shared, public)
