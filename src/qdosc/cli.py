@@ -20,6 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .dynamics import (
+    _check_phase_step,
     band_phase_trace,
     collapse_transform,
     evolve_anharmonic_closed,
@@ -316,6 +317,10 @@ def cmd_collapse(cfg: dict) -> int:
     taus = _time_grid(cfg)
     ns, ms = _list(cfg, "n_list", int), _list(cfg, "m_list", int)
     pairs = [(n, m) for n in ns for m in ms]
+    # a grid too coarse to unwrap is refused as such before band_phase_trace
+    # refuses phases that keep no correct digit
+    for n, m in pairs:
+        _check_phase_step(taus, n, m, params.q, j_col)
     curves = [band_phase_trace(params, LambdaIndex(n, m), j_col, taus) for n, m in pairs]
     normalized = collapse_transform(curves)
     header = ["tau"] + [f"n{n}_m{m}" for n, m in pairs]

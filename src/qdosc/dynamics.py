@@ -38,10 +38,10 @@ class TimeSeries:
             raise DomainError("times and values must have matching shapes")
         if not np.isfinite(self.times).all():
             raise DomainError("times must be finite")
-        if len(self.times) > 1 and not np.all(np.diff(self.times) > 0):
+        if len(self.times) > 1 and not (self.times[1:] > self.times[:-1]).all():
             raise DomainError("times must be strictly increasing")
-        bad = np.count_nonzero(~np.isfinite(self.values))
-        if bad:
+        if not np.isfinite(self.values).all():
+            bad = np.count_nonzero(~np.isfinite(self.values))
             raise DomainError(
                 f"{bad} of {len(self.values)} expectation values overflow double precision"
             )
@@ -83,13 +83,14 @@ def _phase_sum(
     tables c_k e^{i w_k v_i} and c_k w_k e^{i w_k v_i} (B x K): two complex
     matmuls and O((T/B + B) K) cos and sin, in chunks of terms whose tables
     hold about _PHASE_BLOCK phases, so memory is O(T) whatever K. d_j is
-    exact up to its last rounding: t_j - t_b by TwoSum, and the rest by
-    Sterbenz where the grid is uniform. Each w_k is formed as a
-    double-double, Dekker's product rate r_k plus rate0 by TwoSum, and each
-    table angle w_k s as another (Dekker's products for w_k s, and for
-    n 2pi with n = rint(w_k s / 2pi) and 2pi to 106 bits), reduced to about
-    [-pi, pi] and rounded once to double. So the global rate rate0 costs no
-    phase of its own, and its angle rate0 t is as exact as the others.
+    exact up to its last rounding: t_j - t_b exact by Sterbenz on qualifying
+    blocks, TwoSum elsewhere, and the rest by Sterbenz where the grid is
+    uniform. Each w_k is formed as a double-double, Dekker's product
+    rate r_k plus rate0 by TwoSum, and each table angle w_k s as another
+    (Dekker's products for w_k s, and for n 2pi with n = rint(w_k s / 2pi)
+    and 2pi to 106 bits), reduced to about [-pi, pi] and rounded once to
+    double. So the global rate rate0 costs no phase of its own, and its
+    angle rate0 t is as exact as the others.
 
     With u = 2^-53 and t_max = max|t_j|, the error relative to sum_k |c_k|
     is at most the |c_k|-weighted mean over k of
@@ -122,7 +123,8 @@ def _phase_sum(
     n_t = len(t)
     if not n_t:
         return np.empty(0, dtype=complex)
-    t_max, r_max = float(np.abs(t).max()), float(np.abs(r).max(initial=0.0))
+    # max|x| as max(-min x, max x), with no |x| copy: both are NaN if one is
+    t_max, r_max = float(max(-t.min(), t.max())), float(np.abs(r).max(initial=0.0))
     w_max = abs(rate0) + abs(rate) * r_max
     splits = [_SPLIT * x for x in (2.0 * t_max, w_max, abs(rate), r_max)]
     if math.isfinite(t_max) and not all(map(math.isfinite, splits)):
@@ -138,7 +140,8 @@ def _phase_sum(
         tb, d = _departures(t, size, v)
         w_hi, w_lo = _two_sum(rate0, *_two_prod(rate, r))
         if size > 1:
-            d_max = np.abs(d.ravel()[:n_t]).max()
+            d_t = d.ravel()[:n_t]
+            d_max = max(-d_t.min(), d_t.max())
             abs_c = np.abs(c)
             remainder = 0.5 * np.dot(abs_c, np.square(w_hi * d_max))
             if not remainder <= _EPS * abs_c.sum() < np.inf:
@@ -211,24 +214,35 @@ def _table_cis(s: np.ndarray, w_hi: np.ndarray, w_lo: np.ndarray) -> np.ndarray:
 
 
 def _departures(t: np.ndarray, size: int, v: np.ndarray):
-    """The block starts t_b and d_j = t_j - t_b - v_i, with t padded to
-    whole blocks of `size` (the padding's d_j are dropped later): fl(t_j -
-    t_b) and its rounding error by TwoSum, then v_i subtracted, exactly on
-    a uniform grid (Sterbenz)."""
-    blocks = -(-len(t) // size)
-    tj = np.empty((blocks, size))
-    tj.ravel()[: len(t)] = t
-    tj.ravel()[len(t) :] = t[-1]
-    tb = tj[:, :1].copy()
-    d = tj - tb
-    part = d + tb
-    err = tj - part
-    part -= d
-    part -= tb
-    err += part
+    """The block starts t_b and d_j = t_j - t_b - v_i over whole blocks of
+    `size`, the last one padded (its padding's d_j are dropped later).
+    t_j - t_b is exact by Sterbenz on qualifying blocks, TwoSum elsewhere: a
+    block qualifies where t_b = 0 or each of its times, judged by their min
+    and max, is within a factor 2 of t_b. Then v_i is subtracted, exactly on
+    a uniform grid (Sterbenz). An exact difference has the TwoSum error
+    +0.0, which d += 0.0 stands for."""
+    n_t, full = len(t), len(t) // size
+    starts = np.arange(0, n_t, size)
+    tb = t[starts]
+    d = np.zeros((len(starts), size))
+    np.subtract(t[: full * size].reshape(full, size), tb[:full, None], out=d[:full])
+    d.ravel()[full * size : n_t] = t[full * size :] - tb[-1]
+    lo, hi = np.minimum.reduceat(t, starts), np.maximum.reduceat(t, starts)
+    # t_j between t_b / 2 and 2 t_b, or t_b = 0 and t_j finite
+    half, twice = 0.5 * tb, 2.0 * tb
+    exact = (np.minimum(half, twice) <= lo) & (hi <= np.maximum(half, twice))
+    exact |= (tb == 0) & (hi - lo < np.inf)
     d -= v
-    d += err
-    return tb[:, 0], d
+    d += 0.0
+    if not exact.all():
+        # TwoSum on the other blocks, the last one padded with t[-1]
+        rows = np.flatnonzero(~exact)
+        tj = t[np.minimum(rows[:, None] * size + np.arange(size), n_t - 1)]
+        b = tb[rows, None]
+        s = tj - b
+        part = s + b
+        d[rows] += (tj - part) + (part - s - b)
+    return tb, d
 
 
 def _amplitude_sq(alpha: complex) -> float:
@@ -347,7 +361,9 @@ def evolve_anharmonic_closed(
     # NaN, which it refuses
     with np.errstate(over="ignore", invalid="ignore"):
         values = _phase_sum(c_up, ts, np.arange(m + 1.0), coeffs, c_same)
-        decay = a2 * (_phase_sum(c_up, ts, np.ones(1), np.ones(1), 0.0) - 1.0)
+        decay = _phase_sum(c_up, ts, np.ones(1), np.ones(1), 0.0)
+        decay -= 1.0
+        decay *= a2
         values *= np.exp(decay, out=decay)
         values *= np.conj(alpha) ** n
     return TimeSeries(ts, values, 0.0)
@@ -397,7 +413,9 @@ def band_phase_trace(
     by a pure phase at rate [j+n]_q - [j]_q (in tau), so the ratio is
     computed directly. For q > 0 the entry vanishes exactly when j_col = 0
     and m >= 1, where the phase is undefined; n = 0 has no phase to
-    normalize, so both raise DomainError.
+    normalize, so both raise DomainError. So does a finite angle rate * tau
+    whose rounding alone, u |rate| max|tau| >= 1 rad with u = 2^-53, leaves
+    it no correct digit.
     """
     n, m = validate_index(idx)
     if n < 1 or j_col < 0:
@@ -406,6 +424,9 @@ def band_phase_trace(
         raise DomainError(f"band entry vanishes at (n={n}, m={m}, j={j_col})")
     taus = np.asarray(taus, dtype=float)
     rate = q_number(j_col + n, params.q) - q_number(j_col, params.q)
+    angle = abs(rate) * float(np.abs(taus).max(initial=0.0))
+    if math.isfinite(angle) and angle * _EPS >= 2.0:
+        raise DomainError(f"phase angles up to {angle:.3e} rad keep no correct digit")
     # a tau or phase that is not finite gives NaN, which PhaseCurve refuses
     with np.errstate(over="ignore", invalid="ignore"):
         return PhaseCurve(taus, _cis(rate, taus), n, m, params.q, j_col)
@@ -424,17 +445,23 @@ def collapse_transform(traces: list[PhaseCurve]) -> list[np.ndarray]:
     for tr in traces:
         if len(tr.taus) == 0:
             raise DomainError(f"empty tau grid for (n={tr.n}, m={tr.m})")
-        nq = q_number(tr.n, tr.q)
-        if len(tr.taus) > 1:
-            max_step = float(np.max(np.abs(np.diff(tr.taus)))) * nq * tr.q**tr.j_col
-            if max_step >= math.pi:
-                raise PhaseUnwrapError(
-                    f"phase step {max_step:.3e} >= pi for (n={tr.n}, m={tr.m}, "
-                    f"j_col={tr.j_col}); refine the tau grid"
-                )
+        nq = _check_phase_step(tr.taus, tr.n, tr.m, tr.q, tr.j_col)
         raw = np.angle(tr.values)
         steps = np.diff(raw)
         wrapped = (steps + math.pi) % (2.0 * math.pi) - math.pi
         unwrapped = np.concatenate(([raw[0]], raw[0] + np.cumsum(wrapped)))
         out.append(unwrapped / nq)
     return out
+
+
+def _check_phase_step(taus, n: int, m: int, q: float, j_col: int) -> float:
+    """[n]_q, refusing a grid whose expected phase step reaches pi in size."""
+    nq = q_number(n, q)
+    if len(taus) > 1:
+        max_step = float(np.max(np.abs(np.diff(taus)))) * nq * q**j_col
+        if max_step >= math.pi:
+            raise PhaseUnwrapError(
+                f"phase step {max_step:.3e} >= pi for (n={n}, m={m}, "
+                f"j_col={j_col}); refine the tau grid"
+            )
+    return nq

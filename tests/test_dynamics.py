@@ -368,6 +368,18 @@ class TestCollapse:
         with pytest.raises(DomainError):
             collapse_transform([tr])
 
+    def test_phases_with_no_correct_digit_refused(self):
+        # at tau = 1e31 the double product rate * tau alone is off by up to
+        # half its ulp, 2^50 rad
+        params, taus = QOsc(q=1.2), np.array([1e31, 1e31 * (1.0 + 2.0**-52)])
+        with pytest.raises(DomainError, match="keep no correct digit"):
+            band_phase_trace(params, LambdaIndex(1, 0), 0, taus)
+        with pytest.raises(DomainError, match="keep no correct digit"):
+            scaling_phase_check(params, 1, 0, 1e31, 0)
+        # u |rate| tau just below 1 rad is kept: rate = [1]_q - [0]_q = 1
+        tr = band_phase_trace(params, LambdaIndex(1, 0), 0, [2.0**53 * (1.0 - 2.0**-53)])
+        assert np.isfinite(tr.values).all()
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 1e308])
     def test_non_finite_tau_or_phase_refused(self, bad):
         # no silent NaN and no warning: 1e308 is finite, its phase

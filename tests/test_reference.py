@@ -610,6 +610,66 @@ class TestBlockPhaseSum:
             assert got.shape == (0,) and got.dtype == complex
 
 
+def ref_departures(t, size, v):
+    """_departures as it was: t padded to whole blocks with t[-1], fl(t_j -
+    t_b) and its rounding error by TwoSum on every row, then v_i
+    subtracted."""
+    blocks = -(-len(t) // size)
+    tj = np.empty((blocks, size))
+    tj.ravel()[: len(t)] = t
+    tj.ravel()[len(t) :] = t[-1]
+    tb = tj[:, :1].copy()
+    d = tj - tb
+    part = d + tb
+    err = tj - part
+    part -= d
+    part -= tb
+    err += part
+    d -= v
+    d += err
+    return tb[:, 0], d
+
+
+_rng = np.random.default_rng(11)
+DEPARTURE_GRIDS = {
+    **{
+        f"[0,4pi] T={T}": np.linspace(0.0, 4 * math.pi, T)
+        for T in (1, 2, 256**2, 256**2 + 1, 200_000)
+    },
+    # block 0 mixes 1e-3 with times beyond 2e-3, so fl(t_j - t_b) rounds there
+    "[1e-3,1e5]": np.linspace(1e-3, 1e5, 200_001),
+    "[5e4,1e5]": np.linspace(5e4, 1e5, 200_001),
+    "[-1e3,-1]": np.linspace(-1e3, -1.0, 10_001),
+    "[-50,50]": np.linspace(-50.0, 50.0, 4097),
+    "sorted random": np.sort(_rng.uniform(0.0, 10.0, 5001)),
+    "unsorted": _rng.uniform(-10.0, 10.0, 5001),
+    # t_0 = t_{T-1} gives h = 0, so fl(-0.0 - 0.0) - v_i is -0.0 where +0.0 was
+    "signed zeros": np.array([0.0, -0.0, 0.5, -0.0, 0.0, -0.0, 0.25, -0.0, 0.0, -0.0, 0.0]),
+    # blocks of 11 points that span a factor 2.5, beyond Sterbenz's 2
+    "geometric": np.geomspace(1.0, 1e4, 101),
+    "-geometric": -np.geomspace(1.0, 1e4, 101),
+    "not finite": np.array([0.0, 1.0, np.inf, 3.0, -np.inf, 5.0, np.nan, 7.0, 8.0, 9.0]),
+}
+
+
+@pytest.mark.parametrize("grid_id", list(DEPARTURE_GRIDS))
+def test_departures_keep_the_bits_of_twosum_on_every_row(grid_id, monkeypatch):
+    t = DEPARTURE_GRIDS[grid_id]
+    T = len(t)
+    with np.errstate(over="ignore", invalid="ignore"):  # as in _phase_sum
+        for size in {math.isqrt(T - 1) + 1, 1, 7}:
+            v = np.arange(size) * ((t[-1] - t[0]) / max(T - 1, 1))
+            tb, d = dynamics._departures(t, size, v)
+            want_tb, want_d = ref_departures(t, size, v)
+            assert tb.tobytes() == want_tb.tobytes()
+            assert d.shape == want_d.shape
+            assert d.ravel()[:T].tobytes() == want_d.ravel()[:T].tobytes()
+        rate, lev, c, rate0 = _q_phase_terms(1.2, 0.8, 2, 1)
+        got = dynamics._phase_sum(rate, t, lev, c, rate0)
+        monkeypatch.setattr(dynamics, "_departures", ref_departures)
+        assert got.tobytes() == dynamics._phase_sum(rate, t, lev, c, rate0).tobytes()
+
+
 def ref_evolve_q_expectation(params, alpha, idx, tau_grid, tol=1e-12):
     """The q-model series with its own rates [n] and [n](q - 1)."""
     if not isinstance(params, QOsc):
