@@ -21,6 +21,9 @@ from .qcore import _weight_window, q_exponential, q_number, q_stirling2, stirlin
 # arrays whatever K; a chunk holds at least one term, so a grid of one point
 # per block takes O(T) arrays
 _PHASE_BLOCK = 1 << 16
+# complex cells per tile of _phase_sum's (ceil(T/B), B) sums, 0.5 MB, so a
+# tile's slope sums, values and departures are combined while in cache
+_PHASE_TILE = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -54,7 +57,7 @@ def _cis(a, b) -> np.ndarray:
     written into one complex array with no other temporary: the bits of
     np.exp(1j * x) in about half its time. 1j * x has imaginary part x + 0,
     so x = -0.0 gives +0.0 there, and so does this."""
-    out = np.empty(np.broadcast_shapes(np.shape(a), np.shape(b)), dtype=complex)
+    out = np.empty(np.broadcast(a, b).shape, dtype=complex)
     x = np.multiply(a, b, out=out.imag)
     np.cos(x, out=out.real)
     np.sin(x, out=x)
@@ -82,7 +85,10 @@ def _phase_sum(
     which is the outer table e^{i w_k t_b} (ceil(T/B) x K) times the inner
     tables c_k e^{i w_k v_i} and c_k w_k e^{i w_k v_i} (B x K): two complex
     matmuls and O((T/B + B) K) cos and sin, in chunks of terms whose tables
-    hold about _PHASE_BLOCK phases, so memory is O(T) whatever K. d_j is
+    hold about _PHASE_BLOCK phases, each summed into the result tile by tile
+    of about _PHASE_TILE cells. So whatever K, a call holds the result, d,
+    one slope tile (the whole grid's slope sums where several chunks add
+    to them) and tables of at most _PHASE_BLOCK phases. d_j is
     exact up to its last rounding: t_j - t_b exact by Sterbenz on qualifying
     blocks, TwoSum elsewhere, and the rest by Sterbenz where the grid is
     uniform. Each w_k is formed as a double-double, Dekker's product
@@ -123,8 +129,7 @@ def _phase_sum(
     n_t = len(t)
     if not n_t:
         return np.empty(0, dtype=complex)
-    # max|x| as max(-min x, max x), with no |x| copy: both are NaN if one is
-    t_max, r_max = float(max(-t.min(), t.max())), float(np.abs(r).max(initial=0.0))
+    t_max, r_max = _abs_max(t), float(np.abs(r).max(initial=0.0))
     w_max = abs(rate0) + abs(rate) * r_max
     splits = [_SPLIT * x for x in (2.0 * t_max, w_max, abs(rate), r_max)]
     if math.isfinite(t_max) and not all(map(math.isfinite, splits)):
@@ -133,44 +138,76 @@ def _phase_sum(
         raise DomainError(f"phase angles up to {w_max * t_max:.3e} rad keep no correct digit")
     if size is None:
         size = math.isqrt(n_t - 1) + 1
-    v = np.arange(size) * ((t[-1] - t[0]) / max(n_t - 1, 1))
+    v = np.arange(0.0, size) * ((t[-1] - t[0]) / max(n_t - 1, 1))
     # a time that is not finite gives inf or NaN, which the gate refuses and
     # TimeSeries refuses at B = 1
     with np.errstate(over="ignore", invalid="ignore"):
         tb, d = _departures(t, size, v)
         w_hi, w_lo = _two_sum(rate0, *_two_prod(rate, r))
         if size > 1:
-            d_t = d.ravel()[:n_t]
-            d_max = max(-d_t.min(), d_t.max())
+            d_max = _abs_max(d.ravel()[:n_t])
             abs_c = np.abs(c)
             remainder = 0.5 * np.dot(abs_c, np.square(w_hi * d_max))
             if not remainder <= _EPS * abs_c.sum() < np.inf:
                 return _phase_sum(rate, t, r, c, rate0, 1)
-        s = np.concatenate((tb, v))
-        # chunks of terms whose tables hold about _PHASE_BLOCK phases; each
-        # later chunk's products are added in place as they are formed, and
-        # the first chunk's are assigned, so one chunk gives one matmul's bits
+        s, n_b = np.concatenate((tb, v)), len(tb)
+        # chunks of terms whose tables hold about _PHASE_BLOCK phases
         terms = max(1, _PHASE_BLOCK // len(s))
+        # tiles of whole block rows, of at most _PHASE_TILE cells (or of 4
+        # rows) and of equal size to a row: BLAS gives a tile the bits of the
+        # whole product, but not a small last tile, which takes its
+        # matrix-vector path at one row and, beyond 128 terms, its
+        # single-threaded path at a few
+        n_tiles = -(-n_b // max(4, _PHASE_TILE // size))
+        # the slope sums: the whole grid's where several chunks add to them
+        # before d multiplies them, else the largest tile's; one-point
+        # blocks have d = 0 exactly, so no slope table (and a buffer of no
+        # columns) at size 1
+        whole = len(c) > terms
+        slope_rows = n_b if whole else -(-n_b // n_tiles)
+        out = np.empty((n_b, size), dtype=complex)
+        slope = np.empty((slope_rows, size if size > 1 else 0), dtype=complex)
+        tiles = [(slice(0, n_b), out, slope, d)]
+        if n_tiles > 1:
+            ends = [n_b * i // n_tiles for i in range(n_tiles + 1)]
+            tiles = [
+                (slice(a, b), out[a:b], slope[a:b] if whole else slope[: b - a], d[a:b])
+                for a, b in zip(ends, ends[1:])
+            ]
         for start in range(0, len(c), terms):
             k = slice(start, start + terms)
             tables = _table_cis(s, w_hi[k], w_lo[k])
-            outer, inner = tables[: len(tb)], tables[len(tb) :]
+            inner = tables[n_b:]
             inner *= c[k]
-            # one-point blocks have d = 0 exactly: no slope table at size 1
-            parts = [outer @ x.T for x in (inner, inner * w_hi[k])[:size]]
-            sums = list(map(np.add, sums, parts, sums)) if start else parts
-        out = sums[0]
-        if size > 1:
-            slope = np.multiply(sums[1], d, out=sums[1])
-            # out += i slope
-            out.real -= slope.imag
-            out.imag += slope.real
+            parts = (inner.T, (inner * w_hi[k]).T)[:size]
+            last = start + terms >= len(c)
+            for rows, o, sl, d_r in tiles:
+                outer = tables[rows]
+                # each later chunk's products are added in place, and the
+                # first chunk's are assigned, so one chunk gives one matmul's
+                # bits
+                for x, acc in zip(parts, (o, sl)):
+                    if start:
+                        acc += outer @ x
+                    else:
+                        np.matmul(outer, x, out=acc)
+                if last and size > 1:
+                    # out += i d slope, while the tile is in cache
+                    sl *= d_r
+                    o.real -= sl.imag
+                    o.imag += sl.real
     return out.ravel()[:n_t]
 
 
 _SPLIT = 2.0**27 + 1.0  # Dekker's splitter for a 53-bit mantissa
 _TWO_PI_LO = 2.4492935982947064e-16  # 2 pi - fl(2 pi), to 53 more bits
 _EPS = np.finfo(float).eps
+
+
+def _abs_max(x: np.ndarray) -> float:
+    """max|x| of a non-empty x as max(-min x, max x), by the ufuncs' own
+    reductions and with no |x| copy; NaN if x holds one."""
+    return float(np.maximum.reduce(x, initial=-np.minimum.reduce(x)))
 
 
 def _two_prod(a, b):
@@ -220,7 +257,10 @@ def _departures(t: np.ndarray, size: int, v: np.ndarray):
     block qualifies where t_b = 0 or each of its times, judged by their min
     and max, is within a factor 2 of t_b. Then v_i is subtracted, exactly on
     a uniform grid (Sterbenz). An exact difference has the TwoSum error
-    +0.0, which d += 0.0 stands for."""
+    +0.0, which d += 0.0 stands for. That sum changes only a -0.0, and
+    fl(t_j - t_b) - v_i is -0.0 only for t_j = -0.0, t_b = +0.0 and
+    v_i = +0.0 with i > 0: for v_i = fl(i h), only where h = 0, on a grid
+    whose ends are equal. So it runs only there."""
     n_t, full = len(t), len(t) // size
     starts = np.arange(0, n_t, size)
     tb = t[starts]
@@ -233,7 +273,8 @@ def _departures(t: np.ndarray, size: int, v: np.ndarray):
     exact = (np.minimum(half, twice) <= lo) & (hi <= np.maximum(half, twice))
     exact |= (tb == 0) & (hi - lo < np.inf)
     d -= v
-    d += 0.0
+    if size > 1 and v[1] == 0:
+        d += 0.0
     if not exact.all():
         # TwoSum on the other blocks, the last one padded with t[-1]
         rows = np.flatnonzero(~exact)

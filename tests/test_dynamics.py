@@ -238,6 +238,34 @@ def test_series_memory_is_linear_in_grid(evolve, params, amp):
     assert peak <= 8 * 16 * T
 
 
+def _peak_in_complex_vectors(run, T=200_000):
+    """The tracemalloc peak of run(grid) on a T-point grid, in complex
+    T-vectors, after a warm-up on its first points."""
+    grid = np.linspace(0.0, 4.0 * math.pi, T)
+    run(grid[:10])
+    tracemalloc.start()
+    try:
+        run(grid)
+        return tracemalloc.get_traced_memory()[1] / (16 * T)
+    finally:
+        tracemalloc.stop()
+
+
+def test_phase_sum_holds_its_result_d_and_one_tile():
+    # the result (1), d (0.5), one slope tile (0.16) and small tables, at
+    # T = 2e5; the whole-grid value and slope sums peaked at 2.55
+    run = lambda g: _phase_sum(1.0, g, np.ones(1), np.ones(1), 0.0)  # noqa: E731
+    assert _peak_in_complex_vectors(run) <= 2.0
+
+
+@pytest.mark.parametrize("amp, idx", [(0.8, (1, 0)), (3.0, (2, 2)), (30.0, (1, 3))])
+def test_closed_form_memory_is_three_complex_vectors(amp, idx):
+    # the r-sum held while e^{i c_up t} is summed, about 2.7 at T = 2e5;
+    # the whole-grid sums peaked at 3.56
+    run = lambda g: evolve_anharmonic_closed(ANH, amp, LambdaIndex(*idx), g)  # noqa: E731
+    assert _peak_in_complex_vectors(run) <= 3.0
+
+
 class TestLargeAmplitude:
     """|alpha| = 30, 300 and 1000: the Poisson weights peak near
     |alpha|^(2k)/k! at k = |alpha|^2, far beyond double precision, so they

@@ -670,6 +670,114 @@ def test_departures_keep_the_bits_of_twosum_on_every_row(grid_id, monkeypatch):
         assert got.tobytes() == dynamics._phase_sum(rate, t, lev, c, rate0).tobytes()
 
 
+def ref_phase_sum(rate, t, r, c, rate0, size=None):
+    """_phase_sum as it was before its sums were tiled, on ref_departures:
+    one matmul per part over all block rows, then slope *= d and the
+    combine over the whole grid. The gates that raise are left out."""
+    n_t = len(t)
+    if size is None:
+        size = math.isqrt(n_t - 1) + 1
+    v = np.arange(size) * ((t[-1] - t[0]) / max(n_t - 1, 1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        tb, d = ref_departures(t, size, v)
+        w_hi, w_lo = dynamics._two_sum(rate0, *dynamics._two_prod(rate, r))
+        if size > 1:
+            d_t = d.ravel()[:n_t]
+            d_max = max(-d_t.min(), d_t.max())
+            abs_c = np.abs(c)
+            remainder = 0.5 * np.dot(abs_c, np.square(w_hi * d_max))
+            if not remainder <= np.finfo(float).eps * abs_c.sum() < np.inf:
+                return ref_phase_sum(rate, t, r, c, rate0, 1)
+        s = np.concatenate((tb, v))
+        terms = max(1, _PHASE_BLOCK // len(s))
+        for start in range(0, len(c), terms):
+            k = slice(start, start + terms)
+            tables = _table_cis(s, w_hi[k], w_lo[k])
+            outer, inner = tables[: len(tb)], tables[len(tb) :]
+            inner *= c[k]
+            parts = [outer @ x.T for x in (inner, inner * w_hi[k])[:size]]
+            sums = list(map(np.add, sums, parts, sums)) if start else parts
+        out = sums[0]
+        if size > 1:
+            slope = np.multiply(sums[1], d, out=sums[1])
+            out.real -= slope.imag
+            out.imag += slope.real
+    return out.ravel()[:n_t]
+
+
+_line = np.linspace(0.0, 1.0, 121)
+# d += 0.0 turns -0.0 into +0.0 only where h = 0, on grids whose ends are
+# equal: fl(t_j - t_b) - v_i is -0.0 only for t_j = -0.0, t_b = +0.0 and
+# v_i = +0.0 with i > 0
+SIGNED_ZERO_GRIDS = {
+    "starts at +0.0": _line,
+    "starts at -0.0": np.concatenate(([-0.0], _line[1:])),
+    "-0.0 after +0.0, ends apart": np.array([0.0, -0.0, 0.5, -0.0, 0.0, -0.0, 0.25, -0.0, 1.0]),
+    "-0.0 after +0.0, ends equal": np.array([0.0, -0.0, 0.5, -0.0, 0.0, -0.0, 0.25, -0.0, 0.0]),
+    "ends +0.0 and -0.0": np.array([0.0, -0.0, 0.5, 0.0, -0.0, 0.25, -0.0, 0.0, -0.0]),
+    "ends -0.0 and +0.0": np.array([-0.0, 0.0, -0.0, 0.5, 0.0, -0.0, 0.25, -0.0, 0.0]),
+    "a later block starts at +0.0": np.concatenate((-_line[:0:-1], [0.0, -0.0, -0.0], _line[1:])),
+    "all zeros": np.array([0.0, -0.0, -0.0, 0.0, -0.0, 0.0, 0.0, -0.0, -0.0, 0.0]),
+}
+
+
+@pytest.mark.parametrize("grid_id", list(SIGNED_ZERO_GRIDS))
+def test_signed_zeros_keep_the_bits_of_twosum_in_d_and_the_sums(grid_id):
+    t = SIGNED_ZERO_GRIDS[grid_id]
+    T = len(t)
+    rate, lev, c, rate0 = _q_phase_terms(1.2, 0.8, 2, 1)
+    for size in {math.isqrt(T - 1) + 1, 1, 2, 3, 7}:
+        v = np.arange(size) * ((t[-1] - t[0]) / (T - 1))
+        tb, d = dynamics._departures(t, size, v)
+        want_tb, want_d = ref_departures(t, size, v)
+        assert tb.tobytes() == want_tb.tobytes()
+        assert d.ravel()[:T].tobytes() == want_d.ravel()[:T].tobytes()
+        got = dynamics._phase_sum(rate, t, lev, c, rate0, size)
+        assert got.tobytes() == ref_phase_sum(rate, t, lev, c, rate0, size).tobytes()
+
+
+def _one_term():
+    return 0.05, np.ones(1), np.ones(1), 1.3
+
+
+# (terms, grid, block size) of the tiled sum; the q terms have K = 23 at
+# (1.2, 3), 15 at (2, 5) and 317 at (1 + 1e-9, 17), which takes several
+# term chunks
+TILE_CASES = {
+    "T=101, one tile": (_q_phase_terms(1.2, 3.0, 2, 1), np.linspace(0.0, 4 * math.pi, 101), 11),
+    "T=2e5, K=1": (_one_term(), np.linspace(0.0, 4 * math.pi, 200_000), 448),
+    "T=2e5, K=23": (_q_phase_terms(1.2, 3.0, 2, 1), np.linspace(0.0, 4 * math.pi, 200_000), 448),
+    "T=226101, rows a multiple of the tile": (
+        _one_term(), np.linspace(0.0, 4 * math.pi, 226_101), 476),
+    "T=2^16+7": (_q_phase_terms(1.2, 3.0, 2, 1), np.linspace(0.0, SPAN, _PHASE_BLOCK + 7), 257),
+    "T=2e5, K=317": (_q_phase_terms(1.0 + 1e-9, 17.0, 2, 1), np.linspace(0.0, 4 * math.pi, 200_000), 448),
+    # 180 terms a chunk: beyond 128, OpenBLAS sums a small tile in another order
+    "T=33000, K=317": (_q_phase_terms(1.0 + 1e-9, 17.0, 2, 1), np.linspace(0.0, 10.0, 33_000), 182),
+    "nonuniform, B=1": (_q_phase_terms(1.2, 3.0, 2, 1),
+                        np.sort(np.random.default_rng(13).uniform(0.0, 10.0, 70_001)), 1),
+    "gate-refused, B=1": (_q_phase_terms(2.0, 5.0, 3, 3), UNIFORM_GRIDS["[1e-3,1e5]"], 1),
+    "decreasing": (_q_phase_terms(1.2, 3.0, 2, 1), np.linspace(50.0, -50.0, 200_001), 448),
+    "[1e-3,1e5]": (_q_phase_terms(1.2, 3.0, 2, 1), UNIFORM_GRIDS["[1e-3,1e5]"], 448),
+    "[-50,50]": (_q_phase_terms(1.2, 3.0, 2, 1), np.linspace(-50.0, 50.0, 200_001), 448),
+}
+
+
+@pytest.mark.parametrize("case", list(TILE_CASES))
+def test_tiled_phase_sum_keeps_the_bits_of_the_whole_grid_sum(case, monkeypatch):
+    (rate, lev, c, rate0), grid, size = TILE_CASES[case]
+    sizes = []
+    departures = dynamics._departures
+
+    def spy(t, size, v):
+        sizes.append(size)
+        return departures(t, size, v)
+
+    monkeypatch.setattr(dynamics, "_departures", spy)
+    got = dynamics._phase_sum(rate, grid, lev, c, rate0)
+    assert sizes[-1] == size
+    assert got.tobytes() == ref_phase_sum(rate, grid, lev, c, rate0).tobytes()
+
+
 def ref_evolve_q_expectation(params, alpha, idx, tau_grid, tol=1e-12):
     """The q-model series with its own rates [n] and [n](q - 1)."""
     if not isinstance(params, QOsc):
