@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError
-from .dynamics import band_phase_trace
+from .dynamics import _phase_sum, band_phase_trace
 from .fock import (
     FockOperator,
     _band_operator,
@@ -181,8 +181,8 @@ def scaling_phase_check(
     taus = np.atleast_1d(np.asarray(tau, dtype=float))
     ratio = band_phase_trace(params, LambdaIndex(n, m), j_col, taus).values
     nq = q_number(n, params.q)
-    predicted = nq * taus * params.q**j_col
-    delta = np.angle(ratio * np.exp(-1j * predicted))
+    predicted = _phase_sum(nq * params.q**j_col, taus, np.ones(1), np.ones(1), 0.0, 1)
+    delta = np.angle(ratio * np.conj(predicted))
     return float(np.abs(delta).max(initial=0.0)) / nq
 
 

@@ -52,19 +52,6 @@ class TimeSeries:
         self.values.setflags(write=False)
 
 
-def _cis(a, b) -> np.ndarray:
-    """e^{ix} for the real product x = a * b, broadcast, as cos(x) + i sin(x)
-    written into one complex array with no other temporary: the bits of
-    np.exp(1j * x) in about half its time. 1j * x has imaginary part x + 0,
-    so x = -0.0 gives +0.0 there, and so does this."""
-    out = np.empty(np.broadcast(a, b).shape, dtype=complex)
-    x = np.multiply(a, b, out=out.imag)
-    np.cos(x, out=out.real)
-    np.sin(x, out=x)
-    x += 0.0
-    return out
-
-
 def _phase_sum(
     rate: float,
     t: np.ndarray,
@@ -121,10 +108,10 @@ def _phase_sum(
 
     By default B = ceil(sqrt(T)), if R_j's bound, d_max^2 sum_k |c_k|
     w_k^2 / 2, is at most eps sum_k |c_k| < inf; that last condition is what
-    makes a grid uniform. Every other grid, T = 1 among them, takes B = 1:
-    then v = [0], t_b = t_j and d_j = 0 exactly, so no slope table is
-    formed, the last two terms of the bound vanish and every angle w_k t_j
-    is reduced in double-double. T = 0 gives an empty sum.
+    makes a grid uniform. Every other grid, T = 1 among them, takes B = 1,
+    the point sum: the table e^{i w_k t_j} (T x K) times c, with no
+    departure, so the last two terms of the bound vanish and every angle
+    w_k t_j is reduced in double-double. T = 0 gives an empty sum.
     """
     n_t = len(t)
     if not n_t:
@@ -138,21 +125,31 @@ def _phase_sum(
         raise DomainError(f"phase angles up to {w_max * t_max:.3e} rad keep no correct digit")
     if size is None:
         size = math.isqrt(n_t - 1) + 1
-    v = np.arange(0.0, size) * ((t[-1] - t[0]) / max(n_t - 1, 1))
     # a time that is not finite gives inf or NaN, which the gate refuses and
-    # TimeSeries refuses at B = 1
+    # TimeSeries or PhaseCurve refuses at B = 1
     with np.errstate(over="ignore", invalid="ignore"):
-        tb, d = _departures(t, size, v)
         w_hi, w_lo = _two_sum(rate0, *_two_prod(rate, r))
         if size > 1:
+            v = np.arange(0.0, size) * ((t[-1] - t[0]) / max(n_t - 1, 1))
+            tb, d = _departures(t, size, v)
             d_max = _abs_max(d.ravel()[:n_t])
             abs_c = np.abs(c)
             remainder = 0.5 * np.dot(abs_c, np.square(w_hi * d_max))
             if not remainder <= _EPS * abs_c.sum() < np.inf:
-                return _phase_sum(rate, t, r, c, rate0, 1)
-        s, n_b = np.concatenate((tb, v)), len(tb)
+                size = 1
+        n_b = -(-n_t // size)
         # chunks of terms whose tables hold about _PHASE_BLOCK phases
-        terms = max(1, _PHASE_BLOCK // len(s))
+        terms = max(1, _PHASE_BLOCK // (n_b + size))
+        if size == 1:
+            # the point sum: the first chunk's product is taken and later
+            # ones are added in place, so one chunk gives one matmul's bits
+            chunks = (slice(a, a + terms) for a in range(0, len(c), terms))
+            sums = (_table_cis(t, w_hi[k], w_lo[k]) @ c[k, None] for k in chunks)
+            out = next(sums)
+            for x in sums:
+                out += x
+            return out.ravel()
+        s = np.concatenate((tb, v))
         # tiles of whole block rows, of at most _PHASE_TILE cells (or of 4
         # rows) and of equal size to a row: BLAS gives a tile the bits of the
         # whole product, but not a small last tile, which takes its
@@ -160,13 +157,11 @@ def _phase_sum(
         # single-threaded path at a few
         n_tiles = -(-n_b // max(4, _PHASE_TILE // size))
         # the slope sums: the whole grid's where several chunks add to them
-        # before d multiplies them, else the largest tile's; one-point
-        # blocks have d = 0 exactly, so no slope table (and a buffer of no
-        # columns) at size 1
+        # before d multiplies them, else the largest tile's
         whole = len(c) > terms
         slope_rows = n_b if whole else -(-n_b // n_tiles)
         out = np.empty((n_b, size), dtype=complex)
-        slope = np.empty((slope_rows, size if size > 1 else 0), dtype=complex)
+        slope = np.empty((slope_rows, size), dtype=complex)
         tiles = [(slice(0, n_b), out, slope, d)]
         if n_tiles > 1:
             ends = [n_b * i // n_tiles for i in range(n_tiles + 1)]
@@ -179,19 +174,17 @@ def _phase_sum(
             tables = _table_cis(s, w_hi[k], w_lo[k])
             inner = tables[n_b:]
             inner *= c[k]
-            parts = (inner.T, (inner * w_hi[k]).T)[:size]
+            parts = (inner.T, (inner * w_hi[k]).T)
             last = start + terms >= len(c)
             for rows, o, sl, d_r in tiles:
                 outer = tables[rows]
-                # each later chunk's products are added in place, and the
-                # first chunk's are assigned, so one chunk gives one matmul's
-                # bits
+                # as in the point sum, one chunk gives one matmul's bits
                 for x, acc in zip(parts, (o, sl)):
                     if start:
                         acc += outer @ x
                     else:
                         np.matmul(outer, x, out=acc)
-                if last and size > 1:
+                if last:
                     # out += i d slope, while the tile is in cache
                     sl *= d_r
                     o.real -= sl.imag
@@ -238,7 +231,9 @@ def _two_sum(a, hi, lo):
 
 def _table_cis(s: np.ndarray, w_hi: np.ndarray, w_lo: np.ndarray) -> np.ndarray:
     """e^{i w_k s_j} for w = w_hi + w_lo, the angle reduced mod 2 pi in
-    double-double before its one rounding to double."""
+    double-double before its one rounding to double, as cos x + i sin x
+    written into one complex array: the bits of np.exp(1j * x) in about half
+    its time (x += 0.0 gives x = -0.0 the sine +0.0 of 1j * x)."""
     p, e = _two_prod(s[:, None], w_hi)
     e += s[:, None] * w_lo
     n = np.rint(p / (2.0 * math.pi))
@@ -246,8 +241,12 @@ def _table_cis(s: np.ndarray, w_hi: np.ndarray, w_lo: np.ndarray) -> np.ndarray:
     e -= n_lo
     e -= n * _TWO_PI_LO
     p -= n_hi  # exact: p and n_hi are within a factor 2, or n = 0
-    p += e
-    return _cis(p, 1.0)
+    out = np.empty(p.shape, dtype=complex)
+    x = np.add(p, e, out=out.imag)
+    np.cos(x, out=out.real)
+    np.sin(x, out=x)
+    x += 0.0
+    return out
 
 
 def _departures(t: np.ndarray, size: int, v: np.ndarray):
@@ -454,9 +453,9 @@ def band_phase_trace(
     by a pure phase at rate [j+n]_q - [j]_q (in tau), so the ratio is
     computed directly. For q > 0 the entry vanishes exactly when j_col = 0
     and m >= 1, where the phase is undefined; n = 0 has no phase to
-    normalize, so both raise DomainError. So does a finite angle rate * tau
-    whose rounding alone, u |rate| max|tau| >= 1 rad with u = 2^-53, leaves
-    it no correct digit.
+    normalize, so both raise DomainError. The phase is _phase_sum's point
+    sum of one term, so its angle is reduced in double-double and _phase_sum
+    refuses the taus on which it keeps no correct digit.
     """
     n, m = validate_index(idx)
     if n < 1 or j_col < 0:
@@ -465,12 +464,8 @@ def band_phase_trace(
         raise DomainError(f"band entry vanishes at (n={n}, m={m}, j={j_col})")
     taus = np.asarray(taus, dtype=float)
     rate = q_number(j_col + n, params.q) - q_number(j_col, params.q)
-    angle = abs(rate) * float(np.abs(taus).max(initial=0.0))
-    if math.isfinite(angle) and angle * _EPS >= 2.0:
-        raise DomainError(f"phase angles up to {angle:.3e} rad keep no correct digit")
-    # a tau or phase that is not finite gives NaN, which PhaseCurve refuses
-    with np.errstate(over="ignore", invalid="ignore"):
-        return PhaseCurve(taus, _cis(rate, taus), n, m, params.q, j_col)
+    values = _phase_sum(rate, taus, np.ones(1), np.ones(1), 0.0, 1)
+    return PhaseCurve(taus, values, n, m, params.q, j_col)
 
 
 def collapse_transform(traces: list[PhaseCurve]) -> list[np.ndarray]:
@@ -488,9 +483,10 @@ def collapse_transform(traces: list[PhaseCurve]) -> list[np.ndarray]:
             raise DomainError(f"empty tau grid for (n={tr.n}, m={tr.m})")
         nq = _check_phase_step(tr.taus, tr.n, tr.m, tr.q, tr.j_col)
         raw = np.angle(tr.values)
-        steps = np.diff(raw)
-        wrapped = (steps + math.pi) % (2.0 * math.pi) - math.pi
-        unwrapped = np.concatenate(([raw[0]], raw[0] + np.cumsum(wrapped)))
+        # whole turns that bring each step within pi, times 2 pi to 106 bits
+        turns = np.cumsum(np.rint(np.diff(raw, prepend=raw[0]) / (-2.0 * math.pi)))
+        unwrapped, lo = _two_prod(turns, 2.0 * math.pi)
+        unwrapped += lo + turns * _TWO_PI_LO + raw
         out.append(unwrapped / nq)
     return out
 

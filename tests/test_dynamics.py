@@ -342,6 +342,18 @@ class TestCollapse:
         stacked = np.vstack(normed)
         assert np.max(np.abs(stacked - stacked[0])) < 1e-9
 
+    @pytest.mark.parametrize("q", [1.2, 2.0])
+    @pytest.mark.parametrize("j_col", [0, 1, 3])
+    def test_collapsed_curves_lie_within_a_few_ulp_of_the_line(self, q, j_col):
+        # the scaling suite's grid: 2000 wrapped steps, unwrapped by whole
+        # turns, keep each curve within 4 ulp of its largest value
+        taus = np.linspace(0.0, 10.0, 2001)
+        pairs = [(n, m) for n in (1, 2, 3) for m in (0, 1, 2) if not (m and j_col == 0)]
+        curves = [band_phase_trace(QOsc(q=q), LambdaIndex(n, m), j_col, taus) for n, m in pairs]
+        ulp = np.spacing(taus[-1] * q**j_col)
+        for (n, m), c in zip(pairs, collapse_transform(curves)):
+            assert np.abs(c - taus * q**j_col).max() <= 4 * ulp, (n, m)
+
     def test_coarse_grid_refused(self):
         params = QOsc(q=2.0)
         taus = np.linspace(0.0, 10.0, 12)
@@ -397,29 +409,32 @@ class TestCollapse:
             collapse_transform([tr])
 
     def test_phases_with_no_correct_digit_refused(self):
-        # at tau = 1e31 the double product rate * tau alone is off by up to
-        # half its ulp, 2^50 rad
+        # at tau = 1e31 the double-double remainder 36 u^2 |rate| tau of the
+        # angle, u = 2^-53, is 4.4 rad
         params, taus = QOsc(q=1.2), np.array([1e31, 1e31 * (1.0 + 2.0**-52)])
         with pytest.raises(DomainError, match="keep no correct digit"):
             band_phase_trace(params, LambdaIndex(1, 0), 0, taus)
         with pytest.raises(DomainError, match="keep no correct digit"):
             scaling_phase_check(params, 1, 0, 1e31, 0)
-        # u |rate| tau just below 1 rad is kept: rate = [1]_q - [0]_q = 1
-        tr = band_phase_trace(params, LambdaIndex(1, 0), 0, [2.0**53 * (1.0 - 2.0**-53)])
+        # tau = 2^53 is kept, and so is a remainder just below 1 rad:
+        # rate = [1]_q - [0]_q = 1
+        taus = [2.0**53 * (1.0 - 2.0**-53), 0.99 * 2.0**106 / 36.0]
+        tr = band_phase_trace(params, LambdaIndex(1, 0), 0, taus)
         assert np.isfinite(tr.values).all()
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 1e308])
     def test_non_finite_tau_or_phase_refused(self, bad):
-        # no silent NaN and no warning: 1e308 is finite, its phase
-        # [3]_1.2 tau is not
+        # no silent NaN and no warning: 1e308 is finite, but Dekker's split
+        # of its angle [3]_1.2 tau is not
         params, taus = QOsc(q=1.2), np.array([0.0, bad])
         with np.errstate(all="ignore"):
             values = np.exp(1j * 3.64 * taus)
+        refusal = "overflow double precision" if math.isfinite(bad) else "must be finite"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(DomainError, match="must be finite"):
+            with pytest.raises(DomainError, match=refusal):
                 band_phase_trace(params, LambdaIndex(3, 0), 0, taus)
-            with pytest.raises(DomainError, match="must be finite"):
+            with pytest.raises(DomainError, match=refusal):
                 scaling_phase_check(params, 3, 0, taus, 0)
             with pytest.raises(DomainError, match="must be finite"):
                 collapse_transform([PhaseCurve(taus, values, 3, 0, params.q, 0)])

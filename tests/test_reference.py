@@ -89,7 +89,6 @@ from qdosc.algebra import (
 from qdosc.dynamics import (
     _PHASE_BLOCK,
     TimeSeries,
-    _cis,
     _phase_sum,
     _table_cis,
     band_phase_trace,
@@ -584,24 +583,26 @@ class TestBlockPhaseSum:
             assert err <= min(bound, 1e-15), (n, m, err, bound)
 
     def test_only_gate_refused_grids_fall_back_to_one_point_blocks(self, monkeypatch):
-        sizes = []
-        phase_sum = dynamics._phase_sum
+        # the point sum forms its tables on the grid itself, the block sum
+        # on ceil(T/B) block starts and B offsets
+        points = []
+        table_cis = dynamics._table_cis
 
-        def spy(*args):
-            sizes.append(args[5:])
-            return phase_sum(*args)
+        def spy(s, w_hi, w_lo):
+            points.append(len(s))
+            return table_cis(s, w_hi, w_lo)
 
-        monkeypatch.setattr(dynamics, "_phase_sum", spy)
+        monkeypatch.setattr(dynamics, "_table_cis", spy)
         nonuniform = OTHER_GRIDS["nonuniform [0,10]"]
         runs = [(evolve_q_expectation, QOsc(q=1.2)),
                 (evolve_anharmonic_expectation, Anharmonic(10.0, 1.0))]  # fmt: skip
         for evolve, params in runs:
-            for grid, want in [(np.linspace(0.0, 10.0, 2), [()]),
-                               (np.linspace(0.0, 10.0, 101), [()]),
-                               (nonuniform, [(), (1,)])]:  # fmt: skip
-                sizes.clear()
+            for grid, want in [(np.linspace(0.0, 10.0, 2), 1 + 2),
+                               (np.linspace(0.0, 10.0, 101), 10 + 11),
+                               (nonuniform, len(nonuniform))]:  # fmt: skip
+                points.clear()
                 evolve(params, 0.8, LambdaIndex(2, 1), grid)
-                assert sizes == want
+                assert set(points) == {want}
 
     def test_empty_grid_gives_an_empty_sum(self):
         rate, lev, c, rate0 = _q_phase_terms(1.2, 0.8, 2, 1)
@@ -765,16 +766,19 @@ TILE_CASES = {
 @pytest.mark.parametrize("case", list(TILE_CASES))
 def test_tiled_phase_sum_keeps_the_bits_of_the_whole_grid_sum(case, monkeypatch):
     (rate, lev, c, rate0), grid, size = TILE_CASES[case]
-    sizes = []
-    departures = dynamics._departures
+    # the table points: ceil(T/B) block starts and B offsets, or at B = 1
+    # the point sum's grid itself
+    points = []
+    table_cis = dynamics._table_cis
 
-    def spy(t, size, v):
-        sizes.append(size)
-        return departures(t, size, v)
+    def spy(s, w_hi, w_lo):
+        points.append(len(s))
+        return table_cis(s, w_hi, w_lo)
 
-    monkeypatch.setattr(dynamics, "_departures", spy)
+    monkeypatch.setattr(dynamics, "_table_cis", spy)
     got = dynamics._phase_sum(rate, grid, lev, c, rate0)
-    assert sizes[-1] == size
+    T = len(grid)
+    assert points[-1] == (T if size == 1 else -(-T // size) + size)
     assert got.tobytes() == ref_phase_sum(rate, grid, lev, c, rate0).tobytes()
 
 
@@ -1092,6 +1096,26 @@ def test_scaling_phase_matches_dense_evolution(q):
                     want_check = abs(np.angle(drift)) / nq
                     got_check = scaling_phase_check(params, n, m, tau, j_col)
                     assert abs(got_check - want_check) <= 1e-13
+
+
+# a uniform stretch at each end of [0, 1e5] and points between
+BAND_TAUS = np.concatenate((
+    np.linspace(0.0, 10.0, 41),
+    np.linspace(1e5 - 1.0, 1e5, 41),
+    np.random.default_rng(29).uniform(0.0, 1e5, 40),
+))  # fmt: skip
+
+
+@pytest.mark.parametrize("q", [0.5, 1.2, 2.0])
+@pytest.mark.parametrize("j_col", [0, 3])
+def test_band_phase_matches_the_exact_phase_of_its_rate(q, j_col):
+    # the double product rate * tau alone is up to about 1e-10 rad off at
+    # tau = 1e5; the reduced angle is rounded once, within pi u
+    for n in (1, 2, 3):
+        rate = q_number(j_col + n, q) - q_number(j_col, q)
+        got = band_phase_trace(QOsc(q=q), LambdaIndex(n, 0), j_col, BAND_TAUS).values
+        want = np.array([_mp_cis(0.0, rate, 1.0, tau) for tau in BAND_TAUS], dtype=complex)
+        assert np.abs(got - want).max() <= 4e-16, n
 
 
 def ref_coherent_amplitudes(params, alpha, D):
@@ -1418,33 +1442,27 @@ def _same_bits(a, b):
     )
 
 
+def _unit_cis(x):
+    """_table_cis of the angles x at rate 1: at |x| <= pi it takes n = 0,
+    so its last step is cos x + i sin x of x itself."""
+    return _table_cis(np.asarray(x, dtype=float), np.ones(1), np.zeros(1))[:, 0]
+
+
 @pytest.mark.parametrize("c", [0.0, 1e-300, 0.2, 1.0, 11.0, 416.0, 3.1e5, 7.3e12])
 def test_cis_has_the_bits_of_the_complex_exponential(c):
     t = np.concatenate(
-        ([0.0, -0.0], np.linspace(0.0, 10.0, 20001), np.linspace(-50.0, 50.0, 999))
+        ([0.0, -0.0, np.pi, -np.pi], np.linspace(-np.pi, np.pi, 20001), np.linspace(-1.0, 1.0, 999))
     )
-    assert _same_bits(_cis(c, t), np.exp(1j * c * t))
+    x = np.clip(c * (t / max(c, 1.0)), -np.pi, np.pi)
+    assert _same_bits(_unit_cis(x), np.exp(1j * x))
 
 
 def test_cis_keeps_the_sign_of_zero_of_the_complex_exponential():
     x = np.array([-0.0, 0.0, -1e-320, 1e-320, -np.pi, np.pi])
     want = np.exp(1j * x)
     assert np.signbit(want.imag[0]) == False  # noqa: E712 -- 1j * -0.0 is +0j
-    assert _same_bits(_cis(x, 1.0), want)
-    assert _same_bits(_cis(-0.0, 1.0), np.exp(1j * np.array(-0.0)))
-
-
-@pytest.mark.parametrize("params", MODELS, ids=_model_id)
-def test_cis_matches_the_oracle_phase_grid(params):
-    # the oracle's -E (x) t, whose first row is -0.0 * t
-    E = np.diag(build_hamiltonian(params, 512).matrix).real
-    t = np.linspace(0.0, 10.0, 101)
-    want = np.empty((E.size, t.size), dtype=complex)
-    np.multiply.outer(-E, t, out=want)
-    assert np.signbit(want.real[0]).all()
-    want *= 1j
-    np.exp(want, out=want)
-    assert _same_bits(_cis(-E[:, None], t), want)
+    assert _same_bits(_unit_cis(x), want)
+    assert _same_bits(_unit_cis([-0.0]), np.exp(1j * np.array([-0.0])))
 
 
 def ref_anharmonic_closed(params, alpha, n, m, ts):
