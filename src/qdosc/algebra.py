@@ -114,12 +114,13 @@ def expansion_band(
 ) -> np.ndarray:
     """The binomial expansion sum_k coeff_k L^{n,m+k} as its one band on
     sub-diagonal n: lam, the L^{n,m} band, times sum_k coeff_k [c]^k in Fock
-    column c, read from the level vector lv."""
+    column c, read from the level vector lv. The factor does not depend on
+    m, so lam may be a stack of bands on leading axes."""
     terms = multicommutator_expansion(params, n, m, j)
-    lv = lv[: len(lam)]
+    lv = lv[: lam.shape[-1]]
     with np.errstate(over="ignore", invalid="ignore"):
         band = lam * sum(coeff * lv**k for k, coeff in terms)
-    return _finite(band, len(lam) + n)
+    return _finite(band, lam.shape[-1] + n)
 
 
 def expansion_matrix(
@@ -138,16 +139,17 @@ def power_law_band(
     """The general-q closed form L^{n,m} (E(n) [a, a†])^j as its one band on
     sub-diagonal n. [a, a†] is diagonal with entries [c+1] - [c], so the
     band is lam, the L^{n,m} band, times (E(n) ([c+1] - [c]))^j in Fock
-    column c, read from the level vector lv (one level beyond the band)."""
+    column c, read from the level vector lv (one level beyond the band).
+    As for expansion_band, lam may be a stack of bands on leading axes."""
     if not isinstance(params, QOsc):
         raise DomainError("power-law form is specific to the q model")
     validate_index((n, m))
     if j < 0:
         raise DomainError(f"j must be nonnegative, got {j}")
-    lv = lv[: len(lam) + 1]
+    lv = lv[: lam.shape[-1] + 1]
     with np.errstate(over="ignore", invalid="ignore"):
         band = lam * (energy(params, n) * (lv[1:] - lv[:-1])) ** j
-    return _finite(band, len(lam) + n)
+    return _finite(band, lam.shape[-1] + n)
 
 
 def power_law_multicommutator(

@@ -100,9 +100,10 @@ def _phase_sum(
 
     Before any table is built, a grid on which that bound keeps no digit,
     36 u^2 W t_max >= 1 rad with W = |rate0| + |rate| max|r_k| >= W_k, or
-    where Dekker's split of 2 t_max, W, |rate| or max|r_k| is not finite,
-    raises DomainError. On any other grid of finite times every split is
-    finite and every table angle below 1/(18 u^2), so every table is finite.
+    where Dekker's split of 2 t_max, |rate|, max|r_k| or W is not finite,
+    raises DomainError naming the first such quantity and its value. On
+    any other grid of finite times every split is finite and every table
+    angle below 1/(18 u^2), so every table is finite.
     Times that are not finite give sums that are not, which TimeSeries
     refuses by naming the times.
 
@@ -118,9 +119,20 @@ def _phase_sum(
         return np.empty(0, dtype=complex)
     t_max, r_max = _abs_max(t), float(np.abs(r).max(initial=0.0))
     w_max = abs(rate0) + abs(rate) * r_max
-    splits = [_SPLIT * x for x in (2.0 * t_max, w_max, abs(rate), r_max)]
-    if math.isfinite(t_max) and not all(map(math.isfinite, splits)):
-        raise DomainError(f"phase angles overflow double precision at t={t_max:.3e}")
+    # each quantity, its value and the number Dekker's split scales
+    splits = (
+        ("the time span max|t|", t_max, 2.0 * t_max),
+        ("the rate", rate, rate),
+        ("max|r_k|", r_max, r_max),
+        ("the largest rate |rate0| + |rate| max|r_k|", w_max, w_max),
+    )
+    if math.isfinite(t_max):
+        for name, value, x in splits:
+            if not math.isfinite(_SPLIT * x):
+                raise DomainError(
+                    f"phase angles overflow double precision: {name} = {value:.3e}"
+                    " has no finite Dekker split"
+                )
     if math.isfinite(t_max) and not 9.0 * _EPS**2 * w_max * t_max < 1.0:  # 36 u^2
         raise DomainError(f"phase angles up to {w_max * t_max:.3e} rad keep no correct digit")
     if size is None:

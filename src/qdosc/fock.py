@@ -10,6 +10,18 @@ A commutator whose first operand is exactly diagonal, as both Hamiltonians
 are, is formed element-wise in O(D^2) and is exact: for a real diagonal it
 has the bits of the two O(D^3) matmuls, which every other operand takes.
 
+The oracle in verify holds one stack of the m index per (model, n): every
+Lambda^{n,m} of one n is a band of the same length on the same diagonal,
+and so is each of its commutators with H. Two array helpers accept a
+leading stack axis: _band_array places a band, or a stack of them, on
+diagonal k, and _diag_commutator commutes a diagonal with a matrix, or a
+stack of them, element-wise. So verify commutes each stack with H once per
+depth. _band_operator and commutator are the one-operator wrappers of the
+same helpers, and each slice of a stack has the bits of the one-operator
+path. FockOperator itself stays one square matrix. The normal-ordered sums
+take the same approach: _ordered_products forms each ladder product
+(a†)^{n+s} a^s once per n, and _ordered_sum adds one expansion's terms.
+
 Every operator built here is a single band, computed from one level
 vector and stored densely in the band's own dtype: levels, energies,
 Lambda and the ladders are real float64 matrices, so their products are
@@ -83,10 +95,24 @@ def _finite(a: np.ndarray, D: int, what: str = "operator entries") -> np.ndarray
     return a
 
 
+def _band_array(band: np.ndarray, k: int) -> np.ndarray:
+    """The dense square array holding `band` on diagonal k (k < 0 below the
+    main diagonal) and zeros elsewhere, in the band's own dtype, of side
+    band.shape[-1] + |k|. Leading axes of band stack: a (S, L) band gives
+    S matrices, each np.diag(band[s], k) bit for bit. A band beyond double
+    precision raises DomainError."""
+    L = band.shape[-1]
+    D = L + abs(k)
+    out = np.zeros(band.shape[:-1] + (D, D), dtype=band.dtype)
+    i = np.arange(L)
+    out[..., i + max(-k, 0), i + max(k, 0)] = _finite(band, D)
+    return out
+
+
 def _band_operator(band: np.ndarray, k: int) -> FockOperator:
-    """Operator holding `band` on diagonal k (k < 0 below the main diagonal),
-    in the band's own dtype, of dimension len(band) + |k| and margin |k|."""
-    return FockOperator(np.diag(_finite(band, len(band) + abs(k)), k), abs(k))
+    """Operator holding the 1-D `band` on diagonal k, _band_array's, of
+    dimension len(band) + |k| and margin |k|."""
+    return FockOperator(_band_array(band, k), abs(k))
 
 
 def build_ladder(params: ModelParams, D: int) -> tuple[FockOperator, FockOperator]:
@@ -143,26 +169,34 @@ def _is_exactly_diagonal(M: np.ndarray) -> bool:
     return not M.ravel()[1:].reshape(D - 1, D + 1)[:, :D].any()
 
 
+def _diag_commutator(d: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """[diag(d), X] element-wise, d_r X_rc - X_rc d_c, in O(D^2) for the
+    1-D d of length D. Leading axes of X stack: each (D, D) slice gets its
+    own commutator with the one diagonal. A result beyond double precision
+    raises DomainError instead of holding inf or NaN."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = d[:, None] * X - X * d[None, :]
+    return _finite(out, X.shape[-1], "commutator entries")
+
+
 def commutator(A: FockOperator, B: FockOperator) -> FockOperator:
     """[A, B] = AB - BA, with margin A.margin + B.margin.
 
     When A is exactly diagonal, each entry of A @ B is the one rounded
-    product d_r B_rc plus exact zeros, so the element-wise
-    d_r B_rc - B_rc d_c gives, for real d, the same bits in O(D^2). The test
-    is exact, with no tolerance: a tiny off-diagonal entry still
-    contributes to the dense products. Any other A takes those two matmuls.
-    A result beyond double precision raises DomainError instead of holding
-    inf or NaN.
+    product d_r B_rc plus exact zeros, so _diag_commutator gives, for real
+    d, the same bits in O(D^2). The test is exact, with no tolerance: a
+    tiny off-diagonal entry still contributes to the dense products. Any
+    other A takes those two matmuls. A result beyond double precision
+    raises DomainError instead of holding inf or NaN.
     """
     if A.dim != B.dim:
         raise DimensionError(f"dimension mismatch: {A.dim} vs {B.dim}")
-    with np.errstate(over="ignore", invalid="ignore"):
-        if _is_exactly_diagonal(A.matrix):
-            d = np.diag(A.matrix)
-            out = d[:, None] * B.matrix - B.matrix * d[None, :]
-        else:
-            out = A.matrix @ B.matrix - B.matrix @ A.matrix
-    return FockOperator(_finite(out, A.dim, "commutator entries"), A.margin + B.margin)
+    if _is_exactly_diagonal(A.matrix):
+        out = _diag_commutator(np.diag(A.matrix), B.matrix)
+    else:
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = _finite(A.matrix @ B.matrix - B.matrix @ A.matrix, A.dim, "commutator entries")
+    return FockOperator(out, A.margin + B.margin)
 
 
 def heisenberg_evolve(O: FockOperator, H: FockOperator, t: float) -> FockOperator:
@@ -233,17 +267,30 @@ def _ladder_powers(
     return up, down
 
 
+def _ordered_products(n: int, up: list[np.ndarray], down: list[np.ndarray]) -> list[np.ndarray]:
+    """The dense products (a†)^{n+s} a^s, one for each power a^s in down,
+    from the ladder powers up and down of _ladder_powers. A caller summing
+    several expansions of one n forms each product once."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return [up[n + s] @ p for s, p in enumerate(down)]
+
+
+def _ordered_sum(terms: list[tuple[int, float]], products: list[np.ndarray]) -> np.ndarray:
+    """sum_s coeff products[s] over the terms (s, coeff), in their order, as
+    a real dense matrix. A sum beyond double precision raises DomainError."""
+    mat = np.zeros(products[0].shape)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for s, coeff in terms:
+            mat += coeff * products[s]
+    return _finite(mat, len(mat), "normal-ordered entries")
+
+
 def _normal_order_dense(
     n: int, terms: list[tuple[int, float]], up: list[np.ndarray], down: list[np.ndarray]
 ) -> np.ndarray:
     """sum_s coeff (a†)^{n+s} a^s over the terms (s, coeff) that the caller
-    hands in, as a real dense matrix from the ladder powers up and down of
-    _ladder_powers. A sum beyond double precision raises DomainError."""
-    mat = np.zeros(up[0].shape)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for s, coeff in terms:
-            mat += coeff * (up[n + s] @ down[s])
-    return _finite(mat, len(mat), "normal-ordered entries")
+    hands in: _ordered_sum of _ordered_products."""
+    return _ordered_sum(terms, _ordered_products(n, up, down))
 
 
 def _oracle_state(

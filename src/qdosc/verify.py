@@ -17,6 +17,18 @@ handed over as its band, and band_rel_error compares the two; it gives the
 bits of interior_rel_error, the same residual of two dense matrices, on
 the band's dense form. No suite calls interior_rel_error.
 
+The closure, multicommutator and power-law suites hold one stack of the m
+index per (model, n): the (S, D-n) stack of Lambda bands, its (S, D, D)
+dense form from fock._band_array, and its commutators with H from
+fock._diag_commutator, formed once per depth for the whole stack. The
+closed forms do not depend on m, so expansion_band and power_law_band form
+the whole stack's bands at once, and band_rel_error compares a stack in
+one call: the largest of its slices' values, as exact as a maximum is. The
+normal-order suite forms each ladder product (a†)^{n+s} a^s once per n
+(fock._ordered_products) and sums each M's terms in their s order; its
+checked columns depend on M, so it compares per M. Every report keeps the
+bits of the per-operator loop.
+
 Each suite checks one fixed grid, the module constants below, and its
 report records the grid; the truncation dimension D is the only argument
 a suite takes. Each check is a generator of residuals judged by _check.
@@ -47,16 +59,18 @@ from .dynamics import (
 )
 from .errors import ConvergenceError
 from .fock import (
+    _band_array,
     _band_operator,
     _check_dim,
+    _diag_commutator,
     _ladder_powers,
     _lambda_band,
-    _normal_order_dense,
+    _ordered_products,
+    _ordered_sum,
     _oracle_series,
     _oracle_state,
     build_hamiltonian,
     build_lambda,
-    commutator,
 )
 from .isomap import isomorphism_residuals
 from .params import Anharmonic, LambdaIndex, ModelParams, QOsc, level_value
@@ -119,8 +133,10 @@ def interior_rel_error(ref: np.ndarray, test: np.ndarray, max_col: int) -> float
 
 def band_rel_error(ref: np.ndarray, test: np.ndarray, max_col: int, k: int) -> float:
     """interior_rel_error(ref, test, max_col) with one side, ref or test,
-    given as the 1-D band it holds on diagonal k (k < 0 below the main
-    diagonal) and the other as a dense matrix.
+    given as the band it holds on diagonal k (k < 0 below the main
+    diagonal) and the other as a dense matrix. Leading axes stack: a
+    (S, L) band against an (S, D, D) array gives the largest of the S
+    slices' values.
 
     Bit for bit the value of interior_rel_error on the band's dense form:
     on the band the same element-wise ratios; off it the band side is 0, so
@@ -130,15 +146,16 @@ def band_rel_error(ref: np.ndarray, test: np.ndarray, max_col: int, k: int) -> f
     or an off-band inf with the dense side as reference, gives NaN there
     as here.
     """
-    band_is_ref = ref.ndim == 1
+    band_is_ref = ref.ndim < test.ndim
     band, dense = (ref, test) if band_is_ref else (test, ref)
-    cols = dense[:, : max_col + 1]
-    on = np.diagonal(cols, k)
-    b = band[: on.size]
+    cols = dense[..., : max_col + 1]
+    on = np.diagonal(cols, k, axis1=-2, axis2=-1)
+    b = band[..., : on.shape[-1]]
     r, t = (b, on) if band_is_ref else (on, b)
     worst = (np.abs(t - r) / np.maximum(np.abs(r), 1.0)).max(initial=0.0)
     off = np.abs(cols)
-    np.fill_diagonal(off[-k:] if k < 0 else off[:, k:], 0.0)
+    i = np.arange(on.shape[-1])
+    off[..., i + max(-k, 0), i + max(k, 0)] = 0.0
     top = off.max(initial=0.0)
     if not band_is_ref:
         # |d| / max(|d|, 1) is min(|d|, 1) exactly, so nondecreasing in |d|
@@ -169,19 +186,17 @@ def _closure_models():
 
 def _closure_residuals(params: ModelParams, D: int):
     """[H, L^{n,m}] and [H, L^{n,m}†] against their one-band right-hand
-    sides, for n, m up to CLOSURE_NM_MAX."""
-    H = build_hamiltonian(params, D)
+    sides, for n, m up to CLOSURE_NM_MAX, each n's m as one stack."""
+    h = np.diag(build_hamiltonian(params, D).matrix)
     lv = level_value(params, np.arange(D))
     for n in range(CLOSURE_NM_MAX + 1):
         cc = closure_coeffs(params, n)
-        bands = [_lambda_band(lv, (n, m), D) for m in range(CLOSURE_NM_MAX + 2)]
-        for band, band_up in zip(bands, bands[1:]):
-            rhs = cc.c_same * band + cc.c_up * band_up
-            lam = _band_operator(band, -n)
-            lhs = commutator(H, lam).matrix
-            yield band_rel_error(rhs, lhs, D - 1 - n, -n)
-            lhs_d = commutator(H, lam.dagger()).matrix
-            yield band_rel_error(-rhs, lhs_d.T, D - 1 - n, -n)
+        bands = np.array([_lambda_band(lv, (n, m), D) for m in range(CLOSURE_NM_MAX + 2)])
+        rhs = cc.c_same * bands[:-1] + cc.c_up * bands[1:]
+        lam = _band_array(bands[:-1], -n)
+        yield band_rel_error(rhs, _diag_commutator(h, lam), D - 1 - n, -n)
+        lhs_d = _diag_commutator(h, lam.transpose(0, 2, 1))
+        yield band_rel_error(-rhs, lhs_d.transpose(0, 2, 1), D - 1 - n, -n)
 
 
 def suite_closure(D: int = DEFAULT_DIM) -> list[CheckResult]:
@@ -198,20 +213,22 @@ def suite_closure(D: int = DEFAULT_DIM) -> list[CheckResult]:
 def _iterated_residuals(params: ModelParams, closed_band, D: int, levels: int):
     """The band closed_band(params, lam, lv, n, m, j), lam the L^{n,m} band
     and lv the first `levels` levels, against the dense iterated commutator
-    [H, ...[H, L^{n,m}]...] on the exact columns 0..D-1-n. Each band is
-    built before the commutator of the same depth, so its DomainError
-    precedes any overflow in the oracle."""
+    [H, ...[H, L^{n,m}]...] on the exact columns 0..D-1-n. Each n's m form
+    one stack, of bands and of dense arrays. The closed form's factor does
+    not depend on m, so closed_band takes the whole stack and its largest
+    m, which it only validates. At each depth the bands are built before
+    the commutator, so their DomainError precedes any overflow in the
+    oracle."""
     lv = level_value(params, np.arange(levels))
-    H = build_hamiltonian(params, D)
+    h = np.diag(build_hamiltonian(params, D).matrix)
     for n in range(ITERATED_NM_MAX + 1):
-        for m in range(ITERATED_NM_MAX + 1):
-            lam = _lambda_band(lv, (n, m), D)
-            iterated = _band_operator(lam, -n)
-            for j in range(ITERATED_J_MAX + 1):
-                closed = closed_band(params, lam, lv, n, m, j)
-                if j > 0:
-                    iterated = commutator(H, iterated)
-                yield band_rel_error(iterated.matrix, closed, D - 1 - n, -n)
+        lam = np.array([_lambda_band(lv, (n, m), D) for m in range(ITERATED_NM_MAX + 1)])
+        iterated = _band_array(lam, -n)
+        for j in range(ITERATED_J_MAX + 1):
+            closed = closed_band(params, lam, lv, n, ITERATED_NM_MAX, j)
+            if j > 0:
+                iterated = _diag_commutator(h, iterated)
+            yield band_rel_error(iterated, closed, D - 1 - n, -n)
 
 
 _ITERATED_GRID = {"j_max": ITERATED_J_MAX, "nm_max": ITERATED_NM_MAX}
@@ -279,15 +296,17 @@ def suite_scaling() -> list[CheckResult]:
 
 
 def _normal_order_residuals(q: float, D: int):
-    """Each L^{n,M} band against its normally ordered dense expansion."""
+    """Each L^{n,M} band against its normally ordered dense expansion, the
+    ladder products (a†)^{n+s} a^s formed once per n for every M."""
     n_max, M_max = NORMAL_ORDER_N_MAX, NORMAL_ORDER_M_MAX
     params = QOsc(q=q)
     lv = level_value(params, np.arange(D))
     up, down = _ladder_powers(params, D, n_max + M_max, M_max)
     for n in range(n_max + 1):
+        products = _ordered_products(n, up, down)
         for M in range(M_max + 1):
             lam = _lambda_band(lv, LambdaIndex(n, M), D)
-            ordered = _normal_order_dense(n, normal_order_expansion(n, M, q), up, down)
+            ordered = _ordered_sum(normal_order_expansion(n, M, q), products)
             yield band_rel_error(lam, ordered, D - 1 - n - M, -n)
 
 

@@ -438,3 +438,25 @@ class TestCollapse:
                 scaling_phase_check(params, 3, 0, taus, 0)
             with pytest.raises(DomainError, match="must be finite"):
                 collapse_transform([PhaseCurve(taus, values, 3, 0, params.q, 0)])
+
+
+class TestPhaseSplitRefusal:
+    def test_refusal_names_the_rate_whose_split_overflows(self):
+        # the rate [1021]_2 - [1020]_2 is near 1.1e307: its split overflows,
+        # while the time span 1e-300 is tiny
+        params, taus = QOsc(q=2.0), [0.0, 1e-300]
+        with pytest.raises(DomainError) as refused:
+            band_phase_trace(params, LambdaIndex(1, 0), 1020, taus)
+        message = str(refused.value)
+        assert message.startswith("phase angles overflow double precision: the rate = 1.1")
+        assert message.endswith("e+307 has no finite Dekker split")
+        assert "t=" not in message and "1.000e-300" not in message
+
+    def test_refusal_names_the_time_span_whose_split_overflows(self):
+        with pytest.raises(DomainError, match=r"the time span max\|t\| = 1\.000e\+308 "):
+            band_phase_trace(QOsc(q=1.2), LambdaIndex(1, 0), 0, [0.0, 1e308])
+
+    def test_refusal_names_the_terms_whose_split_overflows(self):
+        r = np.array([1.0, 1e305])
+        with pytest.raises(DomainError, match=r"max\|r_k\| = 1\.000e\+305 "):
+            _phase_sum(1e-300, np.array([0.0, 1.0]), r, np.ones(2), 0.0)

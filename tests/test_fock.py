@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import qdosc.fock as fock
 from qdosc import (
     Anharmonic,
     ConvergenceError,
@@ -399,3 +400,57 @@ class TestExpectation:
         st = coherent_state(Q2, 0.0, D=5)
         with pytest.raises(DimensionError):
             expectation(st, build_hamiltonian(Q2, 6))
+
+
+def bits(a):
+    """The array's bits, so that -0.0 and 0.0 differ."""
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+class TestStackedHelpers:
+    """The stacked array helpers give each slice the bits of the
+    per-operator path."""
+
+    @pytest.mark.parametrize("k", [-3, 0, 2])
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_band_array_is_diag_per_row(self, k, dtype):
+        rng = np.random.default_rng(abs(k) + 1)
+        rows = (rng.normal(size=(4, 7)) * 10.0 ** rng.uniform(-3, 6, (4, 7))).astype(dtype)
+        rows[1, 2] = -0.0
+        rows[3, 0] = 0.0
+        stack = fock._band_array(rows, k)
+        assert stack.shape == (4, 7 + abs(k), 7 + abs(k)) and stack.dtype == rows.dtype
+        for row, got in zip(rows, stack):
+            want = np.diag(row, k)
+            assert np.array_equal(got, want) and np.array_equal(bits(got), bits(want))
+            assert np.array_equal(bits(_band_operator(row, k).matrix), bits(want))
+
+    def test_band_array_refuses_an_overflowing_stack(self):
+        rows = np.ones((3, 5))
+        rows[2, 4] = math.inf
+        with pytest.raises(DomainError, match="operator entries overflow double precision at D=7"):
+            fock._band_array(rows, -2)
+
+    @pytest.mark.parametrize("params", [QOsc(q=0.5), Q2, ANH], ids=repr)
+    def test_diag_commutator_is_commutator_per_slice(self, params):
+        D = 9
+        H = build_hamiltonian(params, D)
+        rng = np.random.default_rng(5)
+        X = rng.normal(size=(3, D, D)) * 10.0 ** rng.uniform(-3, 6, (3, D, D))
+        X[0, 4, 4] = -0.0
+        X[2, :, 3] = 0.0
+        stack = fock._diag_commutator(np.diag(H.matrix), X)
+        for x, got in zip(X, stack):
+            want = commutator(H, FockOperator(x)).matrix
+            assert np.array_equal(got, want) and np.array_equal(bits(got), bits(want))
+
+    def test_diag_commutator_refuses_an_overflowing_stack(self):
+        H = FockOperator(np.diag([0.0, 1e300, -1e300, 2.0]))
+        X = np.ones((3, 4, 4))
+        X[1, 1, 2] = 1e10
+        with pytest.raises(DomainError) as per_operator:
+            commutator(H, FockOperator(X[1]))
+        with pytest.raises(DomainError) as stacked:
+            fock._diag_commutator(np.diag(H.matrix), X)
+        assert str(stacked.value) == str(per_operator.value)
+        assert str(stacked.value) == "commutator entries overflow double precision at D=4"

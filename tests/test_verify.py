@@ -8,15 +8,18 @@ import pytest
 import qdosc.verify as verify
 import qdosc.fock as fock
 from qdosc import DimensionError, DomainError, LambdaIndex, QOsc, normal_order_expansion
-from qdosc.params import energy
-from qdosc.algebra import normal_order_matrix
+from qdosc.params import energy, level_value
+from qdosc.algebra import closure_coeffs, expansion_band, normal_order_matrix, power_law_band
 from qdosc.fock import (
     FockOperator,
+    _band_operator,
     _ladder_powers,
+    _lambda_band,
     _normal_order_dense,
     build_hamiltonian,
     build_lambda,
     coherent_state,
+    commutator,
     heisenberg_evolve,
 )
 from qdosc.verify import (
@@ -148,6 +151,128 @@ class TestBandRelError:
         # with the dense side as reference an inf there is inf / inf
         if math.isnan(bad) or where != "band":
             assert math.isnan(got)
+
+
+class TestStackedBandRelError:
+    """On a stack band_rel_error is the largest of its slices' values."""
+
+    D = 12
+
+    def _stack(self, k, seed, S=4):
+        rng = np.random.default_rng(seed)
+        L = self.D - abs(k)
+        bands = rng.normal(size=(S, L)) * 10.0 ** rng.uniform(-3, 6, (S, L))
+        dense = fock._band_array(bands * (1 + 1e-13 * rng.normal(size=(S, L))), k)
+        dense[1, 0, self.D - 1] = 0.7
+        dense[2, self.D - 1, 0] = -0.0
+        return bands, dense
+
+    def _check(self, bands, dense, k, max_col):
+        for ref, test in ((bands, dense), (dense, bands)):
+            per_slice = [band_rel_error(r, t, max_col, k) for r, t in zip(ref, test)]
+            want = np.maximum.reduce(per_slice)
+            assert _same(band_rel_error(ref, test, max_col, k), want)
+
+    @pytest.mark.parametrize("k", [-3, 0, 2])
+    @pytest.mark.parametrize("max_col", [-1, 0, 4, 11])
+    def test_max_of_the_slices(self, k, max_col):
+        bands, dense = self._stack(k, seed=abs(k) + max_col + 3)
+        self._check(bands, dense, k, max_col)
+
+    @pytest.mark.parametrize("where", ["band", "on", "off"])
+    @pytest.mark.parametrize("slice_", [0, 3])
+    def test_nan_anywhere_gives_nan(self, where, slice_):
+        bands, dense = self._stack(-1, seed=11)
+        if where == "band":
+            bands[slice_, 3] = math.nan
+        elif where == "on":
+            dense[slice_, 4, 3] = math.nan
+        else:
+            dense[slice_, 0, 5] = math.nan
+        with np.errstate(invalid="ignore"):
+            self._check(bands, dense, -1, 9)
+            assert math.isnan(band_rel_error(bands, dense, 9, -1))
+            assert math.isnan(band_rel_error(dense, bands, 9, -1))
+
+
+def _reference_closure(params, D):
+    """The per-(n, m) closure loop: one commutator and one band_rel_error
+    per operator."""
+    H = build_hamiltonian(params, D)
+    lv = level_value(params, np.arange(D))
+    for n in range(verify.CLOSURE_NM_MAX + 1):
+        cc = closure_coeffs(params, n)
+        bands = [_lambda_band(lv, (n, m), D) for m in range(verify.CLOSURE_NM_MAX + 2)]
+        for band, band_up in zip(bands, bands[1:]):
+            rhs = cc.c_same * band + cc.c_up * band_up
+            lam = _band_operator(band, -n)
+            yield band_rel_error(rhs, commutator(H, lam).matrix, D - 1 - n, -n)
+            lhs_d = commutator(H, lam.dagger()).matrix
+            yield band_rel_error(-rhs, lhs_d.T, D - 1 - n, -n)
+
+
+def _reference_iterated(params, closed_band, D, levels):
+    """The per-(n, m, j) iterated-commutator loop."""
+    lv = level_value(params, np.arange(levels))
+    H = build_hamiltonian(params, D)
+    for n in range(verify.ITERATED_NM_MAX + 1):
+        for m in range(verify.ITERATED_NM_MAX + 1):
+            lam = _lambda_band(lv, (n, m), D)
+            iterated = _band_operator(lam, -n)
+            for j in range(verify.ITERATED_J_MAX + 1):
+                closed = closed_band(params, lam, lv, n, m, j)
+                if j > 0:
+                    iterated = commutator(H, iterated)
+                yield band_rel_error(iterated.matrix, closed, D - 1 - n, -n)
+
+
+def _reference_normal_order(q, D):
+    """The per-(n, M) normal-order loop, each product formed per term."""
+    n_max, M_max = verify.NORMAL_ORDER_N_MAX, verify.NORMAL_ORDER_M_MAX
+    params = QOsc(q=q)
+    lv = level_value(params, np.arange(D))
+    up, down = _ladder_powers(params, D, n_max + M_max, M_max)
+    for n in range(n_max + 1):
+        for M in range(M_max + 1):
+            lam = _lambda_band(lv, LambdaIndex(n, M), D)
+            ordered = np.zeros((D, D))
+            for s, coeff in normal_order_expansion(n, M, q):
+                ordered += coeff * (up[n + s] @ down[s])
+            yield band_rel_error(lam, ordered, D - 1 - n - M, -n)
+
+
+class TestStackedSuitesMatchThePerOperatorLoop:
+    """The suites stack each (model, n) over m; their reports keep the
+    bits of the per-operator loop they replaced."""
+
+    def _worst(self, residuals):
+        return verify._check("c", {}, 1.0, residuals).max_residual
+
+    def _compare(self, results, references):
+        assert len(results) == len(references)
+        for result, reference in zip(results, references):
+            assert _same(result.max_residual, self._worst(reference))
+
+    @pytest.mark.parametrize("D", [6, 64])
+    def test_closure(self, D):
+        refs = [_reference_closure(p, D) for p in verify._closure_models()]
+        self._compare(verify.suite_closure(D), refs)
+
+    @pytest.mark.parametrize("D", [6, 64])
+    def test_multicommutator(self, D):
+        models = [QOsc(q=1.2), QOsc(q=2.0), verify.ANHARMONIC_DEFAULT]
+        refs = [_reference_iterated(p, expansion_band, D, D) for p in models]
+        self._compare(verify.suite_multicommutator(D), refs)
+
+    @pytest.mark.parametrize("D", [6, 64])
+    def test_power_law(self, D):
+        refs = [_reference_iterated(QOsc(q=q), power_law_band, D, D + 1) for q in (0.5, 1.2, 2.0)]
+        self._compare(verify.suite_power_law(D), refs)
+
+    @pytest.mark.parametrize("D", [6, 64])
+    def test_normal_order(self, D):
+        refs = [_reference_normal_order(q, D) for q in verify.Q_GRID]
+        self._compare(verify.suite_normal_order(D), refs)
 
 
 class TestRunSuite:
