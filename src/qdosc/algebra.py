@@ -3,11 +3,12 @@ the binomial and power-law multicommutator expansions, the element-wise
 dynamical-scaling check and the normal-ordering coefficient generator.
 
 Each closed form is the one band of Lambda^{n,m} times a factor per Fock
-column, and is built as that band (expansion_band, power_law_band) from a
-level vector the caller builds once per model. expansion_matrix,
+column that does not depend on m. It is built as that band
+(expansion_band, power_law_band) from the Lambda band, which carries m,
+and a level vector the caller builds once per model. expansion_matrix,
 power_law_multicommutator and normal_order_matrix package a closed form as
-a dense operator; every dense array is built by the oracle in fock, which
-the bands are verified against.
+a dense operator from the oracle in fock, which the bands are verified
+against.
 """
 
 from __future__ import annotations
@@ -26,7 +27,9 @@ from .fock import (
     _finite,
     _ladder_powers,
     _lambda_band,
-    _normal_order_dense,
+    _levels,
+    _ordered_products,
+    _ordered_sum,
 )
 from .params import (
     Anharmonic,
@@ -36,7 +39,6 @@ from .params import (
     _closure_rates,
     _level_q,
     energy,
-    level_value,
     validate_index,
 )
 from .qcore import q_number, q_stirling2
@@ -110,13 +112,14 @@ def multicommutator_expansion(
 
 
 def expansion_band(
-    params: ModelParams, lam: np.ndarray, lv: np.ndarray, n: int, m: int, j: int
+    params: ModelParams, lam: np.ndarray, lv: np.ndarray, n: int, j: int
 ) -> np.ndarray:
     """The binomial expansion sum_k coeff_k L^{n,m+k} as its one band on
     sub-diagonal n: lam, the L^{n,m} band, times sum_k coeff_k [c]^k in Fock
-    column c, read from the level vector lv. The factor does not depend on
-    m, so lam may be a stack of bands on leading axes."""
-    terms = multicommutator_expansion(params, n, m, j)
+    column c, read from the level vector lv. Neither the coefficients nor
+    the factor depend on m, so lam may be a stack of bands over m on
+    leading axes."""
+    terms = multicommutator_expansion(params, n, 0, j)
     lv = lv[: lam.shape[-1]]
     with np.errstate(over="ignore", invalid="ignore"):
         band = lam * sum(coeff * lv**k for k, coeff in terms)
@@ -128,13 +131,13 @@ def expansion_matrix(
 ) -> FockOperator:
     """Materialize the binomial expansion sum_k coeff_k L^{n,m+k}, the band
     of expansion_band, as a dense operator."""
-    lv = level_value(params, np.arange(D))
-    band = expansion_band(params, _lambda_band(lv, (n, m), D), lv, n, m, j)
+    lv = _levels(params, D)
+    band = expansion_band(params, _lambda_band(lv, (n, m), D), lv, n, j)
     return _band_operator(band, -n)
 
 
 def power_law_band(
-    params: QOsc, lam: np.ndarray, lv: np.ndarray, n: int, m: int, j: int
+    params: QOsc, lam: np.ndarray, lv: np.ndarray, n: int, j: int
 ) -> np.ndarray:
     """The general-q closed form L^{n,m} (E(n) [a, a†])^j as its one band on
     sub-diagonal n. [a, a†] is diagonal with entries [c+1] - [c], so the
@@ -143,7 +146,6 @@ def power_law_band(
     As for expansion_band, lam may be a stack of bands on leading axes."""
     if not isinstance(params, QOsc):
         raise DomainError("power-law form is specific to the q model")
-    validate_index((n, m))
     if j < 0:
         raise DomainError(f"j must be nonnegative, got {j}")
     lv = lv[: lam.shape[-1] + 1]
@@ -162,8 +164,8 @@ def power_law_multicommutator(
     columns.
     """
     # the band reads the levels below D and, at n = 0, [D]
-    lv = level_value(params, np.arange(max(D, D - n + 1)))
-    band = power_law_band(params, _lambda_band(lv, (n, m), D), lv, n, m, j)
+    lv = _levels(params, D, int(n == 0))
+    band = power_law_band(params, _lambda_band(lv, (n, m), D), lv, n, j)
     return _band_operator(band, -n)
 
 
@@ -201,4 +203,4 @@ def normal_order_matrix(params: ModelParams, idx: LambdaIndex, D: int) -> FockOp
     n, M = validate_index(idx)
     up, down = _ladder_powers(params, D, n + M, M)
     terms = normal_order_expansion(n, M, _level_q(params))
-    return FockOperator(_normal_order_dense(n, terms, up, down), margin=n)
+    return FockOperator(_ordered_sum(terms, _ordered_products(n, up, down)), margin=n)

@@ -174,13 +174,11 @@ def _phase_sum(
         slope_rows = n_b if whole else -(-n_b // n_tiles)
         out = np.empty((n_b, size), dtype=complex)
         slope = np.empty((slope_rows, size), dtype=complex)
-        tiles = [(slice(0, n_b), out, slope, d)]
-        if n_tiles > 1:
-            ends = [n_b * i // n_tiles for i in range(n_tiles + 1)]
-            tiles = [
-                (slice(a, b), out[a:b], slope[a:b] if whole else slope[: b - a], d[a:b])
-                for a, b in zip(ends, ends[1:])
-            ]
+        ends = [n_b * i // n_tiles for i in range(n_tiles + 1)]
+        tiles = [
+            (slice(a, b), out[a:b], slope[a:b] if whole else slope[: b - a], d[a:b])
+            for a, b in zip(ends, ends[1:])
+        ]
         for start in range(0, len(c), terms):
             k = slice(start, start + terms)
             tables = _table_cis(s, w_hi[k], w_lo[k])
@@ -436,7 +434,7 @@ def relation_identity_residual(x: float, q: float, m: int) -> float:
     rhs = math.fsum(q_stirling2(r, m, q) * x**r for r in range(m + 1)) * q_exponential(
         x, q
     )
-    return abs(lhs - rhs) / abs(rhs)
+    return abs(lhs - rhs) / abs(rhs) if lhs != rhs else 0.0  # both 0 at x = 0
 
 
 @dataclass(frozen=True)

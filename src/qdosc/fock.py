@@ -6,33 +6,27 @@ evolved coherent state. It is the oracle the closed-form algebra and
 dynamics are verified against, and it uses nothing from them: callers hand
 in the normal-ordering coefficients, and the oracle forms its own phases.
 
-A commutator whose first operand is exactly diagonal, as both Hamiltonians
-are, is formed element-wise in O(D^2) and is exact: for a real diagonal it
-has the bits of the two O(D^3) matmuls, which every other operand takes.
+The package's own oracle and closed forms exchange arrays: level vectors,
+bands and dense ndarrays. FockOperator, a read-only square matrix with its
+truncation margin, is the public dense API over the same helpers, which
+the benchmarks call; no private routine builds one but _band_operator.
+_levels is the one place a dimension D becomes a level vector, and it
+refuses D out of range with DimensionError before anything is allocated.
 
-The oracle in verify holds one stack of the m index per (model, n): every
-Lambda^{n,m} of one n is a band of the same length on the same diagonal,
-and so is each of its commutators with H. Two array helpers accept a
-leading stack axis: _band_array places a band, or a stack of them, on
-diagonal k, and _diag_commutator commutes a diagonal with a matrix, or a
-stack of them, element-wise. So verify commutes each stack with H once per
-depth. _band_operator and commutator are the one-operator wrappers of the
-same helpers, and each slice of a stack has the bits of the one-operator
-path. FockOperator itself stays one square matrix. The normal-ordered sums
-take the same approach: _ordered_products forms each ladder product
-(a†)^{n+s} a^s once per n, and _ordered_sum adds one expansion's terms.
+Every operator is a single band, computed from one level vector and stored
+densely in the band's own dtype: levels, energies, Lambda and the ladders
+are real float64 matrices, so their products are dgemm. A product of
+single-band matrices has at most one nonzero term per entry, so it rounds
+alike in real and complex arithmetic. A band or dense array beyond double
+precision raises DomainError (_finite) rather than holding inf or NaN.
 
-Every operator built here is a single band, computed from one level
-vector and stored densely in the band's own dtype: levels, energies,
-Lambda and the ladders are real float64 matrices, so their products are
-dgemm, not zgemm. A product of single-band matrices has at most one
-nonzero term per entry, so it rounds alike in real and complex
-arithmetic. A band or dense array beyond double precision raises
-DomainError (_finite) rather than holding inf or NaN. The closed forms in
-algebra are handed over as bands: the band of Lambda^{n,m} (_lambda_band,
-read from a level vector the caller builds once per model) scaled per
-column. _band_operator packages a band densely; its dimension and margin
-follow from the band's length and diagonal.
+_band_array places a band, or a stack of bands on leading axes, on
+diagonal k; _diag_commutator commutes a diagonal with a matrix, or a stack
+of them, element-wise in O(D^2), with the bits of the two O(D^3) matmuls
+for a real diagonal. So verify commutes a stack of the m index with H once
+per depth. _band_operator and commutator wrap them for one operator.
+_ordered_products forms each ladder product (a†)^{n+s} a^s once per n,
+and _ordered_sum adds one expansion's terms.
 
 Truncation bookkeeping: both Hamiltonians are diagonal, so cutting the
 ladder at dimension D only contaminates the top `margin` Fock levels of an
@@ -88,6 +82,13 @@ def _check_dim(D: int) -> None:
         raise DimensionError(f"dimension (--dim) must be in [2, {_MAX_DIM}], got {D}")
 
 
+def _levels(params: ModelParams, D: int, extra: int = 0) -> np.ndarray:
+    """The level vector [k], k < D + extra, at truncation dimension D, after
+    _check_dim: the one place a dimension becomes a level vector."""
+    _check_dim(D)
+    return level_value(params, np.arange(D + extra))
+
+
 def _finite(a: np.ndarray, D: int, what: str = "operator entries") -> np.ndarray:
     """a itself, or DomainError naming `what` if an entry is inf or NaN."""
     if not np.isfinite(a).all():
@@ -117,8 +118,7 @@ def _band_operator(band: np.ndarray, k: int) -> FockOperator:
 
 def build_ladder(params: ModelParams, D: int) -> tuple[FockOperator, FockOperator]:
     """Annihilation/creation pair: a|n> = sqrt([n]) |n-1> (row = n-1, col = n)."""
-    _check_dim(D)
-    a = _band_operator(np.sqrt(level_value(params, np.arange(1, D))), 1)
+    a = _band_operator(np.sqrt(_levels(params, D)[1:]), 1)
     return a, a.dagger()
 
 
@@ -139,7 +139,6 @@ def _lambda_band(lv: np.ndarray, idx: LambdaIndex, D: int) -> np.ndarray:
     equal to the bare (a†)^n. Entries beyond double precision raise
     DomainError.
     """
-    _check_dim(D)
     n, m = validate_index(idx)
     if n >= D:
         raise DimensionError(f"raising degree n={n} must be < D={D}")
@@ -153,7 +152,7 @@ def _lambda_band(lv: np.ndarray, idx: LambdaIndex, D: int) -> np.ndarray:
 
 def build_lambda(params: ModelParams, idx: LambdaIndex, D: int) -> FockOperator:
     """Band operator (a†)^n (a† a)^m, holding _lambda_band on sub-diagonal n."""
-    band = _lambda_band(level_value(params, np.arange(D)), idx, D)
+    band = _lambda_band(_levels(params, D), idx, D)
     return _band_operator(band, -LambdaIndex(*idx).n)
 
 
@@ -224,8 +223,7 @@ def coherent_state(
     The eigenvalue relation a|alpha> = alpha|alpha> is verified on the
     first D-1 components before returning.
     """
-    _check_dim(D)
-    lv = level_value(params, np.arange(D + 1))
+    lv = _levels(params, D, 1)
     ratio, _, probs = _mode_weights(abs(alpha) ** 2, lv)
     total = probs.sum()
     # geometric bound on the occupation mass beyond the cutoff
@@ -254,14 +252,14 @@ def expectation(state: np.ndarray, O: FockOperator) -> complex:
 def _ladder_powers(
     params: ModelParams, D: int, k_max: int, s_max: int
 ) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """The dense powers (a†)^k, k <= k_max, and a^s, s <= s_max, from one
-    build_ladder. Each is np.linalg.matrix_power's own: a running product
-    would round differently. A power beyond double precision raises
-    DomainError."""
-    a, adag = build_ladder(params, D)
+    """The dense powers (a†)^k, k <= k_max, and a^s, s <= s_max, of one
+    ladder array a and its transpose a†. Each is np.linalg.matrix_power's
+    own: a running product would round differently. A power beyond double
+    precision raises DomainError."""
+    a = _band_array(np.sqrt(_levels(params, D)[1:]), 1)
     with np.errstate(over="ignore", invalid="ignore"):
-        up = [np.linalg.matrix_power(adag.matrix, k) for k in range(k_max + 1)]
-        down = [np.linalg.matrix_power(a.matrix, s) for s in range(s_max + 1)]
+        up = [np.linalg.matrix_power(a.T, k) for k in range(k_max + 1)]
+        down = [np.linalg.matrix_power(a, s) for s in range(s_max + 1)]
     for p in up + down:
         _finite(p, D, "ladder powers")
     return up, down
@@ -285,14 +283,6 @@ def _ordered_sum(terms: list[tuple[int, float]], products: list[np.ndarray]) -> 
     return _finite(mat, len(mat), "normal-ordered entries")
 
 
-def _normal_order_dense(
-    n: int, terms: list[tuple[int, float]], up: list[np.ndarray], down: list[np.ndarray]
-) -> np.ndarray:
-    """sum_s coeff (a†)^{n+s} a^s over the terms (s, coeff) that the caller
-    hands in: _ordered_sum of _ordered_products."""
-    return _ordered_sum(terms, _ordered_products(n, up, down))
-
-
 def _oracle_state(
     params: ModelParams, alpha: complex, times: np.ndarray, D: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -301,7 +291,7 @@ def _oracle_state(
     phases np.exp of -iEt in place, and conj(Psi), both read-only. Neither
     depends on the operator, so a suite builds them once per model."""
     psi0 = coherent_state(params, alpha, D)
-    E = _finite(energy(params, np.arange(D)), D)
+    E = energy(params, np.arange(D))
     scale = params.omega if isinstance(params, QOsc) else 1.0
     t = np.asarray(times, dtype=float) / scale
     psi = np.empty(np.broadcast_shapes((D, 1), t.shape), dtype=complex)

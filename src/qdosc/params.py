@@ -6,6 +6,8 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple, Union
 
+import numpy as np
+
 from .errors import DomainError
 from .qcore import q_number
 
@@ -65,18 +67,31 @@ def _closure_rates(params: ModelParams, n: int) -> tuple[float, float]:
     the anharmonic one. Every other model-specific rate derives from these."""
     if n < 0:
         raise DomainError(f"n must be nonnegative, got {n}")
-    if isinstance(params, QOsc):
-        e_n = params.omega * q_number(n, params.q)
-        return e_n, e_n * (params.q - 1.0)
-    return n * params.omega1 + n * n * params.omega2, 2.0 * n * params.omega2
+    try:
+        if isinstance(params, QOsc):
+            e_n = params.omega * q_number(n, params.q)
+            rates = e_n, e_n * (params.q - 1.0)
+        else:
+            rates = n * params.omega1 + n * n * params.omega2, 2.0 * n * params.omega2
+    except OverflowError:  # an int n beyond double precision
+        rates = (math.inf,)
+    if not all(map(math.isfinite, rates)):
+        raise DomainError(f"closure rates overflow double precision at n={n} for {params}")
+    return rates
 
 
 def energy(params: ModelParams, k):
     """Hamiltonian eigenvalue at Fock level k; an integer ndarray k gives
-    the spectrum elementwise."""
-    if isinstance(params, QOsc):
-        return params.omega * q_number(k, params.q)
-    return params.omega1 * k + params.omega2 * k * k
+    the spectrum elementwise. A value beyond double precision raises
+    DomainError."""
+    with np.errstate(over="ignore"):
+        if isinstance(params, QOsc):
+            e = params.omega * q_number(k, params.q)
+        else:
+            e = params.omega1 * k + params.omega2 * k * k
+    if not np.isfinite(e).all():
+        raise DomainError(f"energy overflows double precision for {params}")
+    return e
 
 
 def validate_index(idx: LambdaIndex) -> LambdaIndex:

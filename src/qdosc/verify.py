@@ -6,28 +6,27 @@ are measured element-wise relative to the reference entry, with a floor of 1
 on the denominator. Every suite measures them with band_rel_error.
 
 The oracle side of every identity is dense, and fock builds every dense
-array of it: the dense Lambda (the suite's own band), its commutators with
-H, the normal-ordered matrix products and the evolved coherent state. Each
-suite builds a model's level vector once, each Lambda band once from it,
-and the oracle's per-model state once: the ladder powers
-(fock._ladder_powers) and the state Psi (fock._oracle_state). Every dense
-operator is one real band, so its products and absolute values take
-float64 arithmetic. The closed-form side, from algebra and dynamics, is
-handed over as its band, and band_rel_error compares the two; it gives the
-bits of interior_rel_error, the same residual of two dense matrices, on
-the band's dense form. No suite calls interior_rel_error.
+array of it as a plain ndarray, not a FockOperator: the dense Lambda, its
+commutators with H (the spectrum params.energy gives), the normal-ordered
+matrix products and the evolved coherent state. Each suite builds a
+model's level vector once (fock._levels, which refuses a dimension out of
+range first), each Lambda band once from it, and the oracle's per-model
+state once: the ladder powers and the state Psi. Every dense operator is
+one real band, so its products and absolute values take float64
+arithmetic. The closed-form side, from algebra and dynamics, is handed
+over as its band, and band_rel_error compares the two; it gives the bits
+of interior_rel_error, the same residual of two dense matrices, on the
+band's dense form. No suite calls interior_rel_error.
 
 The closure, multicommutator and power-law suites hold one stack of the m
 index per (model, n): the (S, D-n) stack of Lambda bands, its (S, D, D)
-dense form from fock._band_array, and its commutators with H from
-fock._diag_commutator, formed once per depth for the whole stack. The
-closed forms do not depend on m, so expansion_band and power_law_band form
-the whole stack's bands at once, and band_rel_error compares a stack in
-one call: the largest of its slices' values, as exact as a maximum is. The
-normal-order suite forms each ladder product (a†)^{n+s} a^s once per n
-(fock._ordered_products) and sums each M's terms in their s order; its
-checked columns depend on M, so it compares per M. Every report keeps the
-bits of the per-operator loop.
+dense form and its commutators with H, formed once per depth for the whole
+stack. The closed forms do not depend on m, so the band functions form the
+whole stack's bands at once, and band_rel_error compares a stack in one
+call: the largest of its slices' values. The normal-order suite forms each
+ladder product (a†)^{n+s} a^s once per n (fock._ordered_products) and sums
+each M's terms in their s order; its checked columns depend on M, so it
+compares per M.
 
 Each suite checks one fixed grid, the module constants below, and its
 report records the grid; the truncation dimension D is the only argument
@@ -60,20 +59,19 @@ from .dynamics import (
 from .errors import ConvergenceError
 from .fock import (
     _band_array,
-    _band_operator,
     _check_dim,
     _diag_commutator,
     _ladder_powers,
     _lambda_band,
+    _levels,
     _ordered_products,
     _ordered_sum,
     _oracle_series,
     _oracle_state,
-    build_hamiltonian,
     build_lambda,
 )
 from .isomap import isomorphism_residuals
-from .params import Anharmonic, LambdaIndex, ModelParams, QOsc, level_value
+from .params import Anharmonic, LambdaIndex, ModelParams, QOsc, energy
 from .qcore import _check_radius
 
 DEFAULT_DIM = 64
@@ -187,8 +185,8 @@ def _closure_models():
 def _closure_residuals(params: ModelParams, D: int):
     """[H, L^{n,m}] and [H, L^{n,m}†] against their one-band right-hand
     sides, for n, m up to CLOSURE_NM_MAX, each n's m as one stack."""
-    h = np.diag(build_hamiltonian(params, D).matrix)
-    lv = level_value(params, np.arange(D))
+    lv = _levels(params, D)
+    h = energy(params, np.arange(D))
     for n in range(CLOSURE_NM_MAX + 1):
         cc = closure_coeffs(params, n)
         bands = np.array([_lambda_band(lv, (n, m), D) for m in range(CLOSURE_NM_MAX + 2)])
@@ -210,22 +208,19 @@ def suite_closure(D: int = DEFAULT_DIM) -> list[CheckResult]:
     ]
 
 
-def _iterated_residuals(params: ModelParams, closed_band, D: int, levels: int):
-    """The band closed_band(params, lam, lv, n, m, j), lam the L^{n,m} band
-    and lv the first `levels` levels, against the dense iterated commutator
-    [H, ...[H, L^{n,m}]...] on the exact columns 0..D-1-n. Each n's m form
-    one stack, of bands and of dense arrays. The closed form's factor does
-    not depend on m, so closed_band takes the whole stack and its largest
-    m, which it only validates. At each depth the bands are built before
-    the commutator, so their DomainError precedes any overflow in the
-    oracle."""
-    lv = level_value(params, np.arange(levels))
-    h = np.diag(build_hamiltonian(params, D).matrix)
+def _iterated_residuals(params: ModelParams, closed_band, D: int, extra: int):
+    """The band closed_band(params, lam, lv, n, j), lam the stack of the
+    L^{n,m} bands over m and lv the first D + extra levels, against the
+    dense iterated commutators [H, ...[H, L^{n,m}]...] on the exact columns
+    0..D-1-n. At each depth the bands are built before the commutator, so
+    their DomainError precedes any overflow in the oracle."""
+    lv = _levels(params, D, extra)
+    h = energy(params, np.arange(D))
     for n in range(ITERATED_NM_MAX + 1):
         lam = np.array([_lambda_band(lv, (n, m), D) for m in range(ITERATED_NM_MAX + 1)])
         iterated = _band_array(lam, -n)
         for j in range(ITERATED_J_MAX + 1):
-            closed = closed_band(params, lam, lv, n, ITERATED_NM_MAX, j)
+            closed = closed_band(params, lam, lv, n, j)
             if j > 0:
                 iterated = _diag_commutator(h, iterated)
             yield band_rel_error(iterated, closed, D - 1 - n, -n)
@@ -242,7 +237,7 @@ def suite_multicommutator(D: int = DEFAULT_DIM) -> list[CheckResult]:
             "multicommutator",
             {**_model_tag(p), "dim": D, **_ITERATED_GRID},
             1e-9,
-            _iterated_residuals(p, expansion_band, D, D),
+            _iterated_residuals(p, expansion_band, D, 0),
         )
         for p in [QOsc(q=1.2), QOsc(q=2.0), ANHARMONIC_DEFAULT]
     ]
@@ -256,7 +251,7 @@ def suite_power_law(D: int = DEFAULT_DIM) -> list[CheckResult]:
             "power_law",
             {"model": "qosc", "q": q, "dim": D, **_ITERATED_GRID},
             1e-9,
-            _iterated_residuals(QOsc(q=q), power_law_band, D, D + 1),
+            _iterated_residuals(QOsc(q=q), power_law_band, D, 1),
         )
         for q in (0.5, 1.2, 2.0)
     ]
@@ -300,7 +295,7 @@ def _normal_order_residuals(q: float, D: int):
     ladder products (a†)^{n+s} a^s formed once per n for every M."""
     n_max, M_max = NORMAL_ORDER_N_MAX, NORMAL_ORDER_M_MAX
     params = QOsc(q=q)
-    lv = level_value(params, np.arange(D))
+    lv = _levels(params, D)
     up, down = _ladder_powers(params, D, n_max + M_max, M_max)
     for n in range(n_max + 1):
         products = _ordered_products(n, up, down)
@@ -384,10 +379,9 @@ def _oracle_residuals(params: ModelParams, traces, alpha: complex, times, D: int
     """Each analytic trace, the values over times in _ORACLE_INDICES order,
     against the matrix oracle, relative to the oracle's largest |value|."""
     state = _oracle_state(params, alpha, times, D)
-    lv = level_value(params, np.arange(D))
+    lv = _levels(params, D)
     for idx, values in zip(_ORACLE_INDICES, traces):
-        lam = _band_operator(_lambda_band(lv, idx, D), -idx.n)
-        oracle = _oracle_series(lam.matrix, *state)
+        oracle = _oracle_series(_band_array(_lambda_band(lv, idx, D), -idx.n), *state)
         scale = max(1e-300, float(np.abs(oracle).max()))
         yield np.abs(values - oracle).max() / scale
 

@@ -250,6 +250,14 @@ class TestMap:
         assert json.loads(res.stderr.strip())["error"] == "DomainError"
         assert not out.exists()
 
+    def test_huge_supra_index_exits_2(self, tmp_path):
+        # n^2 omega2 of the anharmonic closure rate is beyond double precision
+        out = tmp_path / "m.json"
+        res = run_cli("map", "--n", 10**200, "--out", out)
+        assert res.returncode == 2
+        assert json.loads(res.stderr.strip())["error"] == "DomainError"
+        assert not out.exists()
+
 
 class TestCollapse:
     def test_normalized_column_is_scaled_time(self, tmp_path):

@@ -311,6 +311,12 @@ class TestRelationIdentity:
         with pytest.raises(ConvergenceError):
             relation_identity_residual(2.0, 0.5, 1)
 
+    @pytest.mark.parametrize("m", range(1, 6))
+    @pytest.mark.parametrize("q", [0.5, 1.0, 1.2, 2.0])
+    def test_origin_is_exact(self, q, m):
+        # at x = 0 both sides are exactly 0 for m >= 1, as both are 1 at m = 0
+        assert relation_identity_residual(0.0, q, m) == 0.0
+
 
 class TestCollapse:
     def test_single_unit_curve(self):

@@ -9,13 +9,21 @@ import qdosc.verify as verify
 import qdosc.fock as fock
 from qdosc import DimensionError, DomainError, LambdaIndex, QOsc, normal_order_expansion
 from qdosc.params import energy, level_value
-from qdosc.algebra import closure_coeffs, expansion_band, normal_order_matrix, power_law_band
+from qdosc.algebra import (
+    closure_coeffs,
+    expansion_band,
+    expansion_matrix,
+    normal_order_matrix,
+    power_law_band,
+    power_law_multicommutator,
+)
 from qdosc.fock import (
     FockOperator,
     _band_operator,
     _ladder_powers,
     _lambda_band,
-    _normal_order_dense,
+    _ordered_products,
+    _ordered_sum,
     build_hamiltonian,
     build_lambda,
     coherent_state,
@@ -220,7 +228,7 @@ def _reference_iterated(params, closed_band, D, levels):
             lam = _lambda_band(lv, (n, m), D)
             iterated = _band_operator(lam, -n)
             for j in range(verify.ITERATED_J_MAX + 1):
-                closed = closed_band(params, lam, lv, n, m, j)
+                closed = closed_band(params, lam, lv, n, j)
                 if j > 0:
                     iterated = commutator(H, iterated)
                 yield band_rel_error(iterated.matrix, closed, D - 1 - n, -n)
@@ -415,7 +423,37 @@ class TestSharedOracleState:
         for n in range(n_max + 1):
             for M in range(M_max + 1):
                 terms = normal_order_expansion(n, M, q)
-                shared = _normal_order_dense(n, terms, up, down)
+                shared = _ordered_sum(terms, _ordered_products(n, up, down))
                 public = normal_order_matrix(params, LambdaIndex(n, M), D).matrix
                 assert shared.dtype == public.dtype == np.float64
                 assert np.array_equal(shared, public)
+
+
+# every public entry that takes a truncation dimension D, as a call of D
+_DIM_ENTRIES = {
+    "build_ladder": lambda D: fock.build_ladder(QOsc(q=1.2), D),
+    "build_hamiltonian": lambda D: build_hamiltonian(QOsc(q=1.2), D),
+    "build_lambda": lambda D: build_lambda(QOsc(q=1.2), LambdaIndex(1, 1), D),
+    "coherent_state": lambda D: coherent_state(QOsc(q=1.2), 0.8, D),
+    "expansion_matrix": lambda D: expansion_matrix(QOsc(q=1.2), 1, 1, 2, D),
+    "power_law_multicommutator": lambda D: power_law_multicommutator(QOsc(q=1.2), 0, 1, 2, D),
+    "normal_order_matrix": lambda D: normal_order_matrix(QOsc(q=1.2), LambdaIndex(1, 2), D),
+    "oracle_expectation_series": lambda D: oracle_expectation_series(
+        QOsc(q=1.2), 0.8, LambdaIndex(1, 1), np.linspace(0.0, 1.0, 3), D
+    ),
+    **{
+        suite.__name__: suite
+        for suite in verify.SUITES.values()
+        if "D" in inspect.signature(suite).parameters
+    },
+    "run_suite": lambda D: run_suite("all", D),
+}
+
+
+@pytest.mark.parametrize("D", [1, 4097, 10**13])
+@pytest.mark.parametrize("entry", sorted(_DIM_ENTRIES))
+def test_dimension_is_refused_before_any_level_vector(entry, D):
+    # no level vector of 10^13 entries can be allocated, so a vector built
+    # before the check would raise MemoryError here instead
+    with pytest.raises(DimensionError, match="--dim"):
+        _DIM_ENTRIES[entry](D)
