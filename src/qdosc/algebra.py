@@ -184,8 +184,15 @@ def scaling_phase_check(
         raise DomainError("scaling check is specific to the q model")
     taus = np.atleast_1d(np.asarray(tau, dtype=float))
     ratio = band_phase_trace(params, LambdaIndex(n, m), j_col, taus).values
-    nq = q_number(n, params.q)
-    predicted = _phase_sum(nq * params.q**j_col, taus, np.ones(1), np.ones(1), 0.0, 1)
+    return _scaling_residual(ratio, q_number(n, params.q), params.q, j_col, taus)
+
+
+def _scaling_residual(
+    ratio: np.ndarray, nq: float, q: float, j_col: int, taus: np.ndarray
+) -> float:
+    """scaling_phase_check's residual from the measured phases ratio over
+    the float array taus and [n]_q = nq."""
+    predicted = _phase_sum(nq * q**j_col, taus, np.ones(1), np.ones(1), 0.0, 1)
     delta = np.angle(ratio * np.conj(predicted))
     return float(np.abs(delta).max(initial=0.0)) / nq
 

@@ -30,6 +30,7 @@ from .dynamics import (
 from .errors import DimensionError, DomainError, QdoscError
 from .isomap import isomorphism_residuals, map_to_q
 from .params import Anharmonic, LambdaIndex, QOsc
+from .qcore import q_number
 from .verify import DEFAULT_DIM, SUITES, run_suite
 
 
@@ -320,7 +321,7 @@ def cmd_collapse(cfg: dict) -> int:
     # a grid too coarse to unwrap is refused as such before band_phase_trace
     # refuses phases that keep no correct digit
     for n, m in pairs:
-        _check_phase_step(taus, n, m, params.q, j_col)
+        _check_phase_step(taus, q_number(n, params.q), n, m, params.q, j_col)
     curves = [band_phase_trace(params, LambdaIndex(n, m), j_col, taus) for n, m in pairs]
     normalized = collapse_transform(curves)
     header = ["tau"] + [f"n{n}_m{m}" for n, m in pairs]

@@ -310,32 +310,44 @@ def _amplitude_sq(alpha: complex) -> float:
 
 
 def _series(
-    params: ModelParams, alpha: complex, idx: LambdaIndex, grid, tol: float
-) -> TimeSeries:
+    params: ModelParams, alpha: complex, indices, grid, tol: float = 1e-12
+) -> list[TimeSeries]:
     """The (q-)Poisson-weighted phase sum of both models, from their closure
-    coefficients (c_same, c_up):
+    coefficients (c_same, c_up), for each (n, m) of indices:
 
         <L^{n,m}> = (alpha*)^n e^{i c_same t} sum_k [k]^m P(alpha, k) e^{i c_up [k] t},
 
-    in raw t for the anharmonic model and in tau = omega t for the q model.
+    in raw t for the anharmonic model and in tau = omega t for the q model;
+    tol defaults to evolve's. The weight window depends on m and not on n,
+    and the rates on n and not on m, so each is formed once per call, and
+    every series has the bits of its one-index call.
     """
-    n, m = validate_index(idx)
+    indices = [validate_index(idx) for idx in indices]
     times = np.asarray(grid, dtype=float)
-    # the window refuses a tol <= 0 and an amplitude outside the radius, also
-    # for n = m = 0
-    _, lev, w, tail, _ = _weight_window(_amplitude_sq(alpha), _level_q(params), m, tol)
-    if n == 0 and m == 0:
-        return TimeSeries(times, np.ones_like(times, dtype=complex), 0.0)
+    a2, q = _amplitude_sq(alpha), _level_q(params)
     # tau = omega t: the q model's tau rates are its rates at omega = 1,
     # which round as [n] and [n](q - 1) do
     tau_model = replace(params, omega=1.0) if isinstance(params, QOsc) else params
-    c_same, c_up = _closure_rates(tau_model, n)
-    # an overflow here, in a phase or a value, reaches TimeSeries as inf or
-    # NaN, which it refuses
-    with np.errstate(over="ignore", invalid="ignore"):
-        values = _phase_sum(c_up, times, lev, lev**m * w, c_same)
-        values *= np.conj(alpha) ** n
-    return TimeSeries(times, values, tail)
+    windows, rates, out = {}, {}, []
+    for n, m in indices:
+        # the window refuses a tol <= 0 and an amplitude outside the radius,
+        # also for n = m = 0
+        if m not in windows:
+            windows[m] = _weight_window(a2, q, m, tol)
+        _, lev, w, tail, _ = windows[m]
+        if n == 0 and m == 0:
+            out.append(TimeSeries(times, np.ones_like(times, dtype=complex), 0.0))
+            continue
+        if n not in rates:
+            rates[n] = _closure_rates(tau_model, n)
+        c_same, c_up = rates[n]
+        # an overflow here, in a phase or a value, reaches TimeSeries as inf
+        # or NaN, which it refuses
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = _phase_sum(c_up, times, lev, lev**m * w, c_same)
+            values *= np.conj(alpha) ** n
+        out.append(TimeSeries(times, values, tail))
+    return out
 
 
 def evolve_q_expectation(
@@ -352,7 +364,7 @@ def evolve_q_expectation(
     """
     if not isinstance(params, QOsc):
         raise DomainError("evolve_q_expectation requires q-model parameters")
-    return _series(params, alpha, idx, tau_grid, tol)
+    return _series(params, alpha, [idx], tau_grid, tol)[0]
 
 
 def evolve_anharmonic_expectation(
@@ -373,7 +385,43 @@ def evolve_anharmonic_expectation(
         raise DomainError(
             "evolve_anharmonic_expectation requires anharmonic parameters"
         )
-    return _series(params, alpha, idx, t_grid, tol)
+    return _series(params, alpha, [idx], t_grid, tol)[0]
+
+
+def _closed(params: Anharmonic, alpha: complex, indices, t_grid) -> list[TimeSeries]:
+    """evolve_anharmonic_closed for each (n, m) of indices. The decay
+    factor exp[|alpha|^2 (e^{i c_up t} - 1)] depends on n and not on m, so
+    it is formed once per n, after the first r-sum of that n as in a
+    one-index call; every trace has the bits of its one-index call."""
+    indices = [validate_index(idx) for idx in indices]
+    ts = np.asarray(t_grid, dtype=float)
+    a2 = _amplitude_sq(alpha)
+    decays, out = {}, []
+    for n, m in indices:
+        c_same, c_up = _closure_rates(params, n)
+        # S(2, m) = 2^(m-1) - 1 is beyond double precision: refuse before the
+        # O(m^2) exact-integer Stirling row is built
+        if m > 1024:
+            raise DomainError(f"S(2, m) = 2^(m-1) - 1 overflows double precision at m={m}")
+        try:
+            coeffs = np.array([stirling2(r, m) * a2**r for r in range(m + 1)])
+        except OverflowError:  # a2**r of a Python float
+            raise DomainError(
+                f"|alpha|^(2r) overflows double precision at alpha={alpha}, m={m}"
+            ) from None
+        # an overflow here, in a phase or a value, reaches TimeSeries as inf
+        # or NaN, which it refuses
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = _phase_sum(c_up, ts, np.arange(m + 1.0), coeffs, c_same)
+            if n not in decays:
+                decay = _phase_sum(c_up, ts, np.ones(1), np.ones(1), 0.0)
+                decay -= 1.0
+                decay *= a2
+                decays[n] = np.exp(decay, out=decay)
+            values *= decays[n]
+            values *= np.conj(alpha) ** n
+        out.append(TimeSeries(ts, values, 0.0))
+    return out
 
 
 def evolve_anharmonic_closed(
@@ -393,30 +441,7 @@ def evolve_anharmonic_closed(
     """
     if not isinstance(params, Anharmonic):
         raise DomainError("evolve_anharmonic_closed requires anharmonic parameters")
-    n, m = validate_index(idx)
-    ts = np.asarray(t_grid, dtype=float)
-    a2 = _amplitude_sq(alpha)
-    c_same, c_up = _closure_rates(params, n)
-    # S(2, m) = 2^(m-1) - 1 is beyond double precision: refuse before the
-    # O(m^2) exact-integer Stirling row is built
-    if m > 1024:
-        raise DomainError(f"S(2, m) = 2^(m-1) - 1 overflows double precision at m={m}")
-    try:
-        coeffs = np.array([stirling2(r, m) * a2**r for r in range(m + 1)])
-    except OverflowError:  # a2**r of a Python float
-        raise DomainError(
-            f"|alpha|^(2r) overflows double precision at alpha={alpha}, m={m}"
-        ) from None
-    # an overflow here, in a phase or a value, reaches TimeSeries as inf or
-    # NaN, which it refuses
-    with np.errstate(over="ignore", invalid="ignore"):
-        values = _phase_sum(c_up, ts, np.arange(m + 1.0), coeffs, c_same)
-        decay = _phase_sum(c_up, ts, np.ones(1), np.ones(1), 0.0)
-        decay -= 1.0
-        decay *= a2
-        values *= np.exp(decay, out=decay)
-        values *= np.conj(alpha) ** n
-    return TimeSeries(ts, values, 0.0)
+    return _closed(params, alpha, [idx], t_grid)[0]
 
 
 def relation_identity_residual(x: float, q: float, m: int) -> float:
@@ -424,17 +449,28 @@ def relation_identity_residual(x: float, q: float, m: int) -> float:
 
         sum_k [k]^m x^k/[k]! = sum_{r=0}^{m} S_q^{r,m} x^r exp_q(x).
     """
-    if m < 0:
-        raise DomainError(f"m must be nonnegative, got {m}")
-    _, lev, w, _, log_total = _weight_window(x, q, m, 1e-16)
-    with np.errstate(over="ignore"):
-        lhs = float(np.dot(lev**m, w) * np.exp(log_total))
-    if not math.isfinite(lhs):
-        raise DomainError(f"the moment sum at x={x} overflows double precision at q={q}")
-    rhs = math.fsum(q_stirling2(r, m, q) * x**r for r in range(m + 1)) * q_exponential(
-        x, q
-    )
-    return abs(lhs - rhs) / abs(rhs) if lhs != rhs else 0.0  # both 0 at x = 0
+    return next(_moment_residuals(x, q, [m]))
+
+
+def _moment_residuals(x: float, q: float, ms):
+    """relation_identity_residual(x, q, m) for each m of ms, in turn.
+    exp_q(x) does not depend on m, so it is formed once, where a one-m call
+    forms it: after the first moment sum and its Stirling sum. Each side
+    keeps its own window: the moment sum's depends on m."""
+    exp_q = None
+    for m in ms:
+        if m < 0:
+            raise DomainError(f"m must be nonnegative, got {m}")
+        _, lev, w, _, log_total = _weight_window(x, q, m, 1e-16)
+        with np.errstate(over="ignore"):
+            lhs = float(np.dot(lev**m, w) * np.exp(log_total))
+        if not math.isfinite(lhs):
+            raise DomainError(f"the moment sum at x={x} overflows double precision at q={q}")
+        stirling = math.fsum(q_stirling2(r, m, q) * x**r for r in range(m + 1))
+        if exp_q is None:
+            exp_q = q_exponential(x, q)
+        rhs = stirling * exp_q
+        yield abs(lhs - rhs) / abs(rhs) if lhs != rhs else 0.0  # both 0 at x = 0
 
 
 @dataclass(frozen=True)
@@ -463,9 +499,7 @@ def band_phase_trace(
     by a pure phase at rate [j+n]_q - [j]_q (in tau), so the ratio is
     computed directly. For q > 0 the entry vanishes exactly when j_col = 0
     and m >= 1, where the phase is undefined; n = 0 has no phase to
-    normalize, so both raise DomainError. The phase is _phase_sum's point
-    sum of one term, so its angle is reduced in double-double and _phase_sum
-    refuses the taus on which it keeps no correct digit.
+    normalize, so both raise DomainError. The phase is _phase_curve's.
     """
     n, m = validate_index(idx)
     if n < 1 or j_col < 0:
@@ -474,8 +508,16 @@ def band_phase_trace(
         raise DomainError(f"band entry vanishes at (n={n}, m={m}, j={j_col})")
     taus = np.asarray(taus, dtype=float)
     rate = q_number(j_col + n, params.q) - q_number(j_col, params.q)
+    return _phase_curve(rate, taus, n, m, params.q, j_col)
+
+
+def _phase_curve(rate: float, taus: np.ndarray, n: int, m: int, q: float, j_col: int):
+    """The PhaseCurve e^{i rate tau} over the float array taus, tagged
+    (n, m, q, j_col). The phase is _phase_sum's point sum of one term, so
+    its angle is reduced in double-double and _phase_sum refuses the taus
+    on which it keeps no correct digit."""
     values = _phase_sum(rate, taus, np.ones(1), np.ones(1), 0.0, 1)
-    return PhaseCurve(taus, values, n, m, params.q, j_col)
+    return PhaseCurve(taus, values, n, m, q, j_col)
 
 
 def collapse_transform(traces: list[PhaseCurve]) -> list[np.ndarray]:
@@ -491,19 +533,25 @@ def collapse_transform(traces: list[PhaseCurve]) -> list[np.ndarray]:
     for tr in traces:
         if len(tr.taus) == 0:
             raise DomainError(f"empty tau grid for (n={tr.n}, m={tr.m})")
-        nq = _check_phase_step(tr.taus, tr.n, tr.m, tr.q, tr.j_col)
-        raw = np.angle(tr.values)
-        # whole turns that bring each step within pi, times 2 pi to 106 bits
-        turns = np.cumsum(np.rint(np.diff(raw, prepend=raw[0]) / (-2.0 * math.pi)))
-        unwrapped, lo = _two_prod(turns, 2.0 * math.pi)
-        unwrapped += lo + turns * _TWO_PI_LO + raw
-        out.append(unwrapped / nq)
+        out.append(_collapse(tr, q_number(tr.n, tr.q)))
     return out
 
 
-def _check_phase_step(taus, n: int, m: int, q: float, j_col: int) -> float:
-    """[n]_q, refusing a grid whose expected phase step reaches pi in size."""
-    nq = q_number(n, q)
+def _collapse(tr: PhaseCurve, nq: float) -> np.ndarray:
+    """The unwrapped phase of the curve tr, on a non-empty grid, over its
+    [n]_q = nq, refusing a grid whose expected phase step reaches pi."""
+    _check_phase_step(tr.taus, nq, tr.n, tr.m, tr.q, tr.j_col)
+    raw = np.angle(tr.values)
+    # whole turns that bring each step within pi, times 2 pi to 106 bits
+    turns = np.cumsum(np.rint(np.diff(raw, prepend=raw[0]) / (-2.0 * math.pi)))
+    unwrapped, lo = _two_prod(turns, 2.0 * math.pi)
+    unwrapped += lo + turns * _TWO_PI_LO + raw
+    return unwrapped / nq
+
+
+def _check_phase_step(taus, nq: float, n: int, m: int, q: float, j_col: int) -> None:
+    """Refuse a grid whose expected phase step, at [n]_q = nq, reaches pi
+    in size."""
     if len(taus) > 1:
         max_step = float(np.max(np.abs(np.diff(taus)))) * nq * q**j_col
         if max_step >= math.pi:
@@ -511,4 +559,3 @@ def _check_phase_step(taus, n: int, m: int, q: float, j_col: int) -> float:
                 f"phase step {max_step:.3e} >= pi for (n={n}, m={m}, "
                 f"j_col={j_col}); refine the tau grid"
             )
-    return nq

@@ -84,11 +84,14 @@ def energy(params: ModelParams, k):
     """Hamiltonian eigenvalue at Fock level k; an integer ndarray k gives
     the spectrum elementwise. A value beyond double precision raises
     DomainError."""
-    with np.errstate(over="ignore"):
-        if isinstance(params, QOsc):
-            e = params.omega * q_number(k, params.q)
-        else:
-            e = params.omega1 * k + params.omega2 * k * k
+    try:
+        with np.errstate(over="ignore"):
+            if isinstance(params, QOsc):
+                e = params.omega * q_number(k, params.q)
+            else:
+                e = params.omega1 * k + params.omega2 * k * k
+    except OverflowError:  # an int k beyond double precision
+        e = math.inf
     if not np.isfinite(e).all():
         raise DomainError(f"energy overflows double precision for {params}")
     return e

@@ -28,6 +28,27 @@ ladder product (a†)^{n+s} a^s once per n (fock._ordered_products) and sums
 each M's terms in their s order; its checked columns depend on M, so it
 compares per M.
 
+The dense suites build every model's level vector before any model's
+dense array, so a level beyond double precision, such as q = 1.2 at
+D = 4096, is refused at once rather than after the other models' oracles.
+
+The analytic suites form what an index does not enter once per pass, and
+every residual and trace keeps the bits of the public one-index call:
+
+- scaling: the entry (j + n, j) of the evolved Lambda^{n,m} turns at the
+  rate [j + n] - [j] for every m, since (a†a)^m commutes with H, so m
+  enters scaling_phase_check and band_phase_trace only through the
+  refusal at j = 0, m >= 1. Each (q, j_col, n) forms its residual and
+  collapse curve once, from levels formed once per q, and the residual is
+  yielded once for each m of the grid;
+- relation: exp_q(x) does not depend on m, so it is formed once per
+  (q, x); the moment sum keeps its own window for each m, apart from the
+  window of exp_q;
+- dynamics-oracle: the weight window depends on (|alpha|^2, q, m, tol) and
+  not on n, and the closed form's decay factor on n and not on m, so the
+  index-list forms under evolve_* (dynamics._series, dynamics._closed)
+  form each once per model and call.
+
 Each suite checks one fixed grid, the module constants below, and its
 report records the grid; the truncation dimension D is the only argument
 a suite takes. Each check is a generator of residuals judged by _check.
@@ -42,20 +63,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import (
+    _scaling_residual,
     closure_coeffs,
     expansion_band,
     normal_order_expansion,
     power_law_band,
-    scaling_phase_check,
 )
-from .dynamics import (
-    band_phase_trace,
-    collapse_transform,
-    evolve_anharmonic_closed,
-    evolve_anharmonic_expectation,
-    evolve_q_expectation,
-    relation_identity_residual,
-)
+from .dynamics import _closed, _collapse, _moment_residuals, _phase_curve, _series
 from .errors import ConvergenceError
 from .fock import (
     _band_array,
@@ -72,7 +86,7 @@ from .fock import (
 )
 from .isomap import isomorphism_residuals
 from .params import Anharmonic, LambdaIndex, ModelParams, QOsc, energy
-from .qcore import _check_radius
+from .qcore import _check_radius, q_number
 
 DEFAULT_DIM = 64
 Q_GRID = (0.5, 1.0, 1.2, 2.0)
@@ -182,10 +196,10 @@ def _closure_models():
     return [QOsc(q=q, omega=1.0) for q in Q_GRID] + [ANHARMONIC_DEFAULT]
 
 
-def _closure_residuals(params: ModelParams, D: int):
+def _closure_residuals(params: ModelParams, lv: np.ndarray, D: int):
     """[H, L^{n,m}] and [H, L^{n,m}†] against their one-band right-hand
-    sides, for n, m up to CLOSURE_NM_MAX, each n's m as one stack."""
-    lv = _levels(params, D)
+    sides, for n, m up to CLOSURE_NM_MAX, each n's m as one stack, from the
+    model's level vector lv."""
     h = energy(params, np.arange(D))
     for n in range(CLOSURE_NM_MAX + 1):
         cc = closure_coeffs(params, n)
@@ -202,19 +216,20 @@ def suite_closure(D: int = DEFAULT_DIM) -> list[CheckResult]:
     version with sign-flipped coefficients. The right-hand side is one band
     on sub-diagonal n, the daggered one its negative on the transpose."""
     grid = {"dim": D, "nm_max": CLOSURE_NM_MAX}
+    models = _closure_models()
+    levels = [_levels(p, D) for p in models]
     return [
-        _check("closure", {**_model_tag(p), **grid}, 1e-10, _closure_residuals(p, D))
-        for p in _closure_models()
+        _check("closure", {**_model_tag(p), **grid}, 1e-10, _closure_residuals(p, lv, D))
+        for p, lv in zip(models, levels)
     ]
 
 
-def _iterated_residuals(params: ModelParams, closed_band, D: int, extra: int):
+def _iterated_residuals(params: ModelParams, closed_band, lv: np.ndarray, D: int):
     """The band closed_band(params, lam, lv, n, j), lam the stack of the
-    L^{n,m} bands over m and lv the first D + extra levels, against the
+    L^{n,m} bands over m and lv the model's level vector, against the
     dense iterated commutators [H, ...[H, L^{n,m}]...] on the exact columns
     0..D-1-n. At each depth the bands are built before the commutator, so
     their DomainError precedes any overflow in the oracle."""
-    lv = _levels(params, D, extra)
     h = energy(params, np.arange(D))
     for n in range(ITERATED_NM_MAX + 1):
         lam = np.array([_lambda_band(lv, (n, m), D) for m in range(ITERATED_NM_MAX + 1)])
@@ -232,45 +247,59 @@ _ITERATED_GRID = {"j_max": ITERATED_J_MAX, "nm_max": ITERATED_NM_MAX}
 def suite_multicommutator(D: int = DEFAULT_DIM) -> list[CheckResult]:
     """Binomial expansion vs the literal iterated commutator (q > 1 and
     anharmonic)."""
+    models = [QOsc(q=1.2), QOsc(q=2.0), ANHARMONIC_DEFAULT]
+    levels = [_levels(p, D) for p in models]
     return [
         _check(
             "multicommutator",
             {**_model_tag(p), "dim": D, **_ITERATED_GRID},
             1e-9,
-            _iterated_residuals(p, expansion_band, D, 0),
+            _iterated_residuals(p, expansion_band, lv, D),
         )
-        for p in [QOsc(q=1.2), QOsc(q=2.0), ANHARMONIC_DEFAULT]
+        for p, lv in zip(models, levels)
     ]
 
 
 def suite_power_law(D: int = DEFAULT_DIM) -> list[CheckResult]:
     """General-q closed form L^{n,m} (E(n)[a,a†])^j vs the iterated
     commutator, including q < 1. At n = 0 the band reads the level [D]."""
+    qs = (0.5, 1.2, 2.0)
+    levels = [_levels(QOsc(q=q), D, 1) for q in qs]
     return [
         _check(
             "power_law",
             {"model": "qosc", "q": q, "dim": D, **_ITERATED_GRID},
             1e-9,
-            _iterated_residuals(QOsc(q=q), power_law_band, D, 1),
+            _iterated_residuals(QOsc(q=q), power_law_band, lv, D),
         )
-        for q in (0.5, 1.2, 2.0)
+        for q, lv in zip(qs, levels)
     ]
 
 
-def _scaling_residuals(q: float, j_col: int):
+def _scaling_residuals(q: float, j_col: int, lv: list[float]):
     """The element-wise phase residual of the scaling law for each (n, m),
-    then the deviation of the collapsed curves from tau q^j_col."""
-    params = QOsc(q=q)
+    then the deviation of the collapsed curves from tau q^j_col, from the
+    levels lv[k] = [k]_q.
+
+    m enters neither: the entry (j_col + n, j_col) turns at the rate
+    [j_col + n] - [j_col] for every m, since (a†a)^m commutes with H. So
+    each n's residual is scaling_phase_check's at m = 0, formed once and
+    yielded once for each m of the grid, and its curve, band_phase_trace's
+    at m = 0, stands for every m's in the collapse: a repeated row leaves
+    the largest deviation as it is."""
     taus_check = np.linspace(0.0, 10.0, 21)
     taus_collapse = np.linspace(0.0, 10.0, 2001)
-    curves = []
+    # the band entry vanishes at j_col = 0 for m >= 1; its phase is undefined
+    ms = (0, 1, 2) if j_col else (0,)
+    normalized = []
     for n in (1, 2, 3):
-        for m in (0, 1, 2):
-            if m >= 1 and j_col == 0:
-                continue  # band entry vanishes; phase undefined
-            yield scaling_phase_check(params, n, m, taus_check, j_col)
-            curves.append(band_phase_trace(params, LambdaIndex(n, m), j_col, taus_collapse))
-    normalized = collapse_transform(curves)
+        rate = lv[j_col + n] - lv[j_col]
+        ratio = _phase_curve(rate, taus_check, n, 0, q, j_col).values
+        residual = _scaling_residual(ratio, lv[n], q, j_col, taus_check)
+        for _ in ms:
+            yield residual
+        curve = _phase_curve(rate, taus_collapse, n, 0, q, j_col)
+        normalized.append(_collapse(curve, lv[n]))
     target = taus_collapse * q**j_col
     yield np.abs(np.vstack(normalized) - target).max()
 
@@ -278,24 +307,26 @@ def _scaling_residuals(q: float, j_col: int):
 def suite_scaling() -> list[CheckResult]:
     """Element-wise phase residual of the scaling law and the cross-(n, m)
     collapse deviation."""
+    # the levels [0]..[6] that every rate and [n] of the grid reads, once per q
+    levels = {q: q_number(np.arange(3 + 3 + 1), q).tolist() for q in (1.2, 2.0)}
     return [
         _check(
             "scaling",
             {"model": "qosc", "q": q, "j_col": j_col},
             1e-9,
-            _scaling_residuals(q, j_col),
+            _scaling_residuals(q, j_col, levels[q]),
         )
         for q in (1.2, 2.0)
         for j_col in (0, 1, 3)
     ]
 
 
-def _normal_order_residuals(q: float, D: int):
-    """Each L^{n,M} band against its normally ordered dense expansion, the
-    ladder products (a†)^{n+s} a^s formed once per n for every M."""
+def _normal_order_residuals(q: float, lv: np.ndarray, D: int):
+    """Each L^{n,M} band, from the level vector lv, against its normally
+    ordered dense expansion, the ladder products (a†)^{n+s} a^s formed once
+    per n for every M."""
     n_max, M_max = NORMAL_ORDER_N_MAX, NORMAL_ORDER_M_MAX
     params = QOsc(q=q)
-    lv = _levels(params, D)
     up, down = _ladder_powers(params, D, n_max + M_max, M_max)
     for n in range(n_max + 1):
         products = _ordered_products(n, up, down)
@@ -308,27 +339,28 @@ def _normal_order_residuals(q: float, D: int):
 def suite_normal_order(D: int = DEFAULT_DIM) -> list[CheckResult]:
     """L^{n,M} equals its normally ordered expansion as matrices."""
     grid = {"dim": D, "M_max": NORMAL_ORDER_M_MAX, "n_max": NORMAL_ORDER_N_MAX}
+    levels = [_levels(QOsc(q=q), D) for q in Q_GRID]
     return [
         _check(
             "normal_order",
             {"model": "qosc", "q": q, **grid},
             1e-9,
-            _normal_order_residuals(q, D),
+            _normal_order_residuals(q, lv, D),
         )
-        for q in Q_GRID
+        for q, lv in zip(Q_GRID, levels)
     ]
 
 
 def _relation_residuals(q: float):
     """The moment/Stirling identity at each x inside the radius of
-    convergence."""
+    convergence, relation_identity_residual's for each m, with exp_q(x)
+    formed once per x: it does not depend on m."""
     for x in (0.1, 0.5, 1.0, 2.0):
         try:
             _check_radius(x, q)
         except ConvergenceError:
             continue
-        for m in range(RELATION_M_MAX + 1):
-            yield relation_identity_residual(x, q, m)
+        yield from _moment_residuals(x, q, range(RELATION_M_MAX + 1))
 
 
 def suite_relation() -> list[CheckResult]:
@@ -400,22 +432,24 @@ def suite_dynamics_oracle(D: int = DEFAULT_DIM) -> list[CheckResult]:
     oracle_grid = {"alpha": alpha, "dim": D, "nm_max": ORACLE_NM_MAX}
     pq, ap = QOsc(q=1.2), ANHARMONIC_DEFAULT
 
-    def traces(evolve, params, t=times):
-        return (evolve(params, alpha, idx, t).values for idx in _ORACLE_INDICES)
+    def traces(stacked, params, t=times):
+        """The values of each index's trace, by the index-list form stacked
+        under evolve_*."""
+        return [ts.values for ts in stacked(params, alpha, _ORACLE_INDICES, t)]
 
     # the anharmonic series feed two checks, so they are computed once
-    series = list(traces(evolve_anharmonic_expectation, ap))
+    series = traces(_series, ap)
     # harmonic bridge: q -> 1 with omega_q = omega1 vs omega2 = 0, compared
     # at the same physical instants over the q model's native tau in [0, 10]
     bridge_q = QOsc(q=1.0 + 1e-9, omega=10.0)
     bridge_a = Anharmonic(omega1=10.0, omega2=0.0)
-    harmonic = traces(evolve_anharmonic_expectation, bridge_a, times / bridge_q.omega)
+    harmonic = traces(_series, bridge_a, times / bridge_q.omega)
     return [
         _check(
             "dynamics_oracle_q",
             {**_model_tag(pq), **oracle_grid},
             1e-8,
-            _oracle_residuals(pq, traces(evolve_q_expectation, pq), alpha, times, D),
+            _oracle_residuals(pq, traces(_series, pq), alpha, times, D),
         ),
         _check(
             "dynamics_oracle_anharmonic",
@@ -427,13 +461,13 @@ def suite_dynamics_oracle(D: int = DEFAULT_DIM) -> list[CheckResult]:
             "closed_vs_series",
             {**_model_tag(ap), **grid},
             1e-10,
-            _max_abs_diffs(series, traces(evolve_anharmonic_closed, ap)),
+            _max_abs_diffs(series, traces(_closed, ap)),
         ),
         _check(
             "q1_bridge",
             {"omega1": 10.0, **grid},
             1e-6,
-            _max_abs_diffs(harmonic, traces(evolve_q_expectation, bridge_q)),
+            _max_abs_diffs(harmonic, traces(_series, bridge_q)),
         ),
     ]
 

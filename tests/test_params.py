@@ -55,7 +55,8 @@ def test_overflowing_rates_are_refused(rate, params):
 
 @pytest.mark.parametrize(
     "params, k",
-    [(p, k) for p in HUGE for k in (2, np.arange(4))] + [(Anharmonic(1.0, 1e308), np.arange(4))],
+    [(p, k) for p in HUGE for k in (2, np.arange(4))]
+    + [(Anharmonic(1.0, 1e308), np.arange(4)), (Anharmonic(1.0, 1.0), 10**400)],
     ids=repr,
 )
 def test_overflowing_energy_is_refused_without_warning(params, k):

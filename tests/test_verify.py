@@ -7,7 +7,22 @@ import pytest
 
 import qdosc.verify as verify
 import qdosc.fock as fock
-from qdosc import DimensionError, DomainError, LambdaIndex, QOsc, normal_order_expansion
+from qdosc import (
+    Anharmonic,
+    DimensionError,
+    DomainError,
+    LambdaIndex,
+    QOsc,
+    band_phase_trace,
+    collapse_transform,
+    evolve_anharmonic_closed,
+    evolve_anharmonic_expectation,
+    evolve_q_expectation,
+    normal_order_expansion,
+    relation_identity_residual,
+    scaling_phase_check,
+)
+from qdosc.dynamics import _closed, _series
 from qdosc.params import energy, level_value
 from qdosc.algebra import (
     closure_coeffs,
@@ -427,6 +442,106 @@ class TestSharedOracleState:
                 public = normal_order_matrix(params, LambdaIndex(n, M), D).matrix
                 assert shared.dtype == public.dtype == np.float64
                 assert np.array_equal(shared, public)
+
+
+def _streams(monkeypatch, suite):
+    """Run suite and return each check's (params, residuals), in order."""
+    check, streams = verify._check, []
+
+    def record(check_id, params, tolerance, residuals):
+        values = list(residuals)
+        streams.append((params, values))
+        return check(check_id, params, tolerance, values)
+
+    monkeypatch.setattr(verify, "_check", record)
+    suite()
+    return streams
+
+
+class TestSharedAnalyticWork:
+    """The analytic suites form what m or n does not enter once per pass;
+    every residual and trace keeps the bits of the public one-index call."""
+
+    def test_scaling_residuals_are_the_one_index_checks(self, monkeypatch):
+        taus = np.linspace(0.0, 10.0, 21)
+        taus_collapse = np.linspace(0.0, 10.0, 2001)
+        streams = _streams(monkeypatch, verify.suite_scaling)
+        assert len(streams) == 6
+        for params, residuals in streams:
+            q, j_col = params["q"], params["j_col"]
+            # each (n, m) of the grid, m >= 1 only where the entry is nonzero
+            pairs = [(n, m) for n in (1, 2, 3) for m in (0, 1, 2) if j_col or not m]
+            assert len(residuals) == len(pairs) + 1
+            for (n, m), got in zip(pairs, residuals):
+                assert _same(got, scaling_phase_check(QOsc(q=q), n, m, taus, j_col))
+            curves = [
+                band_phase_trace(QOsc(q=q), LambdaIndex(n, m), j_col, taus_collapse)
+                for n, m in pairs
+            ]
+            target = taus_collapse * q**j_col
+            deviation = np.abs(np.vstack(collapse_transform(curves)) - target).max()
+            assert _same(residuals[-1], deviation)
+
+    def test_relation_residuals_are_the_one_index_checks(self, monkeypatch):
+        streams = _streams(monkeypatch, verify.suite_relation)
+        assert [params["q"] for params, _ in streams] == list(verify.Q_GRID)
+        for params, residuals in streams:
+            q = params["q"]
+            # the x inside the radius of convergence 1/(1 - q) for q < 1
+            xs = [x for x in (0.1, 0.5, 1.0, 2.0) if q >= 1.0 or x < 1.0 / (1.0 - q)]
+            ms = range(verify.RELATION_M_MAX + 1)
+            expected = [relation_identity_residual(x, q, m) for x in xs for m in ms]
+            assert len(residuals) == len(expected)
+            assert all(_same(a, b) for a, b in zip(residuals, expected))
+
+    def test_dynamics_oracle_traces_are_the_one_index_traces(self, monkeypatch):
+        public = {
+            (_series, QOsc): evolve_q_expectation,
+            (_series, Anharmonic): evolve_anharmonic_expectation,
+            (_closed, Anharmonic): evolve_anharmonic_closed,
+        }
+        calls = []
+
+        def recorder(stacked):
+            def record(params, alpha, indices, grid):
+                out = stacked(params, alpha, indices, grid)
+                calls.append((stacked, params, alpha, list(indices), grid, out))
+                return out
+
+            return record
+
+        monkeypatch.setattr(verify, "_series", recorder(_series))
+        monkeypatch.setattr(verify, "_closed", recorder(_closed))
+        verify.suite_dynamics_oracle()
+        # the q model, the anharmonic series and closed form, the bridge's two
+        assert len(calls) == 5
+        for stacked, params, alpha, indices, grid, out in calls:
+            assert indices == verify._ORACLE_INDICES
+            evolve = public[stacked, type(params)]
+            for idx, ts in zip(indices, out):
+                one = evolve(params, alpha, idx, grid)
+                assert np.array_equal(ts.values, one.values)
+                assert ts.truncation_tail == one.truncation_tail
+
+    @pytest.mark.parametrize(
+        "suite",
+        [
+            verify.suite_closure,
+            verify.suite_multicommutator,
+            verify.suite_power_law,
+            verify.suite_normal_order,
+        ],
+    )
+    def test_dense_suites_refuse_before_any_dense_array(self, monkeypatch, suite):
+        # the q = 1.2 levels overflow at D = 4096; every model's level vector
+        # is built first, so no model's dense oracle is built before that
+        def refuse(*args):
+            raise AssertionError("a dense array was built before the levels' refusal")
+
+        monkeypatch.setattr(verify, "_ladder_powers", refuse)
+        monkeypatch.setattr(verify, "_diag_commutator", refuse)
+        with pytest.raises(DomainError, match=r"\[n\]_q overflows double precision at q=1.2"):
+            suite(4096)
 
 
 # every public entry that takes a truncation dimension D, as a call of D
