@@ -20,6 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .dynamics import (
+    _check_band_entry,
     _check_phase_step,
     band_phase_trace,
     collapse_transform,
@@ -322,8 +323,17 @@ def cmd_collapse(cfg: dict) -> int:
     # refuses phases that keep no correct digit
     for n, m in pairs:
         _check_phase_step(taus, q_number(n, params.q), n, m, params.q, j_col)
-    curves = [band_phase_trace(params, LambdaIndex(n, m), j_col, taus) for n, m in pairs]
-    normalized = collapse_transform(curves)
+    # m enters a curve only through the refusal at j_col = 0, m >= 1, since
+    # (a†a)^m commutes with H: each n's curve and collapse are formed once,
+    # at its first pair, and every pair is still refused in order
+    curves = {}
+    for n, m in pairs:
+        if n in curves:
+            _check_band_entry(LambdaIndex(n, m), j_col)
+        else:
+            curves[n] = band_phase_trace(params, LambdaIndex(n, m), j_col, taus)
+    collapsed = dict(zip(curves, collapse_transform(list(curves.values()))))
+    normalized = [collapsed[n] for n, _ in pairs]
     header = ["tau"] + [f"n{n}_m{m}" for n, m in pairs]
     # per time the largest |a_i - a_j| is max - min: rounding is monotone
     stacked = np.vstack(normalized)

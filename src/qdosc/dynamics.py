@@ -501,14 +501,21 @@ def band_phase_trace(
     and m >= 1, where the phase is undefined; n = 0 has no phase to
     normalize, so both raise DomainError. The phase is _phase_curve's.
     """
+    n, m = _check_band_entry(idx, j_col)
+    taus = np.asarray(taus, dtype=float)
+    rate = q_number(j_col + n, params.q) - q_number(j_col, params.q)
+    return _phase_curve(rate, taus, n, m, params.q, j_col)
+
+
+def _check_band_entry(idx: LambdaIndex, j_col: int) -> tuple[int, int]:
+    """The (n, m) of idx, or band_phase_trace's DomainError where the entry
+    (j_col + n, j_col) has no phase to trace."""
     n, m = validate_index(idx)
     if n < 1 or j_col < 0:
         raise DomainError(f"need n >= 1 and j_col >= 0, got n={n}, j_col={j_col}")
     if j_col == 0 and m >= 1:
         raise DomainError(f"band entry vanishes at (n={n}, m={m}, j={j_col})")
-    taus = np.asarray(taus, dtype=float)
-    rate = q_number(j_col + n, params.q) - q_number(j_col, params.q)
-    return _phase_curve(rate, taus, n, m, params.q, j_col)
+    return n, m
 
 
 def _phase_curve(rate: float, taus: np.ndarray, n: int, m: int, q: float, j_col: int):

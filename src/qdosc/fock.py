@@ -28,6 +28,23 @@ per depth. _band_operator and commutator wrap them for one operator.
 _ordered_products forms each ladder product (a†)^{n+s} a^s once per n,
 and _ordered_sum adds one expansion's terms.
 
+Row tiles: the only D x D array a dense helper allocates is the one it
+returns. Its intermediates, such as the second product of a commutator or
+the complex copy of a real Lambda that a complex product takes, are row
+tiles of at most _ROW_TILE cells, from the one iterator _row_tiles; so
+are verify's residuals. At D = 512 a whole D x D temporary is 2-4 MB:
+each one is a fresh allocation that the kernel maps and faults in page by
+page, and then it is read back from memory rather than cache. A tile is
+reused while it is in cache. Element-wise arithmetic is the same per
+entry whatever the tiling, in the same operand order, and a BLAS product
+of a block of rows gives that block of the whole product, so every tiled
+helper keeps the bits of its one-shot formula. A stack that fits one
+tile, every stack at D = 64, takes one pass as before. heisenberg_evolve
+keeps its one-shot O * outer(phases): for an outer of 256 KB or more NumPy
+multiplies in place into that temporary, outer * O, and a complex product
+rounds differently in the other operand order, so per-tile products
+would move its bits.
+
 Truncation bookkeeping: both Hamiltonians are diagonal, so cutting the
 ladder at dimension D only contaminates the top `margin` Fock levels of an
 operator (the raising degree accumulated while building it). Identities
@@ -89,10 +106,50 @@ def _levels(params: ModelParams, D: int, extra: int = 0) -> np.ndarray:
     return level_value(params, np.arange(D + extra))
 
 
+# cells per row tile of the dense helpers, 256 KB of float64, as
+# dynamics._PHASE_TILE sizes _phase_sum's tiles: a tile and its few
+# temporaries stay in cache, and no helper allocates a D x D temporary
+_ROW_TILE = 1 << 15
+# _row_tiles' one tile of a whole array, by its number of axes, built
+# once: most calls at D = 64 take it
+_WHOLE = [[(slice(None),) * max(ndim - 1, 0)] for ndim in range(65)]
+
+
+def _row_tiles(shape: tuple[int, ...], cells: int = _ROW_TILE) -> list[tuple]:
+    """Basic index tuples, one per row tile, that cover an array of `shape`
+    in order: the last axis is the columns, every other axis holds rows.
+    A tile takes whole matrices of a stack while they fit in `cells`
+    cells, and else a block of rows of one matrix; blocks are split evenly
+    and hold at least 4 rows of a matrix that has them, so a BLAS product
+    of a block takes the path of the whole product (not its matrix-vector
+    path at one row). Each index names every axis but the last, the rows
+    as a slice, so X[idx] is the tile and d[idx[-1]] its rows' entries of
+    a diagonal d. An array of at most `cells` cells, and a 1-D array, is
+    one tile. A helper that holds two tile-sized arrays at once asks for
+    half the budget."""
+    if len(shape) < 2 or math.prod(shape) <= cells:
+        return _WHOLE[len(shape)]
+    return _tiles(shape[:-1], max(8, cells // shape[-1]))
+
+
+def _tiles(lead: tuple[int, ...], rows: int) -> list[tuple]:
+    """_row_tiles over the row axes lead, in tiles of at most `rows` rows."""
+    inner = math.prod(lead[1:])
+    if inner > rows:
+        return [(i, *t) for i in range(lead[0]) for t in _tiles(lead[1:], rows)]
+    n = lead[0]
+    count = -(-n // max(rows // max(inner, 1), 1))
+    ends = [n * i // count for i in range(count + 1)]
+    rest = (slice(None),) * (len(lead) - 1)
+    return [(slice(a, b), *rest) for a, b in zip(ends, ends[1:])]
+
+
 def _finite(a: np.ndarray, D: int, what: str = "operator entries") -> np.ndarray:
-    """a itself, or DomainError naming `what` if an entry is inf or NaN."""
-    if not np.isfinite(a).all():
-        raise DomainError(f"{what} overflow double precision at D={D}")
+    """a itself, or DomainError naming `what` if an entry is inf or NaN,
+    checked row tile by row tile."""
+    for idx in _row_tiles(a.shape):
+        if not np.isfinite(a[idx]).all():
+            raise DomainError(f"{what} overflow double precision at D={D}")
     return a
 
 
@@ -105,8 +162,10 @@ def _band_array(band: np.ndarray, k: int) -> np.ndarray:
     L = band.shape[-1]
     D = L + abs(k)
     out = np.zeros(band.shape[:-1] + (D, D), dtype=band.dtype)
-    i = np.arange(L)
-    out[..., i + max(-k, 0), i + max(k, 0)] = _finite(band, D)
+    # diagonal k runs D + 1 cells apart from entry (max(-k, 0), max(k, 0))
+    start = max(-k, 0) * D + max(k, 0)
+    flat = out.reshape(*band.shape[:-1], D * D)
+    flat[..., start : start + L * (D + 1) : D + 1] = _finite(band, D)
     return out
 
 
@@ -171,11 +230,28 @@ def _is_exactly_diagonal(M: np.ndarray) -> bool:
 def _diag_commutator(d: np.ndarray, X: np.ndarray) -> np.ndarray:
     """[diag(d), X] element-wise, d_r X_rc - X_rc d_c, in O(D^2) for the
     1-D d of length D. Leading axes of X stack: each (D, D) slice gets its
-    own commutator with the one diagonal. A result beyond double precision
-    raises DomainError instead of holding inf or NaN."""
+    own commutator with the one diagonal. The result, laid out as X, is
+    formed row tile by row tile: the tile d_r X_rc, then X_rc d_c in the
+    result, subtracted from it. A result beyond double precision raises
+    DomainError instead of holding inf or NaN."""
+    out = None
     with np.errstate(over="ignore", invalid="ignore"):
-        out = d[:, None] * X - X * d[None, :]
-    return _finite(out, X.shape[-1], "commutator entries")
+        for idx in _row_tiles(X.shape):
+            x = X[idx]
+            first = d[idx[-1], None] * x
+            if out is None:
+                # allocated after the first tile's product, which is then
+                # freed below the result rather than at the top of the heap,
+                # where malloc may hand it back to the kernel for the next
+                # call to fault in again (about 4x the page faults in the
+                # closure suite at D = 64)
+                out = np.empty_like(X, dtype=first.dtype)
+            o = out[idx]
+            np.multiply(x, d, out=o)
+            np.subtract(first, o, out=o)
+            del first  # before the next tile's is formed
+            _finite(o, X.shape[-1], "commutator entries")
+    return out
 
 
 def commutator(A: FockOperator, B: FockOperator) -> FockOperator:
@@ -275,12 +351,16 @@ def _ordered_products(n: int, up: list[np.ndarray], down: list[np.ndarray]) -> l
 
 def _ordered_sum(terms: list[tuple[int, float]], products: list[np.ndarray]) -> np.ndarray:
     """sum_s coeff products[s] over the terms (s, coeff), in their order, as
-    a real dense matrix. A sum beyond double precision raises DomainError."""
+    a real dense matrix, summed row tile by row tile. A sum beyond double
+    precision raises DomainError."""
     mat = np.zeros(products[0].shape)
     with np.errstate(over="ignore", invalid="ignore"):
-        for s, coeff in terms:
-            mat += coeff * products[s]
-    return _finite(mat, len(mat), "normal-ordered entries")
+        for idx in _row_tiles(mat.shape):
+            tile = mat[idx]
+            for s, coeff in terms:
+                tile += coeff * products[s][idx]
+            _finite(tile, len(mat), "normal-ordered entries")
+    return mat
 
 
 def _oracle_state(
@@ -306,5 +386,11 @@ def _oracle_state(
 
 
 def _oracle_series(lam: np.ndarray, psi: np.ndarray, psi_conj: np.ndarray) -> np.ndarray:
-    """<Psi(t)| L |Psi(t)> over the grid from one dense product L @ Psi."""
-    return np.einsum("dt,dt->t", psi_conj, lam @ psi)
+    """<Psi(t)| L |Psi(t)> over the grid from the dense product L @ Psi,
+    taken row tile by row tile of L, so a real L is cast to complex one
+    tile at a time rather than whole; each block of rows has the bits of
+    the whole product's."""
+    prod = np.empty(psi.shape, dtype=np.result_type(lam, psi))
+    for (rows,) in _row_tiles(lam.shape):
+        np.matmul(lam[rows], psi, out=prod[rows])
+    return np.einsum("dt,dt->t", psi_conj, prod)

@@ -28,6 +28,15 @@ ladder product (a†)^{n+s} a^s once per n (fock._ordered_products) and sums
 each M's terms in their s order; its checked columns depend on M, so it
 compares per M.
 
+Residuals are reduced row tile by row tile (fock._row_tiles): one
+reducer, _tile_max, takes the largest of the tiles' maxima by np.maximum,
+which keeps a NaN, and a maximum is exact, so band_rel_error and
+interior_rel_error keep the bits of their one-shot formulas while neither
+holds a D x D temporary. band_rel_error reads the dense side's |entries|
+off the band one tile at a time; interior_rel_error, a thin wrapper over
+the reducer, holds a tile's differences and floors at once, so it takes
+tiles of half the budget.
+
 The dense suites build every model's level vector before any model's
 dense array, so a level beyond double precision, such as q = 1.2 at
 D = 4096, is refused at once rather than after the other models' oracles.
@@ -82,6 +91,8 @@ from .fock import (
     _ordered_sum,
     _oracle_series,
     _oracle_state,
+    _ROW_TILE,
+    _row_tiles,
     build_lambda,
 )
 from .isomap import isomorphism_residuals
@@ -127,9 +138,32 @@ class CheckResult:
         }
 
 
+def _rel_ratio(r: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """|t - r| / max(|r|, 1) element-wise for float or complex r and t,
+    in two arrays the size of r."""
+    ratio = np.abs(t - r)
+    den = np.abs(r)
+    np.maximum(den, 1.0, out=den)
+    ratio /= den
+    return ratio
+
+
+def _tile_max(a: np.ndarray, tile_max, cells: int = _ROW_TILE) -> np.float64:
+    """The largest value tile_max(idx) over the row tiles idx of a, of at
+    most `cells` cells (fock._row_tiles; there is at least one). np.maximum
+    keeps a NaN of any tile, and a maximum is exact, so it does not depend
+    on the tiling."""
+    maxima = (tile_max(idx) for idx in _row_tiles(a.shape, cells))
+    worst = next(maxima)
+    for m in maxima:
+        worst = np.maximum(worst, m)
+    return worst
+
+
 def interior_rel_error(ref: np.ndarray, test: np.ndarray, max_col: int) -> float:
     """Element-wise difference on columns 0..max_col, relative with a floor
-    of 1 on the denominator.
+    of 1 on the denominator: the largest |t - r| / max(|r|, 1), taken row
+    tile by row tile.
 
     Band entries span hundreds of orders of magnitude: for q > 1 they grow
     like q^(n j) (relative error is the meaningful measure), while for
@@ -138,9 +172,10 @@ def interior_rel_error(ref: np.ndarray, test: np.ndarray, max_col: int) -> float
     """
     r = ref[:, : max_col + 1]
     t = test[:, : max_col + 1]
-    diff = np.abs(t - r)
-    denom = np.maximum(np.abs(r), 1.0)
-    return float((diff / denom).max(initial=0.0))
+    # a tile's ratio holds two arrays, so tiles of half the budget hold
+    # both within one
+    cells = _ROW_TILE // 2
+    return float(_tile_max(r, lambda idx: _rel_ratio(r[idx], t[idx]).max(initial=0.0), cells))
 
 
 def band_rel_error(ref: np.ndarray, test: np.ndarray, max_col: int, k: int) -> float:
@@ -164,11 +199,23 @@ def band_rel_error(ref: np.ndarray, test: np.ndarray, max_col: int, k: int) -> f
     on = np.diagonal(cols, k, axis1=-2, axis2=-1)
     b = band[..., : on.shape[-1]]
     r, t = (b, on) if band_is_ref else (on, b)
-    worst = (np.abs(t - r) / np.maximum(np.abs(r), 1.0)).max(initial=0.0)
-    off = np.abs(cols)
-    i = np.arange(on.shape[-1])
-    off[..., i + max(-k, 0), i + max(k, 0)] = 0.0
-    top = off.max(initial=0.0)
+    worst = _rel_ratio(r, t).max(initial=0.0)
+    n_rows, n_cols = cols.shape[-2:]
+
+    def off_band(idx):
+        """max |d| over the tile's entries off diagonal k."""
+        rows = range(n_rows)[idx[-1]]
+        off = np.abs(cols[idx], order="C")
+        # in C order its entries (i, i + k) lie n_cols + 1 cells apart, the
+        # tile's rows laid end to end
+        lo, hi = max(rows.start, -k), min(rows.stop, n_cols - k)
+        if lo < hi:
+            start = (lo - rows.start) * (n_cols + 1) + rows.start + k
+            flat = off.reshape(*off.shape[:-2], -1)
+            flat[..., start : start + (hi - lo) * (n_cols + 1) : n_cols + 1] = 0.0
+        return off.max(initial=0.0)
+
+    top = _tile_max(cols, off_band)
     if not band_is_ref:
         # |d| / max(|d|, 1) is min(|d|, 1) exactly, so nondecreasing in |d|
         top = top / np.maximum(top, 1.0)

@@ -294,6 +294,47 @@ class TestCollapse:
         meta = json.loads((tmp_path / "c.csv.meta.json").read_text())
         assert meta["diagnostics"]["max_pairwise_deviation"] == want > 0.0
 
+    def test_one_curve_per_n_gives_the_per_pair_columns(self, tmp_path, monkeypatch):
+        # m enters a curve only through the refusal at j_col = 0, so each n's
+        # curve is formed once and its column repeated for every m
+        out = tmp_path / "c.csv"
+        argv = ["collapse", "--q", "1.5", "--j-col", "1", "--n-list", "3,1,2,1",
+                "--m-list", "2,0,1", "--steps", "2001", "--out", str(out)]  # fmt: skip
+        traced = []
+        trace = cli.band_phase_trace
+        monkeypatch.setattr(
+            cli, "band_phase_trace", lambda *a: traced.append(a[1]) or trace(*a)
+        )
+        assert main(argv) == 0
+        assert traced == [LambdaIndex(3, 2), LambdaIndex(1, 2), LambdaIndex(2, 2)]
+        taus = np.linspace(0.0, 10.0, 2001)
+        pairs = [(n, m) for n in (3, 1, 2, 1) for m in (2, 0, 1)]
+        curves = [band_phase_trace(QOsc(q=1.5), LambdaIndex(*p), 1, taus) for p in pairs]
+        rows = read_csv(out)
+        assert rows[0][1:] == [f"n{n}_m{m}" for n, m in pairs]
+        columns = np.array([[float(c) for c in row[1:]] for row in rows[1:-1]]).T
+        assert np.array_equal(columns, np.vstack(collapse_transform(curves)))
+
+    @pytest.mark.parametrize(
+        "n_list, m_list, j_col, steps, error, names",
+        [
+            ("1,2", "0,1", 0, 2001, "DomainError", "band entry vanishes at (n=1, m=1, j=0)"),
+            ("2,1", "0,3,1", 0, 2001, "DomainError", "band entry vanishes at (n=2, m=3, j=0)"),
+            ("1,3", "0,-1", 1, 2001, "DomainError", "LambdaIndex(n=1, m=-1)"),
+            ("1,3,2", "2,0", 3, 41, "PhaseUnwrapError", "(n=3, m=2, j_col=3)"),
+        ],
+    )
+    def test_each_pair_is_refused_in_order(
+        self, tmp_path, capsys, n_list, m_list, j_col, steps, error, names
+    ):
+        out = tmp_path / "c.csv"
+        argv = ["collapse", "--q", "2", "--j-col", str(j_col), "--n-list", n_list,
+                "--m-list", m_list, "--steps", str(steps), "--out", str(out)]  # fmt: skip
+        assert main(argv) == 2
+        record = _refusal(capsys)
+        assert record["error"] == error and names in record["message"]
+        assert not out.exists()
+
     def test_old_sidecar_with_omega_reruns(self, tmp_path):
         # sidecars written before collapse dropped --omega carry "omega"; it
         # never reached the collapse and is ignored

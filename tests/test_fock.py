@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -454,3 +455,113 @@ class TestStackedHelpers:
             fock._diag_commutator(np.diag(H.matrix), X)
         assert str(stacked.value) == str(per_operator.value)
         assert str(stacked.value) == "commutator entries overflow double precision at D=4"
+
+
+# dimensions around the row-tile budget: one tile, a tile edge at 64, and
+# several row tiles of a matrix at 300, 512 and 513
+TILE_DIMS = [2, 63, 64, 300, 512, 513]
+
+
+def _spread(rng, shape):
+    """Normal entries with magnitudes spread over nine decades."""
+    return rng.normal(size=shape) * 10.0 ** rng.uniform(-3, 6, shape)
+
+
+class TestRowTiles:
+    """Every tiled helper keeps the bits of its one-shot formula, written
+    out here, on single matrices and on stacks."""
+
+    @pytest.mark.parametrize(
+        "shape", [(7,), (2, 2), (513, 513), (3, 64, 64), (9, 64, 64), (3, 300, 300), (2, 0, 5)]
+    )
+    def test_tiles_cover_the_array_once_in_order(self, shape):
+        cells = np.arange(math.prod(shape)).reshape(shape)
+        tiles = fock._row_tiles(shape)
+        seen = np.concatenate([cells[idx].ravel() for idx in tiles])
+        assert np.array_equal(seen, cells.ravel())
+        for idx in tiles:
+            tile = cells[idx]
+            assert tile.size <= fock._ROW_TILE
+            if tile.ndim == 2 and len(tiles) > 1:
+                assert tile.shape[0] >= 4
+        # a stack that fits one tile, every stack of the suites at D = 64, is one
+        if math.prod(shape) <= fock._ROW_TILE:
+            assert len(tiles) == 1
+
+    @pytest.mark.parametrize("D", TILE_DIMS)
+    @pytest.mark.parametrize("S", [None, 3])
+    def test_diag_commutator(self, D, S):
+        rng = np.random.default_rng(D)
+        d = _spread(rng, D)
+        X = _spread(rng, (D, D) if S is None else (S, D, D))
+        X[..., 0, -1] = -0.0
+        for x in (X, np.swapaxes(X, -1, -2)):
+            got = fock._diag_commutator(d, x)
+            want = d[:, None] * x - x * d[None, :]
+            assert np.array_equal(bits(got), bits(want))
+
+    @pytest.mark.parametrize("D", [63, 513])
+    def test_diag_commutator_with_a_complex_diagonal(self, D):
+        rng = np.random.default_rng(D)
+        d = _spread(rng, D) + 1j * _spread(rng, D)
+        X = _spread(rng, (D, D))
+        got = fock._diag_commutator(d, X)
+        assert np.array_equal(bits(got), bits(d[:, None] * X - X * d[None, :]))
+
+    @pytest.mark.parametrize("D", TILE_DIMS)
+    @pytest.mark.parametrize("S", [None, 3])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_finite_sees_the_last_tile(self, D, S, bad):
+        a = np.ones((D, D) if S is None else (S, D, D))
+        assert fock._finite(a, D) is a
+        a[..., -1, -1] = bad
+        msg = f"operator entries overflow double precision at D={D}"
+        with pytest.raises(DomainError, match=msg):
+            fock._finite(a, D)
+
+    @pytest.mark.parametrize("D", TILE_DIMS)
+    def test_commutator_overflow_in_the_last_tile(self, D):
+        d = np.ones(D)
+        d[-1] = 1e300
+        X = np.ones((D, D))
+        X[-1, 0] = 1e10
+        msg = f"commutator entries overflow double precision at D={D}"
+        with pytest.raises(DomainError, match=msg):
+            fock._diag_commutator(d, X)
+
+    @pytest.mark.parametrize("D", TILE_DIMS)
+    def test_ordered_sum(self, D):
+        rng = np.random.default_rng(D)
+        products = [_spread(rng, (D, D)) for _ in range(3)]
+        terms = [(0, 1.5), (2, -0.25), (1, 3.0)]
+        want = np.zeros((D, D))
+        for s, coeff in terms:
+            want += coeff * products[s]
+        assert np.array_equal(bits(fock._ordered_sum(terms, products)), bits(want))
+
+    @pytest.mark.parametrize("D", TILE_DIMS)
+    @pytest.mark.parametrize("T", [1, 7, 101])
+    def test_oracle_series(self, D, T):
+        # a dense real L, not a band: every entry of L @ Psi sums D terms
+        rng = np.random.default_rng(D + T)
+        lam = _spread(rng, (D, D))
+        psi = rng.normal(size=(D, T)) + 1j * rng.normal(size=(D, T))
+        psi_conj = np.conj(psi)
+        want = np.einsum("dt,dt->t", psi_conj, lam @ psi)
+        assert np.array_equal(bits(fock._oracle_series(lam, psi, psi_conj)), bits(want))
+
+    @pytest.mark.parametrize("S", [None, 2])
+    def test_diag_commutator_holds_its_result_and_a_tile(self, S):
+        # the parent formula held two more D x D products besides the result
+        D = 512
+        rng = np.random.default_rng(S)
+        d = _spread(rng, D)
+        X = _spread(rng, (D, D) if S is None else (S, D, D))
+        fock._diag_commutator(d, X)
+        tracemalloc.start()
+        try:
+            out = fock._diag_commutator(d, X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < out.nbytes + 2 * 8 * fock._ROW_TILE

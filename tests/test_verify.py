@@ -218,6 +218,149 @@ class TestStackedBandRelError:
             assert math.isnan(band_rel_error(dense, bands, 9, -1))
 
 
+# dimensions around the row-tile budget: one tile, a tile edge at 64, and
+# several row tiles of a matrix at 300, 512 and 513
+TILE_DIMS = [2, 63, 64, 300, 512, 513]
+
+
+def _one_shot_interior(ref, test, max_col):
+    """interior_rel_error's formula on whole arrays."""
+    r = ref[:, : max_col + 1]
+    t = test[:, : max_col + 1]
+    return float((np.abs(t - r) / np.maximum(np.abs(r), 1.0)).max(initial=0.0))
+
+
+def _one_shot_band(ref, test, max_col, k):
+    """band_rel_error's formula on whole arrays: the on-band ratios, and the
+    off-band entries of the dense side in the checked columns."""
+    band_is_ref = ref.ndim < test.ndim
+    band, dense = (ref, test) if band_is_ref else (test, ref)
+    cols = dense[..., : max_col + 1]
+    on = np.diagonal(cols, k, axis1=-2, axis2=-1)
+    b = band[..., : on.shape[-1]]
+    r, t = (b, on) if band_is_ref else (on, b)
+    worst = (np.abs(t - r) / np.maximum(np.abs(r), 1.0)).max(initial=0.0)
+    off = np.abs(cols)
+    i = np.arange(on.shape[-1])
+    off[..., i + max(-k, 0), i + max(k, 0)] = 0.0
+    top = off.max(initial=0.0)
+    if not band_is_ref:
+        top = top / np.maximum(top, 1.0)
+    return float(np.maximum(worst, top))
+
+
+class TestTiledRelError:
+    """band_rel_error and interior_rel_error, taken row tile by row tile,
+    keep the bits of their one-shot formulas, written out above."""
+
+    def _case(self, D, S, k, seed, dtype=float):
+        rng = np.random.default_rng(seed)
+        L = D - abs(k)
+        shape = (L,) if S is None else (S, L)
+        band = rng.normal(size=shape) * 10.0 ** rng.uniform(-3, 6, shape)
+        dense = fock._band_array(band * (1 + 1e-13 * rng.normal(size=shape)), k).astype(dtype)
+        # off-band entries across the floor of 1, in the first and last rows
+        dense[..., 0, -1] = 0.7
+        if D > 2:
+            dense[..., -1, 0] = 3.0
+        return band, dense
+
+    @pytest.mark.parametrize("D", TILE_DIMS)
+    @pytest.mark.parametrize("S", [None, 3])
+    @pytest.mark.parametrize("dtype", [float, complex])
+    @pytest.mark.parametrize("k", [-2, 0, 1])
+    def test_band_rel_error(self, D, S, dtype, k):
+        k = max(k, 1 - D)
+        band, dense = self._case(D, S, k, seed=D, dtype=dtype)
+        for max_col in (D - 1, D // 2):
+            # the same dense side laid out transposed, as the closure suite's
+            # daggered commutators are
+            flipped = np.swapaxes(np.ascontiguousarray(np.swapaxes(dense, -1, -2)), -1, -2)
+            for ref, test in ((band, dense), (dense, band), (band, flipped), (flipped, band)):
+                want = _one_shot_band(ref, test, max_col, k)
+                assert _same(band_rel_error(ref, test, max_col, k), want)
+
+    @pytest.mark.parametrize("D", TILE_DIMS)
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_interior_rel_error(self, D, dtype):
+        rng = np.random.default_rng(D)
+        ref = (rng.normal(size=(D, D)) * 10.0 ** rng.uniform(-3, 6, (D, D))).astype(dtype)
+        test = ref * (1 + 1e-13 * rng.normal(size=(D, D)))
+        for max_col in (D - 1, D // 2):
+            for r, t in ((ref, test), (ref.T, test.T), (ref, test.T)):
+                assert _same(interior_rel_error(r, t, max_col), _one_shot_interior(r, t, max_col))
+
+    @pytest.mark.parametrize("D", [64, 300, 513])
+    @pytest.mark.parametrize("S", [None, 3])
+    @pytest.mark.parametrize("where", ["band", "on", "off"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_entry_in_the_last_tile(self, D, S, where, bad):
+        k = -1
+        band, dense = self._case(D, S, k, seed=D + 1)
+        # the last row lies in the last tile
+        if where == "band":
+            band[..., -1] = bad
+        elif where == "on":
+            dense[..., D - 1, D - 2] = bad
+        else:
+            dense[..., D - 1, 1] = bad
+        with np.errstate(invalid="ignore"):
+            as_ref = band_rel_error(band, dense, D - 1, k)
+            as_test = band_rel_error(dense, band, D - 1, k)
+            assert _same(as_ref, _one_shot_band(band, dense, D - 1, k))
+            assert _same(as_test, _one_shot_band(dense, band, D - 1, k))
+            assert _same(
+                interior_rel_error(dense.reshape(-1, D), dense.reshape(-1, D) * 0.5, D - 1),
+                _one_shot_interior(dense.reshape(-1, D), dense.reshape(-1, D) * 0.5, D - 1),
+            )
+        # the documented semantics: a NaN anywhere gives NaN; an inf gives
+        # inf as a test entry and NaN (inf / inf) as a reference entry, but
+        # an off-band inf of the dense side counts as |d| = inf with the
+        # band as reference
+        if math.isnan(bad):
+            assert math.isnan(as_ref) and math.isnan(as_test)
+        elif where == "band":
+            assert math.isnan(as_ref) and as_test == math.inf
+        elif where == "on":
+            assert as_ref == math.inf and math.isnan(as_test)
+        else:
+            assert as_ref == math.inf and math.isnan(as_test)
+
+
+class TestRelErrorMemory:
+    """At D = 512 the residuals hold less than two row tiles of float64 at
+    once: no D x D temporary of |d|, differences or ratios."""
+
+    D = 512
+    TWO_TILES = 2 * 8 * fock._ROW_TILE
+
+    def _peak(self, fn, *args):
+        fn(*args)
+        tracemalloc.start()
+        try:
+            fn(*args)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("band_is_ref", [True, False])
+    def test_band_rel_error(self, band_is_ref):
+        D, n = self.D, 2
+        band = _lambda_band(level_value(QOsc(q=1.2), np.arange(D)), (n, 1), D)
+        dense = fock._band_array(band, -n)
+        args = (band, dense) if band_is_ref else (dense, band)
+        assert self._peak(band_rel_error, *args, D - 1 - n, -n) < self.TWO_TILES
+
+    @pytest.mark.parametrize("transposed", [False, True])
+    def test_interior_rel_error(self, transposed):
+        rng = np.random.default_rng(3)
+        ref = rng.normal(size=(self.D, self.D))
+        test = ref + 1e-12
+        if transposed:
+            ref, test = ref.T, test.T
+        assert self._peak(interior_rel_error, ref, test, self.D - 1) < self.TWO_TILES
+
+
 def _reference_closure(params, D):
     """The per-(n, m) closure loop: one commutator and one band_rel_error
     per operator."""
