@@ -191,10 +191,15 @@ def _scaling_residual(
     ratio: np.ndarray, nq: float, q: float, j_col: int, taus: np.ndarray
 ) -> float:
     """scaling_phase_check's residual from the measured phases ratio over
-    the float array taus and [n]_q = nq."""
-    predicted = _phase_sum(nq * q**j_col, taus, np.ones(1), np.ones(1), 0.0, 1)
+    the float array taus and [n]_q = nq. A stack of curves, ratio (S, T)
+    and nq (S,), gives their S residuals from one stacked phase sum, each
+    with the bits of its one-curve call."""
+    one = np.ones(1)
+    rate = np.multiply(nq, q**j_col)
+    predicted = _phase_sum(rate, taus, one, one, np.zeros_like(rate), 1)
     delta = np.angle(ratio * np.conj(predicted))
-    return float(np.abs(delta).max(initial=0.0)) / nq
+    worst = np.abs(delta).max(axis=-1, initial=0.0) / nq
+    return worst if np.ndim(nq) else float(worst)
 
 
 def normal_order_expansion(n: int, M: int, q: float) -> list[tuple[int, float]]:

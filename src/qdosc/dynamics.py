@@ -53,15 +53,27 @@ class TimeSeries:
 
 
 def _phase_sum(
-    rate: float,
+    rate: float | np.ndarray,
     t: np.ndarray,
     r: np.ndarray,
     c: np.ndarray,
-    rate0: float,
+    rate0: float | np.ndarray,
     size: int | None = None,
 ) -> np.ndarray:
     """sum_k c_k e^{i w_k t_j}, w_k = rate0 + rate r_k, for real r and c, by
     block angle addition over blocks of `size` points.
+
+    rate and rate0 may also be 1-D arrays of S rates each: a stack of S
+    series that share t, r and c, whose sums are the rows of an (S, T)
+    result. Float rates are the stack S = 1, returned as its row. A stack
+    pays once for the checks of t, the departures d_j and each term
+    chunk's tables, and takes one stacked matmul per tile, which NumPy
+    makes one BLAS product per series of the shape a one-series call
+    makes. The term chunks and the tiles depend on T, B and K, not on S:
+    a chunk of fewer terms would add its products in another order, and a
+    tile of other rows could take another BLAS path. So each row has the
+    bits of its one-series call, and a stack's tables hold up to
+    S _PHASE_BLOCK phases; every caller stacks S <= 4 series.
 
     Write j = bB + i with B = size, t_b the grid point j = bB, v_i = fl(i h)
     with h = (t_{T-1} - t_0)/(T - 1), and d_j = t_j - t_b - v_i the grid's
@@ -103,7 +115,9 @@ def _phase_sum(
     where Dekker's split of 2 t_max, |rate|, max|r_k| or W is not finite,
     raises DomainError naming the first such quantity and its value. On
     any other grid of finite times every split is finite and every table
-    angle below 1/(18 u^2), so every table is finite.
+    angle below 1/(18 u^2), so every table is finite. A stack checks its
+    series in order and raises the DomainError of the first it refuses,
+    the error of that series' own call.
     Times that are not finite give sums that are not, which TimeSeries
     refuses by naming the times.
 
@@ -112,94 +126,120 @@ def _phase_sum(
     makes a grid uniform. Every other grid, T = 1 among them, takes B = 1,
     the point sum: the table e^{i w_k t_j} (T x K) times c, with no
     departure, so the last two terms of the bound vanish and every angle
-    w_k t_j is reduced in double-double. T = 0 gives an empty sum.
+    w_k t_j is reduced in double-double. Each series of a stack is gated on
+    its own rates, so a stack may sum some series by blocks and the rest
+    by points. T = 0 gives an empty sum.
     """
     n_t = len(t)
+    rates, rate0s = np.asarray(rate, dtype=float), np.asarray(rate0, dtype=float)
+    stacked = rates.ndim > 0
+    if not stacked:
+        rates, rate0s = rates[None], rate0s[None]
     if not n_t:
-        return np.empty(0, dtype=complex)
+        return np.empty((len(rates), 0) if stacked else 0, dtype=complex)
     t_max, r_max = _abs_max(t), float(np.abs(r).max(initial=0.0))
-    w_max = abs(rate0) + abs(rate) * r_max
-    # each quantity, its value and the number Dekker's split scales
-    splits = (
-        ("the time span max|t|", t_max, 2.0 * t_max),
-        ("the rate", rate, rate),
-        ("max|r_k|", r_max, r_max),
-        ("the largest rate |rate0| + |rate| max|r_k|", w_max, w_max),
-    )
-    if math.isfinite(t_max):
-        for name, value, x in splits:
-            if not math.isfinite(_SPLIT * x):
-                raise DomainError(
-                    f"phase angles overflow double precision: {name} = {value:.3e}"
-                    " has no finite Dekker split"
-                )
-    if math.isfinite(t_max) and not 9.0 * _EPS**2 * w_max * t_max < 1.0:  # 36 u^2
-        raise DomainError(f"phase angles up to {w_max * t_max:.3e} rad keep no correct digit")
+    for one, one0 in zip(rates.tolist(), rate0s.tolist()):
+        w_max = abs(one0) + abs(one) * r_max
+        # each quantity, its value and the number Dekker's split scales
+        splits = (
+            ("the time span max|t|", t_max, 2.0 * t_max),
+            ("the rate", one, one),
+            ("max|r_k|", r_max, r_max),
+            ("the largest rate |rate0| + |rate| max|r_k|", w_max, w_max),
+        )
+        if math.isfinite(t_max):
+            for name, value, x in splits:
+                if not math.isfinite(_SPLIT * x):
+                    raise DomainError(
+                        f"phase angles overflow double precision: {name} = {value:.3e}"
+                        " has no finite Dekker split"
+                    )
+        if math.isfinite(t_max) and not 9.0 * _EPS**2 * w_max * t_max < 1.0:  # 36 u^2
+            raise DomainError(f"phase angles up to {w_max * t_max:.3e} rad keep no correct digit")
     if size is None:
         size = math.isqrt(n_t - 1) + 1
     # a time that is not finite gives inf or NaN, which the gate refuses and
     # TimeSeries or PhaseCurve refuses at B = 1
     with np.errstate(over="ignore", invalid="ignore"):
-        w_hi, w_lo = _two_sum(rate0, *_two_prod(rate, r))
+        w_hi, w_lo = _two_sum(rate0s[:, None], *_two_prod(rates[:, None], r))
+        blocks = []
         if size > 1:
             v = np.arange(0.0, size) * ((t[-1] - t[0]) / max(n_t - 1, 1))
             tb, d = _departures(t, size, v)
             d_max = _abs_max(d.ravel()[:n_t])
             abs_c = np.abs(c)
-            remainder = 0.5 * np.dot(abs_c, np.square(w_hi * d_max))
-            if not remainder <= _EPS * abs_c.sum() < np.inf:
-                size = 1
-        n_b = -(-n_t // size)
-        # chunks of terms whose tables hold about _PHASE_BLOCK phases
-        terms = max(1, _PHASE_BLOCK // (n_b + size))
-        if size == 1:
-            # the point sum: the first chunk's product is taken and later
-            # ones are added in place, so one chunk gives one matmul's bits
-            chunks = (slice(a, a + terms) for a in range(0, len(c), terms))
-            sums = (_table_cis(t, w_hi[k], w_lo[k]) @ c[k, None] for k in chunks)
-            out = next(sums)
-            for x in sums:
-                out += x
-            return out.ravel()
-        s = np.concatenate((tb, v))
-        # tiles of whole block rows, of at most _PHASE_TILE cells (or of 4
-        # rows) and of equal size to a row: BLAS gives a tile the bits of the
-        # whole product, but not a small last tile, which takes its
-        # matrix-vector path at one row and, beyond 128 terms, its
-        # single-threaded path at a few
-        n_tiles = -(-n_b // max(4, _PHASE_TILE // size))
-        # the slope sums: the whole grid's where several chunks add to them
-        # before d multiplies them, else the largest tile's
-        whole = len(c) > terms
-        slope_rows = n_b if whole else -(-n_b // n_tiles)
-        out = np.empty((n_b, size), dtype=complex)
-        slope = np.empty((slope_rows, size), dtype=complex)
-        ends = [n_b * i // n_tiles for i in range(n_tiles + 1)]
-        tiles = [
-            (slice(a, b), out[a:b], slope[a:b] if whole else slope[: b - a], d[a:b])
-            for a, b in zip(ends, ends[1:])
-        ]
-        for start in range(0, len(c), terms):
-            k = slice(start, start + terms)
-            tables = _table_cis(s, w_hi[k], w_lo[k])
-            inner = tables[n_b:]
-            inner *= c[k]
-            parts = (inner.T, (inner * w_hi[k]).T)
-            last = start + terms >= len(c)
-            for rows, o, sl, d_r in tiles:
-                outer = tables[rows]
-                # as in the point sum, one chunk gives one matmul's bits
-                for x, acc in zip(parts, (o, sl)):
-                    if start:
-                        acc += outer @ x
-                    else:
-                        np.matmul(outer, x, out=acc)
-                if last:
-                    # out += i d slope, while the tile is in cache
-                    sl *= d_r
-                    o.real -= sl.imag
-                    o.imag += sl.real
-    return out.ravel()[:n_t]
+            bound = _EPS * abs_c.sum()
+            # the series whose own rates pass the gate
+            blocks = [
+                i
+                for i, w in enumerate(w_hi)
+                if 0.5 * np.dot(abs_c, np.square(w * d_max)) <= bound < np.inf
+            ]
+        points = [i for i in range(len(rates)) if i not in blocks]
+        # the block sums, then the point sums, each of one stack
+        groups = [(sel, b) for sel, b in ((blocks, size), (points, 1)) if sel]
+        sums = []
+        for sel, size in groups:
+            hi, lo = (w_hi, w_lo) if len(groups) == 1 else (w_hi[sel], w_lo[sel])
+            n_b = -(-n_t // size)
+            # chunks of terms whose tables hold about _PHASE_BLOCK phases
+            terms = max(1, _PHASE_BLOCK // (n_b + size))
+            if size == 1:
+                # the point sum: the first chunk's product is taken and later
+                # ones are added in place, so one chunk gives one matmul's bits
+                chunks = (slice(a, a + terms) for a in range(0, len(c), terms))
+                parts = (_table_cis(t, hi[:, k], lo[:, k]) @ c[k, None] for k in chunks)
+                out = next(parts)
+                for x in parts:
+                    out += x
+                sums.append(out[..., 0])
+                continue
+            s = np.concatenate((tb, v))
+            # tiles of whole block rows, of at most _PHASE_TILE cells (or of 4
+            # rows) and of equal size to a row: BLAS gives a tile the bits of
+            # the whole product, but not a small last tile, which takes its
+            # matrix-vector path at one row and, beyond 128 terms, its
+            # single-threaded path at a few
+            n_tiles = -(-n_b // max(4, _PHASE_TILE // size))
+            # the slope sums: the whole grid's where several chunks add to
+            # them before d multiplies them, else the largest tile's
+            whole = len(c) > terms
+            slope_rows = n_b if whole else -(-n_b // n_tiles)
+            out = np.empty((len(hi), n_b, size), dtype=complex)
+            slope = np.empty((len(hi), slope_rows, size), dtype=complex)
+            ends = [n_b * i // n_tiles for i in range(n_tiles + 1)]
+            tiles = [
+                (slice(a, b), out[:, a:b], slope[:, a:b] if whole else slope[:, : b - a], d[a:b])
+                for a, b in zip(ends, ends[1:])
+            ]
+            for start in range(0, len(c), terms):
+                k = slice(start, start + terms)
+                tables = _table_cis(s, hi[:, k], lo[:, k])
+                inner = tables[:, n_b:]
+                inner *= c[k]
+                parts = (inner.transpose(0, 2, 1), (inner * hi[:, None, k]).transpose(0, 2, 1))
+                last = start + terms >= len(c)
+                for rows, o, sl, d_r in tiles:
+                    outer = tables[:, rows]
+                    # as in the point sum, one chunk gives one matmul's bits
+                    for x, acc in zip(parts, (o, sl)):
+                        if start:
+                            acc += outer @ x
+                        else:
+                            np.matmul(outer, x, out=acc)
+                    if last:
+                        # out += i d slope, while the tile is in cache
+                        sl *= d_r
+                        o.real -= sl.imag
+                        o.imag += sl.real
+            sums.append(out.reshape(len(hi), -1)[:, :n_t])
+    if len(sums) == 1:
+        out = sums[0]
+    else:
+        out = np.empty((len(rates), n_t), dtype=complex)
+        for (sel, _), x in zip(groups, sums):
+            out[sel] = x
+    return out if stacked else out[0]
 
 
 _SPLIT = 2.0**27 + 1.0  # Dekker's splitter for a 53-bit mantissa
@@ -243,7 +283,10 @@ def _table_cis(s: np.ndarray, w_hi: np.ndarray, w_lo: np.ndarray) -> np.ndarray:
     """e^{i w_k s_j} for w = w_hi + w_lo, the angle reduced mod 2 pi in
     double-double before its one rounding to double, as cos x + i sin x
     written into one complex array: the bits of np.exp(1j * x) in about half
-    its time (x += 0.0 gives x = -0.0 the sine +0.0 of 1j * x)."""
+    its time (x += 0.0 gives x = -0.0 the sine +0.0 of 1j * x). Rates of
+    shape (..., K) give tables of shape (..., len(s), K), one per row of
+    rates, each element by the same operations as one row alone."""
+    w_hi, w_lo = w_hi[..., None, :], w_lo[..., None, :]
     p, e = _two_prod(s[:, None], w_hi)
     e += s[:, None] * w_lo
     n = np.rint(p / (2.0 * math.pi))
@@ -310,7 +353,12 @@ def _amplitude_sq(alpha: complex) -> float:
 
 
 def _series(
-    params: ModelParams, alpha: complex, indices, grid, tol: float = 1e-12
+    params: ModelParams,
+    alpha: complex,
+    indices,
+    grid,
+    tol: float = 1e-12,
+    windows: dict | None = None,
 ) -> list[TimeSeries]:
     """The (q-)Poisson-weighted phase sum of both models, from their closure
     coefficients (c_same, c_up), for each (n, m) of indices:
@@ -320,7 +368,11 @@ def _series(
     in raw t for the anharmonic model and in tau = omega t for the q model;
     tol defaults to evolve's. The weight window depends on m and not on n,
     and the rates on n and not on m, so each is formed once per call, and
-    every series has the bits of its one-index call.
+    the n's of one m share their terms: they are one stacked _phase_sum
+    call per m. Every series has the bits of its one-index call. Windows
+    are kept in `windows` under (|alpha|^2, level q, m, tol), so calls that
+    hand one dict between them, such as two models of one level q, form
+    each window once.
     """
     indices = [validate_index(idx) for idx in indices]
     times = np.asarray(grid, dtype=float)
@@ -328,26 +380,33 @@ def _series(
     # tau = omega t: the q model's tau rates are its rates at omega = 1,
     # which round as [n] and [n](q - 1) do
     tau_model = replace(params, omega=1.0) if isinstance(params, QOsc) else params
-    windows, rates, out = {}, {}, []
-    for n, m in indices:
+    windows = {} if windows is None else windows
+    rates, out = {}, {}
+    for m in dict.fromkeys(m for _, m in indices):
         # the window refuses a tol <= 0 and an amplitude outside the radius,
         # also for n = m = 0
-        if m not in windows:
-            windows[m] = _weight_window(a2, q, m, tol)
-        _, lev, w, tail, _ = windows[m]
-        if n == 0 and m == 0:
-            out.append(TimeSeries(times, np.ones_like(times, dtype=complex), 0.0))
+        key = (a2, q, m, tol)
+        if key not in windows:
+            windows[key] = _weight_window(a2, q, m, tol)
+        _, lev, w, tail, _ = windows[key]
+        ns = list(dict.fromkeys(n for n, k in indices if k == m))
+        if m == 0 and 0 in ns:
+            ns.remove(0)
+            out[0, 0] = TimeSeries(times, np.ones_like(times, dtype=complex), 0.0)
+        if not ns:
             continue
-        if n not in rates:
-            rates[n] = _closure_rates(tau_model, n)
-        c_same, c_up = rates[n]
+        for n in ns:
+            if n not in rates:
+                rates[n] = _closure_rates(tau_model, n)
+        c_same, c_up = np.array([rates[n] for n in ns]).T
         # an overflow here, in a phase or a value, reaches TimeSeries as inf
         # or NaN, which it refuses
         with np.errstate(over="ignore", invalid="ignore"):
-            values = _phase_sum(c_up, times, lev, lev**m * w, c_same)
-            values *= np.conj(alpha) ** n
-        out.append(TimeSeries(times, values, tail))
-    return out
+            sums = _phase_sum(c_up, times, lev, lev**m * w, c_same)
+            for n, values in zip(ns, sums):
+                values *= np.conj(alpha) ** n
+                out[n, m] = TimeSeries(times, values, tail)
+    return [out[idx] for idx in indices]
 
 
 def evolve_q_expectation(
@@ -389,16 +448,18 @@ def evolve_anharmonic_expectation(
 
 
 def _closed(params: Anharmonic, alpha: complex, indices, t_grid) -> list[TimeSeries]:
-    """evolve_anharmonic_closed for each (n, m) of indices. The decay
-    factor exp[|alpha|^2 (e^{i c_up t} - 1)] depends on n and not on m, so
-    it is formed once per n, after the first r-sum of that n as in a
-    one-index call; every trace has the bits of its one-index call."""
+    """evolve_anharmonic_closed for each (n, m) of indices. The n's of one m
+    share the r-sum's terms, so each m is one stacked _phase_sum call over
+    its n's. The decay factor exp[|alpha|^2 (e^{i c_up t} - 1)] depends on
+    n and not on m, so it is one stacked call over every n, formed after
+    the first r-sums as in a one-index call; every trace has the bits of
+    its one-index call."""
     indices = [validate_index(idx) for idx in indices]
     ts = np.asarray(t_grid, dtype=float)
     a2 = _amplitude_sq(alpha)
-    decays, out = {}, []
-    for n, m in indices:
-        c_same, c_up = _closure_rates(params, n)
+    rates = {n: _closure_rates(params, n) for n, _ in indices}
+    decays, out = {}, {}
+    for m in dict.fromkeys(m for _, m in indices):
         # S(2, m) = 2^(m-1) - 1 is beyond double precision: refuse before the
         # O(m^2) exact-integer Stirling row is built
         if m > 1024:
@@ -409,19 +470,23 @@ def _closed(params: Anharmonic, alpha: complex, indices, t_grid) -> list[TimeSer
             raise DomainError(
                 f"|alpha|^(2r) overflows double precision at alpha={alpha}, m={m}"
             ) from None
+        ns = list(dict.fromkeys(n for n, k in indices if k == m))
+        c_same, c_up = np.array([rates[n] for n in ns]).T
         # an overflow here, in a phase or a value, reaches TimeSeries as inf
         # or NaN, which it refuses
         with np.errstate(over="ignore", invalid="ignore"):
-            values = _phase_sum(c_up, ts, np.arange(m + 1.0), coeffs, c_same)
-            if n not in decays:
-                decay = _phase_sum(c_up, ts, np.ones(1), np.ones(1), 0.0)
+            sums = _phase_sum(c_up, ts, np.arange(m + 1.0), coeffs, c_same)
+            if not decays:
+                ups = np.array([up for _, up in rates.values()])
+                decay = _phase_sum(ups, ts, np.ones(1), np.ones(1), np.zeros_like(ups))
                 decay -= 1.0
                 decay *= a2
-                decays[n] = np.exp(decay, out=decay)
-            values *= decays[n]
-            values *= np.conj(alpha) ** n
-        out.append(TimeSeries(ts, values, 0.0))
-    return out
+                decays = dict(zip(rates, np.exp(decay, out=decay)))
+            for n, values in zip(ns, sums):
+                values *= decays[n]
+                values *= np.conj(alpha) ** n
+                out[n, m] = TimeSeries(ts, values, 0.0)
+    return [out[idx] for idx in indices]
 
 
 def evolve_anharmonic_closed(
@@ -499,12 +564,12 @@ def band_phase_trace(
     by a pure phase at rate [j+n]_q - [j]_q (in tau), so the ratio is
     computed directly. For q > 0 the entry vanishes exactly when j_col = 0
     and m >= 1, where the phase is undefined; n = 0 has no phase to
-    normalize, so both raise DomainError. The phase is _phase_curve's.
+    normalize, so both raise DomainError. The phase is _phase_curves'.
     """
     n, m = _check_band_entry(idx, j_col)
     taus = np.asarray(taus, dtype=float)
     rate = q_number(j_col + n, params.q) - q_number(j_col, params.q)
-    return _phase_curve(rate, taus, n, m, params.q, j_col)
+    return _phase_curves([rate], taus, [n], m, params.q, j_col)[0]
 
 
 def _check_band_entry(idx: LambdaIndex, j_col: int) -> tuple[int, int]:
@@ -518,13 +583,16 @@ def _check_band_entry(idx: LambdaIndex, j_col: int) -> tuple[int, int]:
     return n, m
 
 
-def _phase_curve(rate: float, taus: np.ndarray, n: int, m: int, q: float, j_col: int):
-    """The PhaseCurve e^{i rate tau} over the float array taus, tagged
-    (n, m, q, j_col). The phase is _phase_sum's point sum of one term, so
-    its angle is reduced in double-double and _phase_sum refuses the taus
-    on which it keeps no correct digit."""
-    values = _phase_sum(rate, taus, np.ones(1), np.ones(1), 0.0, 1)
-    return PhaseCurve(taus, values, n, m, q, j_col)
+def _phase_curves(rates, taus: np.ndarray, ns, m: int, q: float, j_col: int):
+    """The PhaseCurve e^{i rate tau} over the float array taus for each rate
+    of rates, tagged (n, m, q, j_col) with n the matching entry of ns. The
+    phases are one stacked _phase_sum point sum of one term, so each angle
+    is reduced in double-double, each curve has the bits of its one-rate
+    call, and _phase_sum refuses the taus on which it keeps no correct
+    digit."""
+    one = np.ones(1)
+    values = _phase_sum(np.array(rates, dtype=float), taus, one, one, np.zeros(len(rates)), 1)
+    return [PhaseCurve(taus, v, n, m, q, j_col) for n, v in zip(ns, values)]
 
 
 def collapse_transform(traces: list[PhaseCurve]) -> list[np.ndarray]:

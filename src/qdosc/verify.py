@@ -49,14 +49,19 @@ every residual and trace keeps the bits of the public one-index call:
   enters scaling_phase_check and band_phase_trace only through the
   refusal at j = 0, m >= 1. Each (q, j_col, n) forms its residual and
   collapse curve once, from levels formed once per q, and the residual is
-  yielded once for each m of the grid;
+  yielded once for each m of the grid. The n's of a (q, j_col) differ
+  only in their rates, so their phases on each grid, and their predicted
+  phases, are each one stacked dynamics._phase_sum call;
 - relation: exp_q(x) does not depend on m, so it is formed once per
   (q, x); the moment sum keeps its own window for each m, apart from the
   window of exp_q;
 - dynamics-oracle: the weight window depends on (|alpha|^2, q, m, tol) and
   not on n, and the closed form's decay factor on n and not on m, so the
   index-list forms under evolve_* (dynamics._series, dynamics._closed)
-  form each once per model and call.
+  form each once per model and call. The n's of one m share their terms,
+  so each m is one stacked phase sum, and the decay one over n. The
+  anharmonic series and the bridge's anharmonic side share |alpha|^2,
+  level q = 1 and tol, so they share one dict of windows.
 
 Each suite checks one fixed grid, the module constants below, and its
 report records the grid; the truncation dimension D is the only argument
@@ -78,7 +83,7 @@ from .algebra import (
     normal_order_expansion,
     power_law_band,
 )
-from .dynamics import _closed, _collapse, _moment_residuals, _phase_curve, _series
+from .dynamics import _closed, _collapse, _moment_residuals, _phase_curves, _series
 from .errors import ConvergenceError
 from .fock import (
     _band_array,
@@ -338,14 +343,18 @@ def _scaling_residuals(q: float, j_col: int, lv: list[float]):
     taus_collapse = np.linspace(0.0, 10.0, 2001)
     # the band entry vanishes at j_col = 0 for m >= 1; its phase is undefined
     ms = (0, 1, 2) if j_col else (0,)
+    ns = (1, 2, 3)
+    # the three n's phases on each grid and their predicted phases, each
+    # one stacked point sum
+    rates = [lv[j_col + n] - lv[j_col] for n in ns]
+    ratios = _phase_curves(rates, taus_check, ns, 0, q, j_col)
+    curves = _phase_curves(rates, taus_collapse, ns, 0, q, j_col)
+    nqs = np.array([lv[n] for n in ns])
+    residuals = _scaling_residual(np.array([r.values for r in ratios]), nqs, q, j_col, taus_check)
     normalized = []
-    for n in (1, 2, 3):
-        rate = lv[j_col + n] - lv[j_col]
-        ratio = _phase_curve(rate, taus_check, n, 0, q, j_col).values
-        residual = _scaling_residual(ratio, lv[n], q, j_col, taus_check)
+    for n, residual, curve in zip(ns, residuals.tolist(), curves):
         for _ in ms:
             yield residual
-        curve = _phase_curve(rate, taus_collapse, n, 0, q, j_col)
         normalized.append(_collapse(curve, lv[n]))
     target = taus_collapse * q**j_col
     yield np.abs(np.vstack(normalized) - target).max()
@@ -479,18 +488,21 @@ def suite_dynamics_oracle(D: int = DEFAULT_DIM) -> list[CheckResult]:
     oracle_grid = {"alpha": alpha, "dim": D, "nm_max": ORACLE_NM_MAX}
     pq, ap = QOsc(q=1.2), ANHARMONIC_DEFAULT
 
-    def traces(stacked, params, t=times):
+    def traces(stacked, params, t=times, **shared):
         """The values of each index's trace, by the index-list form stacked
         under evolve_*."""
-        return [ts.values for ts in stacked(params, alpha, _ORACLE_INDICES, t)]
+        return [ts.values for ts in stacked(params, alpha, _ORACLE_INDICES, t, **shared)]
 
     # the anharmonic series feed two checks, so they are computed once
-    series = traces(_series, ap)
+    windows = {}
+    series = traces(_series, ap, windows=windows)
     # harmonic bridge: q -> 1 with omega_q = omega1 vs omega2 = 0, compared
-    # at the same physical instants over the q model's native tau in [0, 10]
+    # at the same physical instants over the q model's native tau in [0, 10];
+    # its anharmonic side shares |alpha|^2, level q = 1 and tol with the
+    # series above, so it takes their windows
     bridge_q = QOsc(q=1.0 + 1e-9, omega=10.0)
     bridge_a = Anharmonic(omega1=10.0, omega2=0.0)
-    harmonic = traces(_series, bridge_a, times / bridge_q.omega)
+    harmonic = traces(_series, bridge_a, times / bridge_q.omega, windows=windows)
     return [
         _check(
             "dynamics_oracle_q",

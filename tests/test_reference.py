@@ -782,6 +782,108 @@ def test_tiled_phase_sum_keeps_the_bits_of_the_whole_grid_sum(case, monkeypatch)
     assert got.tobytes() == ref_phase_sum(rate, grid, lev, c, rate0).tobytes()
 
 
+# the (rate, rate0) of a stack's series: distinct rates, one rate0 = 0
+STACK_RATES = (np.array([0.05, 0.013, 0.031, 0.002]), np.array([1.3, 0.0, 2.9, 0.7]))
+# (levels, weights) of K terms; 317 spans several term chunks
+STACK_TERMS = {
+    1: _one_term()[1:3],
+    3: (np.arange(3.0), np.array([0.0, 2.5, 6.25])),
+    45: _q_phase_terms(1.0, 3.5, 1, 0)[1:3],
+    317: _q_phase_terms(1.0 + 1e-9, 17.0, 2, 1)[1:3],
+}
+
+
+def _stack_grid(T, uniform):
+    if uniform:
+        return np.linspace(0.0, 4 * math.pi, T)
+    return np.sort(np.random.default_rng(T).uniform(0.0, 4 * math.pi, T))
+
+
+# (T, uniform grid, K, block size); a non-uniform grid, T = 1 and B = 1
+# take the point sum, of T K angles a series, so the longest point sums
+# are left out
+STACK_CASES = [
+    (T, uniform, K, size)
+    for T in (0, 1, 2, 21, 101, 2001, _PHASE_BLOCK + 7, 200_000)
+    for uniform in (True, False)
+    for K in STACK_TERMS
+    for size in (None, 1)
+    if (uniform or T > 1)
+    and (uniform and size is None and T > 1 or T * K <= 2_200_000)
+]
+
+
+@pytest.mark.parametrize(
+    "T, uniform, K, size",
+    STACK_CASES,
+    ids=[
+        f"T={T}-{'uniform' if u else 'nonuniform'}-K={K}-B={'default' if s is None else s}"
+        for T, u, K, s in STACK_CASES
+    ],
+)
+def test_stacked_phase_sum_rows_are_the_one_series_sums(T, uniform, K, size):
+    grid = _stack_grid(T, uniform)
+    lev, c = STACK_TERMS[K]
+    rates, rate0s = STACK_RATES
+    ones = [_phase_sum(a, grid, lev, c, a0, size) for a, a0 in zip(rates.tolist(), rate0s.tolist())]
+    for S in (1, 3, 4):
+        got = _phase_sum(rates[:S], grid, lev, c, rate0s[:S], size)
+        assert got.shape == (S, T)
+        for row, one in zip(got, ones):
+            assert row.tobytes() == one.tobytes()
+
+
+def test_stacked_phase_sum_gates_each_series_on_its_own_rates(monkeypatch):
+    # the q = 2, |alpha| = 5, (3, 3) series fails the first-order gate on
+    # this grid, whose points round by up to 1.45e-11; slow series of the
+    # same terms pass it
+    rate, lev, c, rate0 = _q_phase_terms(2.0, 5.0, 3, 3)
+    grid = UNIFORM_GRIDS["[1e-3,1e5]"]
+    rates, rate0s = np.array([1e-3, rate, 2e-3]), np.array([0.5, rate0, 0.0])
+    points = []
+    table_cis = dynamics._table_cis
+
+    def spy(s, w_hi, w_lo):
+        points.append(len(s))
+        return table_cis(s, w_hi, w_lo)
+
+    monkeypatch.setattr(dynamics, "_table_cis", spy)
+    got = _phase_sum(rates, grid, lev, c, rate0s)
+    monkeypatch.undo()
+    T = len(grid)
+    B = math.isqrt(T - 1) + 1
+    # the two slow series by blocks, in one chunk of terms, then the refused
+    # one by points, in chunks of one term at this T
+    assert points == [-(-T // B) + B] + [T] * len(c)
+    for row, a, a0 in zip(got, rates.tolist(), rate0s.tolist()):
+        assert row.tobytes() == _phase_sum(a, grid, lev, c, a0).tobytes()
+
+
+def test_stacked_phase_sum_raises_the_first_refused_series_error(monkeypatch):
+    grid, lev, c = np.array([0.0, 1e20]), np.arange(3.0), np.ones(3)
+    # a series it keeps, one whose angles keep no digit and one whose rate
+    # has no finite Dekker split
+    kept, no_digit, no_split = (1e-3, 0.0), (1e13, 0.0), (1e301, 0.0)
+
+    def refusal(series):
+        with pytest.raises(DomainError) as err:
+            _phase_sum(*series[:1], grid, lev, c, *series[1:])
+        return str(err.value)
+
+    assert refusal(no_digit) != refusal(no_split)
+
+    def refuse(*args):
+        raise AssertionError("a table was built before the refusal")
+
+    monkeypatch.setattr(dynamics, "_table_cis", refuse)
+    for stack in ((kept, no_digit, no_split), (kept, no_split, no_digit), (no_split, kept)):
+        first = next(series for series in stack if series is not kept)
+        rates, rate0s = np.array(stack).T
+        with pytest.raises(DomainError) as err:
+            _phase_sum(rates, grid, lev, c, rate0s)
+        assert str(err.value) == refusal(first)
+
+
 def ref_evolve_q_expectation(params, alpha, idx, tau_grid, tol=1e-12):
     """The q-model series with its own rates [n] and [n](q - 1)."""
     if not isinstance(params, QOsc):

@@ -5,6 +5,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import qdosc.algebra as algebra
+import qdosc.dynamics as dynamics
 import qdosc.verify as verify
 import qdosc.fock as fock
 from qdosc import (
@@ -646,8 +648,9 @@ class TestSharedAnalyticWork:
         calls = []
 
         def recorder(stacked):
-            def record(params, alpha, indices, grid):
-                out = stacked(params, alpha, indices, grid)
+            # shared carries the window cache handed between _series calls
+            def record(params, alpha, indices, grid, **shared):
+                out = stacked(params, alpha, indices, grid, **shared)
                 calls.append((stacked, params, alpha, list(indices), grid, out))
                 return out
 
@@ -665,6 +668,43 @@ class TestSharedAnalyticWork:
                 one = evolve(params, alpha, idx, grid)
                 assert np.array_equal(ts.values, one.values)
                 assert ts.truncation_tail == one.truncation_tail
+
+    def test_a_pass_makes_one_phase_sum_per_stack(self, monkeypatch):
+        calls = {dynamics: 0, algebra: 0}
+        phase_sum = dynamics._phase_sum
+
+        def counter(module):
+            def count(*args):
+                calls[module] += 1
+                return phase_sum(*args)
+
+            return count
+
+        # algebra calls its own import of _phase_sum
+        for module in calls:
+            monkeypatch.setattr(module, "_phase_sum", counter(module))
+        run_suite("all", 64)
+        # through dynamics, 116 before the stacks: dynamics-oracle one per m
+        # of each of the four series (16), one per m of the closed form and
+        # its decay over n (5); scaling one per (q, j_col) and grid (12)
+        assert calls[dynamics] == 33
+        # scaling's predicted phases, one per (q, j_col); 18 before
+        assert calls[algebra] == 6
+
+    def test_dynamics_oracle_forms_each_weight_window_once(self, monkeypatch):
+        keys = []
+        weight_window = dynamics._weight_window
+
+        def count(*args):
+            keys.append(args)
+            return weight_window(*args)
+
+        monkeypatch.setattr(dynamics, "_weight_window", count)
+        verify.suite_dynamics_oracle()
+        # four m's of three window sets: the q model, the bridge's q model,
+        # and the anharmonic series and bridge, which share |alpha|^2, level
+        # q = 1 and tol. The parent made 16.
+        assert len(keys) == len(set(keys)) == 12
 
     @pytest.mark.parametrize(
         "suite",
