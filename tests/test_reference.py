@@ -866,8 +866,9 @@ def test_stacked_phase_sum_raises_the_first_refused_series_error(monkeypatch):
     kept, no_digit, no_split = (1e-3, 0.0), (1e13, 0.0), (1e301, 0.0)
 
     def refusal(series):
+        rate, rate0 = series
         with pytest.raises(DomainError) as err:
-            _phase_sum(*series[:1], grid, lev, c, *series[1:])
+            _phase_sum(rate, grid, lev, c, rate0)
         return str(err.value)
 
     assert refusal(no_digit) != refusal(no_split)
