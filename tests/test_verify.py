@@ -684,11 +684,11 @@ class TestSharedAnalyticWork:
         for module in calls:
             monkeypatch.setattr(module, "_phase_sum", counter(module))
         run_suite("all", 64)
-        # through dynamics, 116 before the stacks: dynamics-oracle one per m
-        # of each of the four series (16), one per m of the closed form and
-        # its decay over n (5); scaling one per (q, j_col) and grid (12)
+        # through dynamics, 116 at one call per series: dynamics-oracle one
+        # per m of each of the four series (16), one per m of the closed form
+        # and its decay over n (5); scaling one per (q, j_col) and grid (12)
         assert calls[dynamics] == 33
-        # scaling's predicted phases, one per (q, j_col); 18 before
+        # scaling's predicted phases, one per (q, j_col), 18 at one per n
         assert calls[algebra] == 6
 
     def test_dynamics_oracle_forms_each_weight_window_once(self, monkeypatch):
@@ -703,7 +703,7 @@ class TestSharedAnalyticWork:
         verify.suite_dynamics_oracle()
         # four m's of three window sets: the q model, the bridge's q model,
         # and the anharmonic series and bridge, which share |alpha|^2, level
-        # q = 1 and tol. The parent made 16.
+        # q = 1 and tol; a window set per model would make 16
         assert len(keys) == len(set(keys)) == 12
 
     @pytest.mark.parametrize(
