@@ -184,22 +184,22 @@ def scaling_phase_check(
         raise DomainError("scaling check is specific to the q model")
     taus = np.atleast_1d(np.asarray(tau, dtype=float))
     ratio = band_phase_trace(params, LambdaIndex(n, m), j_col, taus).values
-    return _scaling_residual(ratio, q_number(n, params.q), params.q, j_col, taus)
+    nq = np.array([q_number(n, params.q)])
+    return float(_scaling_residual(ratio[None], nq, params.q, j_col, taus)[0])
 
 
 def _scaling_residual(
-    ratio: np.ndarray, nq: float, q: float, j_col: int, taus: np.ndarray
-) -> float:
-    """scaling_phase_check's residual from the measured phases ratio over
-    the float array taus and [n]_q = nq. A stack of curves, ratio (S, T)
-    and nq (S,), gives their S residuals from one stacked phase sum, each
-    with the bits of its one-curve call."""
+    ratio: np.ndarray, nq: np.ndarray, q: float, j_col: int, taus: np.ndarray
+) -> np.ndarray:
+    """scaling_phase_check's residuals from a stack of measured phases,
+    ratio (S, T) over the float array taus, and their [n]_q, nq (S,): the
+    S residuals from one stacked phase sum, each with the bits of its
+    stack of one."""
     one = np.ones(1)
-    rate = np.multiply(nq, q**j_col)
+    rate = nq * q**j_col
     predicted = _phase_sum(rate, taus, one, one, np.zeros_like(rate), 1)
     delta = np.angle(ratio * np.conj(predicted))
-    worst = np.abs(delta).max(axis=-1, initial=0.0) / nq
-    return worst if np.ndim(nq) else float(worst)
+    return np.abs(delta).max(axis=-1, initial=0.0) / nq
 
 
 def normal_order_expansion(n: int, M: int, q: float) -> list[tuple[int, float]]:

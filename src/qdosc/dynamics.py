@@ -53,27 +53,27 @@ class TimeSeries:
 
 
 def _phase_sum(
-    rate: float | np.ndarray,
+    rate: np.ndarray,
     t: np.ndarray,
     r: np.ndarray,
     c: np.ndarray,
-    rate0: float | np.ndarray,
+    rate0: np.ndarray,
     size: int | None = None,
 ) -> np.ndarray:
     """sum_k c_k e^{i w_k t_j}, w_k = rate0 + rate r_k, for real r and c, by
     block angle addition over blocks of `size` points.
 
-    rate and rate0 may also be 1-D arrays of S rates each: a stack of S
-    series that share t, r and c, whose sums are the rows of an (S, T)
-    result. Float rates are the stack S = 1, returned as its row. A stack
-    pays once for the checks of t, the departures d_j and each term
-    chunk's tables, and takes one stacked matmul per tile, which NumPy
-    makes one BLAS product per series of the shape a one-series call
-    makes. The term chunks and the tiles depend on T, B and K, not on S:
-    a chunk of fewer terms would add its products in another order, and a
-    tile of other rows could take another BLAS path. So each row has the
-    bits of its one-series call, and a stack's tables hold up to
-    S _PHASE_BLOCK phases; every caller stacks S <= 4 series.
+    rate and rate0 are 1-D arrays of S rates each: a stack of S series
+    that share t, r and c, whose sums are the rows of an (S, T) result;
+    one series is the stack S = 1. A stack pays once for the checks of t,
+    the departures d_j and each term chunk's tables, and takes one stacked
+    matmul per tile, which NumPy makes one BLAS product per series of the
+    shape a one-series call makes. The term chunks and the tiles depend on
+    T, B and K, not on S: a chunk of fewer terms would add its products in
+    another order, and a tile of other rows could take another BLAS path.
+    So each row has the bits of its series' stack of one, and a stack's
+    tables hold up to S _PHASE_BLOCK phases; every caller stacks S <= 4
+    series.
 
     Write j = bB + i with B = size, t_b the grid point j = bB, v_i = fl(i h)
     with h = (t_{T-1} - t_0)/(T - 1), and d_j = t_j - t_b - v_i the grid's
@@ -127,18 +127,16 @@ def _phase_sum(
     the point sum: the table e^{i w_k t_j} (T x K) times c, with no
     departure, so the last two terms of the bound vanish and every angle
     w_k t_j is reduced in double-double. Each series of a stack is gated on
-    its own rates, so a stack may sum some series by blocks and the rest
-    by points. T = 0 gives an empty sum.
+    its own rates. Where the gate splits a stack, the series it keeps are
+    one stacked call at B and the rest another at B = 1, in that order,
+    each row written back to its place; the call at B forms the departures
+    d_j once more. T = 0 gives an empty (S, 0) sum.
     """
     n_t = len(t)
-    rates, rate0s = np.asarray(rate, dtype=float), np.asarray(rate0, dtype=float)
-    stacked = rates.ndim > 0
-    if not stacked:
-        rates, rate0s = rates[None], rate0s[None]
     if not n_t:
-        return np.empty((len(rates), 0) if stacked else 0, dtype=complex)
+        return np.empty((len(rate), 0), dtype=complex)
     t_max, r_max = _abs_max(t), float(np.abs(r).max(initial=0.0))
-    for one, one0 in zip(rates.tolist(), rate0s.tolist()):
+    for one, one0 in zip(rate.tolist(), rate0.tolist()):
         w_max = abs(one0) + abs(one) * r_max
         # each quantity, its value and the number Dekker's split scales
         splits = (
@@ -161,8 +159,7 @@ def _phase_sum(
     # a time that is not finite gives inf or NaN, which the gate refuses and
     # TimeSeries or PhaseCurve refuses at B = 1
     with np.errstate(over="ignore", invalid="ignore"):
-        w_hi, w_lo = _two_sum(rate0s[:, None], *_two_prod(rates[:, None], r))
-        blocks = []
+        hi, lo = _two_sum(rate0[:, None], *_two_prod(rate[:, None], r))
         if size > 1:
             v = np.arange(0.0, size) * ((t[-1] - t[0]) / max(n_t - 1, 1))
             tb, d = _departures(t, size, v)
@@ -170,76 +167,69 @@ def _phase_sum(
             abs_c = np.abs(c)
             bound = _EPS * abs_c.sum()
             # the series whose own rates pass the gate
-            blocks = [
-                i
-                for i, w in enumerate(w_hi)
-                if 0.5 * np.dot(abs_c, np.square(w * d_max)) <= bound < np.inf
-            ]
-        points = [i for i in range(len(rates)) if i not in blocks]
-        # the block sums, then the point sums, each of one stack
-        groups = [(sel, b) for sel, b in ((blocks, size), (points, 1)) if sel]
-        sums = []
-        for sel, size in groups:
-            hi, lo = (w_hi, w_lo) if len(groups) == 1 else (w_hi[sel], w_lo[sel])
-            n_b = -(-n_t // size)
-            # chunks of terms whose tables hold about _PHASE_BLOCK phases
-            terms = max(1, _PHASE_BLOCK // (n_b + size))
-            if size == 1:
-                # the point sum: the first chunk's product is taken and later
-                # ones are added in place, so one chunk gives one matmul's bits
-                chunks = (slice(a, a + terms) for a in range(0, len(c), terms))
-                parts = (_table_cis(t, hi[:, k], lo[:, k]) @ c[k, None] for k in chunks)
-                out = next(parts)
-                for x in parts:
-                    out += x
-                sums.append(out[..., 0])
-                continue
-            s = np.concatenate((tb, v))
-            # tiles of whole block rows, of at most _PHASE_TILE cells (or of 4
-            # rows) and of equal size to a row: BLAS gives a tile the bits of
-            # the whole product, but not a small last tile, which takes its
-            # matrix-vector path at one row and, beyond 128 terms, its
-            # single-threaded path at a few
-            n_tiles = -(-n_b // max(4, _PHASE_TILE // size))
-            # the slope sums: the whole grid's where several chunks add to
-            # them before d multiplies them, else the largest tile's
-            whole = len(c) > terms
-            slope_rows = n_b if whole else -(-n_b // n_tiles)
-            out = np.empty((len(hi), n_b, size), dtype=complex)
-            slope = np.empty((len(hi), slope_rows, size), dtype=complex)
-            ends = [n_b * i // n_tiles for i in range(n_tiles + 1)]
-            tiles = [
-                (slice(a, b), out[:, a:b], slope[:, a:b] if whole else slope[:, : b - a], d[a:b])
-                for a, b in zip(ends, ends[1:])
-            ]
-            for start in range(0, len(c), terms):
-                k = slice(start, start + terms)
-                tables = _table_cis(s, hi[:, k], lo[:, k])
-                inner = tables[:, n_b:]
-                inner *= c[k]
-                parts = (inner.transpose(0, 2, 1), (inner * hi[:, None, k]).transpose(0, 2, 1))
-                last = start + terms >= len(c)
-                for rows, o, sl, d_r in tiles:
-                    outer = tables[:, rows]
-                    # as in the point sum, one chunk gives one matmul's bits
-                    for x, acc in zip(parts, (o, sl)):
-                        if start:
-                            acc += outer @ x
-                        else:
-                            np.matmul(outer, x, out=acc)
-                    if last:
-                        # out += i d slope, while the tile is in cache
-                        sl *= d_r
-                        o.real -= sl.imag
-                        o.imag += sl.real
-            sums.append(out.reshape(len(hi), -1)[:, :n_t])
-    if len(sums) == 1:
-        out = sums[0]
-    else:
-        out = np.empty((len(rates), n_t), dtype=complex)
-        for (sel, _), x in zip(groups, sums):
-            out[sel] = x
-    return out if stacked else out[0]
+            kept = np.array(
+                [0.5 * np.dot(abs_c, np.square(w * d_max)) <= bound < np.inf for w in hi]
+            )
+            if not kept.any():
+                size = 1
+            elif not kept.all():
+                # a split stack: the kept series by blocks, then the rest by
+                # points, each one stacked call
+                out = np.empty((len(rate), n_t), dtype=complex)
+                for sel, b in ((kept, size), (~kept, 1)):
+                    out[sel] = _phase_sum(rate[sel], t, r, c, rate0[sel], b)
+                return out
+        n_b = -(-n_t // size)
+        # chunks of terms whose tables hold about _PHASE_BLOCK phases
+        terms = max(1, _PHASE_BLOCK // (n_b + size))
+        if size == 1:
+            # the point sum: the first chunk's product is taken and later
+            # ones are added in place, so one chunk gives one matmul's bits
+            chunks = (slice(a, a + terms) for a in range(0, len(c), terms))
+            parts = (_table_cis(t, hi[:, k], lo[:, k]) @ c[k, None] for k in chunks)
+            out = next(parts)
+            for x in parts:
+                out += x
+            return out[..., 0]
+        s = np.concatenate((tb, v))
+        # tiles of whole block rows, of at most _PHASE_TILE cells (or of 4
+        # rows) and of equal size to a row: BLAS gives a tile the bits of
+        # the whole product, but not a small last tile, which takes its
+        # matrix-vector path at one row and, beyond 128 terms, its
+        # single-threaded path at a few
+        n_tiles = -(-n_b // max(4, _PHASE_TILE // size))
+        # the slope sums: the whole grid's where several chunks add to
+        # them before d multiplies them, else the largest tile's
+        whole = len(c) > terms
+        slope_rows = n_b if whole else -(-n_b // n_tiles)
+        out = np.empty((len(hi), n_b, size), dtype=complex)
+        slope = np.empty((len(hi), slope_rows, size), dtype=complex)
+        ends = [n_b * i // n_tiles for i in range(n_tiles + 1)]
+        tiles = [
+            (slice(a, b), out[:, a:b], slope[:, a:b] if whole else slope[:, : b - a], d[a:b])
+            for a, b in zip(ends, ends[1:])
+        ]
+        for start in range(0, len(c), terms):
+            k = slice(start, start + terms)
+            tables = _table_cis(s, hi[:, k], lo[:, k])
+            inner = tables[:, n_b:]
+            inner *= c[k]
+            parts = (inner.transpose(0, 2, 1), (inner * hi[:, None, k]).transpose(0, 2, 1))
+            last = start + terms >= len(c)
+            for rows, o, sl, d_r in tiles:
+                outer = tables[:, rows]
+                # as in the point sum, one chunk gives one matmul's bits
+                for x, acc in zip(parts, (o, sl)):
+                    if start:
+                        acc += outer @ x
+                    else:
+                        np.matmul(outer, x, out=acc)
+                if last:
+                    # out += i d slope, while the tile is in cache
+                    sl *= d_r
+                    o.real -= sl.imag
+                    o.imag += sl.real
+    return out.reshape(len(hi), -1)[:, :n_t]
 
 
 _SPLIT = 2.0**27 + 1.0  # Dekker's splitter for a 53-bit mantissa

@@ -8,10 +8,12 @@ from qdosc import (
     DomainError,
     LambdaIndex,
     QOsc,
+    band_phase_trace,
     closure_coeffs,
     expansion_scale,
     multicommutator_expansion,
     normal_order_expansion,
+    q_number,
     scaling_phase_check,
 )
 from qdosc.algebra import expansion_matrix, normal_order_matrix, power_law_multicommutator
@@ -24,6 +26,8 @@ from qdosc.fock import (
     commutator,
 )
 from qdosc.verify import interior_rel_error, suite_normal_order
+
+from one_series import one_series_sum
 
 ANH = Anharmonic(omega1=10.0, omega2=1.0)
 
@@ -157,6 +161,22 @@ class TestScaling:
         worst = max(scaling_phase_check(params, 2, 1, float(t), 3) for t in taus)
         assert scaling_phase_check(params, 2, 1, taus, 3) == worst
         assert scaling_phase_check(params, 2, 1, np.array([]), 3) == 0.0
+
+    def test_returns_the_float_of_the_one_curve_residual(self):
+        # the residual as it was formed from one curve: its predicted phases
+        # e^{i [n] q^j tau}, the worst circular distance to the measured
+        # ones over tau, divided by [n]
+        params, n, m, j_col = QOsc(q=1.2), 2, 1, 3
+        nq, one = q_number(n, params.q), np.ones(1)
+        for tau in (np.linspace(0.0, 10.0, 21), 0.7, np.array([])):
+            taus = np.atleast_1d(np.asarray(tau, dtype=float))
+            ratio = band_phase_trace(params, LambdaIndex(n, m), j_col, taus).values
+            predicted = one_series_sum(nq * params.q**j_col, taus, one, one, 0.0, 1)
+            delta = np.angle(ratio * np.conj(predicted))
+            want = float(np.abs(delta).max(initial=0.0) / nq)
+            got = scaling_phase_check(params, n, m, tau, j_col)
+            assert type(got) is float
+            assert got.hex() == want.hex()
 
     def test_vanishing_band_entry_rejected(self):
         with pytest.raises(DomainError):

@@ -23,9 +23,11 @@ from qdosc import (
     relation_identity_residual,
     scaling_phase_check,
 )
-from qdosc.dynamics import PhaseCurve, TimeSeries, _phase_sum
+from qdosc.dynamics import PhaseCurve, TimeSeries
 from qdosc.fock import build_hamiltonian, build_lambda, heisenberg_evolve
 from qdosc.verify import oracle_expectation_series
+
+from one_series import one_series_sum
 
 ANH = Anharmonic(omega1=10.0, omega2=1.0)
 TAUS = np.linspace(0.0, 10.0, 101)
@@ -197,12 +199,12 @@ class TestAnharmonicClosed:
         # t_max = 2^106 / 36 for W = |rate0| + |rate| max|r_k| = 1
         r, c, edge = np.array([0.0, 1.0]), np.ones(2), 2.0**106 / 36.0
         for size in (None, 1):
-            kept = _phase_sum(1.0, np.array([0.0, 0.99 * edge]), r, c, 0.0, size)
+            kept = one_series_sum(1.0, np.array([0.0, 0.99 * edge]), r, c, 0.0, size)
             assert np.isfinite(kept).all()
             with pytest.raises(DomainError, match="keep no correct digit"):
-                _phase_sum(1.0, np.array([0.0, 1.01 * edge]), r, c, 0.0, size)
+                one_series_sum(1.0, np.array([0.0, 1.01 * edge]), r, c, 0.0, size)
             with pytest.raises(DomainError, match="overflow double precision"):
-                _phase_sum(1e-300, np.array([0.0, 1e300]), r, c, 0.0, size)
+                one_series_sum(1e-300, np.array([0.0, 1e300]), r, c, 0.0, size)
 
     def test_huge_m_refused_before_the_stirling_row(self):
         # S(2, m) = 2^(m-1) - 1 leaves double precision from m = 1025 on; the
@@ -254,7 +256,7 @@ def _peak_in_complex_vectors(run, T=200_000):
 def test_phase_sum_holds_its_result_d_and_one_tile():
     # the result (1), d (0.5), one slope tile (0.16) and small tables, at
     # T = 2e5; the whole-grid value and slope sums peaked at 2.55
-    run = lambda g: _phase_sum(1.0, g, np.ones(1), np.ones(1), 0.0)  # noqa: E731
+    run = lambda g: one_series_sum(1.0, g, np.ones(1), np.ones(1), 0.0)  # noqa: E731
     assert _peak_in_complex_vectors(run) <= 2.0
 
 
@@ -465,4 +467,4 @@ class TestPhaseSplitRefusal:
     def test_refusal_names_the_terms_whose_split_overflows(self):
         r = np.array([1.0, 1e305])
         with pytest.raises(DomainError, match=r"max\|r_k\| = 1\.000e\+305 "):
-            _phase_sum(1e-300, np.array([0.0, 1.0]), r, np.ones(2), 0.0)
+            one_series_sum(1e-300, np.array([0.0, 1.0]), r, np.ones(2), 0.0)

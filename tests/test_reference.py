@@ -107,6 +107,8 @@ from qdosc.params import _closure_rates, _level_q, validate_index
 from qdosc.qcore import _check_radius, _weight_window
 from qdosc.verify import interior_rel_error, oracle_expectation_series
 
+from one_series import one_series_sum
+
 MODELS = [QOsc(q=0.5), QOsc(q=1.0), QOsc(q=1.2), QOsc(q=2.0), Anharmonic(10.0, 1.0)]
 
 
@@ -559,9 +561,9 @@ class TestBlockPhaseSum:
         rows = sorted(set(int(j) for j in rows) | set(range(T - 4, T)))
         for n, m in [(1, 0), (2, 1), (3, 3)]:
             rate, lev, c, rate0 = _q_phase_terms(q, amp, n, m)
-            got = dynamics._phase_sum(rate, grid, lev, c, rate0)
+            got = one_series_sum(rate, grid, lev, c, rate0)
             if (q, amp, grid_id, (n, m)) in ONE_POINT_CASES:
-                assert np.array_equal(got, dynamics._phase_sum(rate, grid, lev, c, rate0, 1))
+                assert np.array_equal(got, one_series_sum(rate, grid, lev, c, rate0, 1))
             want = mp_phase_sum(rate, grid[rows], lev, c, rate0)
             err = np.abs(got[rows] - want).max() / c.sum()
             assert err <= 1e-13, (n, m, err)
@@ -575,8 +577,8 @@ class TestBlockPhaseSum:
         rows = np.unique(np.linspace(0, len(grid) - 1, 24).astype(int))
         for n, m in [(1, 0), (2, 1), (3, 3)]:
             rate, lev, c, rate0 = _q_phase_terms(q, amp, n, m)
-            got = dynamics._phase_sum(rate, grid, lev, c, rate0)
-            assert np.array_equal(got, dynamics._phase_sum(rate, grid, lev, c, rate0, 1))
+            got = one_series_sum(rate, grid, lev, c, rate0)
+            assert np.array_equal(got, one_series_sum(rate, grid, lev, c, rate0, 1))
             want = mp_phase_sum(rate, grid[rows], lev, c, rate0)
             err = np.abs(got[rows] - want).max() / c.sum()
             bound = _block_bound(grid, rate, lev, c, rate0)
@@ -607,7 +609,7 @@ class TestBlockPhaseSum:
     def test_empty_grid_gives_an_empty_sum(self):
         rate, lev, c, rate0 = _q_phase_terms(1.2, 0.8, 2, 1)
         for size in (None, 1):
-            got = dynamics._phase_sum(rate, np.array([]), lev, c, rate0, size)
+            got = one_series_sum(rate, np.array([]), lev, c, rate0, size)
             assert got.shape == (0,) and got.dtype == complex
 
 
@@ -666,9 +668,9 @@ def test_departures_keep_the_bits_of_twosum_on_every_row(grid_id, monkeypatch):
             assert d.shape == want_d.shape
             assert d.ravel()[:T].tobytes() == want_d.ravel()[:T].tobytes()
         rate, lev, c, rate0 = _q_phase_terms(1.2, 0.8, 2, 1)
-        got = dynamics._phase_sum(rate, t, lev, c, rate0)
+        got = one_series_sum(rate, t, lev, c, rate0)
         monkeypatch.setattr(dynamics, "_departures", ref_departures)
-        assert got.tobytes() == dynamics._phase_sum(rate, t, lev, c, rate0).tobytes()
+        assert got.tobytes() == one_series_sum(rate, t, lev, c, rate0).tobytes()
 
 
 def ref_phase_sum(rate, t, r, c, rate0, size=None):
@@ -733,7 +735,7 @@ def test_signed_zeros_keep_the_bits_of_twosum_in_d_and_the_sums(grid_id):
         want_tb, want_d = ref_departures(t, size, v)
         assert tb.tobytes() == want_tb.tobytes()
         assert d.ravel()[:T].tobytes() == want_d.ravel()[:T].tobytes()
-        got = dynamics._phase_sum(rate, t, lev, c, rate0, size)
+        got = one_series_sum(rate, t, lev, c, rate0, size)
         assert got.tobytes() == ref_phase_sum(rate, t, lev, c, rate0, size).tobytes()
 
 
@@ -776,7 +778,7 @@ def test_tiled_phase_sum_keeps_the_bits_of_the_whole_grid_sum(case, monkeypatch)
         return table_cis(s, w_hi, w_lo)
 
     monkeypatch.setattr(dynamics, "_table_cis", spy)
-    got = dynamics._phase_sum(rate, grid, lev, c, rate0)
+    got = one_series_sum(rate, grid, lev, c, rate0)
     T = len(grid)
     assert points[-1] == (T if size == 1 else -(-T // size) + size)
     assert got.tobytes() == ref_phase_sum(rate, grid, lev, c, rate0).tobytes()
@@ -825,7 +827,9 @@ def test_stacked_phase_sum_rows_are_the_one_series_sums(T, uniform, K, size):
     grid = _stack_grid(T, uniform)
     lev, c = STACK_TERMS[K]
     rates, rate0s = STACK_RATES
-    ones = [_phase_sum(a, grid, lev, c, a0, size) for a, a0 in zip(rates.tolist(), rate0s.tolist())]
+    ones = [
+        one_series_sum(a, grid, lev, c, a0, size) for a, a0 in zip(rates.tolist(), rate0s.tolist())
+    ]
     for S in (1, 3, 4):
         got = _phase_sum(rates[:S], grid, lev, c, rate0s[:S], size)
         assert got.shape == (S, T)
@@ -835,11 +839,27 @@ def test_stacked_phase_sum_rows_are_the_one_series_sums(T, uniform, K, size):
 
 def test_stacked_phase_sum_gates_each_series_on_its_own_rates(monkeypatch):
     # the q = 2, |alpha| = 5, (3, 3) series fails the first-order gate on
-    # this grid, whose points round by up to 1.45e-11; slow series of the
-    # same terms pass it
+    # this grid, whose points round by up to 1.45e-11, and so does a faster
+    # one of its terms; slow series of the same terms pass it
     rate, lev, c, rate0 = _q_phase_terms(2.0, 5.0, 3, 3)
     grid = UNIFORM_GRIDS["[1e-3,1e5]"]
-    rates, rate0s = np.array([1e-3, rate, 2e-3]), np.array([0.5, rate0, 0.0])
+    series = {
+        "refused": (rate, rate0),
+        "refused faster": (1.5 * rate, rate0),
+        "kept": (1e-3, 0.5),
+        "kept at rate0 0": (2e-3, 0.0),
+    }
+    stacks = {
+        "refused first": ("refused", "kept", "kept at rate0 0"),
+        "refused between": ("kept", "refused", "kept at rate0 0"),
+        "refused last": ("kept", "kept at rate0 0", "refused"),
+        "two refused interleaved": ("refused", "kept", "refused faster", "kept at rate0 0"),
+    }
+    T = len(grid)
+    B = math.isqrt(T - 1) + 1
+    # the table points: one chunk of terms by blocks, or by points chunks
+    # of one term at this T
+    by_blocks, by_points = [-(-T // B) + B], [T] * len(c)
     points = []
     table_cis = dynamics._table_cis
 
@@ -848,15 +868,21 @@ def test_stacked_phase_sum_gates_each_series_on_its_own_rates(monkeypatch):
         return table_cis(s, w_hi, w_lo)
 
     monkeypatch.setattr(dynamics, "_table_cis", spy)
-    got = _phase_sum(rates, grid, lev, c, rate0s)
-    monkeypatch.undo()
-    T = len(grid)
-    B = math.isqrt(T - 1) + 1
-    # the two slow series by blocks, in one chunk of terms, then the refused
-    # one by points, in chunks of one term at this T
-    assert points == [-(-T // B) + B] + [T] * len(c)
-    for row, a, a0 in zip(got, rates.tolist(), rate0s.tolist()):
-        assert row.tobytes() == _phase_sum(a, grid, lev, c, a0).tobytes()
+    ones = {}
+    for name, (a, a0) in series.items():
+        points.clear()
+        ones[name] = one_series_sum(a, grid, lev, c, a0)
+        assert points == (by_points if name.startswith("refused") else by_blocks), name
+    for stack, names in stacks.items():
+        rates, rate0s = np.array([series[name] for name in names]).T
+        points.clear()
+        got = _phase_sum(rates, grid, lev, c, rate0s)
+        # the kept series by blocks in one stacked call, then the refused
+        # ones by points in another, whatever their places in the stack
+        assert points == by_blocks + by_points, stack
+        assert got.shape == (len(names), T), stack
+        for row, name in zip(got, names):
+            assert row.tobytes() == ones[name].tobytes(), (stack, name)
 
 
 def test_stacked_phase_sum_raises_the_first_refused_series_error(monkeypatch):
@@ -868,7 +894,7 @@ def test_stacked_phase_sum_raises_the_first_refused_series_error(monkeypatch):
     def refusal(series):
         rate, rate0 = series
         with pytest.raises(DomainError) as err:
-            _phase_sum(rate, grid, lev, c, rate0)
+            one_series_sum(rate, grid, lev, c, rate0)
         return str(err.value)
 
     assert refusal(no_digit) != refusal(no_split)
@@ -899,7 +925,7 @@ def ref_evolve_q_expectation(params, alpha, idx, tau_grid, tol=1e-12):
     if n == 0 and m == 0:
         return TimeSeries(taus, np.ones_like(taus, dtype=complex), 0.0)
     nq = q_number(n, q)
-    values = _phase_sum(nq * (q - 1.0), taus, lev, lev**m * w, nq)
+    values = one_series_sum(nq * (q - 1.0), taus, lev, lev**m * w, nq)
     values *= np.conj(alpha) ** n
     return TimeSeries(taus, values, tail)
 
@@ -920,7 +946,7 @@ def ref_evolve_anharmonic_expectation(params, alpha, idx, t_grid, tol=1e-12):
     _, lev, w, tail, _ = _weight_window(a2, 1.0, m, tol)
     c1 = n * params.omega1 + n * n * params.omega2
     c2 = 2.0 * n * params.omega2
-    values = _phase_sum(c2, ts, lev, lev**m * w, c1)
+    values = one_series_sum(c2, ts, lev, lev**m * w, c1)
     values *= np.conj(alpha) ** n
     return TimeSeries(ts, values, tail)
 
