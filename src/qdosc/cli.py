@@ -20,9 +20,8 @@ from pathlib import Path
 import numpy as np
 
 from .dynamics import (
-    _check_band_entry,
+    _band_curves,
     _check_phase_step,
-    band_phase_trace,
     collapse_transform,
     evolve_anharmonic_closed,
     evolve_anharmonic_expectation,
@@ -319,19 +318,13 @@ def cmd_collapse(cfg: dict) -> int:
     taus = _time_grid(cfg)
     ns, ms = _list(cfg, "n_list", int), _list(cfg, "m_list", int)
     pairs = [(n, m) for n in ns for m in ms]
-    # a grid too coarse to unwrap is refused as such before band_phase_trace
+    # a grid too coarse to unwrap is refused as such before _band_curves
     # refuses phases that keep no correct digit
     for n, m in pairs:
         _check_phase_step(taus, q_number(n, params.q), n, m, params.q, j_col)
-    # m enters a curve only through the refusal at j_col = 0, m >= 1, since
-    # (a†a)^m commutes with H: each n's curve and collapse are formed once,
-    # at its first pair, and every pair is still refused in order
-    curves = {}
-    for n, m in pairs:
-        if n in curves:
-            _check_band_entry(LambdaIndex(n, m), j_col)
-        else:
-            curves[n] = band_phase_trace(params, LambdaIndex(n, m), j_col, taus)
+    # the pairs of one n share their curve's phase (_band_curves), so each
+    # n's curve is collapsed once
+    curves = dict(zip((n for n, _ in pairs), _band_curves(params.q, j_col, pairs, taus)))
     collapsed = dict(zip(curves, collapse_transform(list(curves.values()))))
     normalized = [collapsed[n] for n, _ in pairs]
     header = ["tau"] + [f"n{n}_m{m}" for n, m in pairs]

@@ -348,7 +348,6 @@ def _series(
     indices,
     grid,
     tol: float = 1e-12,
-    windows: dict | None = None,
 ) -> list[TimeSeries]:
     """The (q-)Poisson-weighted phase sum of both models, from their closure
     coefficients (c_same, c_up), for each (n, m) of indices:
@@ -359,10 +358,7 @@ def _series(
     tol defaults to evolve's. The weight window depends on m and not on n,
     and the rates on n and not on m, so each is formed once per call, and
     the n's of one m share their terms: they are one stacked _phase_sum
-    call per m. Every series has the bits of its one-index call. Windows
-    are kept in `windows` under (|alpha|^2, level q, m, tol), so calls that
-    hand one dict between them, such as two models of one level q, form
-    each window once.
+    call per m. Every series has the bits of its one-index call.
     """
     indices = [validate_index(idx) for idx in indices]
     times = np.asarray(grid, dtype=float)
@@ -370,15 +366,11 @@ def _series(
     # tau = omega t: the q model's tau rates are its rates at omega = 1,
     # which round as [n] and [n](q - 1) do
     tau_model = replace(params, omega=1.0) if isinstance(params, QOsc) else params
-    windows = {} if windows is None else windows
     rates, out = {}, {}
     for m in dict.fromkeys(m for _, m in indices):
         # the window refuses a tol <= 0 and an amplitude outside the radius,
         # also for n = m = 0
-        key = (a2, q, m, tol)
-        if key not in windows:
-            windows[key] = _weight_window(a2, q, m, tol)
-        _, lev, w, tail, _ = windows[key]
+        _, lev, w, tail, _ = _weight_window(a2, q, m, tol)
         ns = list(dict.fromkeys(n for n, k in indices if k == m))
         if m == 0 and 0 in ns:
             ns.remove(0)
@@ -554,35 +546,41 @@ def band_phase_trace(
     by a pure phase at rate [j+n]_q - [j]_q (in tau), so the ratio is
     computed directly. For q > 0 the entry vanishes exactly when j_col = 0
     and m >= 1, where the phase is undefined; n = 0 has no phase to
-    normalize, so both raise DomainError. The phase is _phase_curves'.
+    normalize, so both raise DomainError. The curve is _band_curves' of the
+    one pair.
     """
-    n, m = _check_band_entry(idx, j_col)
+    return _band_curves(params.q, j_col, [idx], taus)[0]
+
+
+def _band_curves(q: float, j_col: int, pairs, taus) -> list[PhaseCurve]:
+    """band_phase_trace of the q model for each (n, m) of pairs, over the
+    float array of taus.
+
+    m enters a curve only through the refusal at j_col = 0, m >= 1, since
+    (a†a)^m commutes with H: each n's phase is formed once, tagged with its
+    first pair's m, and a later pair of another m takes a copy tagged with
+    its own. The distinct n's, in first-seen order, are one stacked
+    _phase_sum point sum of one term, so each angle is reduced in
+    double-double, each curve has the bits of its own call, and _phase_sum
+    refuses the taus on which it keeps no correct digit. Each refusal is the
+    DomainError of a pair's own call: the pairs' indices in order, then a
+    level beyond double precision, then the taus, for the first n that they
+    refuse.
+    """
     taus = np.asarray(taus, dtype=float)
-    rate = q_number(j_col + n, params.q) - q_number(j_col, params.q)
-    return _phase_curves([rate], taus, [n], m, params.q, j_col)[0]
-
-
-def _check_band_entry(idx: LambdaIndex, j_col: int) -> tuple[int, int]:
-    """The (n, m) of idx, or band_phase_trace's DomainError where the entry
-    (j_col + n, j_col) has no phase to trace."""
-    n, m = validate_index(idx)
-    if n < 1 or j_col < 0:
-        raise DomainError(f"need n >= 1 and j_col >= 0, got n={n}, j_col={j_col}")
-    if j_col == 0 and m >= 1:
-        raise DomainError(f"band entry vanishes at (n={n}, m={m}, j={j_col})")
-    return n, m
-
-
-def _phase_curves(rates, taus: np.ndarray, ns, m: int, q: float, j_col: int):
-    """The PhaseCurve e^{i rate tau} over the float array taus for each rate
-    of rates, tagged (n, m, q, j_col) with n the matching entry of ns. The
-    phases are one stacked _phase_sum point sum of one term, so each angle
-    is reduced in double-double, each curve has the bits of its one-rate
-    call, and _phase_sum refuses the taus on which it keeps no correct
-    digit."""
+    first = {}
+    for idx in pairs:
+        n, m = validate_index(idx)
+        if n < 1 or j_col < 0:
+            raise DomainError(f"need n >= 1 and j_col >= 0, got n={n}, j_col={j_col}")
+        if j_col == 0 and m >= 1:
+            raise DomainError(f"band entry vanishes at (n={n}, m={m}, j={j_col})")
+        first.setdefault(n, m)
+    rates = np.array([q_number(j_col + n, q) for n in first]) - q_number(j_col, q)
     one = np.ones(1)
-    values = _phase_sum(np.array(rates, dtype=float), taus, one, one, np.zeros(len(rates)), 1)
-    return [PhaseCurve(taus, v, n, m, q, j_col) for n, v in zip(ns, values)]
+    values = _phase_sum(rates, taus, one, one, np.zeros(len(rates)), 1)
+    curves = {n: PhaseCurve(taus, v, n, m, q, j_col) for (n, m), v in zip(first.items(), values)}
+    return [curves[n] if first[n] == m else replace(curves[n], m=m) for n, m in pairs]
 
 
 def collapse_transform(traces: list[PhaseCurve]) -> list[np.ndarray]:
@@ -598,20 +596,15 @@ def collapse_transform(traces: list[PhaseCurve]) -> list[np.ndarray]:
     for tr in traces:
         if len(tr.taus) == 0:
             raise DomainError(f"empty tau grid for (n={tr.n}, m={tr.m})")
-        out.append(_collapse(tr, q_number(tr.n, tr.q)))
+        nq = q_number(tr.n, tr.q)
+        _check_phase_step(tr.taus, nq, tr.n, tr.m, tr.q, tr.j_col)
+        raw = np.angle(tr.values)
+        # whole turns that bring each step within pi, times 2 pi to 106 bits
+        turns = np.cumsum(np.rint(np.diff(raw, prepend=raw[0]) / (-2.0 * math.pi)))
+        unwrapped, lo = _two_prod(turns, 2.0 * math.pi)
+        unwrapped += lo + turns * _TWO_PI_LO + raw
+        out.append(unwrapped / nq)
     return out
-
-
-def _collapse(tr: PhaseCurve, nq: float) -> np.ndarray:
-    """The unwrapped phase of the curve tr, on a non-empty grid, over its
-    [n]_q = nq, refusing a grid whose expected phase step reaches pi."""
-    _check_phase_step(tr.taus, nq, tr.n, tr.m, tr.q, tr.j_col)
-    raw = np.angle(tr.values)
-    # whole turns that bring each step within pi, times 2 pi to 106 bits
-    turns = np.cumsum(np.rint(np.diff(raw, prepend=raw[0]) / (-2.0 * math.pi)))
-    unwrapped, lo = _two_prod(turns, 2.0 * math.pi)
-    unwrapped += lo + turns * _TWO_PI_LO + raw
-    return unwrapped / nq
 
 
 def _check_phase_step(taus, nq: float, n: int, m: int, q: float, j_col: int) -> None:

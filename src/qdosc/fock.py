@@ -39,11 +39,7 @@ reused while it is in cache. Element-wise arithmetic is the same per
 entry whatever the tiling, in the same operand order, and a BLAS product
 of a block of rows gives that block of the whole product, so every tiled
 helper keeps the bits of its one-shot formula. A stack that fits one
-tile, every stack at D = 64, takes one pass as before. heisenberg_evolve
-keeps its one-shot O * outer(phases): for an outer of 256 KB or more NumPy
-multiplies in place into that temporary, outer * O, and a complex product
-rounds differently in the other operand order, so per-tile products
-would move its bits.
+tile, every stack at D = 64, takes one pass as before.
 
 Truncation bookkeeping: both Hamiltonians are diagonal, so cutting the
 ladder at dimension D only contaminates the top `margin` Fock levels of an
@@ -280,13 +276,20 @@ def heisenberg_evolve(O: FockOperator, H: FockOperator, t: float) -> FockOperato
     Exact in the truncated space: entry (r, c) picks up e^{i(E_r - E_c) t}.
     t is raw time; for the q model pass t = tau / omega_q. H must be exactly
     diagonal: the phases would drop any off-diagonal entry, however small.
+    The result is np.multiply(np.outer(p, p.conj()), O), p = e^{i E t}, in
+    that operand order, which a complex O rounds by, formed row tile by row
+    tile.
     """
     if O.dim != H.dim:
         raise DimensionError(f"dimension mismatch: {O.dim} vs {H.dim}")
     if not _is_exactly_diagonal(H.matrix):
         raise DomainError("heisenberg_evolve requires a diagonal Hamiltonian")
     phases = np.exp(1j * np.diag(H.matrix).real * t)
-    return FockOperator(O.matrix * np.outer(phases, phases.conj()), O.margin)
+    conj, out = phases.conj(), np.empty(O.matrix.shape, dtype=complex)
+    for idx in _row_tiles(out.shape):
+        rows = idx[-1]
+        np.multiply(np.outer(phases[rows], conj), O.matrix[rows], out=out[rows])
+    return FockOperator(out, O.margin)
 
 
 def coherent_state(

@@ -48,20 +48,18 @@ every residual and trace keeps the bits of the public one-index call:
   rate [j + n] - [j] for every m, since (a†a)^m commutes with H, so m
   enters scaling_phase_check and band_phase_trace only through the
   refusal at j = 0, m >= 1. Each (q, j_col, n) forms its residual and
-  collapse curve once, from levels formed once per q, and the residual is
-  yielded once for each m of the grid. The n's of a (q, j_col) differ
-  only in their rates, so their phases on each grid, and their predicted
-  phases, are each one stacked dynamics._phase_sum call;
+  collapse curve once, and the residual is yielded once for each m of the
+  grid. The n's of a (q, j_col) differ only in their rates, so their
+  phases on each grid are one dynamics._band_curves call, band_phase_trace's
+  routine, and their predicted phases one stacked dynamics._phase_sum call;
 - relation: exp_q(x) does not depend on m, so it is formed once per
   (q, x); the moment sum keeps its own window for each m, apart from the
   window of exp_q;
 - dynamics-oracle: the weight window depends on (|alpha|^2, q, m, tol) and
   not on n, and the closed form's decay factor on n and not on m, so the
   index-list forms under evolve_* (dynamics._series, dynamics._closed)
-  form each once per model and call. The n's of one m share their terms,
-  so each m is one stacked phase sum, and the decay one over n. The
-  anharmonic series and the bridge's anharmonic side share |alpha|^2,
-  level q = 1 and tol, so they share one dict of windows.
+  form each once per call. The n's of one m share their terms,
+  so each m is one stacked phase sum, and the decay one over n.
 
 Each suite checks one fixed grid, the module constants below, and its
 report records the grid; the truncation dimension D is the only argument
@@ -83,7 +81,7 @@ from .algebra import (
     normal_order_expansion,
     power_law_band,
 )
-from .dynamics import _closed, _collapse, _moment_residuals, _phase_curves, _series
+from .dynamics import _band_curves, _closed, _moment_residuals, _series, collapse_transform
 from .errors import ConvergenceError
 from .fock import (
     _band_array,
@@ -328,10 +326,9 @@ def suite_power_law(D: int = DEFAULT_DIM) -> list[CheckResult]:
     ]
 
 
-def _scaling_residuals(q: float, j_col: int, lv: list[float]):
+def _scaling_residuals(q: float, j_col: int):
     """The element-wise phase residual of the scaling law for each (n, m),
-    then the deviation of the collapsed curves from tau q^j_col, from the
-    levels lv[k] = [k]_q.
+    then the deviation of the collapsed curves from tau q^j_col.
 
     m enters neither: the entry (j_col + n, j_col) turns at the rate
     [j_col + n] - [j_col] for every m, since (a†a)^m commutes with H. So
@@ -344,18 +341,15 @@ def _scaling_residuals(q: float, j_col: int, lv: list[float]):
     # the band entry vanishes at j_col = 0 for m >= 1; its phase is undefined
     ms = (0, 1, 2) if j_col else (0,)
     ns = (1, 2, 3)
-    # the three n's phases on each grid and their predicted phases, each
+    # the three n's phases on each grid, and their predicted phases, each
     # one stacked point sum
-    rates = [lv[j_col + n] - lv[j_col] for n in ns]
-    ratios = _phase_curves(rates, taus_check, ns, 0, q, j_col)
-    curves = _phase_curves(rates, taus_collapse, ns, 0, q, j_col)
-    nqs = np.array([lv[n] for n in ns])
-    residuals = _scaling_residual(np.array([r.values for r in ratios]), nqs, q, j_col, taus_check)
-    normalized = []
-    for n, residual, curve in zip(ns, residuals.tolist(), curves):
+    pairs = [(n, 0) for n in ns]
+    ratio = np.array([r.values for r in _band_curves(q, j_col, pairs, taus_check)])
+    nqs = q_number(np.array(ns), q)
+    for residual in _scaling_residual(ratio, nqs, q, j_col, taus_check).tolist():
         for _ in ms:
             yield residual
-        normalized.append(_collapse(curve, lv[n]))
+    normalized = collapse_transform(_band_curves(q, j_col, pairs, taus_collapse))
     target = taus_collapse * q**j_col
     yield np.abs(np.vstack(normalized) - target).max()
 
@@ -363,14 +357,12 @@ def _scaling_residuals(q: float, j_col: int, lv: list[float]):
 def suite_scaling() -> list[CheckResult]:
     """Element-wise phase residual of the scaling law and the cross-(n, m)
     collapse deviation."""
-    # the levels [0]..[6] that every rate and [n] of the grid reads, once per q
-    levels = {q: q_number(np.arange(3 + 3 + 1), q).tolist() for q in (1.2, 2.0)}
     return [
         _check(
             "scaling",
             {"model": "qosc", "q": q, "j_col": j_col},
             1e-9,
-            _scaling_residuals(q, j_col, levels[q]),
+            _scaling_residuals(q, j_col),
         )
         for q in (1.2, 2.0)
         for j_col in (0, 1, 3)
@@ -488,21 +480,18 @@ def suite_dynamics_oracle(D: int = DEFAULT_DIM) -> list[CheckResult]:
     oracle_grid = {"alpha": alpha, "dim": D, "nm_max": ORACLE_NM_MAX}
     pq, ap = QOsc(q=1.2), ANHARMONIC_DEFAULT
 
-    def traces(stacked, params, t=times, **shared):
+    def traces(stacked, params, t=times):
         """The values of each index's trace, by the index-list form stacked
         under evolve_*."""
-        return [ts.values for ts in stacked(params, alpha, _ORACLE_INDICES, t, **shared)]
+        return [ts.values for ts in stacked(params, alpha, _ORACLE_INDICES, t)]
 
     # the anharmonic series feed two checks, so they are computed once
-    windows = {}
-    series = traces(_series, ap, windows=windows)
+    series = traces(_series, ap)
     # harmonic bridge: q -> 1 with omega_q = omega1 vs omega2 = 0, compared
-    # at the same physical instants over the q model's native tau in [0, 10];
-    # its anharmonic side shares |alpha|^2, level q = 1 and tol with the
-    # series above, so it takes their windows
+    # at the same physical instants over the q model's native tau in [0, 10]
     bridge_q = QOsc(q=1.0 + 1e-9, omega=10.0)
     bridge_a = Anharmonic(omega1=10.0, omega2=0.0)
-    harmonic = traces(_series, bridge_a, times / bridge_q.omega, windows=windows)
+    harmonic = traces(_series, bridge_a, times / bridge_q.omega)
     return [
         _check(
             "dynamics_oracle_q",

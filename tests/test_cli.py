@@ -14,8 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qdosc import LambdaIndex, QdoscError, QOsc, band_phase_trace, collapse_transform
-from qdosc import cli
+from qdosc import LambdaIndex, QdoscError, QOsc, band_phase_trace, collapse_transform, q_number
+from qdosc import cli, dynamics
 from qdosc.cli import CHOICES, DEFAULTS, build_parser, main
 
 PKG = [sys.executable, "-m", "qdosc.cli"]
@@ -296,17 +296,19 @@ class TestCollapse:
 
     def test_one_curve_per_n_gives_the_per_pair_columns(self, tmp_path, monkeypatch):
         # m enters a curve only through the refusal at j_col = 0, so each n's
-        # curve is formed once and its column repeated for every m
+        # phase is formed once, as one row of one stacked phase sum in
+        # first-seen order, and its column repeated for every m
         out = tmp_path / "c.csv"
         argv = ["collapse", "--q", "1.5", "--j-col", "1", "--n-list", "3,1,2,1",
                 "--m-list", "2,0,1", "--steps", "2001", "--out", str(out)]  # fmt: skip
-        traced = []
-        trace = cli.band_phase_trace
+        rates = []
+        phase_sum = dynamics._phase_sum
         monkeypatch.setattr(
-            cli, "band_phase_trace", lambda *a: traced.append(a[1]) or trace(*a)
+            dynamics, "_phase_sum", lambda *a: rates.append(a[0].tolist()) or phase_sum(*a)
         )
         assert main(argv) == 0
-        assert traced == [LambdaIndex(3, 2), LambdaIndex(1, 2), LambdaIndex(2, 2)]
+        levels = [q_number(k, 1.5) for k in range(5)]
+        assert rates == [[levels[1 + n] - levels[1] for n in (3, 1, 2)]]
         taus = np.linspace(0.0, 10.0, 2001)
         pairs = [(n, m) for n in (3, 1, 2, 1) for m in (2, 0, 1)]
         curves = [band_phase_trace(QOsc(q=1.5), LambdaIndex(*p), 1, taus) for p in pairs]

@@ -300,6 +300,39 @@ class TestHeisenberg:
             heisenberg_evolve(lam, FockOperator(mat), 1.0)
 
 
+def _bits(a):
+    return a.view(np.uint64)
+
+
+# the real operators the package builds, at a D whose outer product of
+# phases fits one row tile (64) and one that takes several (300)
+@pytest.mark.parametrize("D", [64, 300])
+@pytest.mark.parametrize("params", [QOsc(q=0.5), QOsc(q=1.2), ANH], ids=["q0.5", "q1.2", "anh"])
+def test_evolved_real_operators_keep_their_bits(params, D):
+    H = build_hamiltonian(params, D)
+    a, adag = build_ladder(params, D)
+    ops = [H, a, adag, build_lambda(params, LambdaIndex(2, 1), D)]
+    phases = np.exp(1j * np.diag(H.matrix).real * 0.37)
+    outer = np.outer(phases, phases.conj())
+    for op in ops:
+        got = heisenberg_evolve(op, H, 0.37).matrix
+        # a real operand rounds alike in either operand order
+        assert np.array_equal(_bits(got), _bits(op.matrix * outer))
+        assert np.array_equal(_bits(got), _bits(np.multiply(outer, op.matrix)))
+
+
+@pytest.mark.parametrize("D", [64, 300])
+def test_evolved_complex_operator_takes_the_outer_product_first(D):
+    # a complex product rounds by its operand order; NumPy's O * outer
+    # takes one order below an outer of 256 KB and the other above
+    rng = np.random.default_rng(D)
+    O = FockOperator(rng.standard_normal((D, D)) + 1j * rng.standard_normal((D, D)))
+    H = build_hamiltonian(ANH, D)
+    phases = np.exp(1j * np.diag(H.matrix).real * 0.37)
+    want = np.multiply(np.outer(phases, phases.conj()), O.matrix)
+    assert np.array_equal(_bits(heisenberg_evolve(O, H, 0.37).matrix), _bits(want))
+
+
 class TestCoherentState:
     def test_vacuum(self):
         st = coherent_state(Q2, 0.0, D=5)

@@ -89,6 +89,7 @@ from qdosc.algebra import (
 from qdosc.dynamics import (
     _PHASE_BLOCK,
     TimeSeries,
+    _band_curves,
     _phase_sum,
     _table_cis,
     band_phase_trace,
@@ -909,6 +910,59 @@ def test_stacked_phase_sum_raises_the_first_refused_series_error(monkeypatch):
         with pytest.raises(DomainError) as err:
             _phase_sum(rates, grid, lev, c, rate0s)
         assert str(err.value) == refusal(first)
+
+
+# (n, m) pairs with repeated n's and mixed m's; at j_col = 0 only m = 0
+# keeps a phase
+BAND_PAIRS = [(3, 2), (1, 0), (3, 0), (2, 1), (1, 2), (3, 2), (2, 0), (1, 0)]
+
+
+@pytest.mark.parametrize("uniform", [True, False], ids=["uniform", "sorted random"])
+@pytest.mark.parametrize("j_col", [0, 1, 3])
+def test_stacked_band_curves_are_the_one_pair_traces(j_col, uniform):
+    q, taus = 1.5, _stack_grid(2001, uniform)
+    pairs = [(n, m) for n, m in BAND_PAIRS if j_col or not m]
+    got = _band_curves(q, j_col, pairs, taus)
+    assert len(got) == len(pairs)
+    for (n, m), curve in zip(pairs, got):
+        one = band_phase_trace(QOsc(q=q), LambdaIndex(n, m), j_col, taus)
+        assert (curve.n, curve.m, curve.q, curve.j_col) == (n, m, q, j_col)
+        assert (one.n, one.m, one.q, one.j_col) == (n, m, q, j_col)
+        assert curve.taus.tobytes() == one.taus.tobytes()
+        assert curve.values.tobytes() == one.values.tobytes()
+        # a pair alone is the one-term point sum of its rate
+        rate = q_number(j_col + n, q) - q_number(j_col, q)
+        alone = one_series_sum(rate, taus, np.ones(1), np.ones(1), 0.0, 1)
+        assert one.values.tobytes() == alone.tobytes()
+
+
+BAND_REFUSALS = {
+    "vanishing entry": (1.5, 0, [(1, 0), (2, 1), (1, 2)], np.linspace(0.0, 10.0, 21)),
+    "n = 0 before a negative m": (1.5, 1, [(1, 0), (0, 2), (2, -1)], np.linspace(0.0, 10.0, 21)),
+    "negative m": (1.5, 1, [(1, 0), (2, -1), (0, 1)], np.linspace(0.0, 10.0, 21)),
+    "negative column": (1.5, -1, [(1, 0)], np.linspace(0.0, 10.0, 21)),
+    # [1100]_2 and [1200]_2 overflow; [1]_2 does not
+    "level overflow": (2.0, 0, [(1, 0), (1100, 0), (1200, 0)], np.linspace(0.0, 10.0, 21)),
+    # at tau = 1e30 the rates of n = 2 and 3 keep no digit, that of n = 1 does
+    "taus": (1.5, 1, [(1, 0), (3, 0), (2, 0), (1, 2)], np.array([0.0, 1e30])),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAND_REFUSALS))
+def test_stacked_band_curves_raise_the_first_refused_pair_error(case):
+    q, j_col, pairs, taus = BAND_REFUSALS[case]
+    errors = []
+    for idx in pairs:
+        try:
+            band_phase_trace(QOsc(q=q), LambdaIndex(*idx), j_col, taus)
+        except DomainError as err:
+            errors.append(str(err))
+    # the pairs refused on their own, the first of them named as its own
+    # call names it
+    assert len(errors) >= 2 or case == "negative column"
+    with pytest.raises(DomainError) as err:
+        _band_curves(q, j_col, pairs, taus)
+    assert str(err.value) == errors[0]
 
 
 def ref_evolve_q_expectation(params, alpha, idx, tau_grid, tol=1e-12):

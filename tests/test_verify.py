@@ -648,9 +648,8 @@ class TestSharedAnalyticWork:
         calls = []
 
         def recorder(stacked):
-            # shared carries the window cache handed between _series calls
-            def record(params, alpha, indices, grid, **shared):
-                out = stacked(params, alpha, indices, grid, **shared)
+            def record(params, alpha, indices, grid):
+                out = stacked(params, alpha, indices, grid)
                 calls.append((stacked, params, alpha, list(indices), grid, out))
                 return out
 
@@ -692,19 +691,25 @@ class TestSharedAnalyticWork:
         assert calls[algebra] == 6
 
     def test_dynamics_oracle_forms_each_weight_window_once(self, monkeypatch):
-        keys = []
+        calls = []
         weight_window = dynamics._weight_window
+        series = verify._series
 
         def count(*args):
-            keys.append(args)
+            calls[-1].append(args)
             return weight_window(*args)
 
+        def one_call(*args):
+            calls.append([])
+            return series(*args)
+
         monkeypatch.setattr(dynamics, "_weight_window", count)
+        monkeypatch.setattr(verify, "_series", one_call)
         verify.suite_dynamics_oracle()
-        # four m's of three window sets: the q model, the bridge's q model,
-        # and the anharmonic series and bridge, which share |alpha|^2, level
-        # q = 1 and tol; a window set per model would make 16
-        assert len(keys) == len(set(keys)) == 12
+        # the q model, the anharmonic series, and the bridge's two models:
+        # each call forms the window of each of its four m's once
+        assert [len(keys) for keys in calls] == [4, 4, 4, 4]
+        assert all(len(set(keys)) == 4 for keys in calls)
 
     @pytest.mark.parametrize(
         "suite",
