@@ -5,7 +5,8 @@ JSON metadata sidecar (`<out>.meta.json`) echoing the fully resolved
 configuration, so any run can be reproduced byte-identically via
 `--config <sidecar>`.  Numbers are written as shortest round-trip decimals,
 spelled as Python's repr spells them; CSV cells take their digits from
-orjson, in the process.
+orjson, in the process, one call per block of rows, and are respelled as
+bytes of the block's text, not as strings per cell.
 
 Exit status: 0 success, 1 verification failure, 2 usage/domain error.
 """
@@ -189,41 +190,71 @@ def _write_json(cfg: dict, command: str, data, diagnostics: dict) -> None:
         sys.stdout.write(text)
 
 
-def _csv_cells(col: np.ndarray) -> list[str]:
-    """The shortest round-trip decimals of a float column, spelled as repr
-    spells them. orjson's digits are repr's, and so is its spelling for
-    1e-4 <= |x| < 1e16, for zeros and for |x| < 1e-9; the cells it spells
-    otherwise are respelled from its digits, and those from 1e16 up, and
-    non-finite ones, which it writes as null, are spelled by repr."""
+def _csv_block(block: np.ndarray) -> str:
+    """The rows of a (rows, ncol) float64 block as CSV text, each cell the
+    shortest round-trip decimal spelled as repr spells it, from one orjson
+    text of the whole block.
+
+    orjson's digits are repr's, and so is its spelling for 1e-4 <= |x| <
+    1e16, for zeros and for |x| < 1e-9. The cells it spells otherwise are
+    respelled from its digits: a one-digit exponent is padded (1.5e-7 to
+    1.5e-07) and [-]0.0000ddd becomes [-]d.dde-05. Cells from 1e16 up, and
+    non-finite ones, which it writes as null, are spelled by repr.
+
+    No string is made per cell. The text's bytes are edited in place as one
+    uint8 array, where a byte that must go or grow is overwritten with a
+    letter that orjson and repr never write: x goes, m becomes -0, and P
+    and Q, on a separator, become e-05 and that separator. One
+    bytes.replace per letter then spells the whole block out."""
     # imported here: it costs about 8 ms, which a bare import of qdosc.cli
     # and the commands without a CSV need not pay
     import orjson
 
-    # orjson dumps only C-contiguous arrays; a trace's re and im are strided
-    col = np.ascontiguousarray(col, dtype=float)
-    cells = orjson.dumps(col, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode().split(",")
-    a = np.abs(col)
+    flat = block.ravel()
+    text = bytearray(orjson.dumps(flat, option=orjson.OPT_SERIALIZE_NUMPY))
+    b = np.frombuffer(text, np.uint8)
+    # ends[i] is the separator after cell i: a comma, or the closing bracket,
+    # which ends the last row; the opening bracket goes
+    ends = np.append(np.flatnonzero(b == ord(",")), len(b) - 1)
+    starts = np.append(0, ends[:-1]) + 1
+    b[0] = ord("x")
+    b[ends[block.shape[1] - 1 :: block.shape[1]]] = ord("\n")
+    a = np.abs(flat)
     # d.dde-6 to d.dde-9: repr pads the exponent to two digits
-    for i in np.flatnonzero((a >= 1e-9) & (a < 1e-5)).tolist():
-        cells[i] = cells[i].replace("e-", "e-0")
-    # 0.0000ddd: repr writes d.dde-05
-    for i in np.flatnonzero((a >= 1e-5) & (a < 1e-4)).tolist():
-        sign, _, d = cells[i].partition("0.0000")
-        cells[i] = f"{sign}{d[0]}.{d[1:]}e-05" if len(d) > 1 else f"{sign}{d}e-05"
-    for i in np.flatnonzero(~(a < 1e16)).tolist():
-        cells[i] = repr(float(col[i]))
-    return cells
+    b[ends[(a >= 1e-9) & (a < 1e-5)] - 2] = ord("m")
+    # [-]0.0000ddd: repr writes [-]d.dde-05, with no point after one digit;
+    # the first digit moves before the point, and the separator after the
+    # cell is marked for e-05 to go before it
+    e5 = (a >= 1e-5) & (a < 1e-4)
+    zero, end = starts[e5] + (flat[e5] < 0), ends[e5]
+    b[zero + 5] = b[zero + 6]
+    b[zero + 6] = np.where(end - zero > 7, ord("."), ord("x"))
+    b[zero[:, None] + np.arange(5)] = ord("x")
+    b[end] = np.where(b[end] == ord(","), ord("P"), ord("Q"))
+    big = np.flatnonzero(~(a < 1e16))
+    if len(big):
+        parts, prev = [], 0
+        for i, j, x in zip(starts[big].tolist(), ends[big].tolist(), flat[big].tolist()):
+            parts += [text[prev:i], repr(x).encode()]
+            prev = j
+        text = b"".join([*parts, text[prev:]])
+    # freed before the replaces copy the text: it lowers the peak memory of
+    # a run that writes CSV
+    del a, b, ends, starts
+    for mark, spelled in ((b"x", b""), (b"m", b"-0"), (b"P", b"e-05,"), (b"Q", b"e-05\n")):
+        text = text.replace(mark, spelled)
+    return text.decode("ascii")
 
 
 def _write_csv(fh, header: list[str], columns: list[np.ndarray]) -> None:
     """Write a header row and float columns as CSV rows of shortest
     round-trip decimals, spelled as repr spells them, _CSV_BLOCK rows at a
-    time: each block of a column is turned into strings once by _csv_cells,
-    and the rows are joined from them."""
+    time: each block's columns are stacked row-major and encoded as one
+    text by _csv_block, which is written once."""
     fh.write(",".join(header) + "\n")
     for start in range(0, len(columns[0]), _CSV_BLOCK):
-        cells = [_csv_cells(c[start : start + _CSV_BLOCK]) for c in columns]
-        fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
+        block = np.stack([c[start : start + _CSV_BLOCK] for c in columns], axis=1, dtype=float)
+        fh.write(_csv_block(block))
 
 
 def _build_model(cfg: dict):

@@ -29,8 +29,9 @@ _PHASE_TILE = 1 << 15
 @dataclass(frozen=True)
 class TimeSeries:
     """Complex expectation values over a time grid, with the series' tail
-    bound. Times that are not finite, and values beyond double precision,
-    inf or NaN, raise DomainError."""
+    bound, held as read-only views of the arrays given. Times that are not
+    finite, and values beyond double precision, inf or NaN, raise
+    DomainError."""
 
     times: np.ndarray
     values: np.ndarray
@@ -48,8 +49,11 @@ class TimeSeries:
             raise DomainError(
                 f"{bad} of {len(self.values)} expectation values overflow double precision"
             )
-        self.times.setflags(write=False)
-        self.values.setflags(write=False)
+        # read-only views, so the caller's own arrays stay writeable
+        for name in ("times", "values"):
+            view = getattr(self, name).view()
+            view.setflags(write=False)
+            object.__setattr__(self, name, view)
 
 
 def _phase_sum(

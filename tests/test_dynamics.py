@@ -123,6 +123,20 @@ def test_time_series_fields():
     assert ts.truncation_tail == 0.0 and ts.times.shape == ts.values.shape
 
 
+@pytest.mark.parametrize(
+    "evolve, params", TestAmplitudeDomain.EVOLVE, ids=["q", "series", "closed"]
+)
+@pytest.mark.parametrize("idx", [(1, 0), (0, 0)])
+def test_time_series_leaves_the_callers_grid_writeable(evolve, params, idx):
+    grid = np.linspace(0.0, 1.0, 11)
+    want = grid.copy()
+    ts = evolve(params, 1.0, LambdaIndex(*idx), grid)
+    assert grid.flags.writeable and ts.times is not grid
+    assert not (ts.times.flags.writeable or ts.values.flags.writeable)
+    assert np.array_equal(ts.times, want)
+    grid[0] = -1.0  # the caller may still write its grid
+
+
 class TestAnharmonicExpectation:
     def test_constants_of_motion(self):
         ts = evolve_anharmonic_expectation(ANH, 0.8, LambdaIndex(0, 2), TAUS)

@@ -1554,6 +1554,43 @@ def test_csv_writer_spells_every_float_as_repr():
     assert [(g, w) for g, w in zip(got, want) if g != w][:5] == []
 
 
+# by class, the cells the CSV writer does not take as orjson spells them,
+# and the negative zero, which it takes
+RESPELLED = {
+    "pad": [1.5e-07, -3e-09, 9.999999999999999e-06],
+    "e-05": [1.25e-05, -2e-05, 9.999999999999999e-05, -1.0000000000000001e-05],
+    "big": [1e16, -1.5e300, sys.float_info.max],
+    "non-finite": [math.nan, math.inf, -math.inf],
+    "negative-zero": [-0.0],
+}
+CSV_BLOCK = cli._CSV_BLOCK
+
+
+@pytest.mark.parametrize("rows", [1, CSV_BLOCK - 1, CSV_BLOCK, CSV_BLOCK + 1, 2 * CSV_BLOCK + 1])
+@pytest.mark.parametrize("ncol", [1, 2, 5, 7])
+@pytest.mark.parametrize("cls", list(RESPELLED))
+def test_csv_blocks_respell_cells_at_every_place(monkeypatch, cls, ncol, rows):
+    """A respelled class first, inside and last in a row, in the first and
+    last rows of every block, among ordinary cells; one orjson call a block."""
+    import orjson
+
+    rng = np.random.default_rng(ncol * rows)
+    table = rng.normal(size=(rows, ncol)) * 10.0 ** rng.integers(-3, 6, size=(rows, ncol))
+    # the first and the last row of every block
+    edge_rows = {r for start in range(0, rows, CSV_BLOCK)
+                 for r in (start, min(start + CSV_BLOCK, rows) - 1)}
+    cells = [(r, c) for r in sorted(edge_rows) for c in sorted({0, ncol // 2, ncol - 1})]
+    for k, (r, c) in enumerate(cells):
+        table[r, c] = RESPELLED[cls][k % len(RESPELLED[cls])]
+    columns = list(table.T)
+    dumps, calls = orjson.dumps, []
+    monkeypatch.setattr(orjson, "dumps", lambda *a, **kw: calls.append(1) or dumps(*a, **kw))
+    got, want = _csv_body(columns).split("\n"), ref_csv_text(columns).split("\n")
+    assert len(calls) == -(-rows // CSV_BLOCK)
+    assert len(got) == len(want)
+    assert [(g, w) for g, w in zip(got, want) if g != w][:5] == []
+
+
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 
 
